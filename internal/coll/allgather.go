@@ -6,9 +6,10 @@ import (
 )
 
 // AllgatherRing exchanges blocks around a logical ring defined by order (a
-// permutation of comm ranks; nil means rank order). After P-1 steps every
-// rank holds all P blocks. rbuf is laid out in comm-rank order with each
-// rank's contribution at rank*blockSize; sbuf is the caller's block.
+// permutation of comm ranks; nil means rank order). order is only read:
+// callers hand every rank the same slice. After P-1 steps every rank holds
+// all P blocks. rbuf is laid out in comm-rank order with each rank's
+// contribution at rank*blockSize; sbuf is the caller's block.
 //
 // postRecvFirst selects full-duplex behavior: when true each step posts the
 // receive before the send and both directions progress concurrently. When

@@ -3,6 +3,7 @@ package coll
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -325,6 +326,11 @@ func TestAllgatherRingCustomOrder(t *testing.T) {
 	}
 	if bad != 0 {
 		t.Fatalf("%d blocks wrong with custom ring order", bad)
+	}
+	// Every rank was handed the same slice (as with Comm.PhysicalOrder's
+	// memoised result): the ring must only read it.
+	if want := []int{0, 2, 4, 1, 3, 5}; !slices.Equal(order, want) {
+		t.Fatalf("AllgatherRing modified the shared order slice: %v, want %v", order, want)
 	}
 }
 

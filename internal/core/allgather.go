@@ -27,68 +27,24 @@ func (m *Module) Allgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer) 
 	}
 	mode := m.Opt.ForceAllgather
 	if mode == "" {
-		if maxPPN(c) <= m.Opt.AllgatherLeaderMaxPPN {
+		if c.MaxPPN() <= m.Opt.AllgatherLeaderMaxPPN {
 			mode = "leader"
 		} else {
 			mode = "ring"
 		}
 	}
-	if mode == "leader" && uniformContiguous(c) {
+	if mode == "leader" && c.UniformBlocks() {
 		m.allgatherLeader(p, c, sbuf, rbuf)
 		return
 	}
 	// Topology-aware ring: the logical ring follows physical distance, so
 	// only set-boundary edges cross slow links; receives are posted before
 	// sends so both ring directions progress concurrently.
-	order := physicalOrder(c)
-	if m.Opt.RankOrderedRing {
-		order = nil // ablation: topology-unaware rank order
+	var order []int // nil is the ablation: topology-unaware rank order
+	if !m.Opt.RankOrderedRing {
+		order = c.PhysicalOrder()
 	}
 	coll.AllgatherRing(p, c, sbuf, rbuf, order, true)
-}
-
-// maxPPN returns the largest number of comm ranks hosted by one node.
-func maxPPN(c *mpi.Comm) int {
-	counts := map[int]int{}
-	max := 0
-	for r := 0; r < c.Size(); r++ {
-		n := c.Proc(r).Core().NodeID
-		counts[n]++
-		if counts[n] > max {
-			max = counts[n]
-		}
-	}
-	return max
-}
-
-// uniformContiguous reports whether the comm's ranks form contiguous
-// equal-length runs in ascending node order — the layout the leader-based
-// algorithm's node-block arithmetic requires (node i's blocks at offset
-// i*nodeBytes, with llcomm ordered by node id).
-func uniformContiguous(c *mpi.Comm) bool {
-	lastNode := -1
-	runLen, firstLen := 0, -1
-	flush := func() bool {
-		if runLen == 0 {
-			return true
-		}
-		if firstLen == -1 {
-			firstLen = runLen
-		}
-		return runLen == firstLen
-	}
-	for r := 0; r < c.Size(); r++ {
-		n := c.Proc(r).Core().NodeID
-		if n != lastNode {
-			if n < lastNode || !flush() {
-				return false
-			}
-			lastNode = n
-			runLen = 0
-		}
-		runLen++
-	}
-	return flush()
 }
 
 // allgatherLeader is the three-step leader-based algorithm with KNEM

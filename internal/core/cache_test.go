@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"hierknem/internal/buffer"
@@ -108,5 +109,36 @@ func TestCacheTopologyRemovesDetectionCost(t *testing.T) {
 	if uncached-cached < detect/2 {
 		t.Fatalf("caching saved only %.1fus of the %.1fus detection cost",
 			(uncached-cached)*1e6, detect*1e6)
+	}
+}
+
+// The cached hierarchies belong to the communicator, and World.Reset mints a
+// fresh world communicator: a CacheTopology module kept across resets must
+// not pin the old ones. (When the module owned the cache, keyed by *Comm,
+// every reset leaked one communicator and its 768 hierarchies.)
+func TestCacheTopologyDiesWithComm(t *testing.T) {
+	spec := miniCluster(true)
+	spec.Nodes, spec.CoresPerSocket = 32, 12
+	w := newWorld(t, spec, "bycore", 768)
+	mod := New(Options{CacheTopology: true})
+	buf := buffer.NewPhantom(2048)
+	var base uint64
+	for rep := 0; rep < 30; rep++ {
+		w.Reset()
+		err := w.Run(func(p *mpi.Proc) {
+			mod.Bcast(p, w.WorldComm(), buf, 0)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		switch {
+		case rep == 2:
+			base = ms.HeapAlloc
+		case rep > 2 && (ms.HeapAlloc > base+base/10 || ms.HeapAlloc < base-base/10):
+			t.Fatalf("rep %d: %d heap bytes live after GC, %d at rep 2: not flat within 10%%", rep, ms.HeapAlloc, base)
+		}
 	}
 }

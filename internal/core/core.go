@@ -22,8 +22,6 @@
 package core
 
 import (
-	"sort"
-
 	"hierknem/internal/buffer"
 	"hierknem/internal/hier"
 	"hierknem/internal/mpi"
@@ -132,21 +130,16 @@ func FixedPipeline(seg int64) PipelineFunc {
 // modules.Module.
 type Module struct {
 	Opt Options
-
-	// hierCache holds per-(comm, root, rank) hierarchies when
-	// Options.CacheTopology is set. The simulation is single-threaded
-	// (one runnable process at a time), so a plain map suffices.
-	hierCache map[hierKey]*hier.Hierarchy
-}
-
-type hierKey struct {
-	comm *mpi.Comm
-	root int
-	rank int
 }
 
 // New creates a HierKNEM module.
 func New(opt Options) *Module { return &Module{Opt: opt.withDefaults()} }
+
+// hierCache is what Options.CacheTopology keeps in a communicator's
+// attribute slot: the hierarchies built on it so far, by [root][comm rank].
+// The communicator owns it, so it is collected with the communicator (a
+// World.Reset mints a fresh world communicator every time).
+type hierCache [][]*hier.Hierarchy
 
 // hierarchy builds (or, with CacheTopology, reuses) the two-level structure
 // for p on c, charging the topology-detection cost on construction only.
@@ -155,16 +148,21 @@ func (m *Module) hierarchy(p *mpi.Proc, c *mpi.Comm, root int) *hier.Hierarchy {
 		p.Compute(m.Opt.TopoDetectCost)
 		return hier.Build(p, c, root)
 	}
-	key := hierKey{comm: c, root: root, rank: p.Rank()}
-	if h, ok := m.hierCache[key]; ok {
+	cache, _ := c.Attr().(hierCache)
+	if cache == nil {
+		cache = make(hierCache, c.Size())
+		c.SetAttr(cache)
+	}
+	if cache[root] == nil {
+		cache[root] = make([]*hier.Hierarchy, c.Size())
+	}
+	me := c.Rank(p)
+	if h := cache[root][me]; h != nil {
 		return h
 	}
 	p.Compute(m.Opt.TopoDetectCost)
 	h := hier.Build(p, c, root)
-	if m.hierCache == nil {
-		m.hierCache = make(map[hierKey]*hier.Hierarchy)
-	}
-	m.hierCache[key] = h
+	cache[root][me] = h
 	return h
 }
 
@@ -172,27 +170,6 @@ func (m *Module) Name() string { return "hierknem" }
 
 // hkTag is the base of HierKNEM's tag space.
 const hkTag = 1 << 21
-
-// physicalOrder returns comm ranks sorted by physical position (node,
-// socket, core) — the construction behind HierKNEM's topology-aware ring.
-func physicalOrder(c *mpi.Comm) []int {
-	order := make([]int, c.Size())
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a := c.Proc(order[i]).Core()
-		b := c.Proc(order[j]).Core()
-		if a.NodeID != b.NodeID {
-			return a.NodeID < b.NodeID
-		}
-		if a.Socket.ID != b.Socket.ID {
-			return a.Socket.ID < b.Socket.ID
-		}
-		return a.Local < b.Local
-	})
-	return order
-}
 
 // segCount returns the number of pipeline segments for a message.
 func segCount(total, seg int64) int64 {

@@ -374,7 +374,7 @@ func TestPhysicalOrderGroupsNodes(t *testing.T) {
 		if c.Rank(p) != 0 {
 			return
 		}
-		order := physicalOrder(c)
+		order := c.PhysicalOrder()
 		if len(order) != 32 {
 			t.Errorf("order length %d", len(order))
 		}
@@ -396,7 +396,7 @@ func TestUniformContiguous(t *testing.T) {
 	spec := miniCluster(true)
 	wByCore := newWorld(t, spec, "bycore", 24)
 	err := wByCore.Run(func(p *mpi.Proc) {
-		if !uniformContiguous(wByCore.WorldComm()) {
+		if !wByCore.WorldComm().UniformBlocks() {
 			t.Error("bycore full nodes should be uniform-contiguous")
 		}
 	})
@@ -405,7 +405,7 @@ func TestUniformContiguous(t *testing.T) {
 	}
 	wByNode := newWorld(t, spec, "bynode", 24)
 	err = wByNode.Run(func(p *mpi.Proc) {
-		if uniformContiguous(wByNode.WorldComm()) {
+		if wByNode.WorldComm().UniformBlocks() {
 			t.Error("bynode interleaving should not be uniform-contiguous")
 		}
 	})

@@ -23,7 +23,7 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 		rbuf.CopyFrom(sbuf.Slice(0, rbuf.Len()))
 		return
 	}
-	if !uniformContiguous(c) {
+	if !c.UniformBlocks() {
 		coll.ScatterBinomial(p, c, sbuf, rbuf, root)
 		return
 	}
@@ -36,7 +36,7 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 
 	// Position of this rank within its node's contiguous comm-rank block.
 	// (lcomm rank order is reshuffled by root promotion, so derive the
-	// block slot from the comm rank, which uniformContiguous guarantees.)
+	// block slot from the comm rank, which UniformBlocks guarantees.)
 	pos := int64(c.Rank(p) % lcomm.Size())
 
 	// The intra-node pull phase is node-confined: bracket it collectively
@@ -102,7 +102,7 @@ func (m *Module) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, roo
 		rbuf.Slice(0, sbuf.Len()).CopyFrom(sbuf)
 		return
 	}
-	if !uniformContiguous(c) {
+	if !c.UniformBlocks() {
 		coll.GatherBinomial(p, c, sbuf, rbuf, root)
 		return
 	}

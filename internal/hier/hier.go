@@ -59,32 +59,18 @@ func Build(p *mpi.Proc, c *mpi.Comm, root int) *Hierarchy {
 	}
 	llcomm := c.Split(p, color, myNode)
 
-	h := &Hierarchy{
-		Comm:     c,
-		LComm:    lcomm,
-		LLComm:   llcomm,
-		IsLeader: leader,
+	// Node indexing is a per-communicator fact read from c's placement
+	// index (identical at all ranks, no communication needed).
+	return &Hierarchy{
+		Comm:          c,
+		LComm:         lcomm,
+		LLComm:        llcomm,
+		IsLeader:      leader,
+		LeaderRank:    c.Rank(lcomm.Proc(0)),
+		NodeIndex:     c.NodeIndex(me),
+		NodeCount:     c.NodeSpan(),
+		RootNodeIndex: c.NodeIndex(root),
 	}
-	h.LeaderRank = c.Rank(lcomm.Proc(0))
-	// Node indexing: count occupied nodes and find mine, derived from
-	// binding metadata (identical at all ranks, no communication needed).
-	occupied := map[int]bool{}
-	for r := 0; r < c.Size(); r++ {
-		occupied[c.Proc(r).Core().NodeID] = true
-	}
-	h.NodeCount = len(occupied)
-	denseIndex := func(node int) int {
-		idx := 0
-		for n := 0; n < node; n++ {
-			if occupied[n] {
-				idx++
-			}
-		}
-		return idx
-	}
-	h.NodeIndex = denseIndex(myNode)
-	h.RootNodeIndex = denseIndex(c.Proc(root).Core().NodeID)
-	return h
 }
 
 // NewComm returns the communicator of all non-leader ranks on this node plus

@@ -1,13 +1,15 @@
 package hier
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"hierknem/internal/mpi"
 	"hierknem/internal/topology"
 )
 
-func testWorld(t *testing.T, nodes, cores, np int, bynode bool) *mpi.World {
+func testWorld(t testing.TB, nodes, cores, np int, bynode bool) *mpi.World {
 	t.Helper()
 	m, err := topology.Build(topology.Spec{
 		Name: "hiertest", Nodes: nodes, SocketsPerNode: 1, CoresPerSocket: cores,
@@ -154,4 +156,126 @@ func TestSingleRankNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// By-node binding interleaves ranks over nodes, so node membership, the
+// leader and the dense indices all differ from the by-core arithmetic; the
+// root is neither rank 0 nor its node's lowest rank.
+func TestBuildByNodeBinding(t *testing.T) {
+	w := testWorld(t, 4, 3, 12, true) // rank r lives on node r%4
+	const root = 6                    // node 2, whose lowest rank is 2
+	err := w.Run(func(p *mpi.Proc) {
+		c := w.WorldComm()
+		me := c.Rank(p)
+		h := Build(p, c, root)
+		node := me % 4
+		wantLeader := node
+		if node == root%4 {
+			wantLeader = root
+		}
+		if h.NodeCount != 4 || h.NodeIndex != node || h.RootNodeIndex != root%4 {
+			t.Errorf("rank %d: NodeCount %d NodeIndex %d RootNodeIndex %d, want 4 %d %d",
+				me, h.NodeCount, h.NodeIndex, h.RootNodeIndex, node, root%4)
+		}
+		if h.LeaderRank != wantLeader || h.IsLeader != (me == wantLeader) {
+			t.Errorf("rank %d: LeaderRank %d IsLeader %v, want leader %d", me, h.LeaderRank, h.IsLeader, wantLeader)
+		}
+		if h.IsLeader && h.LLComm.Rank(p) != h.NodeIndex {
+			t.Errorf("leader %d: llcomm rank %d, node index %d", me, h.LLComm.Rank(p), h.NodeIndex)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A sub-communicator over nodes {1, 3} of 4: dense node indices skip the
+// unoccupied nodes, and root/leader are sub-communicator ranks.
+func TestBuildSparseNodeSubComm(t *testing.T) {
+	w := testWorld(t, 4, 4, 16, false)
+	const root = 6 // sub rank 6 = world rank 14, node 3, not its lowest rank
+	err := w.Run(func(p *mpi.Proc) {
+		color := mpi.Undefined
+		if n := p.Core().NodeID; n == 1 || n == 3 {
+			color = 0
+		}
+		c := w.WorldComm().Split(p, color, p.Rank())
+		if c == nil {
+			return
+		}
+		me := c.Rank(p)
+		h := Build(p, c, root)
+		wantIndex, wantLeader := me/4, me/4*4
+		if wantIndex == 1 {
+			wantLeader = root
+		}
+		if h.NodeCount != 2 || h.NodeIndex != wantIndex || h.RootNodeIndex != 1 {
+			t.Errorf("sub rank %d: NodeCount %d NodeIndex %d RootNodeIndex %d, want 2 %d 1",
+				me, h.NodeCount, h.NodeIndex, h.RootNodeIndex, wantIndex)
+		}
+		if h.LeaderRank != wantLeader || h.IsLeader != (me == wantLeader) {
+			t.Errorf("sub rank %d: LeaderRank %d IsLeader %v, want leader %d", me, h.LeaderRank, h.IsLeader, wantLeader)
+		}
+		if h.IsLeader && (h.LLComm.Size() != 2 || h.LLComm.Rank(p) != wantIndex) {
+			t.Errorf("leader %d: llcomm size %d rank %d", me, h.LLComm.Size(), h.LLComm.Rank(p))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// buildCost768 returns what one collective Build on 32 x 24 by-core ranks
+// costs the host per rank: a run of two Builds less a run of one, so the
+// cost of spawning the ranks cancels.
+func buildCost768(tb testing.TB) (ns, bytes, mallocs float64) {
+	const np = 768
+	w := testWorld(tb, 32, 24, np, false)
+	run := func(builds int) (time.Duration, runtime.MemStats) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now() //lint:ignore determinism host wall-clock times the benchmark itself, not simulated time
+		err := w.Run(func(p *mpi.Proc) {
+			for i := 0; i < builds; i++ {
+				Build(p, w.WorldComm(), i)
+			}
+		})
+		elapsed := time.Since(start) //lint:ignore determinism host wall-clock times the benchmark itself, not simulated time
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		after.TotalAlloc -= before.TotalAlloc
+		after.Mallocs -= before.Mallocs
+		return elapsed, after
+	}
+	run(2) // warm the event pool and create the world communicator
+	t1, m1 := run(1)
+	t2, m2 := run(2)
+	return float64(t2-t1) / np, float64(m2.TotalAlloc-m1.TotalAlloc) / np, float64(m2.Mallocs-m1.Mallocs) / np
+}
+
+// Build reads the node facts from the communicator's placement index, so a
+// rank's share of one call is a Hierarchy plus its slice of the two Splits'
+// staging. The bounds are half of what the per-rank occupied-node map and
+// the map-staged Split cost (2.5 KB and 9 mallocs per rank): a scan of all
+// ranks by every rank cannot come back unnoticed.
+func TestBuildCostPerRank(t *testing.T) {
+	_, bytes, mallocs := buildCost768(t)
+	t.Logf("one 768-rank Build: %.0f B and %.2f mallocs per rank", bytes, mallocs)
+	if bytes > 1250 || mallocs > 4.5 {
+		t.Errorf("one 768-rank Build costs %.0f B and %.2f mallocs per rank, want at most 1250 B and 4.5", bytes, mallocs)
+	}
+}
+
+func BenchmarkBuild768(b *testing.B) {
+	var ns, bytes, mallocs float64
+	for i := 0; i < b.N; i++ {
+		n, by, m := buildCost768(b)
+		ns, bytes, mallocs = ns+n, bytes+by, mallocs+m
+	}
+	n := float64(b.N)
+	b.ReportMetric(ns/n, "ns/rank")
+	b.ReportMetric(bytes/n, "B/rank")
+	b.ReportMetric(mallocs/n, "allocs/rank")
 }

@@ -99,7 +99,7 @@ func (m *MVAPICH2Module) Allgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.
 	// (by-core binding with full nodes). Otherwise fall back to a flat
 	// ring: this is the "topology-unaware" penalty Figure 6(b) shows for
 	// MVAPICH2-style designs.
-	if !nodeLayoutUniform(c) {
+	if !c.UniformBlocks() {
 		coll.AllgatherRing(p, c, sbuf, rbuf, nil, true)
 		return
 	}
@@ -118,35 +118,6 @@ func (m *MVAPICH2Module) Allgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.
 
 	// Step 3: leaders fan the full result out locally.
 	smBcastIntra(p, lcomm, rbuf)
-}
-
-// nodeLayoutUniform reports whether each node's comm ranks form one
-// contiguous range and all ranges have equal length.
-func nodeLayoutUniform(c *mpi.Comm) bool {
-	lastNode := -1
-	runLen := 0
-	firstLen := -1
-	flush := func() bool {
-		if runLen == 0 {
-			return true
-		}
-		if firstLen == -1 {
-			firstLen = runLen
-		}
-		return runLen == firstLen
-	}
-	for r := 0; r < c.Size(); r++ {
-		n := c.Proc(r).Core().NodeID
-		if n != lastNode {
-			if n < lastNode || !flush() {
-				return false
-			}
-			lastNode = n
-			runLen = 0
-		}
-		runLen++
-	}
-	return flush()
 }
 
 // leaderRingAllgather exchanges equal-size node blocks among leaders; each

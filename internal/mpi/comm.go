@@ -1,8 +1,9 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hierknem/internal/des"
 )
@@ -17,23 +18,57 @@ type Comm struct {
 	ranks []int       // comm rank -> world rank
 	index map[int]int // world rank -> comm rank
 
-	barrier  *barrierState
-	splitOp  *splitState
-	nodeSpan int // number of distinct nodes, computed at creation
+	barrier *barrierState
+	splitOp *splitState
+
+	// Placement index: what the binding says about this group of ranks,
+	// computed once in newComm and only read afterwards. It is
+	// node-granular (no per-rank table), so the sub-communicators every
+	// hier.Build call mints carry a few words each.
+	nodeLo    int     // lowest node id hosting a member
+	nodeDense []int32 // node id - nodeLo -> dense node index, -1 where no member lives
+	nodeSpan  int     // number of distinct nodes
+	maxPPN    int     // largest member count of one node
+	uniform   bool    // see UniformBlocks
+
+	physOrder []int // memoised by PhysicalOrder
+	attr      any   // see Attr
 
 	bb   map[string]*bbEntry
 	seqs map[int]int
 }
 
+// newComm creates the communicator of the given world ranks (at least one).
 func (w *World) newComm(ranks []int) *Comm {
 	c := &Comm{world: w, ctx: w.nextCtx, ranks: ranks, index: make(map[int]int, len(ranks))}
 	w.nextCtx++
-	nodes := map[int]bool{}
+	lo, hi := w.procs[ranks[0]].core.NodeID, -1
+	ascending := true
 	for i, r := range ranks {
 		c.index[r] = i
-		nodes[w.procs[r].core.NodeID] = true
+		n := w.procs[r].core.NodeID
+		ascending = ascending && n >= hi
+		lo, hi = min(lo, n), max(hi, n)
 	}
-	c.nodeSpan = len(nodes)
+	// Count members per node in place, then turn the counts into dense
+	// indices: O(P + node range), no map.
+	dense := make([]int32, hi-lo+1)
+	for _, r := range ranks {
+		dense[w.procs[r].core.NodeID-lo]++
+	}
+	first, equal := int(dense[0]), true
+	for i, n := range dense {
+		if n == 0 {
+			dense[i] = -1
+			continue
+		}
+		equal = equal && int(n) == first
+		c.maxPPN = max(c.maxPPN, int(n))
+		dense[i] = int32(c.nodeSpan)
+		c.nodeSpan++
+	}
+	c.nodeLo, c.nodeDense = lo, dense
+	c.uniform = ascending && equal
 	return c
 }
 
@@ -88,14 +123,58 @@ func (c *Comm) IntraNode() bool { return c.nodeSpan <= 1 }
 // NodeSpan returns the number of distinct nodes hosting members.
 func (c *Comm) NodeSpan() int { return c.nodeSpan }
 
-// splitState stages a collective Comm.Split.
-type splitState struct {
-	entries map[int]splitEntry // comm rank -> (color, key)
-	result  map[int]*Comm      // comm rank -> new comm (nil for undefined color)
-	waiters []*Proc
+// NodeIndex returns the dense index, among the nodes hosting members in
+// ascending node-id order, of the node hosting comm rank rank.
+func (c *Comm) NodeIndex(rank int) int {
+	return int(c.nodeDense[c.Proc(rank).core.NodeID-c.nodeLo])
 }
 
-type splitEntry struct{ color, key int }
+// MaxPPN returns the largest number of members hosted by one node.
+func (c *Comm) MaxPPN() int { return c.maxPPN }
+
+// UniformBlocks reports whether the members form contiguous equal-length
+// runs in ascending node order — the layout leader-based node-block
+// arithmetic requires (node i's blocks at offset i*nodeBytes, with the
+// leaders' communicator ordered by node id).
+func (c *Comm) UniformBlocks() bool { return c.uniform }
+
+// PhysicalOrder returns the comm ranks sorted by physical position (node,
+// socket, core) — the construction behind HierKNEM's topology-aware ring.
+// The slice is computed on first use and shared by every caller: treat it
+// as read-only. Like every lazily created field of Comm it is filled
+// outside node phases, by whichever member asks first.
+func (c *Comm) PhysicalOrder() []int {
+	if c.physOrder == nil {
+		order := make([]int, len(c.ranks))
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(i, j int) int {
+			a, b := c.Proc(i).core, c.Proc(j).core
+			return cmp.Or(cmp.Compare(a.NodeID, b.NodeID),
+				cmp.Compare(a.Socket.ID, b.Socket.ID), cmp.Compare(a.Local, b.Local))
+		})
+		c.physOrder = order
+	}
+	return c.physOrder
+}
+
+// Attr returns the value last stored with SetAttr, or nil. The slot lets a
+// layer above (one at a time — the MPI_Comm_set_attr idiom with a single
+// key) cache per-communicator state that dies with the communicator.
+func (c *Comm) Attr() any { return c.attr }
+
+// SetAttr stores v in the communicator's attribute slot.
+func (c *Comm) SetAttr(v any) { c.attr = v }
+
+// splitState stages a collective Comm.Split.
+type splitState struct {
+	entries []splitEntry // by comm rank, until the last arriver sorts them
+	result  []*Comm      // comm rank -> new comm (nil for Undefined); nil until published
+	waiters []*Proc      // every arriver but the last, in arrival order
+}
+
+type splitEntry struct{ color, key, rank int }
 
 // Undefined is the color that opts a rank out of Split (it receives nil).
 const Undefined = -32766
@@ -103,6 +182,10 @@ const Undefined = -32766
 // Split partitions the communicator by color; within a color, ranks are
 // ordered by key, ties broken by original rank (MPI semantics). Collective:
 // all members must call it. Ranks passing Undefined receive nil.
+//
+// New communicators take their context ids in ascending color order, and
+// the last arriver wakes the parked ranks in arrival order: both are part
+// of the determinism contract (they fix (time, seq) tie-breaks downstream).
 func (c *Comm) Split(p *Proc, color, key int) *Comm {
 	if p.dp.Confined() {
 		// Split mints a context id from the world-global counter and parks
@@ -112,11 +195,14 @@ func (c *Comm) Split(p *Proc, color, key int) *Comm {
 	}
 	me := c.Rank(p)
 	if c.splitOp == nil {
-		c.splitOp = &splitState{entries: make(map[int]splitEntry)}
+		c.splitOp = &splitState{
+			entries: make([]splitEntry, c.Size()),
+			waiters: make([]*Proc, 0, c.Size()-1),
+		}
 	}
 	op := c.splitOp
-	op.entries[me] = splitEntry{color, key}
-	if len(op.entries) < c.Size() {
+	op.entries[me] = splitEntry{color, key, me}
+	if len(op.waiters) < c.Size()-1 {
 		op.waiters = append(op.waiters, p)
 		for op.result == nil {
 			p.dp.Park()
@@ -124,42 +210,40 @@ func (c *Comm) Split(p *Proc, color, key int) *Comm {
 		return op.result[me]
 	}
 
-	// Last arriver builds the result and releases everyone.
-	colors := make(map[int][]int) // color -> comm ranks
-	for r, e := range op.entries {
-		if e.color != Undefined {
-			colors[e.color] = append(colors[e.color], r)
+	// Last arriver builds the result and releases everyone: one sort by
+	// (color, key, rank), then every run of one color is a new communicator.
+	es := op.entries
+	slices.SortFunc(es, func(a, b splitEntry) int {
+		if a.color != b.color {
+			return cmp.Compare(a.color, b.color)
 		}
-	}
-	op.result = make(map[int]*Comm, c.Size())
-	sortedColors := make([]int, 0, len(colors))
-	for col := range colors {
-		sortedColors = append(sortedColors, col)
-	}
-	sort.Ints(sortedColors)
-	for _, col := range sortedColors {
-		members := colors[col]
-		sort.Slice(members, func(i, j int) bool {
-			a, b := members[i], members[j]
-			if op.entries[a].key != op.entries[b].key {
-				return op.entries[a].key < op.entries[b].key
-			}
-			return a < b
-		})
-		worldRanks := make([]int, len(members))
-		for i, r := range members {
-			worldRanks[i] = c.WorldRank(r)
+		if a.key != b.key {
+			return cmp.Compare(a.key, b.key)
+		}
+		return cmp.Compare(a.rank, b.rank)
+	})
+	result := make([]*Comm, len(es))
+	for lo, hi := 0, 0; lo < len(es); lo = hi {
+		for hi = lo + 1; hi < len(es) && es[hi].color == es[lo].color; hi++ {
+		}
+		if es[lo].color == Undefined {
+			continue
+		}
+		worldRanks := make([]int, hi-lo)
+		for i, e := range es[lo:hi] {
+			worldRanks[i] = c.ranks[e.rank]
 		}
 		sub := c.world.newComm(worldRanks)
-		for _, r := range members {
-			op.result[r] = sub
+		for _, e := range es[lo:hi] {
+			result[e.rank] = sub
 		}
 	}
+	op.result = result
 	c.splitOp = nil
 	for _, w := range op.waiters {
 		w.dp.Wake()
 	}
-	return op.result[me]
+	return result[me]
 }
 
 // barrierState implements a sense-reversing centralized barrier for

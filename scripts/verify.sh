@@ -30,6 +30,10 @@
 #             dynamic sanitizer) plus the seeded fault fixtures
 #   fuzz      10s FuzzMatch smoke over the p2p matching machinery, then 10s
 #             FuzzPDESDiff differential smoke (serial vs parallel engine)
+#   benchsmoke  the repository benchmark's own gate (bench/ci.sh, called as
+#             it stands): vet, hierlint and tests of ./bench, then a -quick
+#             run of both modes whose output is checked against
+#             BENCHMARK.json. Its wall time prints next to hierlint's.
 #   bench     the perf harness (scripts/bench.sh): DES hot-path suite vs
 #             checked-in baseline, fabric-allocator >=2x resource-visit
 #             criterion, and the parallel sweep gate (byte-identical
@@ -80,6 +84,12 @@ go test ./internal/des ./internal/mpi -run 'Sanitizer|StallAutopsy|MaxTimeAbort'
 echo "==> fuzz smoke (FuzzMatch, 10s; FuzzPDESDiff, 10s)"
 go test ./internal/mpi -run '^$' -fuzz '^FuzzMatch$' -fuzztime 10s
 go test . -run '^$' -fuzz '^FuzzPDESDiff$' -fuzztime 10s
+
+echo "==> benchsmoke (bench/ci.sh)"
+t3=$(date +%s%N)
+bench/ci.sh
+t4=$(date +%s%N)
+echo "gate timing: hierlint first run $(( (t1 - t0) / 1000000 ))ms, warm-cache run $(( (t2 - t1) / 1000000 ))ms; benchsmoke $(( (t4 - t3) / 1000000 ))ms"
 
 echo "==> bench (DES hot path + fabric allocator + parallel sweep)"
 scripts/bench.sh

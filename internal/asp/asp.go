@@ -59,15 +59,18 @@ func min(a, b int) int {
 	return b
 }
 
-// rowOwner returns the rank owning row k.
+// rowOwner returns the rank owning row k: the inverse of rowRange in closed
+// form. The first n%np ranks own base+1 rows each, the rest base rows.
 func rowOwner(n, np, k int) int {
-	for r := 0; r < np; r++ {
-		lo, hi := rowRange(n, np, r)
-		if k >= lo && k < hi {
-			return r
-		}
+	if k < 0 || k >= n {
+		panic("asp: row out of range")
 	}
-	panic("asp: row out of range")
+	base := n / np
+	rem := n % np
+	if wide := rem * (base + 1); k >= wide {
+		return rem + (k-wide)/base // base > 0 here: base == 0 means wide == n > k
+	}
+	return k / (base + 1)
 }
 
 // Run executes the ASP communication/computation skeleton with phantom

@@ -82,6 +82,48 @@ func TestRowOwnerConsistent(t *testing.T) {
 	}
 }
 
+// rowOwnerScan is the linear scan rowOwner's closed form replaced, kept as
+// its reference.
+func rowOwnerScan(n, np, k int) int {
+	for r := 0; r < np; r++ {
+		if lo, hi := rowRange(n, np, r); k >= lo && k < hi {
+			return r
+		}
+	}
+	panic("asp: row out of range")
+}
+
+func TestRowOwnerMatchesScan(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		n, np int
+	}{
+		{"divisible", 16, 4},
+		{"bench shape", 512, 192},
+		{"ragged", 23, 5},
+		{"ragged rem=np-1", 27, 7},
+		{"np == n", 7, 7},
+		{"np > n", 5, 8},
+		{"one rank", 9, 1},
+	} {
+		for k := 0; k < c.n; k++ {
+			if got, want := rowOwner(c.n, c.np, k), rowOwnerScan(c.n, c.np, k); got != want {
+				t.Errorf("%s: rowOwner(%d, %d, %d) = %d, scan says %d", c.name, c.n, c.np, k, got, want)
+			}
+		}
+		for _, k := range []int{-1, c.n, c.n + c.np} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: rowOwner(%d, %d, %d) did not panic", c.name, c.n, c.np, k)
+					}
+				}()
+				rowOwner(c.n, c.np, k)
+			}()
+		}
+	}
+}
+
 func TestSequentialKnownGraph(t *testing.T) {
 	d := [][]float64{
 		{0, 5, Inf, 10},

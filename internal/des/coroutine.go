@@ -1,0 +1,81 @@
+package des
+
+import (
+	"iter"
+	"sync"
+)
+
+// coroutine hosts process bodies, one after another: an iter.Pull coroutine
+// that runs the process assigned to it, yields whenever that process parks,
+// and yields once more, idle, after the process exits. Switching into one
+// (next) and out of it (yield) bypasses the Go scheduler.
+type coroutine struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	// p is set only between assignment and start: an idle coroutine
+	// references no process, body or engine, so dropped worlds stay
+	// collectable whatever the idle list holds.
+	p *Proc
+}
+
+func newCoroutine() *coroutine {
+	c := &coroutine{}
+	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+		c.yield = yield
+		for {
+			p := c.p
+			c.p = nil
+			p.run()
+			if !yield(struct{}{}) {
+				return // stopped while idle: surplus over maxIdle
+			}
+		}
+	})
+	return c
+}
+
+// maxIdle covers the paper's largest world (768 ranks), so back-to-back runs
+// reuse every coroutine, and bounds what the list pins at about a thousand
+// parked stacks.
+const maxIdle = 1024
+
+// idle lists the coroutines whose process has exited: one iter.Pull costs 11
+// allocations, so they are kept for the next processes to start. The list is
+// shared by every engine in the host process; per-engine lists keep one stack
+// per rank of every cached sweep world and leak the goroutines of every
+// dropped one (DESIGN.md §5.2 has the measurements).
+//
+//lint:ignore runisolation idle coroutines are fungible host goroutines that hold no simulation state (no Proc, body or engine); which one a process gets never reaches a result
+var idle struct {
+	sync.Mutex
+	list []*coroutine
+}
+
+// takeCoroutine returns an idle coroutine, or a new one when none is idle.
+func takeCoroutine() *coroutine {
+	idle.Lock()
+	defer idle.Unlock()
+	n := len(idle.list)
+	if n == 0 {
+		return newCoroutine()
+	}
+	c := idle.list[n-1]
+	idle.list[n-1] = nil
+	idle.list = idle.list[:n-1]
+	return c
+}
+
+// handIn keeps a coroutine whose process exited, or ends it when the list
+// is full.
+func handIn(c *coroutine) {
+	idle.Lock()
+	full := len(idle.list) == maxIdle
+	if !full {
+		idle.list = append(idle.list, c)
+	}
+	idle.Unlock()
+	if full {
+		c.stop()
+	}
+}

@@ -1,12 +1,19 @@
 // Package des implements a deterministic discrete-event simulation engine.
 //
 // The engine advances a virtual clock through an event queue. Simulated
-// processes are real goroutines that execute cooperatively: at any instant
-// at most one process goroutine runs, and control passes between the engine
-// and a process through a strict channel handoff. Because exactly one
-// goroutine is ever runnable, process code needs no locking, and runs are
-// bit-for-bit deterministic: ties in virtual time are broken by event
-// sequence number.
+// processes execute cooperatively: each body runs inside an iter.Pull
+// coroutine, and at any instant exactly one of them — or the driver loop on
+// the goroutine that called Run — executes. A process that blocks runs the
+// dispatch loop itself; when the next event resumes a different process it
+// records that process as the hand-off target and yields, and the driver
+// switches into the target. Both switches are direct coroutine switches
+// that never enter the Go scheduler. Because only one body is ever running,
+// process code needs no locking, and runs are bit-for-bit deterministic:
+// ties in virtual time are broken by event sequence number.
+//
+// Coroutines are fungible host resources: a body that returns leaves its
+// coroutine on a process-wide idle list and the next process to start, on
+// any engine, takes it (coroutine.go).
 //
 // All interaction with the clock goes through events. A process blocks by
 // parking (Park, Sleep) and is released by an event (a timer it scheduled, or
@@ -31,29 +38,10 @@ package des
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync/atomic"
 
 	"hierknem/internal/san"
 )
-
-// hostPinning gates the GOMAXPROCS(1) pinning in Run. Pinning is a
-// process-global knob, so it is only safe — and only profitable — when one
-// engine runs at a time; a parallel sweep runner disables it for the
-// duration of its worker pool. Atomic because the sweep toggles it from the
-// coordinating goroutine while no engine is mid-Run; it carries no
-// simulation state, so runs stay isolated regardless of its value.
-var hostPinning atomic.Bool
-
-func init() { hostPinning.Store(true) }
-
-// SetHostPinning enables or disables the single-P pinning Run applies for
-// the duration of a simulation, returning the previous setting. Leave it on
-// (the default) for serial workloads; turn it off while running engines on
-// concurrent goroutines, where a shared GOMAXPROCS toggle would serialize
-// the host and race against other runs.
-func SetHostPinning(on bool) (previous bool) { return hostPinning.Swap(on) }
 
 // Engine is a discrete-event simulation engine. The zero value is not usable;
 // create one with New.
@@ -68,9 +56,12 @@ type Engine struct {
 	bucketLive int       // bucket entries not yet dispatched or cancelled
 	pool       []*event  // free list of recycled event records
 
-	// mainWake returns the baton to Run's goroutine when the queue drains
-	// (or MaxTime trips) while a process goroutine is dispatching.
-	mainWake chan struct{}
+	// next and phaseDue are what a dispatch loop running on a process
+	// coroutine leaves for the driver before it yields: the process to
+	// switch into, or a carved window phase to execute. Neither set means
+	// the run is over (queue drained or MaxTime tripped).
+	next     *Proc
+	phaseDue bool
 	runErr   error
 
 	procs   []*Proc
@@ -101,7 +92,7 @@ type Engine struct {
 
 // New returns an empty engine with the virtual clock at zero.
 func New() *Engine {
-	return &Engine{mainWake: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time in seconds.
@@ -350,13 +341,16 @@ func (p *Proc) After(d float64, fn func()) Timer {
 	return t
 }
 
-// Proc is a simulated process: a goroutine whose execution is interleaved
-// with virtual time under engine control.
+// Proc is a simulated process: a body on a coroutine whose execution is
+// interleaved with virtual time under engine control.
 type Proc struct {
-	eng    *Engine
-	id     int
-	name   string
-	resume chan struct{}
+	eng  *Engine
+	id   int
+	name string
+	// body is the process function until the process starts; co is the
+	// coroutine it runs on, from its first resume until it exits.
+	body func(*Proc)
+	co   *coroutine
 
 	// parkGen counts parks; resume events carry the generation they
 	// target so stale resumes (a Wake racing a timer, or vice versa)
@@ -404,13 +398,13 @@ func (p *Proc) Now() float64 {
 }
 
 // Spawn creates a process that will start executing body at the current
-// virtual time. body runs on its own goroutine under the engine's cooperative
+// virtual time. body runs on a coroutine under the engine's cooperative
 // scheduler; when body returns the process terminates.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	if par := e.par; par != nil && par.inPhase {
 		panic("des: Spawn inside a parallel window phase")
 	}
-	p := &Proc{eng: e, id: len(e.procs), name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, id: len(e.procs), name: name, body: body}
 	p.awaitDone = func() {
 		p.awaitRemaining--
 		if p.awaitRemaining == 0 {
@@ -422,35 +416,55 @@ func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	p.parkedFlag = true
 	e.procs = append(e.procs, p)
 	e.alive++
-	//hierflow:serial cooperative baton passing: exactly one process goroutine (or Run) executes at a time, handed off via the resume channels
-	go func() {
-		<-p.resume
-		p.parkedFlag = false
-		p.started = true
-		body(p)
-		p.done = true
-		if par := e.par; par != nil && par.inPhase {
-			// The alive counter and the global dispatch loop below are
-			// coordinator state; a process must leave its confined region
-			// (ExitConfined re-homes it through a serial window) before
-			// returning. Unrecovered on purpose: this kills the run loudly.
-			panic("des: process " + p.name + " exited inside a parallel window phase; call ExitConfined before returning")
-		}
-		e.alive--
-		// The exiting goroutine carries the baton forward: it dispatches
-		// until the baton moves to another process (or back to Run), then
-		// dies. self is nil — a finished process cannot be resumed.
-		e.dispatch(nil, false)
-	}()
 	e.resumeEventFor(p, 0, e.now)
 	return p
 }
 
+// run is the process's life on its coroutine: the body, then — the exiting
+// process still holds the baton — the dispatch loop until the baton moves.
+func (p *Proc) run() {
+	e := p.eng
+	body := p.body
+	p.body = nil
+	p.parkedFlag = false
+	p.started = true
+	body(p)
+	p.done = true
+	if par := e.par; par != nil && par.inPhase {
+		// The alive counter and the global dispatch loop below are
+		// coordinator state; a process must leave its confined region
+		// (ExitConfined re-homes it through a serial window) before
+		// returning. The panic reaches Run's caller through the phase join.
+		panic("des: process " + p.name + " exited inside a parallel window phase; call ExitConfined before returning")
+	}
+	e.alive--
+	// self is nil — a finished process cannot be resumed.
+	e.dispatch(nil)
+}
+
+// switchTo runs p on its coroutine until it parks or exits. Only driver
+// loops call it (Engine.drive, wstate.run), so a coroutine is taken and
+// handed in outside any coroutine: it reaches the idle list only once its
+// switch back has completed, never while another engine could take it and
+// resume it mid-yield.
+func (p *Proc) switchTo() {
+	c := p.co
+	if c == nil {
+		c = takeCoroutine()
+		c.p, p.co = p, c
+	}
+	c.next()
+	if p.done {
+		p.co = nil
+		handIn(c)
+	}
+}
+
 // park yields control until a resume event targeting this park generation
-// fires. The parking goroutine itself runs the engine's dispatch loop: if the
-// next dispatch is this process's own resume, the baton never leaves this
-// goroutine and no channel operation happens at all; otherwise the baton is
-// handed directly to the resumed process and this goroutine blocks.
+// fires. The parking process itself runs the engine's dispatch loop: if the
+// next dispatch is this process's own resume, it just keeps running and no
+// switch happens at all; otherwise dispatch left the hand-off target with
+// the driver and this coroutine yields to it.
 func (p *Proc) park(wakeable bool) {
 	p.parkGen++
 	p.parkedFlag = true
@@ -458,19 +472,19 @@ func (p *Proc) park(wakeable bool) {
 	var kept bool
 	if par := p.eng.par; par != nil && par.inPhase {
 		// Inside a phase the baton is domain-local: the parking process
-		// dispatches its own domain's private queue. If that drains, the
-		// baton goes back to the owning worker and the process blocks —
-		// its resume may arrive from this phase or a later window.
+		// dispatches its own domain's private queue, and the driver it
+		// yields to is the owning worker. Its resume may arrive from this
+		// phase or a later window.
 		ws := par.phaseWS(p.dom)
 		if ws == nil {
 			panic(par.confineViolation(p.dom, p.eng.now))
 		}
 		kept = ws.dispatch(p)
 	} else {
-		kept = p.eng.dispatch(p, false)
+		kept = p.eng.dispatch(p)
 	}
 	if !kept {
-		<-p.resume
+		p.co.yield(struct{}{})
 	}
 	p.parkedFlag = false
 	p.wakeable = false
@@ -493,7 +507,7 @@ func (e *Engine) resumeEventFor(p *Proc, gen uint64, t float64) {
 // lies strictly after now+d, the resume event this Sleep would schedule is
 // the unique minimum of the queue — the engine would dispatch it immediately
 // and transfer straight back to this process. In that case the event and the
-// double goroutine handoff are elided, and only their observable effects are
+// two coroutine switches are elided, and only their observable effects are
 // replayed: one sequence number is consumed (tie-breaks downstream stay
 // identical), the processed counter advances (events/op stays comparable
 // across engine versions), and the clock moves to now+d. A pending MaxTime
@@ -607,46 +621,19 @@ func (d *DeadlockError) Error() string {
 
 // Run executes events until none remain. It returns a *DeadlockError if
 // processes are still alive when the queue drains, and an error if MaxTime is
-// exceeded; otherwise nil.
-//
-// The engine has no scheduler goroutine of its own. A single "baton" moves
-// between goroutines — Run's caller, parking processes, exiting processes —
-// and whichever goroutine holds it executes the dispatch loop. Handing
-// control to a process is then one channel send (the old engine-in-the-
-// middle design paid a send plus a receive in each direction), and a process
-// whose own resume event is the next dispatch keeps the baton without
-// touching a channel at all.
+// exceeded; otherwise nil. A panic in a process body or event callback
+// surfaces on the goroutine that called Run.
 func (e *Engine) Run() error {
 	if e.running {
 		panic("des: Run called reentrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	// The simulation is strictly cooperative: exactly one goroutine is
-	// runnable at any instant, and control bounces between goroutines
-	// through unbuffered channels. Pinning to a single P for the duration
-	// keeps every handoff on the local run queue — no idle-P wakeups, no
-	// cross-P lock traffic, no spinning Ms — which is worth >10% of wall
-	// time on collective-heavy workloads. Restored on exit; a no-op when
-	// GOMAXPROCS is already 1. Skipped under SetHostPinning(false): the
-	// knob is process-wide, so concurrent engines must leave it alone.
-	// Parallel mode also skips it — window phases, promotion and the
-	// fabric's parallel fill fan out across Ps mid-run — except at an
-	// explicit one-worker configuration, which never fans out and wants
-	// the serial engine's handoff locality back.
-	if hostPinning.Load() && (e.par == nil || e.par.workers < 2) {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	}
 	if ce := e.checkLookahead(); ce != nil {
 		return ce
 	}
 	e.runErr = nil
-	if !e.dispatch(nil, true) {
-		// The baton left this goroutine; it comes back over mainWake when
-		// the queue drains. The channel receive is the synchronization
-		// edge ordering every dispatcher's writes before the reads below.
-		<-e.mainWake
-	}
+	e.drive()
 	if e.runErr != nil {
 		return e.runErr
 	}
@@ -663,15 +650,37 @@ func (e *Engine) Run() error {
 	return nil
 }
 
-// dispatch executes events on the calling goroutine until the baton moves.
-// self is the process parking on this call (nil for Run's goroutine and for
-// exiting processes); onMain marks Run's goroutine. Returns true when the
-// caller keeps the baton: a parking process whose own resume event was the
-// next dispatch, or Run's goroutine when the queue drained before any
-// handoff. In every other case the baton went to another goroutine — a
-// resumed process, or Run via mainWake at drain — and a parking caller must
-// block on its resume channel.
-func (e *Engine) dispatch(self *Proc, onMain bool) bool {
+// drive is the driver loop, on Run's goroutine. The engine has no scheduler
+// of its own — whoever blocks or exits runs the dispatch loop — so the driver
+// dispatches only until the first process starts, and from then on does what
+// a dispatch loop on a coroutine cannot: switch into the process it selected,
+// or execute the window phase it carved (a worker may have to resume the very
+// process that carved it). It returns when a dispatch loop ends the run.
+func (e *Engine) drive() {
+	e.dispatch(nil)
+	for {
+		switch {
+		case e.next != nil:
+			p := e.next
+			e.next = nil
+			p.switchTo()
+		case e.phaseDue:
+			e.phaseDue = false
+			e.runPhase(e.par.activeScratch)
+			e.dispatch(nil)
+		default:
+			return
+		}
+	}
+}
+
+// dispatch executes events on the caller until the baton moves. self is the
+// process parking on this call (nil for the driver and for exiting
+// processes). It returns true when self's own resume event was the next
+// dispatch: the caller just keeps running. Otherwise it returns false, having
+// left the driver its instruction — Engine.next, Engine.phaseDue, or neither
+// at end of run — and a caller on a coroutine must yield.
+func (e *Engine) dispatch(self *Proc) bool {
 	for {
 		// Mixed-window census: when armed and the next dispatch would be a
 		// confined event, try to carve the remaining window population into
@@ -683,19 +692,8 @@ func (e *Engine) dispatch(self *Proc, onMain bool) bool {
 			if nxt := e.peek(); nxt != nil && phaseEvent(nxt) {
 				par.censusArmed = false
 				if e.censusFromQueue() {
-					if self != nil && par.domListed(self.dom) {
-						// Same handoff as the drain-time phase below: the
-						// parking process's own domain is active, so a fresh
-						// goroutine coordinates while it blocks on resume.
-						//hierflow:serial phase handoff: the spawned goroutine becomes the sole coordinator/dispatcher while the parking process blocks on its resume channel; the baton moves exactly once
-						go func() {
-							e.runPhase(e.par.activeScratch)
-							e.dispatch(nil, false)
-						}()
-						return false
-					}
-					e.runPhase(par.activeScratch)
-					continue
+					e.phaseDue = true
+					return false
 				}
 			}
 		}
@@ -708,26 +706,11 @@ func (e *Engine) dispatch(self *Proc, onMain bool) bool {
 				case windowAdvanced:
 					continue
 				case windowPhase:
-					// The census passed: execute the window's domains on
-					// parallel workers. The coordinating goroutine must not
-					// be a process a worker could resume — a parking
-					// process whose own domain is active would deadlock
-					// (worker sends its resume while it sits in the phase
-					// join). Hand such phases to a fresh goroutine that
-					// coordinates and then carries the baton onward.
-					if self != nil && e.par.domListed(self.dom) {
-						//hierflow:serial phase handoff: the spawned goroutine becomes the sole coordinator/dispatcher while the parking process blocks on its resume channel; the baton moves exactly once
-						go func() {
-							e.runPhase(e.par.activeScratch)
-							e.dispatch(nil, false)
-						}()
-						return false
-					}
-					e.runPhase(e.par.activeScratch)
-					continue
+					e.phaseDue = true
+					return false
 				}
 			}
-			return e.finish(onMain)
+			return false
 		}
 		if ev.dead() {
 			e.release(ev) // cancelled in the bucket
@@ -740,7 +723,7 @@ func (e *Engine) dispatch(self *Proc, onMain bool) bool {
 		if e.MaxTime > 0 && e.now > e.MaxTime {
 			e.release(ev)
 			e.runErr = fmt.Errorf("des: exceeded time horizon %g (now %g)", e.MaxTime, e.now)
-			return e.finish(onMain)
+			return false
 		}
 		e.processed++
 		// A residue (non-confined) dispatch re-arms the census: executing
@@ -760,7 +743,7 @@ func (e *Engine) dispatch(self *Proc, onMain bool) bool {
 				if p == self {
 					return true
 				}
-				p.resume <- struct{}{}
+				e.next = p
 				return false
 			}
 			continue
@@ -776,18 +759,6 @@ func (e *Engine) dispatch(self *Proc, onMain bool) bool {
 	}
 }
 
-// finish routes the baton back to Run's goroutine at end of dispatch. When
-// the drain happens on Run's goroutine itself it just keeps the baton; a
-// process goroutine signals mainWake (Run is guaranteed to be blocked on it:
-// it handed the baton off earlier and only finish ever returns it).
-func (e *Engine) finish(onMain bool) bool {
-	if onMain {
-		return true
-	}
-	e.mainWake <- struct{}{}
-	return false
-}
-
 // Reset returns the engine to its pristine post-New state while keeping the
 // event free list warm. All simulation state — clock, sequence counter,
 // processed count, queues, process table, run error — is cleared, so a fresh
@@ -795,7 +766,7 @@ func (e *Engine) finish(onMain bool) bool {
 // new engine: alloc fully re-stamps recycled records, and with seq back at
 // zero every (time, seq) tie-break is reproduced exactly. Reset panics if
 // called mid-Run or while spawned processes are still alive (their
-// goroutines would outlive the state they reference).
+// coroutines would outlive the state they reference).
 func (e *Engine) Reset() {
 	if e.running {
 		panic("des: Reset called during Run")

@@ -4,9 +4,9 @@
 // still dispatched every promoted event from one goroutine. This file adds
 // the execution half of the conservative protocol: runs of confined events
 // are handed to workers that each run a private dispatch loop — a per-domain
-// now-bucket + heap, a per-domain baton so a domain's process goroutines
-// resume on their owning worker, and a per-domain free list shard so
-// concurrent allocation never contends on one pool head.
+// now-bucket + heap, a per-domain driver loop so a domain's process
+// coroutines resume on their owning worker, and a per-domain free list shard
+// so concurrent allocation never contends on one pool head.
 //
 // # Eligibility (the mixed-window confinement census)
 //
@@ -117,8 +117,8 @@ type dispRec struct {
 }
 
 // wstate is one domain's private dispatch state during a parallel phase.
-// Exactly one worker goroutine (or a process goroutine it handed the baton
-// to) touches a wstate at a time; distinct domains' wstates are disjoint.
+// Exactly one worker goroutine (or a process coroutine it switched into)
+// touches a wstate at a time; distinct domains' wstates are disjoint.
 type wstate struct {
 	e      *Engine
 	dom    int32
@@ -152,8 +152,10 @@ type wstate struct {
 	disp   []dispRec
 	outbox []*event
 
-	current  *Proc
-	mainWake chan struct{}
+	current *Proc
+	// next is the hand-off target a dispatch loop on a process coroutine
+	// leaves for the worker's driver loop (Engine.next's counterpart).
+	next *Proc
 
 	// pad keeps adjacent wstates' hot heads (pool, queue, bucket) out of
 	// one cache line: workers hammer their own shard while neighbors do
@@ -165,9 +167,9 @@ type wstate struct {
 // (the default) resolves to min(GOMAXPROCS, 8) but at least 2, so the window
 // machinery stays exercised even on one-core hosts. n == 1 disables
 // in-window parallelism entirely: the engine degenerates to the serial
-// organization (no staging, no windows, host pinning re-enabled), which is
-// the small-host fast path — parallel mode at one worker tracks serial
-// throughput and allocation behavior. Must not be called mid-Run.
+// organization (no staging, no windows), which is the small-host fast path —
+// parallel mode at one worker tracks serial throughput and allocation
+// behavior. Must not be called mid-Run.
 func (e *Engine) SetWorkers(n int) {
 	if e.running {
 		panic("des: SetWorkers during Run")
@@ -277,16 +279,6 @@ func (e *Engine) ensureWS(n int) {
 	ws := make([]wstate, n)
 	copy(ws, p.ws)
 	p.ws = ws
-}
-
-// domListed reports whether dom is in the pending phase's active set.
-func (p *parstate) domListed(dom int32) bool {
-	for _, d := range p.activeScratch {
-		if d == dom {
-			return true
-		}
-	}
-	return false
 }
 
 // phaseEvent reports whether the event may execute inside a parallel phase:
@@ -409,9 +401,8 @@ func (e *Engine) censusFromQueue() bool {
 
 // runPhase executes one window's domains on parallel workers and merges the
 // results so the engine state afterwards is exactly what serial dispatch of
-// the same window would have produced. Must run on a goroutine no phase
-// worker can try to resume (Run's goroutine, an exited process, or the
-// dedicated handoff goroutine dispatch spawns).
+// the same window would have produced. Runs on the driver only: a process
+// coroutine blocked in the join could be the one a worker needs to resume.
 func (e *Engine) runPhase(active []int32) {
 	p := e.par
 	e.ensureWS(len(p.heaps))
@@ -487,9 +478,6 @@ func (ws *wstate) begin(e *Engine, dom int32, floor float64, scr []*event, bAt f
 	ws.disp = ws.disp[:0]
 	ws.outbox = ws.outbox[:0]
 	ws.current = nil
-	if ws.mainWake == nil {
-		ws.mainWake = make(chan struct{})
-	}
 	for i, ev := range scr {
 		ev.inDom = wsQueuedDom
 		ws.queue.push(ev)
@@ -497,11 +485,14 @@ func (ws *wstate) begin(e *Engine, dom int32, floor float64, scr []*event, bAt f
 	}
 }
 
-// run drains the domain's private queue on the worker goroutine, handing the
-// baton to resumed process goroutines exactly like the serial engine does.
+// run drains the domain's private queue: the worker is the domain's driver
+// loop, switching into each process a dispatch loop selects, exactly like
+// Engine.drive does for the serial engine.
 func (ws *wstate) run() {
-	if !ws.dispatch(nil) {
-		<-ws.mainWake
+	ws.dispatch(nil)
+	for p := ws.next; p != nil; p = ws.next {
+		ws.next = nil
+		p.switchTo()
 	}
 }
 
@@ -553,15 +544,12 @@ func (ws *wstate) pop() *event {
 
 // dispatch is the per-domain dispatch loop: the serial engine's loop over
 // the domain's private queue. self is the process parking on this call (nil
-// for the worker goroutine). Returns true when the caller keeps the baton.
+// for the worker). Returns true when self's own resume was the next
+// dispatch; otherwise false, with ws.next set unless the queue drained.
 func (ws *wstate) dispatch(self *Proc) bool {
 	for {
 		ev := ws.pop()
 		if ev == nil {
-			if self == nil {
-				return true // the worker keeps the baton at drain
-			}
-			ws.mainWake <- struct{}{}
 			return false
 		}
 		if ev.dead() {
@@ -582,7 +570,7 @@ func (ws *wstate) dispatch(self *Proc) bool {
 				if p == self {
 					return true
 				}
-				p.resume <- struct{}{}
+				ws.next = p
 				return false
 			}
 			continue

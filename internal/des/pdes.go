@@ -369,7 +369,7 @@ func (e *Engine) stage(ev *event, dom int32) {
 // collected. Returns windowAdvanced when the window's events were promoted
 // into the run queue (serial dispatch), windowPhase when the confinement
 // census passed — the window sits in the promotion scratch and the caller
-// must execute it through runPhase on a safe goroutine — and windowNone at
+// must execute it through runPhase on the driver — and windowNone at
 // true end-of-run or when a stale partition invalidates the lookahead (the
 // latter also sets runErr).
 //

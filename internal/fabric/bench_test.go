@@ -63,7 +63,7 @@ func BenchmarkEngineEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessHandoff measures the goroutine handoff cost per simulated
+// BenchmarkProcessHandoff measures the park/resume cost per simulated
 // process step — the dominant cost of large-rank-count simulations.
 func BenchmarkProcessHandoff(b *testing.B) {
 	e := des.New()

@@ -31,10 +31,9 @@ import (
 //   - fields of a struct that also carries a sync.Mutex/RWMutex are
 //     assumed guarded by it (the lock discipline itself is a runtime
 //     concern — HIERSAN's department, not lint's);
-//   - a `go` statement marked //hierflow:serial <reason> (baton passing:
-//     the spawner provably does not run concurrently with the spawnee,
-//     as in the DES engine's one-runnable-process handoff) does not open
-//     a context.
+//   - a `go` statement marked //hierflow:serial <reason> (the spawner
+//     provably does not touch what the spawnee touches until it joins
+//     it, as in the DES engine's phase workers) does not open a context.
 var AtomicFieldAnalyzer = &Analyzer{
 	Name: "atomicfield",
 	Doc:  "forbid non-atomic, unguarded struct fields written across goroutine-spawning contexts",

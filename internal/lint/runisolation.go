@@ -22,7 +22,7 @@ import (
 //   - sync/atomic types (atomic.Bool, atomic.Uint64, ...). These are
 //     race-free by construction and sanctioned for values whose numeric
 //     identity is immaterial to simulation results — opaque ID counters
-//     (buffer.nextID) and process-wide toggles (des host pinning).
+//     (buffer.nextID).
 //
 //   - effectively constant basic-typed vars: a var of basic type that is
 //     never assigned outside its declaration, never incremented, and never

@@ -1,9 +1,11 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"hierknem/internal/des"
 	"hierknem/internal/topology"
 )
 
@@ -84,6 +86,60 @@ func TestPhaseEligibleBounds(t *testing.T) {
 		p := w.Proc(0)
 		if p.PhaseEligible(w.WorldComm(), 1) {
 			t.Error("PhaseEligible(multi-node comm, 1) = true, want false")
+		}
+	})
+}
+
+// TestRankPanicReachesRunCaller: a rank body's panic is re-raised by the
+// coroutine switch on the goroutine that called World.Run, carrying the
+// rank's own panic value — from the serial driver directly, from a phase
+// worker through the phase join.
+func TestRankPanicReachesRunCaller(t *testing.T) {
+	boom := errors.New("rank 1 gives up")
+	runRecovered := func(w *World, body func(p *Proc)) (got any) {
+		defer func() { got = recover() }()
+		err := w.Run(body)
+		t.Errorf("World.Run returned %v, want the rank's panic", err)
+		return nil
+	}
+
+	t.Run("serial driver", func(t *testing.T) {
+		w := confineWorld(t, 1, 4, 8)
+		got := runRecovered(w, func(p *Proc) {
+			p.Compute(float64(p.Rank() + 1))
+			if p.Rank() == 1 {
+				panic(boom)
+			}
+		})
+		if got != boom {
+			t.Fatalf("recovered %v, want %v", got, boom)
+		}
+	})
+
+	t.Run("phase worker", func(t *testing.T) {
+		w := confineWorld(t, 2, 2, 8192)
+		w.SetEngineMode(des.ModeParallel)
+		w.SetEngineWorkers(2)
+		inPhase := false
+		got := runRecovered(w, func(p *Proc) {
+			p.EnterNodePhase()
+			// Compute stretches carry every rank across window boundaries
+			// with nothing but confined events queued, so windows phase.
+			for r := 0; r < 8; r++ {
+				p.Compute(0.4 * w.Machine.Spec.NetLatency)
+				p.NodeComm().Barrier(p)
+				if p.Rank() == 1 && w.Machine.Eng.InWorkerPhase() {
+					inPhase = true
+					panic(boom)
+				}
+			}
+			p.ExitNodePhase()
+		})
+		if !inPhase {
+			t.Fatal("rank 1 never ran inside a worker phase; the test exercised nothing")
+		}
+		if got != boom {
+			t.Fatalf("recovered %v, want %v", got, boom)
 		}
 	})
 }

@@ -128,12 +128,6 @@ func (s *Sweep) Parallel() int { return s.parallel }
 // through their Futures. A panicking job is captured (with its id and
 // stack) instead of crashing the pool; Run reports all captured panics and
 // the surviving results must not be rendered.
-//
-// While more than one worker is live, the engine's process-global
-// GOMAXPROCS pinning is suspended (des.SetHostPinning): the pin is a
-// serial-throughput optimization that would otherwise throttle the host to
-// one core and race between workers. The previous setting is restored
-// before Run returns.
 func (s *Sweep) Run() error {
 	if s.ran {
 		panic("sweep: Run called twice")
@@ -144,9 +138,6 @@ func (s *Sweep) Run() error {
 		return nil
 	}
 	workers := min(s.parallel, n)
-	if workers > 1 {
-		defer des.SetHostPinning(des.SetHostPinning(false))
-	}
 	var (
 		cursor atomic.Int64
 		done   atomic.Int64
@@ -173,11 +164,15 @@ func (s *Sweep) Run() error {
 }
 
 // runJob executes job i on ctx, converting a panic into an error carrying
-// the job id and stack.
+// the job id and stack. The panic may have left a cached world mid-run (a
+// rank body's panic surfaces here through World.Run with the other ranks
+// still parked), so the worker's cache is dropped: the next job of the same
+// shape builds a fresh world instead of resetting a broken one.
 func (s *Sweep) runJob(ctx *Ctx, i int, panics []error) {
 	defer func() {
 		if r := recover(); r != nil {
 			panics[i] = fmt.Errorf("sweep: job %q panicked: %v\n%s", s.jobs[i].id, r, debug.Stack())
+			clear(ctx.worlds)
 		}
 	}()
 	s.jobs[i].fn(ctx)

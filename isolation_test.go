@@ -16,7 +16,6 @@ import (
 	"hierknem"
 	"hierknem/internal/buffer"
 	"hierknem/internal/coll"
-	"hierknem/internal/des"
 	"hierknem/internal/mpi"
 )
 
@@ -87,13 +86,11 @@ func diffLogs(t *testing.T, label string, want, got []string) {
 
 // TestParallelRunsBitIdentical runs the same simulation on 8 concurrent
 // goroutines — each with its own world, as sweep workers do — and requires
-// every event log to match the serial reference bit for bit. Engine host
-// pinning is suspended exactly as the sweep runner suspends it.
+// every event log to match the serial reference bit for bit.
 func TestParallelRunsBitIdentical(t *testing.T) {
 	want := runLogged(t, isoWorld(t))
 
 	const runs = 8
-	defer des.SetHostPinning(des.SetHostPinning(false))
 	logs := make([][]string, runs)
 	var wg sync.WaitGroup
 	for i := 0; i < runs; i++ {
@@ -143,7 +140,6 @@ func TestEngineModeParallelRunsBitIdentical(t *testing.T) {
 	}
 
 	const runs = 8
-	defer des.SetHostPinning(des.SetHostPinning(false))
 	logs := make([][]string, runs)
 	var wg sync.WaitGroup
 	for i := 0; i < runs; i++ {

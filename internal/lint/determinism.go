@@ -26,14 +26,6 @@ import (
 //  3. No output ordered by map iteration: fmt.Print/Fprint-family calls
 //     inside a `for range` over a map emit in a different order every run.
 //     Collect keys, sort, then print.
-//
-//  4. No iteration over matching-index maps: the MPI matching layer keeps
-//     per-(ctx, src, tag) queues in maps keyed by matchKey, and its order
-//     guarantees live entirely in the per-queue FIFOs and posting
-//     sequence numbers. Ranging over such a map in a dispatch path would
-//     reintroduce map-iteration order into message matching — the exact
-//     nondeterminism the index was designed out of. Matching-index maps
-//     are accessed by key, never walked.
 var DeterminismAnalyzer = &Analyzer{
 	Name:    "determinism",
 	Doc:     "forbid wall-clock time, unseeded randomness, and map-ordered output in internal/",
@@ -97,12 +89,8 @@ func runDeterminism(pass *Pass) {
 			if !ok {
 				return true
 			}
-			mp, isMap := tv.Type.Underlying().(*types.Map)
-			if !isMap {
+			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
 				return true
-			}
-			if named, ok := mp.Key().(*types.Named); ok && named.Obj().Name() == "matchKey" {
-				pass.Reportf(rng.Pos(), "range over a matchKey-keyed matching index iterates in map order; matching queues must be accessed by key only")
 			}
 			ast.Inspect(rng.Body, func(m ast.Node) bool {
 				call, ok := m.(*ast.CallExpr)

@@ -60,23 +60,3 @@ func mapSorted(m map[string]int) {
 func durationMath(n int) time.Duration {
 	return time.Duration(n) * time.Microsecond
 }
-
-// matchKey mirrors the MPI matching-index key: maps keyed by it hold
-// order-sensitive matching queues and must never be ranged.
-type matchKey struct{ ctx, src, tag int }
-
-// indexWalk iterates a matching-index map: the per-key FIFOs carry the
-// ordering guarantee, so walking the map injects map-iteration order into
-// message matching.
-func indexWalk(specific map[matchKey][]int) int {
-	total := 0
-	for _, q := range specific { // want `range over a matchKey-keyed matching index iterates in map order`
-		total += len(q)
-	}
-	return total
-}
-
-// indexLookup accesses the index by key: the sanctioned pattern.
-func indexLookup(specific map[matchKey][]int, k matchKey) []int {
-	return specific[k]
-}

@@ -128,8 +128,8 @@ type envelope struct {
 	sanRead int
 
 	// intrusive links in the destination's unexpected arrival-order list
-	// (see envIndex).
-	prev, next *envelope
+	// and key-hash chain (see envIndex).
+	prev, next, hnext *envelope
 }
 
 func (env *envelope) release() {
@@ -184,8 +184,9 @@ type posting struct {
 	bufv     buffer.Buffer // header copy; data shared with the caller's buffer
 	req      Request       // embedded: no per-posting Request allocation
 	receiver *Proc
-	seq      uint64 // posting order within the receiver (see postIndex)
-	refs     int32  // outstanding references; at 0 the record recycles
+	seq      uint64   // posting order within the receiver (see postIndex)
+	hnext    *posting // intrusive link in the receiver's key-hash chain (see postIndex)
+	refs     int32    // outstanding references; at 0 the record recycles
 
 	// postedAt is the virtual time Irecv was called (stall autopsy);
 	// sanWrite is the sanitizer's open write window on the receive buffer,

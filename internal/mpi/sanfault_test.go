@@ -8,6 +8,7 @@ package mpi
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -92,16 +93,28 @@ func TestSanitizerDetectsOverlappingCopy(t *testing.T) {
 }
 
 // TestStallAutopsyNamesPendingOps: with the sanitizer attached, a drained
-// queue surfaces as a StallError whose report lists the pending receive
-// (rank, tag, posting time) and the unmatched send sitting in the
-// unexpected queue.
+// queue surfaces as a StallError whose report lists the pending receives
+// (rank, tag, posting time) in posting order — two specific receives that
+// share a hash chain, a wildcard posted between them, then the blocking
+// receive — and the unmatched send sitting in the unexpected queue.
 func TestStallAutopsyNamesPendingOps(t *testing.T) {
 	w := newToyWorld(t, 1, 1, 2, 2)
 	collectViolations(w)
+	// Two tags whose keys land in one bucket of a first-use index.
+	ctx := w.WorldComm().ctx
+	const tagA = 100
+	tagB := tagA + 1
+	for bucketOf(ctx, 1, tagB, minBuckets) != bucketOf(ctx, 1, tagA, minBuckets) {
+		tagB++
+	}
 	err := w.Run(func(p *Proc) {
 		c := w.WorldComm()
 		if p.Rank() == 0 {
+			first := p.Irecv(c, buffer.NewReal(make([]byte, 4)), 1, tagB)
+			wild := p.Irecv(c, buffer.NewReal(make([]byte, 4)), AnySource, 99)
+			second := p.Irecv(c, buffer.NewReal(make([]byte, 4)), 1, tagA)
 			p.Recv(c, buffer.NewReal(make([]byte, 4)), 1, 42) // never matched
+			p.WaitAll(first, wild, second)
 		} else {
 			p.Send(c, buffer.NewReal([]byte{1, 2, 3}), 0, 7) // eager: completes, never received
 		}
@@ -118,17 +131,21 @@ func TestStallAutopsyNamesPendingOps(t *testing.T) {
 		t.Error("StallError must unwrap to *des.DeadlockError")
 	}
 	msg := err.Error()
+	at := 0
 	for _, want := range []string{
 		"stall autopsy:",
-		"rank0: recv pending",
-		"tag=42",
-		"posted at t=",
+		fmt.Sprintf("rank0: recv pending ctx=%d src=rank1 tag=%d posted at t=", ctx, tagB),
+		fmt.Sprintf("rank0: recv pending ctx=%d src=any tag=99 posted at t=", ctx),
+		fmt.Sprintf("rank0: recv pending ctx=%d src=rank1 tag=%d posted at t=", ctx, tagA),
+		fmt.Sprintf("rank0: recv pending ctx=%d src=rank1 tag=42 posted at t=", ctx),
 		"unmatched send from rank1",
 		"tag=7",
 	} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("stall report missing %q:\n%s", want, msg)
+		i := strings.Index(msg[at:], want)
+		if i < 0 {
+			t.Fatalf("stall report lacks %q after offset %d (postings must list in posting order):\n%s", want, at, msg)
 		}
+		at += i + len(want)
 	}
 }
 

@@ -67,10 +67,9 @@ func (ix *postIndex) pending() []*posting {
 		return nil
 	}
 	out := make([]*posting, 0, ix.count)
-	//lint:ignore determinism the result is sorted by posting seq below
-	for _, q := range ix.specific {
-		for i := q.head; i < len(q.items); i++ {
-			out = append(out, q.items[i])
+	for _, c := range ix.buckets {
+		for po := c.head; po != nil; po = po.hnext {
+			out = append(out, po)
 		}
 	}
 	out = append(out, ix.wild...)

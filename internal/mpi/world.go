@@ -81,7 +81,7 @@ type World struct {
 	nextCtx   int
 	worldComm *Comm
 	nodeComms []*Comm                       // per-node communicators, built eagerly (see NodeComm)
-	netPaths  map[uint64][]*fabric.Resource // shared read-only inter-node paths, keyed src*np+dst
+	netPaths  map[uint64][]*fabric.Resource // shared read-only inter-node paths, keyed by socket pair (see netPath)
 
 	// empty is this world's zero-byte phantom for control messages. One
 	// buffer (one identity) per world suffices: zero-byte transfers never
@@ -295,7 +295,7 @@ func (w *World) Sanitizer() *san.Sanitizer { return w.san }
 // Reset returns the world to its pristine post-NewWorld state so a
 // consecutive same-spec run can reuse the whole arena: the machine (engine
 // event pool, fabric resources and flow pool, L3 trackers), the KNEM
-// devices, the per-rank envelope/posting pools and matching-index FIFOs,
+// devices, the per-rank envelope/posting pools and matching-index bucket arrays,
 // and the inter-node path cache (pure topology, unchanged by runs) all stay
 // warm. Everything observable restarts from zero — virtual clock, event
 // sequence numbers, context ids, matching order counters, traffic integrals

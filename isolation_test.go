@@ -175,7 +175,7 @@ func TestEngineModeFlipResetReplays(t *testing.T) {
 
 // TestWorldResetAllocsLessThanRebuild pins the point of reuse: a Reset+run
 // must allocate strictly less than a rebuild+run, because the engine event
-// pool, fabric flow pool, matching FIFOs and envelope pools all stay warm.
+// pool, fabric flow pool, matching bucket arrays and envelope pools all stay warm.
 func TestWorldResetAllocsLessThanRebuild(t *testing.T) {
 	mallocs := func() uint64 {
 		var ms runtime.MemStats

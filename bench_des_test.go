@@ -61,7 +61,7 @@ func benchDES(b *testing.B, mkWorld func() (*hierknem.World, error), run func(w 
 	// the fence, an allocation-heavy predecessor donates its collection work
 	// to this benchmark's timed region and skews events/sec downward.
 	runtime.GC()
-	var events, phased, windows uint64
+	var events uint64
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		w, err := mkWorld()
@@ -73,22 +73,11 @@ func benchDES(b *testing.B, mkWorld func() (*hierknem.World, error), run func(w 
 		}
 		run(w)
 		events += w.Machine.Eng.Processed()
-		ws := w.Machine.Eng.WindowStats()
-		phased += ws.PhasedWindows
-		windows += ws.Windows
 	}
 	elapsed := time.Since(start).Seconds()
 	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 	if elapsed > 0 {
 		b.ReportMetric(float64(events)/elapsed, "events/sec")
-	}
-	// Phased-window fraction: how many of the parallel engine's windows
-	// actually executed a worker phase. Deterministic per workload and worker
-	// count (the window schedule is part of the committed behavior), reported
-	// only when the engine ran windows at all — serial-mode benchmarks keep
-	// their metric set unchanged. cmd/benchjson's pdes schema (v3) gates on it.
-	if windows > 0 {
-		b.ReportMetric(float64(phased)/float64(windows), "phased-frac")
 	}
 }
 

@@ -4,8 +4,8 @@
 // It reads the benchmark text on stdin and aggregates repeated lines from
 // `-count N` runs into mean ± stddev per metric, plus a best-of-count value
 // (max for rate metrics, min for cost metrics). The fabric gates compare
-// means; the des and pdes gates compare best-of-count (see compareDES and
-// comparePDES). Two schemas:
+// means; the des gates compare best-of-count (see compareDES). Three
+// schemas:
 //
 //   - fabric (default, hierknem/bench-fabric/v1): groups the BenchmarkFabric*
 //     mode=incremental / mode=global pairs, computes the resource-visit and
@@ -45,48 +45,6 @@
 //		go run ./cmd/benchjson -schema sweep -sweep-command 'hierbench -exp all ...' \
 //		    -serial-sec 10.4 -parallel-sec 2.9 -workers 8 -identical \
 //		    -o results/BENCH_sweep.json
-//
-//	  - pdes (-schema pdes, hierknem/bench-pdes/v4): the conservative parallel
-//	    DES engine. Pairs each BenchmarkPDES* mode=serial benchmark with its
-//	    mode=parallel twin and folds every mode=parallel/workers=N variant
-//	    into that pair's speedup-vs-workers curve; events/op must agree
-//	    exactly between serial and every parallel variant (the hex-identity
-//	    canary in throughput form — that bar always binds); the events/sec
-//	    speedup bar (-min-pdes-speedup, default 2) binds only when the host
-//	    has at least -min-cores cores, recorded as a waiver otherwise, exactly
-//	    like the sweep schema — and only to -enforce-speedup matches (default:
-//	    the -enforce pattern), because a workload whose windows are serial by
-//	    census (large-message Fig3a: unbracketed global traffic) measures pure
-//	    window overhead, not parallel execution; the workers=1 variant must
-//	    stay within -max-parity-overhead (default 10%) of serial events/sec
-//	    and allocs/op on every host — the degenerate one-worker engine is
-//	    supposed to skip the window machinery entirely, so its overhead is a
-//	    bug, not a missing-cores condition; and -enforce-phased matches
-//	    (default: the -enforce-speedup pattern) must report a nonzero
-//	    phased-window fraction (the phased-frac metric the benchmarks emit)
-//	    on every workers>=2 variant, on every host — phases run on goroutines
-//	    regardless of core count, so a zero fraction means the collective
-//	    brackets regressed — plus -min-phased-fraction (default 0.5) when the
-//	    host clears -min-cores. v4 adds the guard-elision pair: each
-//	    workload's mode=parallel/guards=elided variant (same engine, same
-//	    default worker count, per-message confinement guards elided inside
-//	    phasesafe-proved regions) joins the comparison as guard_speedup =
-//	    elided events/sec / checked events/sec. Its events/op must equal the
-//	    serial twin's exactly on every host — elision removes assertions, not
-//	    events, so any drift means a guard had an effect and the proof is
-//	    unsound — while the throughput bound is deliberately soft
-//	    (-min-guard-speedup, default 0.95) and, like the other throughput
-//	    bars, binds only at >= -min-cores cores: the guards cost a few
-//	    percent at most, so the bar only catches elision making things
-//	    materially worse, the measured gain is recorded rather than gated,
-//	    and on a small shared host the scheduler band swamps it. The pdes
-//	    comparisons use best-of-count values rather than means so the tight
-//	    parity bar measures engine overhead, not shared-host scheduler noise.
-//
-//		go test -run '^$' -bench BenchmarkPDES -benchtime 1x -count 3 -benchmem . |
-//		    go run ./cmd/benchjson -schema pdes -enforce 'Fig3a|NodeLocal' \
-//		        -enforce-speedup NodeLocal -enforce-phased 'size=2KB|NodeLocal' \
-//		        -o results/BENCH_pdes.json
 package main
 
 import (
@@ -159,79 +117,27 @@ type DESComparison struct {
 	EventsMatch          bool    `json:"events_match"`
 }
 
-// PDESComparison pairs one workload's serial and parallel engine runs. The
-// default parallel twin runs at the engine's resolved worker count; the
-// Workers list records every explicit workers=N variant of the same
-// workload, so the document carries the speedup-vs-workers curve. Rates and
-// allocation counts here are best-of-count, not means (see comparePDES).
-type PDESComparison struct {
-	Benchmark            string  `json:"benchmark"`
-	SerialEventsPerSec   float64 `json:"serial_events_per_sec"`
-	ParallelEventsPerSec float64 `json:"parallel_events_per_sec"`
-	Speedup              float64 `json:"speedup"` // parallel / serial
-	SerialEventsPerOp    float64 `json:"serial_events_per_op"`
-	ParallelEventsPerOp  float64 `json:"parallel_events_per_op"`
-	EventsMatch          bool    `json:"events_match"`
-	SerialAllocsPerOp    float64 `json:"serial_allocs_per_op,omitempty"`
-	ParallelAllocsPerOp  float64 `json:"parallel_allocs_per_op,omitempty"`
-	PhasedFraction       float64 `json:"phased_window_fraction,omitempty"`
-	// The guards=elided twin (schema v4): same engine and worker count as
-	// the parallel twin, confinement guards elided under the phasesafe
-	// manifest. GuardSpeedup is elided/checked best-of-count events/sec;
-	// ElidedEventsMatch is the elision soundness canary (must equal the
-	// serial twin's events/op bit for bit).
-	ElidedEventsPerSec float64           `json:"elided_events_per_sec,omitempty"`
-	GuardSpeedup       float64           `json:"guard_speedup,omitempty"` // elided / parallel
-	ElidedEventsPerOp  float64           `json:"elided_events_per_op,omitempty"`
-	ElidedAllocsPerOp  float64           `json:"elided_allocs_per_op,omitempty"`
-	ElidedEventsMatch  *bool             `json:"elided_events_match,omitempty"`
-	Workers            []PDESWorkerPoint `json:"workers,omitempty"`
-}
-
-// PDESWorkerPoint is one workers=N run of a workload's parallel twin. The
-// phased-window fraction is deterministic per (workload, worker count) — the
-// window schedule is part of the committed behavior — so the recorded value
-// is the metric itself, not a noisy measurement.
-type PDESWorkerPoint struct {
-	Workers        int     `json:"workers"`
-	EventsPerSec   float64 `json:"events_per_sec"`
-	Speedup        float64 `json:"speedup"` // vs the serial twin
-	EventsPerOp    float64 `json:"events_per_op"`
-	AllocsPerOp    float64 `json:"allocs_per_op,omitempty"`
-	PhasedFraction float64 `json:"phased_window_fraction,omitempty"`
-	EventsMatch    bool    `json:"events_match"`
-}
-
 // Report is the emitted JSON document (either schema).
 type Report struct {
-	Schema          string           `json:"schema"`
-	GoVersion       string           `json:"go_version"`
-	Goos            string           `json:"goos,omitempty"`
-	Goarch          string           `json:"goarch,omitempty"`
-	CPU             string           `json:"cpu,omitempty"`
-	Pkg             string           `json:"pkg,omitempty"`
-	HostCores       int              `json:"host_cores,omitempty"`
-	Benchmarks      []Benchmark      `json:"benchmarks"`
-	Comparisons     []Comparison     `json:"comparisons,omitempty"`
-	DESComparisons  []DESComparison  `json:"des_comparisons,omitempty"`
-	PDESComparisons []PDESComparison `json:"pdes_comparisons,omitempty"`
-	Criterion       *Criterion       `json:"criterion,omitempty"`
+	Schema         string          `json:"schema"`
+	GoVersion      string          `json:"go_version"`
+	Goos           string          `json:"goos,omitempty"`
+	Goarch         string          `json:"goarch,omitempty"`
+	CPU            string          `json:"cpu,omitempty"`
+	Pkg            string          `json:"pkg,omitempty"`
+	Benchmarks     []Benchmark     `json:"benchmarks"`
+	Comparisons    []Comparison    `json:"comparisons,omitempty"`
+	DESComparisons []DESComparison `json:"des_comparisons,omitempty"`
+	Criterion      *Criterion      `json:"criterion,omitempty"`
 }
 
 // Criterion records the enforced acceptance bar and its outcome.
 type Criterion struct {
-	MinVisitRatio     float64 `json:"min_visit_ratio,omitempty"`
-	MinSpeedup        float64 `json:"min_speedup,omitempty"`
-	MinAllocRatio     float64 `json:"min_alloc_ratio,omitempty"`
-	MinCores          int     `json:"min_cores,omitempty"`
-	SpeedupEnforced   *bool   `json:"speedup_enforced,omitempty"` // pdes: false below min_cores
-	MaxParityOverhead float64 `json:"max_parity_overhead,omitempty"`
-	MinPhasedFraction float64 `json:"min_phased_fraction,omitempty"` // pdes: fraction bar on >=min_cores hosts (nonzero always binds)
-	MinGuardSpeedup   float64 `json:"min_guard_speedup,omitempty"`   // pdes: soft floor on elided/checked events/sec (identity bar always binds)
-	AppliesTo         string  `json:"applies_to"`
-	SpeedupAppliesTo  string  `json:"speedup_applies_to,omitempty"` // pdes: speedup-bar pattern when it differs from applies_to
-	PhasedAppliesTo   string  `json:"phased_applies_to,omitempty"`  // pdes: phased-fraction-bar pattern
-	Pass              bool    `json:"pass"`
+	MinVisitRatio float64 `json:"min_visit_ratio,omitempty"`
+	MinSpeedup    float64 `json:"min_speedup,omitempty"`
+	MinAllocRatio float64 `json:"min_alloc_ratio,omitempty"`
+	AppliesTo     string  `json:"applies_to"`
+	Pass          bool    `json:"pass"`
 }
 
 // SweepReport is the bench-sweep/v1 document: one serial/parallel timing
@@ -259,7 +165,7 @@ const modeKey = "mode=incremental"
 
 func main() {
 	out := flag.String("o", "", "output path (default stdout)")
-	schema := flag.String("schema", "fabric", "document schema: fabric, des, sweep or pdes")
+	schema := flag.String("schema", "fabric", "document schema: fabric, des or sweep")
 	minRatio := flag.Float64("min-visit-ratio", 0, "fabric: fail unless every enforced pair's visit ratio meets this")
 	baseline := flag.String("baseline", "", "des: baseline JSON (a bench-des/v1 document) to compare against")
 	minSpeedup := flag.Float64("min-speedup", 0, "des: fail unless every enforced benchmark's events/sec speedup meets this")
@@ -272,13 +178,7 @@ func main() {
 	hostCores := flag.Int("host-cores", runtime.NumCPU(), "sweep: cores available to the runs")
 	identical := flag.Bool("identical", false, "sweep: the two runs' stdout matched byte for byte")
 	minSweepSpeedup := flag.Float64("min-sweep-speedup", 3, "sweep: enforced wall-clock speedup (when host-cores >= min-cores)")
-	minCores := flag.Int("min-cores", 4, "sweep/pdes: smallest host the speedup bar applies to")
-	minPDESSpeedup := flag.Float64("min-pdes-speedup", 2, "pdes: enforced events/sec speedup (when host-cores >= min-cores)")
-	maxParity := flag.Float64("max-parity-overhead", 0.10, "pdes: max fractional events/sec and allocs/op overhead of the workers=1 parallel run over serial (always enforced)")
-	enforceSpeedup := flag.String("enforce-speedup", "", "pdes: regexp selecting the benchmarks the speedup bar applies to (default: the -enforce pattern); identity and parity bars keep following -enforce")
-	enforcePhased := flag.String("enforce-phased", "", "pdes: regexp selecting the benchmarks whose workers>=2 variants must report a nonzero phased-window fraction (default: the -enforce-speedup pattern)")
-	minPhasedFrac := flag.Float64("min-phased-fraction", 0.5, "pdes: phased-window fraction the -enforce-phased matches must reach on hosts with >= min-cores cores (nonzero binds on every host)")
-	minGuardSpeedup := flag.Float64("min-guard-speedup", 0.95, "pdes: floor on the guards=elided variant's events/sec relative to the checked parallel twin, enforced at >= min-cores cores (events/op identity always binds; the gain itself is recorded, not gated)")
+	minCores := flag.Int("min-cores", 4, "sweep: smallest host the speedup bar applies to")
 	flag.Parse()
 
 	if *schema == "sweep" {
@@ -332,43 +232,8 @@ func main() {
 			pass = compareDES(rep, *baseline, re, *minSpeedup, *minAllocRatio)
 			rep.Criterion = &Criterion{MinSpeedup: *minSpeedup, MinAllocRatio: *minAllocRatio, AppliesTo: *enforce, Pass: pass}
 		}
-	case "pdes":
-		rep.Schema = "hierknem/bench-pdes/v4"
-		rep.HostCores = *hostCores
-		enforced := *hostCores >= *minCores
-		if *enforceSpeedup == "" {
-			*enforceSpeedup = *enforce
-		}
-		speedRe, err := regexp.Compile(*enforceSpeedup)
-		if err != nil {
-			fatal(fmt.Errorf("bad -enforce-speedup pattern: %w", err))
-		}
-		if *enforcePhased == "" {
-			*enforcePhased = *enforceSpeedup
-		}
-		phasedRe, err := regexp.Compile(*enforcePhased)
-		if err != nil {
-			fatal(fmt.Errorf("bad -enforce-phased pattern: %w", err))
-		}
-		pass = comparePDES(rep, re, speedRe, phasedRe, *minPDESSpeedup, *minPhasedFrac, enforced, *maxParity, *minGuardSpeedup)
-		rep.Criterion = &Criterion{
-			MinSpeedup:        *minPDESSpeedup,
-			MinCores:          *minCores,
-			SpeedupEnforced:   &enforced,
-			MaxParityOverhead: *maxParity,
-			MinPhasedFraction: *minPhasedFrac,
-			MinGuardSpeedup:   *minGuardSpeedup,
-			AppliesTo:         *enforce,
-			SpeedupAppliesTo:  *enforceSpeedup,
-			PhasedAppliesTo:   *enforcePhased,
-			Pass:              pass,
-		}
-		if !enforced {
-			fmt.Fprintf(os.Stderr, "benchjson: note: pdes speedup and phased-fraction bars waived (%d cores < %d); events/op identity and nonzero-phased still enforced\n",
-				*hostCores, *minCores)
-		}
 	default:
-		fatal(fmt.Errorf("unknown -schema %q (want fabric, des, sweep or pdes)", *schema))
+		fatal(fmt.Errorf("unknown -schema %q (want fabric, des or sweep)", *schema))
 	}
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
@@ -540,8 +405,8 @@ func compare(rep *Report) {
 }
 
 // compareDES joins every current benchmark with its baseline twin and
-// applies the DES acceptance bars. Like comparePDES it compares
-// best-of-count values (max events/sec, min allocs/op): on the shared CI
+// applies the DES acceptance bars. It compares best-of-count values (max
+// events/sec, min allocs/op): on the shared CI
 // container a -count repetition that lands on a b.N=1 measurement can read
 // less than half the steady-state throughput, and a mean over three runs
 // gates on that scheduling accident rather than on the engine. The baseline
@@ -618,182 +483,6 @@ func compareDES(rep *Report, baselinePath string, re *regexp.Regexp, minSpeedup,
 	if enforced == 0 && (minSpeedup > 0 || minAllocRatio > 0) {
 		pass = false
 		fmt.Fprintf(os.Stderr, "benchjson: no benchmark matches -enforce %q\n", re.String())
-	}
-	return pass
-}
-
-// comparePDES joins each mode=serial benchmark with its mode=parallel twin
-// and applies the PDES acceptance bars: events/op identity always binds, for
-// the default twin and for every workers=N variant (the parallel engine
-// promises a hex-identical event log, so dispatching a different event count
-// is a correctness bug, not a tuning problem); the events/sec speedup bar
-// binds to speedRe matches, and only when enforceSpeedup is set (host has
-// enough cores for window execution to pay off) — speedRe is narrower than
-// re when a workload (the large-message Fig3a point) runs serial windows by
-// census and so measures pure overhead; the workers=1 parity bar — the
-// degenerate one-worker engine within maxParity of serial throughput and
-// allocations — binds on every host for re matches, because it measures
-// bookkeeping overhead, not parallelism; and the phased-window-fraction bars
-// bind to phasedRe matches on every workers>=2 variant: the fraction must be
-// nonzero on every host (phases execute on goroutines regardless of core
-// count, so zero means the collective brackets regressed) and must reach
-// minPhasedFrac when enforceSpeedup is set. The guards=elided variant (v4)
-// binds two further bars wherever the variant ran: its events/op must equal
-// the serial twin's exactly on every host (elision removes assertions, not
-// events — drift means a guard had an observable effect and the phasesafe
-// proof is unsound), and when enforceSpeedup is set its best-of-count
-// events/sec must reach minGuardSpeedup x the checked parallel twin's — a
-// soft floor catching elision that somehow made things slower, while the
-// actual guard_speedup is recorded for the document's readers rather than
-// gated above 1 (the guards cost a few percent at most, which a small
-// shared host's scheduler band swamps — hence the min-cores waiver, like
-// the other throughput bars). All pdes comparisons use the
-// best-of-count value (max events/sec, min allocs/op), not the mean:
-// single-core CI containers show 20-30% run-to-run scheduler noise that only
-// ever depresses a run, and a tight parity bar on means would gate on that
-// noise instead of on engine overhead. The means and stddevs stay recorded
-// per benchmark. Returns overall pass/fail.
-func comparePDES(rep *Report, re, speedRe, phasedRe *regexp.Regexp, minSpeedup, minPhasedFrac float64, enforceSpeedup bool, maxParity, minGuardSpeedup float64) bool {
-	byName := make(map[string]Benchmark, len(rep.Benchmarks))
-	for _, b := range rep.Benchmarks {
-		byName[b.Name] = b
-	}
-	var names []string
-	for name := range byName {
-		if strings.Contains(name, "mode=serial") {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	pass := true
-	enforced := 0
-	for _, name := range names {
-		ser := byName[name]
-		parName := strings.Replace(name, "mode=serial", "mode=parallel", 1)
-		par, ok := byName[parName]
-		if !ok {
-			pass = false
-			fmt.Fprintf(os.Stderr, "benchjson: %s has no mode=parallel twin\n", name)
-			continue
-		}
-		c := PDESComparison{
-			Benchmark:            strings.Replace(name, "/mode=serial", "", 1),
-			SerialEventsPerSec:   ser.best("events/sec"),
-			ParallelEventsPerSec: par.best("events/sec"),
-			SerialEventsPerOp:    ser.Metrics["events/op"],
-			ParallelEventsPerOp:  par.Metrics["events/op"],
-			SerialAllocsPerOp:    ser.best("allocs/op"),
-			ParallelAllocsPerOp:  par.best("allocs/op"),
-			PhasedFraction:       par.Metrics["phased-frac"],
-		}
-		if c.SerialEventsPerSec > 0 {
-			c.Speedup = c.ParallelEventsPerSec / c.SerialEventsPerSec
-		}
-		c.EventsMatch = c.SerialEventsPerOp == c.ParallelEventsPerOp
-		if !c.EventsMatch {
-			pass = false
-			fmt.Fprintf(os.Stderr, "benchjson: %s events/op %.0f (parallel) != %.0f (serial) — the engines diverged\n",
-				c.Benchmark, c.ParallelEventsPerOp, c.SerialEventsPerOp)
-		}
-		// The guards=elided twin, when this workload ran one.
-		if el, ok := byName[parName+"/guards=elided"]; ok {
-			c.ElidedEventsPerSec = el.best("events/sec")
-			c.ElidedEventsPerOp = el.Metrics["events/op"]
-			c.ElidedAllocsPerOp = el.best("allocs/op")
-			match := c.ElidedEventsPerOp == c.SerialEventsPerOp
-			c.ElidedEventsMatch = &match
-			if !match {
-				pass = false
-				fmt.Fprintf(os.Stderr, "benchjson: %s guards=elided events/op %.0f != serial %.0f — a guard had an observable effect; the phasesafe proof is unsound\n",
-					c.Benchmark, c.ElidedEventsPerOp, c.SerialEventsPerOp)
-			}
-			if c.ParallelEventsPerSec > 0 {
-				c.GuardSpeedup = c.ElidedEventsPerSec / c.ParallelEventsPerSec
-			}
-			if enforceSpeedup && minGuardSpeedup > 0 && c.GuardSpeedup > 0 && c.GuardSpeedup < minGuardSpeedup {
-				pass = false
-				fmt.Fprintf(os.Stderr, "benchjson: %s guards=elided events/sec is %.1f%% of checked, below the %.0f%% floor\n",
-					c.Benchmark, 100*c.GuardSpeedup, 100*minGuardSpeedup)
-			}
-		}
-		// Collect the workers=N curve of this workload's parallel variants.
-		prefix := parName + "/workers="
-		var wnames []string
-		for n := range byName {
-			if strings.HasPrefix(n, prefix) {
-				wnames = append(wnames, n)
-			}
-		}
-		sort.Slice(wnames, func(i, j int) bool {
-			a, _ := strconv.Atoi(wnames[i][len(prefix):])
-			b, _ := strconv.Atoi(wnames[j][len(prefix):])
-			return a < b
-		})
-		bind := re.MatchString(name)
-		for _, wn := range wnames {
-			wb := byName[wn]
-			nw, err := strconv.Atoi(wn[len(prefix):])
-			if err != nil {
-				continue
-			}
-			wp := PDESWorkerPoint{
-				Workers:        nw,
-				EventsPerSec:   wb.best("events/sec"),
-				EventsPerOp:    wb.Metrics["events/op"],
-				AllocsPerOp:    wb.best("allocs/op"),
-				PhasedFraction: wb.Metrics["phased-frac"],
-			}
-			if c.SerialEventsPerSec > 0 {
-				wp.Speedup = wp.EventsPerSec / c.SerialEventsPerSec
-			}
-			wp.EventsMatch = wp.EventsPerOp == c.SerialEventsPerOp
-			if !wp.EventsMatch {
-				pass = false
-				fmt.Fprintf(os.Stderr, "benchjson: %s workers=%d events/op %.0f != serial %.0f — the engines diverged\n",
-					c.Benchmark, nw, wp.EventsPerOp, c.SerialEventsPerOp)
-			}
-			if phasedRe.MatchString(name) && nw >= 2 {
-				if wp.PhasedFraction <= 0 {
-					pass = false
-					fmt.Fprintf(os.Stderr, "benchjson: %s workers=%d phased-window fraction is zero — the collective brackets regressed\n",
-						c.Benchmark, nw)
-				} else if enforceSpeedup && minPhasedFrac > 0 && wp.PhasedFraction < minPhasedFrac {
-					pass = false
-					fmt.Fprintf(os.Stderr, "benchjson: %s workers=%d phased-window fraction %.2f < %.2f\n",
-						c.Benchmark, nw, wp.PhasedFraction, minPhasedFrac)
-				}
-			}
-			if bind && nw == 1 && maxParity > 0 {
-				if wp.Speedup > 0 && wp.Speedup < 1-maxParity {
-					pass = false
-					fmt.Fprintf(os.Stderr, "benchjson: %s workers=1 events/sec is %.1f%% of serial, below the %.0f%% parity bar\n",
-						c.Benchmark, 100*wp.Speedup, 100*(1-maxParity))
-				}
-				if c.SerialAllocsPerOp > 0 && wp.AllocsPerOp > (1+maxParity)*c.SerialAllocsPerOp {
-					pass = false
-					fmt.Fprintf(os.Stderr, "benchjson: %s workers=1 allocs/op %.0f exceeds serial %.0f by more than %.0f%%\n",
-						c.Benchmark, wp.AllocsPerOp, c.SerialAllocsPerOp, 100*maxParity)
-				}
-			}
-			c.Workers = append(c.Workers, wp)
-		}
-		if bind {
-			enforced++
-		}
-		if speedRe.MatchString(name) && enforceSpeedup && minSpeedup > 0 && c.Speedup < minSpeedup {
-			pass = false
-			fmt.Fprintf(os.Stderr, "benchjson: %s parallel speedup %.2f < %.2f\n",
-				c.Benchmark, c.Speedup, minSpeedup)
-		}
-		rep.PDESComparisons = append(rep.PDESComparisons, c)
-	}
-	if len(rep.PDESComparisons) == 0 {
-		pass = false
-		fmt.Fprintf(os.Stderr, "benchjson: no mode=serial/mode=parallel pair on stdin\n")
-	}
-	if enforced == 0 {
-		pass = false
-		fmt.Fprintf(os.Stderr, "benchjson: no pdes pair matches -enforce %q\n", re.String())
 	}
 	return pass
 }

@@ -100,3 +100,21 @@ func TestExperimentIDsStable(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigValidate pins the up-front rejection of counts that used to
+// reach the jobs and panic once per job.
+func TestConfigValidate(t *testing.T) {
+	if err := tinyCfg.validate(); err != nil {
+		t.Fatalf("tinyCfg rejected: %v", err)
+	}
+	for _, bad := range []config{
+		{nodes: 0, iters: 1, aspN: 128, aspDim: 2},
+		{nodes: -1, iters: 1, aspN: 128, aspDim: 2},
+		{nodes: 2, iters: 1, aspN: 128, aspDim: 0},
+		{nodes: 2, iters: 1, aspN: 0, aspDim: 2},
+	} {
+		if err := bad.validate(); err == nil {
+			t.Errorf("config %+v accepted", bad)
+		}
+	}
+}

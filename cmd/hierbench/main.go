@@ -34,12 +34,28 @@ import (
 )
 
 type config struct {
-	nodes      int
-	iters      int
-	aspN       int
-	aspDim     int // nodes used for the ASP study
-	engMode    hierknem.EngineMode
-	engWorkers int
+	nodes  int
+	iters  int
+	aspN   int
+	aspDim int // nodes used for the ASP study
+}
+
+// validate rejects counts no experiment can run on, once, before any job is
+// planned: left to the jobs, each would panic separately in topology.Build.
+func (c config) validate() error {
+	for _, f := range []struct {
+		flag  string
+		nodes int
+	}{{"-nodes", c.nodes}, {"-asp-nodes", c.aspDim}} {
+		spec := hierknem.Stremi(f.nodes)
+		if err := spec.Validate(); err != nil {
+			return fmt.Errorf("%s %d: %w", f.flag, f.nodes, err)
+		}
+	}
+	if c.aspN < 1 {
+		return fmt.Errorf("-asp-n %d must be at least 1", c.aspN)
+	}
+	return nil
 }
 
 func main() {
@@ -49,26 +65,13 @@ func main() {
 	aspN := flag.Int("asp-n", 2048, "ASP matrix dimension (paper: 16384/32768)")
 	aspNodes := flag.Int("asp-nodes", 8, "nodes for the ASP study (paper: 32)")
 	parallel := flag.Int("parallel", 0, "concurrent data-point simulations (0 = GOMAXPROCS)")
-	engine := flag.String("engine", "serial", "DES engine mode: serial (reference) or parallel (conservative windows)")
-	workers := flag.Int("workers", 0, "in-window phase workers per simulation under -engine parallel (0 = engine default, 1 = degenerate fast path)")
 	flag.Parse()
 
-	var engMode hierknem.EngineMode
-	switch *engine {
-	case "serial":
-		engMode = hierknem.EngineSerial
-	case "parallel":
-		engMode = hierknem.EngineParallel
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -engine %q; known: serial, parallel\n", *engine)
+	cfg := config{nodes: *nodes, iters: *iters, aspN: *aspN, aspDim: *aspNodes}
+	if err := cfg.validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *workers < 0 {
-		fmt.Fprintf(os.Stderr, "-workers %d must be positive (omit the flag for the engine default)\n", *workers)
-		os.Exit(2)
-	}
-
-	cfg := config{nodes: *nodes, iters: *iters, aspN: *aspN, aspDim: *aspNodes, engMode: engMode, engWorkers: *workers}
 
 	ids := []string{*exp}
 	if *exp == "all" {
@@ -89,8 +92,6 @@ func main() {
 // parallel output byte-identical to serial.
 func runExperiments(ids []string, cfg config, parallel int, progress io.Writer) error {
 	s := sweep.New("hierbench", parallel, progress)
-	s.SetEngineMode(cfg.engMode)
-	s.SetEngineWorkers(cfg.engWorkers)
 	renders := make([]func(), 0, len(ids))
 	for _, id := range ids {
 		renders = append(renders, experiments[id](cfg, s))

@@ -15,7 +15,6 @@
 //	hierlint -run determinism ./...# run a single analyzer
 //	hierlint -json ./...           # machine-readable findings + timings
 //	hierlint -sarif out.sarif ./...# SARIF 2.1.0 for code-scanning upload
-//	hierlint -manifest ./...       # also emit the phasesafe guard manifest
 //	hierlint -nocache ./...        # force full re-analysis
 //	hierlint -parallel 1 ./...     # serial (output is identical either way)
 //
@@ -39,7 +38,6 @@ import (
 	"strings"
 
 	"hierknem/internal/lint"
-	"hierknem/internal/phasesafe"
 )
 
 // jsonDiag is one finding in -json output, with a cwd-relative path.
@@ -63,7 +61,6 @@ func main() {
 	run := flag.String("run", "", "run only the named analyzer (default: all)")
 	asJSON := flag.Bool("json", false, "emit findings and timings as JSON on stdout")
 	sarifPath := flag.String("sarif", "", "write findings as SARIF 2.1.0 to the given file")
-	manifest := flag.Bool("manifest", false, "emit the phasesafe guard-elision manifest when the tree proves clean (full registry runs only)")
 	cacheDir := flag.String("cache", "", "result cache directory (default .hierlint-cache in the working directory)")
 	noCache := flag.Bool("nocache", false, "disable the result cache")
 	parallel := flag.Int("parallel", 0, "package analysis workers (0 = one per CPU, capped)")
@@ -104,22 +101,12 @@ func main() {
 		cache = ""
 	}
 
-	manifestPath := ""
-	if *manifest {
-		if *run != "" {
-			fmt.Fprintln(os.Stderr, "hierlint: -manifest requires the full registry (drop -run): the proof covers the whole tree or nothing")
-			os.Exit(2)
-		}
-		manifestPath = phasesafe.Path(cwd)
-	}
-
 	diags, stats, err := lint.Analyze(lint.Options{
-		Dir:          cwd,
-		Patterns:     patterns,
-		Analyzers:    analyzers,
-		CacheDir:     cache,
-		Workers:      *parallel,
-		ManifestPath: manifestPath,
+		Dir:       cwd,
+		Patterns:  patterns,
+		Analyzers: analyzers,
+		CacheDir:  cache,
+		Workers:   *parallel,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hierlint: %v\n", err)
@@ -153,20 +140,6 @@ func main() {
 	} else {
 		for _, d := range diags {
 			fmt.Println(relativize(cwd, d))
-		}
-	}
-
-	if manifestPath != "" {
-		written := true
-		for _, d := range diags {
-			if d.Analyzer == "phasesafe" {
-				written = false
-			}
-		}
-		if written {
-			fmt.Fprintf(os.Stderr, "hierlint: phasesafe manifest written to %s\n", relPath(cwd, manifestPath))
-		} else {
-			fmt.Fprintln(os.Stderr, "hierlint: phasesafe manifest NOT written (confinement findings above)")
 		}
 	}
 

@@ -49,3 +49,21 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 			serial, parallel)
 	}
 }
+
+// TestCheckCounts pins the up-front rejection of counts that used to reach
+// the jobs and panic once per job.
+func TestCheckCounts(t *testing.T) {
+	for _, tc := range []struct {
+		nodes, np int
+		ok        bool
+	}{
+		{2, 48, true}, {2, 1, true},
+		{0, 0, false}, {-1, 24, false},
+		{2, 0, false}, {2, -4, false}, {2, 49, false},
+	} {
+		spec := hierknem.Parapluie(tc.nodes)
+		if err := checkCounts(&spec, tc.np); (err == nil) != tc.ok {
+			t.Errorf("checkCounts(nodes=%d, np=%d) = %v, want ok=%v", tc.nodes, tc.np, err, tc.ok)
+		}
+	}
+}

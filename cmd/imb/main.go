@@ -52,7 +52,11 @@ func main() {
 		os.Exit(2)
 	}
 	if *np == 0 {
-		*np = spec.Nodes * spec.CoresPerNode()
+		*np = spec.TotalCores()
+	}
+	if err := checkCounts(&spec, *np); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	if *binding != "bycore" && *binding != "bynode" {
 		fmt.Fprintf(os.Stderr, "unknown binding %q\n", *binding)
@@ -85,6 +89,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// checkCounts rejects a node or process count no job can run on, once, before
+// the sweep is planned: left to the jobs, each would panic separately in
+// topology.Build or the binding.
+func checkCounts(spec *hierknem.Spec, np int) error {
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("-nodes %d: %w", spec.Nodes, err)
+	}
+	if np < 1 || np > spec.TotalCores() {
+		return fmt.Errorf("-np %d must be between 1 and the cluster's %d cores", np, spec.TotalCores())
+	}
+	return nil
 }
 
 // runSweep submits one job per (op, size) cell, runs the pool, and prints

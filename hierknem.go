@@ -28,7 +28,6 @@ import (
 	"hierknem/internal/clusters"
 	"hierknem/internal/coll"
 	"hierknem/internal/core"
-	"hierknem/internal/des"
 	"hierknem/internal/imb"
 	"hierknem/internal/modules"
 	"hierknem/internal/mpi"
@@ -63,33 +62,6 @@ type (
 	ASPResult = asp.Result
 	// ReduceArgs bundle the reduction operator and datatype.
 	ReduceArgs = coll.ReduceArgs
-	// EngineMode selects the DES engine organization (see World.SetEngineMode).
-	EngineMode = des.EngineMode
-	// GuardMode selects whether per-message confinement guards run inside
-	// statically proved node-phase regions (see World.SetGuardMode).
-	GuardMode = mpi.GuardMode
-)
-
-// Engine modes: the serial reference, and the conservative parallel mode
-// that stages per-node event queues inside bounded virtual-time windows —
-// and, when a window's runnable events are all node-confined, executes the
-// nodes on concurrent workers — while keeping the event log bit-identical
-// to serial. The worker count is tuned with World.SetEngineWorkers or the
-// HIERKNEM_WORKERS environment variable; 1 selects a degenerate engine with
-// no window machinery at all (the small-host fast path).
-const (
-	EngineSerial   = des.ModeSerial
-	EngineParallel = des.ModeParallel
-)
-
-// Guard modes: every confinement guard live (the default), or the
-// per-message guards skipped inside regions a valid phasesafe manifest
-// proves node-confined (hierlint -manifest emits it; HIERKNEM_GUARDS=elide
-// opts in). Elision is fail-closed — stale or missing proofs refuse — and
-// cannot change the event log: the guards are pure assertions.
-const (
-	GuardChecked = mpi.GuardChecked
-	GuardElided  = mpi.GuardElided
 )
 
 // Cluster presets from the paper's evaluation (Grid'5000).

@@ -70,14 +70,14 @@ func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Bu
 	recvIdx := func(s int) int { return (me - s - 1 + 2*nodes) % nodes }
 
 	// Step 1 — every local rank pushing its block into the leader's rbuf —
-	// is node-confined: bracket it collectively when blocks fit the fabric
-	// bypass. Steps 2-3 interleave the leader's inter-node ring with the
-	// non-leaders' pulls of whole node blocks, so they stay unbracketed.
-	bracket := p.PhaseEligible(lcomm, block)
+	// is a small stretch when blocks fit the fabric bypass. Steps 2-3
+	// interleave the leader's inter-node ring with the non-leaders' pulls of
+	// whole node blocks, so they are not.
+	small := p.SmallIntraNode(lcomm, block)
 
 	if hy.IsLeader {
-		if bracket {
-			p.EnterNodePhase()
+		if small {
+			p.BeginSmallStretch()
 		}
 		dev := p.Knem()
 		p.Compute(spec.ShmLatency)
@@ -86,8 +86,8 @@ func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Bu
 		// My own block goes straight into place.
 		rbuf.Slice(int64(c.Rank(p))*block, block).CopyFrom(sbuf)
 		lcomm.Barrier(p) // step 1 complete: all local blocks pushed
-		if bracket {
-			p.ExitNodePhase()
+		if small {
+			p.EndSmallStretch()
 		}
 
 		// Step 2 pipelined with step 3: after each ring exchange the
@@ -116,8 +116,8 @@ func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Bu
 	}
 
 	// Non-leader.
-	if bracket {
-		p.EnterNodePhase()
+	if small {
+		p.BeginSmallStretch()
 	}
 	p.Compute(spec.ShmLatency)
 	sh := lcomm.BBWait(p, key).(agShare)
@@ -126,8 +126,8 @@ func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Bu
 		panic(err)
 	}
 	lcomm.Barrier(p)
-	if bracket {
-		p.ExitNodePhase()
+	if small {
+		p.EndSmallStretch()
 	}
 	// My own node's aggregate can be pulled right away; remote blocks as
 	// they arrive (one-sided, overlapping the leader's ring).

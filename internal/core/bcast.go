@@ -88,10 +88,10 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 	key := "hkbcast/" + strconv.Itoa(lcomm.Seq(p))
 	onRootNode := hy.NodeIndex == hy.RootNodeIndex
 
-	if nseg == 1 && p.PhaseEligible(lcomm, buf.Len()) {
+	if nseg == 1 && p.SmallIntraNode(lcomm, buf.Len()) {
 		// Single-segment messages have no cross-segment overlap to preserve,
-		// so the small path reorders to inter-node-then-intra-node and
-		// brackets the intra-node fan-out as a node phase.
+		// so the small path reorders to inter-node-then-intra-node and runs
+		// the intra-node fan-out as a small stretch.
 		m.bcastSmall(p, hy, buf, key, spec)
 		return
 	}
@@ -181,16 +181,11 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 	lcomm.Barrier(p) // step 45
 }
 
-// bcastSmall is the single-segment Bcast restructured for node-phase
-// bracketing. The general path interleaves inter-node forwarding with lcomm
-// barriers, which pins every rank of the node to the leader's global-domain
-// traffic; with one segment that interleaving buys nothing, so the leader
-// first completes all inter-node forwarding, then the whole node — leader
-// and non-leaders together, as the bracket placement rule requires — runs
-// the KNEM linear fan-out inside EnterNodePhase/ExitNodePhase. Under the
-// parallel engine each node's fan-out executes on its own worker; the serial
-// engine treats the brackets as annotation plus the exit latency, keeping
-// the two logs hex-identical.
+// bcastSmall is the single-segment Bcast. The general path interleaves
+// inter-node forwarding with lcomm barriers; with one segment that
+// interleaving buys nothing, so the leader first completes all inter-node
+// forwarding, then the whole node — leader and non-leaders together — runs
+// the KNEM linear fan-out as a small stretch.
 func (m *Module) bcastSmall(p *mpi.Proc, hy *hier.Hierarchy, buf *buffer.Buffer, key string, spec *topology.Spec) {
 	lcomm := hy.LComm
 	if hy.IsLeader {
@@ -211,11 +206,11 @@ func (m *Module) bcastSmall(p *mpi.Proc, hy *hier.Hierarchy, buf *buffer.Buffer,
 		}
 	}
 
-	// Node-confined intra-node fan-out: the leader registers the message and
+	// Intra-node fan-out: the leader registers the message and
 	// publishes the cookie; every non-leader fetches it whole with a
 	// one-sided get. One barrier fences the fetches before deregistration
 	// (BBWait already orders each fetch after the post).
-	p.EnterNodePhase()
+	p.BeginSmallStretch()
 	if hy.IsLeader {
 		dev := p.Knem()
 		p.Compute(spec.ShmLatency) // registration syscall
@@ -235,5 +230,5 @@ func (m *Module) bcastSmall(p *mpi.Proc, hy *hier.Hierarchy, buf *buffer.Buffer,
 		}
 		lcomm.Barrier(p)
 	}
-	p.ExitNodePhase()
+	p.EndSmallStretch()
 }

@@ -39,11 +39,11 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 	// block slot from the comm rank, which UniformBlocks guarantees.)
 	pos := int64(c.Rank(p) % lcomm.Size())
 
-	// The intra-node pull phase is node-confined: bracket it collectively
-	// when per-rank blocks fit the fabric bypass. The leader enters after
-	// its inter-node scatter; non-leaders enter immediately (they only park
-	// on node-local state until the leader publishes the cookie).
-	bracket := p.PhaseEligible(lcomm, block)
+	// The intra-node pull phase is a small stretch when per-rank blocks fit
+	// the fabric bypass. The leader opens it after its inter-node scatter;
+	// non-leaders open it immediately (they only park on node-local state
+	// until the leader publishes the cookie).
+	small := p.SmallIntraNode(lcomm, block)
 
 	if hy.IsLeader {
 		// Inter-node phase: binomial scatter of node blocks over llcomm.
@@ -58,8 +58,8 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 			staging.CopyFrom(sbuf)
 		}
 		// Intra-node phase: publish the staging block, non-leaders pull.
-		if bracket {
-			p.EnterNodePhase()
+		if small {
+			p.BeginSmallStretch()
 		}
 		dev := p.Knem()
 		p.Compute(spec.ShmLatency)
@@ -73,14 +73,14 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 			panic(err)
 		}
 		lcomm.BBClear(key)
-		if bracket {
-			p.ExitNodePhase()
+		if small {
+			p.EndSmallStretch()
 		}
 		return
 	}
 
-	if bracket {
-		p.EnterNodePhase()
+	if small {
+		p.BeginSmallStretch()
 	}
 	p.Compute(spec.ShmLatency)
 	sh := lcomm.BBWait(p, key).(cookieShare)
@@ -89,8 +89,8 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 		panic(err)
 	}
 	lcomm.Barrier(p)
-	if bracket {
-		p.ExitNodePhase()
+	if small {
+		p.EndSmallStretch()
 	}
 }
 
@@ -114,15 +114,14 @@ func (m *Module) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, roo
 	key := "hkgather/" + strconv.Itoa(lcomm.Seq(p))
 	pos := int64(c.Rank(p) % lcomm.Size())
 
-	// The intra-node push phase is node-confined: bracket it collectively
-	// when per-rank blocks fit the fabric bypass. The leader exits before
-	// its inter-node gather.
-	bracket := p.PhaseEligible(lcomm, block)
+	// The intra-node push phase is a small stretch when per-rank blocks fit
+	// the fabric bypass. The leader closes it before its inter-node gather.
+	small := p.SmallIntraNode(lcomm, block)
 
 	if hy.IsLeader {
 		staging := scratchLike(sbuf, nodeBytes)
-		if bracket {
-			p.EnterNodePhase()
+		if small {
+			p.BeginSmallStretch()
 		}
 		dev := p.Knem()
 		p.Compute(spec.ShmLatency)
@@ -135,8 +134,8 @@ func (m *Module) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, roo
 			panic(err)
 		}
 		lcomm.BBClear(key)
-		if bracket {
-			p.ExitNodePhase()
+		if small {
+			p.EndSmallStretch()
 		}
 
 		if hy.LLComm.Size() > 1 {
@@ -151,8 +150,8 @@ func (m *Module) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, roo
 		return
 	}
 
-	if bracket {
-		p.EnterNodePhase()
+	if small {
+		p.BeginSmallStretch()
 	}
 	p.Compute(spec.ShmLatency)
 	sh := lcomm.BBWait(p, key).(cookieShare)
@@ -160,8 +159,8 @@ func (m *Module) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, roo
 		panic(err)
 	}
 	lcomm.Barrier(p)
-	if bracket {
-		p.ExitNodePhase()
+	if small {
+		p.EndSmallStretch()
 	}
 }
 
@@ -180,30 +179,26 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 	spec := &p.World().Machine.Spec
 	key := "hkallreduce/" + strconv.Itoa(lcomm.Seq(p))
 
-	// Both intra-node phases are node-confined: bracket each collectively
-	// when the message fits the fabric bypass (the inter-node allreduce in
-	// between runs unbracketed, with the non-leaders parked on node-local
-	// blackboard state).
-	// rbuf is sbuf-sized on every rank, so the second conjunct never changes
-	// the bracket decision; it is what bounds the phase-1 accumulator and
-	// the phase-3 fetch target for the phasesafe proof.
-	bracket := p.PhaseEligible(lcomm, sbuf.Len()) && p.PhaseEligible(lcomm, rbuf.Len())
+	// Both intra-node phases are small stretches when the message fits the
+	// fabric bypass; the inter-node allreduce in between is not, with the
+	// non-leaders parked on node-local blackboard state.
+	small := p.SmallIntraNode(lcomm, sbuf.Len())
 
 	// Phase 1: intra-node reduction to the leader (lcomm rank 0).
 	var acc *buffer.Buffer
 	if hy.IsLeader {
 		acc = rbuf
 	}
-	if bracket {
-		p.EnterNodePhase()
+	if small {
+		p.BeginSmallStretch()
 	}
 	if lcomm.Size() > 1 {
 		coll.ReduceBinomial(p, lcomm, a, sbuf, acc, 0)
 	} else if hy.IsLeader {
 		acc.CopyFrom(sbuf)
 	}
-	if bracket {
-		p.ExitNodePhase()
+	if small {
+		p.EndSmallStretch()
 	}
 
 	if hy.IsLeader {
@@ -219,8 +214,8 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 		}
 		// Phase 3: publish; non-leaders pull.
 		if lcomm.Size() > 1 {
-			if bracket {
-				p.EnterNodePhase()
+			if small {
+				p.BeginSmallStretch()
 			}
 			dev := p.Knem()
 			p.Compute(spec.ShmLatency)
@@ -233,15 +228,15 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 				panic(err)
 			}
 			lcomm.BBClear(key)
-			if bracket {
-				p.ExitNodePhase()
+			if small {
+				p.EndSmallStretch()
 			}
 		}
 		return
 	}
 
-	if bracket {
-		p.EnterNodePhase()
+	if small {
+		p.BeginSmallStretch()
 	}
 	p.Compute(spec.ShmLatency)
 	sh := lcomm.BBWait(p, key).(cookieShare)
@@ -250,7 +245,7 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 		panic(err)
 	}
 	lcomm.Barrier(p)
-	if bracket {
-		p.ExitNodePhase()
+	if small {
+		p.EndSmallStretch()
 	}
 }

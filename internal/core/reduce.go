@@ -57,25 +57,19 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 				acc = scratchLike(sbuf, sbuf.Len())
 			}
 		}
-		// The intra-node reduction to the leader is node-confined: bracket
-		// it (collectively — every lcomm member, leader included) when the
-		// message fits the fabric bypass, so parallel windows run each
-		// node's binomial fold on its own worker.
-		// acc is nil off the leader and sbuf-sized on it, so the extra
-		// conjunct never changes the bracket decision; it is what bounds
-		// the fold's accumulator for the phasesafe proof.
-		bracket := p.PhaseEligible(lcomm, sbuf.Len()) &&
-			(acc == nil || p.PhaseEligible(lcomm, acc.Len()))
-		if bracket {
-			p.EnterNodePhase()
+		// The intra-node reduction to the leader is a small stretch when
+		// the message fits the fabric bypass.
+		small := p.SmallIntraNode(lcomm, sbuf.Len())
+		if small {
+			p.BeginSmallStretch()
 		}
 		if lcomm.Size() > 1 {
 			coll.ReduceBinomial(p, lcomm, a, sbuf, acc, 0)
 		} else if hy.IsLeader {
 			acc.CopyFrom(sbuf)
 		}
-		if bracket {
-			p.ExitNodePhase()
+		if small {
+			p.EndSmallStretch()
 		}
 		if hy.IsLeader && hy.LLComm.Size() > 1 {
 			var out *buffer.Buffer

@@ -56,13 +56,11 @@ type Engine struct {
 	bucketLive int       // bucket entries not yet dispatched or cancelled
 	pool       []*event  // free list of recycled event records
 
-	// next and phaseDue are what a dispatch loop running on a process
-	// coroutine leaves for the driver before it yields: the process to
-	// switch into, or a carved window phase to execute. Neither set means
+	// next is what a dispatch loop running on a process coroutine leaves
+	// for the driver before it yields: the process to switch into. Nil means
 	// the run is over (queue drained or MaxTime tripped).
-	next     *Proc
-	phaseDue bool
-	runErr   error
+	next   *Proc
+	runErr error
 
 	procs   []*Proc
 	alive   int
@@ -72,17 +70,6 @@ type Engine struct {
 	// MaxTime aborts Run once the virtual clock passes this horizon.
 	// Zero means no horizon.
 	MaxTime float64
-
-	// Parallel-mode state (pdes.go). par is nil in serial mode, so the
-	// serial hot path pays one nil check per schedule/pop. curDom is the
-	// ambient domain tag: the domain of the event being dispatched, used
-	// to tag events scheduled from callbacks. workersReq is the SetWorkers
-	// request (0 = auto).
-	mode       EngineMode
-	partition  Partition
-	par        *parstate
-	curDom     int32
-	workersReq int
 
 	// san, when non-nil, receives pool-provenance and sync-edge hooks
 	// (hiersan). Every hook site is nil-guarded so the disabled hot path
@@ -117,17 +104,7 @@ type event struct {
 	fn      func()
 	proc    *Proc  // non-nil: resume proc if it is still parked at parkGen
 	parkGen uint64 // park generation the resume targets
-	idx     int    // heap position; bucketIdx in the bucket; outboxIdx in a worker outbox; -1 detached
-	dom     int32  // domain tag (parallel mode staging + causality reports)
-	inDom   int32  // staging heap index while staged; -1 in queue/bucket
-	// shared marks an event whose callback reads or writes cross-domain
-	// state (scheduled via the *Shared variants — the fabric's machinery);
-	// a window containing one never executes in parallel. confined marks a
-	// callback event scheduled by a confined process through Proc.After —
-	// the only fn events the census admits to a parallel phase (resume
-	// events are judged by their process's declaration instead).
-	shared   bool
-	confined bool
+	idx     int    // heap position; bucketIdx in the bucket; -1 detached
 }
 
 // bucketIdx marks an event as living in the now-bucket rather than the heap.
@@ -149,11 +126,6 @@ func (e *Engine) alloc(at float64) *event {
 	}
 	ev.at = at
 	ev.seq = e.seq
-	// Recycled and fresh records alike must start detached from the
-	// staging heaps: the zero value 0 would read as "staged in heap 0".
-	ev.inDom = -1
-	ev.shared = false
-	ev.confined = false
 	e.seq++
 	if e.san != nil {
 		e.san.PoolAlloc(san.KindEvent, ev, "")
@@ -176,19 +148,14 @@ func (e *Engine) release(ev *event) {
 	e.pool = append(e.pool, ev)
 }
 
-// schedule allocates an event at absolute time t for domain dom and
-// enqueues it: the now-bucket for the current timestamp, the heap for the
-// future — or, in parallel mode, the domain's staging heap when t lies at
-// or beyond the current window horizon.
-func (e *Engine) schedule(t float64, dom int32) *event {
+// schedule allocates an event at absolute time t and enqueues it: the
+// now-bucket for the current timestamp, the heap for the future.
+func (e *Engine) schedule(t float64) *event {
 	ev := e.alloc(t)
-	ev.dom = dom
 	if t == e.now {
 		ev.idx = bucketIdx
 		e.bucket = append(e.bucket, ev)
 		e.bucketLive++
-	} else if p := e.par; p != nil && t >= p.horizon {
-		e.stage(ev, dom)
 	} else {
 		e.queue.push(ev)
 	}
@@ -223,22 +190,6 @@ func (e *Engine) pop() *event {
 	return nil
 }
 
-// peek returns the event pop would return next without removing it, or nil
-// when none remain. A dead bucket head is reported as-is: the caller treats
-// it as not phase-eligible, and the subsequent pop releases it.
-func (e *Engine) peek() *event {
-	if e.bucketPos < len(e.bucket) {
-		if len(e.queue) > 0 && e.queue[0].at <= e.now {
-			return e.queue[0]
-		}
-		return e.bucket[e.bucketPos]
-	}
-	if len(e.queue) > 0 {
-		return e.queue[0]
-	}
-	return nil
-}
-
 // Timer is a handle to a scheduled event that can be cancelled. Timers are
 // plain values; the zero Timer is stopped. A Timer holds a generation
 // snapshot, so handles to fired events are inert — they can never cancel
@@ -267,21 +218,7 @@ func (t *Timer) Cancel() {
 	if ev.gen != t.gen {
 		return // already fired or recycled
 	}
-	if par := eng.par; par != nil && par.inPhase {
-		eng.cancelInPhase(ev, t.gen)
-		return
-	}
 	switch {
-	case ev.inDom >= 0:
-		// Staged in a parallel-mode domain heap — possibly a domain other
-		// than the canceller's, in a future window. Removal is immediate
-		// either way; the conservative domMin cache is left stale-low,
-		// which can only force Sleep's slow path, never reorder dispatch.
-		par := eng.par
-		par.heaps[ev.inDom].removeAt(ev.idx)
-		par.staged--
-		ev.inDom = -1
-		eng.release(ev)
 	case ev.idx >= 0:
 		eng.queue.removeAt(ev.idx)
 		eng.release(ev)
@@ -295,11 +232,18 @@ func (t *Timer) Cancel() {
 // Stopped reports whether the timer was cancelled or already fired.
 func (t *Timer) Stopped() bool { return t == nil || t.ev == nil || t.ev.gen != t.gen }
 
-// At schedules fn to run at absolute virtual time t, tagged with the
-// ambient domain (the domain of the event being dispatched). Scheduling in
-// the past panics: it would silently corrupt causality.
+// At schedules fn to run at absolute virtual time t. Scheduling in the past
+// panics: it would silently corrupt causality.
 func (e *Engine) At(t float64, fn func()) Timer {
-	return e.AtDomain(e.curDom, t, fn)
+	if t < e.now {
+		panic(fmt.Sprintf("des: scheduling event at %g before now %g", t, e.now))
+	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		panic(fmt.Sprintf("des: scheduling event at non-finite time %g", t))
+	}
+	ev := e.schedule(t)
+	ev.fn = fn
+	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d seconds of virtual time from now.
@@ -308,37 +252,6 @@ func (e *Engine) After(d float64, fn func()) Timer {
 		panic(fmt.Sprintf("des: negative delay %g", d))
 	}
 	return e.At(e.now+d, fn)
-}
-
-// After schedules fn to run d seconds after the process's current time,
-// tagged with the process's home domain. Unlike Engine.After it is valid
-// from inside a parallel window phase: the event routes to the owning
-// domain's private queue (or outbox, beyond the horizon), and its callback
-// will execute on that domain's worker — so fn must touch only the
-// process's own domain, like all confined code.
-func (p *Proc) After(d float64, fn func()) Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("des: negative delay %g", d))
-	}
-	e := p.eng
-	if par := e.par; par != nil && par.inPhase {
-		// The target must itself be confined: scheduling for an unconfined
-		// process from inside a phase would create residue work below the
-		// bound the phase was carved at (mixed windows execute exactly the
-		// serial prefix before the bound, so confined code must not be able
-		// to generate serial work inside it).
-		ws := par.phaseWS(p.dom)
-		if ws == nil || !p.confined {
-			panic(par.confineViolation(p.dom, e.now+d))
-		}
-		ev := ws.schedule(ws.now+d, p.dom)
-		ev.fn = fn
-		ev.confined = true // in-phase by definition; keeps outboxed events eligible
-		return Timer{eng: e, ev: ev, gen: ev.gen}
-	}
-	t := e.atDomain(p.dom, e.now+d, fn, false)
-	t.ev.confined = p.confined
-	return t
 }
 
 // Proc is a simulated process: a body on a coroutine whose execution is
@@ -362,12 +275,8 @@ type Proc struct {
 	done        bool
 	started     bool
 
-	// dom is the process's home domain (SetDomain); its resume events
-	// stage under this domain in parallel mode. 0 = global. confined is
-	// the EnterConfined/ExitConfined declaration (parexec.go) that lets
-	// windows of this process's events execute on parallel workers.
-	dom      int32
-	confined bool
+	// bypass is a mark the engine never reads (see SetBypass).
+	bypass bool
 
 	// awaitRemaining and awaitDone back Await/AwaitAll without a fresh
 	// counter and closure per call: a process runs at most one await at a
@@ -385,25 +294,22 @@ func (p *Proc) Name() string { return p.name }
 // Engine returns the engine this process runs on.
 func (p *Proc) Engine() *Engine { return p.eng }
 
-// Now returns the current virtual time — during a parallel window phase,
-// the process's own domain clock (the engine clock is frozen at the window
-// floor while workers run).
-func (p *Proc) Now() float64 {
-	if par := p.eng.par; par != nil && par.inPhase {
-		if ws := par.phaseWS(p.dom); ws != nil {
-			return ws.now
-		}
-	}
-	return p.eng.now
-}
+// Now returns the current virtual time.
+func (p *Proc) Now() float64 { return p.eng.now }
+
+// SetBypass sets a per-process mark the engine itself never reads: the shm
+// and mpi layers consult it to charge a small copy or reduction as a plain
+// Sleep instead of a fabric flow. It lives here because shm and knem see a
+// rank only as its *Proc.
+func (p *Proc) SetBypass(on bool) { p.bypass = on }
+
+// Bypass reports the mark set by SetBypass.
+func (p *Proc) Bypass() bool { return p.bypass }
 
 // Spawn creates a process that will start executing body at the current
 // virtual time. body runs on a coroutine under the engine's cooperative
 // scheduler; when body returns the process terminates.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	if par := e.par; par != nil && par.inPhase {
-		panic("des: Spawn inside a parallel window phase")
-	}
 	p := &Proc{eng: e, id: len(e.procs), name: name, body: body}
 	p.awaitDone = func() {
 		p.awaitRemaining--
@@ -430,21 +336,14 @@ func (p *Proc) run() {
 	p.started = true
 	body(p)
 	p.done = true
-	if par := e.par; par != nil && par.inPhase {
-		// The alive counter and the global dispatch loop below are
-		// coordinator state; a process must leave its confined region
-		// (ExitConfined re-homes it through a serial window) before
-		// returning. The panic reaches Run's caller through the phase join.
-		panic("des: process " + p.name + " exited inside a parallel window phase; call ExitConfined before returning")
-	}
 	e.alive--
 	// self is nil — a finished process cannot be resumed.
 	e.dispatch(nil)
 }
 
-// switchTo runs p on its coroutine until it parks or exits. Only driver
-// loops call it (Engine.drive, wstate.run), so a coroutine is taken and
-// handed in outside any coroutine: it reaches the idle list only once its
+// switchTo runs p on its coroutine until it parks or exits. Only the driver
+// loop calls it (Engine.drive), so a coroutine is taken and handed in
+// outside any coroutine: it reaches the idle list only once its
 // switch back has completed, never while another engine could take it and
 // resume it mid-yield.
 func (p *Proc) switchTo() {
@@ -469,21 +368,7 @@ func (p *Proc) park(wakeable bool) {
 	p.parkGen++
 	p.parkedFlag = true
 	p.wakeable = wakeable
-	var kept bool
-	if par := p.eng.par; par != nil && par.inPhase {
-		// Inside a phase the baton is domain-local: the parking process
-		// dispatches its own domain's private queue, and the driver it
-		// yields to is the owning worker. Its resume may arrive from this
-		// phase or a later window.
-		ws := par.phaseWS(p.dom)
-		if ws == nil {
-			panic(par.confineViolation(p.dom, p.eng.now))
-		}
-		kept = ws.dispatch(p)
-	} else {
-		kept = p.eng.dispatch(p)
-	}
-	if !kept {
+	if !p.eng.dispatch(p) {
 		p.co.yield(struct{}{})
 	}
 	p.parkedFlag = false
@@ -494,7 +379,7 @@ func (p *Proc) park(wakeable bool) {
 // for the park generation gen. No closure, no allocation in steady state:
 // the target rides in the pooled event record itself.
 func (e *Engine) resumeEventFor(p *Proc, gen uint64, t float64) {
-	ev := e.schedule(t, p.dom)
+	ev := e.schedule(t)
 	ev.proc = p
 	ev.parkGen = gen
 }
@@ -514,36 +399,18 @@ func (e *Engine) resumeEventFor(p *Proc, gen uint64, t float64) {
 // violation falls through to the slow path so Run can surface the error.
 // No wake can target a running process (wakes on a running process only
 // latch pendingWake), so skipping the park cannot drop a resume.
-//
-// In parallel mode the staged heaps are part of "the queue": the fast path
-// additionally requires every staged event to lie strictly after t. The
-// cached staged minimum is conservative (it can be stale-low after a
-// cancel), which at worst forces the slow path — and the slow path is
-// observationally identical (one sequence number, one processed event, same
-// clock) whenever the resume is the global minimum, so a spurious slow trip
-// cannot perturb the event log.
 func (p *Proc) Sleep(d float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("des: negative sleep %g", d))
 	}
 	e := p.eng
-	if par := e.par; par != nil && par.inPhase {
-		ws := par.phaseWS(p.dom)
-		if ws == nil {
-			panic(par.confineViolation(p.dom, e.now))
-		}
-		ws.sleep(p, d)
-		return
-	}
 	t := e.now + d
 	if e.bucketPos == len(e.bucket) &&
 		(len(e.queue) == 0 || e.queue[0].at > t) &&
-		(e.par == nil || e.par.domMin > t) &&
 		!(e.MaxTime > 0 && t > e.MaxTime) {
 		e.seq++
 		e.processed++
 		e.now = t
-		e.curDom = p.dom
 		return
 	}
 	e.resumeEventFor(p, p.parkGen+1, t)
@@ -568,27 +435,6 @@ func (p *Proc) Park() {
 // (another process's body or an event callback), never from outside Run.
 func (p *Proc) Wake() {
 	if p.done || p.pendingWake {
-		return
-	}
-	if par := p.eng.par; par != nil && par.inPhase {
-		// A wake issued from worker context must target a confined process
-		// of a phase domain (in practice: the waker's own — confined code
-		// only wakes node-local peers); anything else couples domains. The
-		// confinement check is what makes mixed windows sound: waking an
-		// unconfined process would create residue below the phase bound.
-		ws := par.phaseWS(p.dom)
-		if ws == nil || !p.confined {
-			panic(par.confineViolation(p.dom, p.eng.now))
-		}
-		if s := p.eng.san; s != nil {
-			if cur := ws.current; cur != nil && cur != p {
-				s.SyncEdge(cur.id, p.id)
-			}
-		}
-		p.pendingWake = true
-		if p.parkedFlag && p.wakeable {
-			ws.resumeEventFor(p, p.parkGen, ws.now)
-		}
 		return
 	}
 	if s := p.eng.san; s != nil {
@@ -629,9 +475,6 @@ func (e *Engine) Run() error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	if ce := e.checkLookahead(); ce != nil {
-		return ce
-	}
 	e.runErr = nil
 	e.drive()
 	if e.runErr != nil {
@@ -653,24 +496,14 @@ func (e *Engine) Run() error {
 // drive is the driver loop, on Run's goroutine. The engine has no scheduler
 // of its own — whoever blocks or exits runs the dispatch loop — so the driver
 // dispatches only until the first process starts, and from then on does what
-// a dispatch loop on a coroutine cannot: switch into the process it selected,
-// or execute the window phase it carved (a worker may have to resume the very
-// process that carved it). It returns when a dispatch loop ends the run.
+// a dispatch loop on a coroutine cannot: switch into the process it selected.
+// It returns when a dispatch loop ends the run.
 func (e *Engine) drive() {
 	e.dispatch(nil)
-	for {
-		switch {
-		case e.next != nil:
-			p := e.next
-			e.next = nil
-			p.switchTo()
-		case e.phaseDue:
-			e.phaseDue = false
-			e.runPhase(e.par.activeScratch)
-			e.dispatch(nil)
-		default:
-			return
-		}
+	for e.next != nil {
+		p := e.next
+		e.next = nil
+		p.switchTo()
 	}
 }
 
@@ -678,38 +511,12 @@ func (e *Engine) drive() {
 // process parking on this call (nil for the driver and for exiting
 // processes). It returns true when self's own resume event was the next
 // dispatch: the caller just keeps running. Otherwise it returns false, having
-// left the driver its instruction — Engine.next, Engine.phaseDue, or neither
-// at end of run — and a caller on a coroutine must yield.
+// left the driver its instruction — Engine.next, nil at end of run — and a
+// caller on a coroutine must yield.
 func (e *Engine) dispatch(self *Proc) bool {
 	for {
-		// Mixed-window census: when armed and the next dispatch would be a
-		// confined event, try to carve the remaining window population into
-		// per-domain phase sets below the residue bound. The census makes
-		// progress either way — success dispatches at least the peeked event
-		// inside the phase (an eligible global minimum is always below the
-		// bound), failure disarms until a residue dispatch re-arms.
-		if par := e.par; par != nil && par.censusArmed {
-			if nxt := e.peek(); nxt != nil && phaseEvent(nxt) {
-				par.censusArmed = false
-				if e.censusFromQueue() {
-					e.phaseDue = true
-					return false
-				}
-			}
-		}
 		ev := e.pop()
 		if ev == nil {
-			// Parallel mode: a drained run queue is the window barrier.
-			// Open the next window if anything is staged, then resume.
-			if e.par != nil {
-				switch e.advanceWindow() {
-				case windowAdvanced:
-					continue
-				case windowPhase:
-					e.phaseDue = true
-					return false
-				}
-			}
 			return false
 		}
 		if ev.dead() {
@@ -726,20 +533,11 @@ func (e *Engine) dispatch(self *Proc) bool {
 			return false
 		}
 		e.processed++
-		// A residue (non-confined) dispatch re-arms the census: executing
-		// it can change the population's classification — raise the bound,
-		// wake confined processes — so the next confined head is worth a
-		// fresh census. Confined events dispatched serially (census failed)
-		// change nothing a failed census didn't already see.
-		if par := e.par; par != nil && par.censusOK && !par.censusArmed && !phaseEvent(ev) {
-			par.censusArmed = true
-		}
 		if p := ev.proc; p != nil {
 			gen := ev.parkGen
 			e.release(ev)
 			if !p.done && p.parkedFlag && p.parkGen == gen {
 				e.current = p
-				e.curDom = p.dom
 				if p == self {
 					return true
 				}
@@ -749,7 +547,6 @@ func (e *Engine) dispatch(self *Proc) bool {
 			continue
 		}
 		fn := ev.fn
-		e.curDom = ev.dom
 		e.release(ev)
 		// No process is executing during a callback; clear current so
 		// Wake's sanitizer edge cannot attribute the wake to whichever
@@ -781,12 +578,6 @@ func (e *Engine) Reset() {
 	e.procs = e.procs[:0]
 	e.current = nil
 	e.runErr = nil
-	e.curDom = 0
-	// Mode and partition survive Reset — a reset world replays in the
-	// mode it was left in — but the window state re-derives from scratch.
-	if e.par != nil {
-		e.initParallel()
-	}
 }
 
 // drainPending routes every still-queued event — leftovers after a MaxTime
@@ -807,30 +598,11 @@ func (e *Engine) drainPending() {
 	e.bucket = e.bucket[:0]
 	e.bucketPos = 0
 	e.bucketLive = 0
-	if p := e.par; p != nil && p.staged > 0 {
-		for di := range p.heaps {
-			h := &p.heaps[di]
-			for len(*h) > 0 {
-				ev := h.popMin()
-				ev.inDom = -1
-				e.release(ev)
-			}
-		}
-		p.staged = 0
-		p.domMin = math.Inf(1)
-	}
 }
 
-// Pending returns the number of events currently scheduled, including any
-// staged in parallel-mode domain heaps. Cancelled timers are removed
-// (heap) or marked dead (bucket) eagerly and do not count.
-func (e *Engine) Pending() int {
-	n := len(e.queue) + e.bucketLive
-	if e.par != nil {
-		n += e.par.staged
-	}
-	return n
-}
+// Pending returns the number of events currently scheduled. Cancelled timers
+// are removed (heap) or marked dead (bucket) eagerly and do not count.
+func (e *Engine) Pending() int { return len(e.queue) + e.bucketLive }
 
 // Processed returns the number of events dispatched so far — the raw event
 // throughput measure the fabric benchmarks report as events/sec.

@@ -18,8 +18,8 @@ import (
 //
 // The hierflow marker makes each component a confinement domain: the
 // confine analyzer proves no state leaks between components outside the
-// //hierflow:sync membership APIs — the static precondition for giving
-// every component its own event queue under conservative PDES.
+// //hierflow:sync membership APIs, which is what lets fill be a pure
+// function of one component's membership.
 //
 //hierflow:component
 type component struct {
@@ -34,38 +34,10 @@ type component struct {
 	dirtyFlag bool // queued for recompute at the next sync
 	splitFlag bool // membership may have fragmented (a flow left)
 	dead      bool // absorbed or destroyed; skip if found in the dirty queue
-
-	// dom folds the member resources' PDES domains: -1 while no resource
-	// joined, the common domain while all members agree, 0 (global) once
-	// the component spans domains. Tags the completion timer so it stages
-	// under the right per-domain queue in parallel mode.
-	dom int32
-}
-
-// mergeDom folds two domain tags: unset adopts the other side, agreement
-// keeps the domain, conflict collapses to the global domain 0.
-func mergeDom(a, b int32) int32 {
-	switch {
-	case a < 0:
-		return b
-	case b < 0 || a == b:
-		return a
-	default:
-		return 0
-	}
-}
-
-// domTag is the component's domain for event tagging: the folded domain,
-// or the global domain while unset (e.g. a pathless, rate-capped flow).
-func (c *component) domTag() int32 {
-	if c.dom < 0 {
-		return 0
-	}
-	return c.dom
 }
 
 func (n *Net) newComponent() *component {
-	c := &component{id: n.nextCompID, cpos: len(n.comps), dom: -1}
+	c := &component{id: n.nextCompID, cpos: len(n.comps)}
 	n.nextCompID++
 	n.comps = append(n.comps, c)
 	if len(n.comps) > n.stats.PeakComponents {
@@ -130,7 +102,6 @@ func (n *Net) attach(f *Flow) {
 			r.ridx = len(target.res)
 			r.since = now
 			target.res = append(target.res, r)
-			target.dom = mergeDom(target.dom, r.dom)
 		}
 	}
 	f.comp = target
@@ -144,8 +115,6 @@ func (n *Net) attach(f *Flow) {
 //hierflow:sync designated membership transfer: the merge retargets every flow and resource of b onto a and kills b, under the engine's single-threaded sync — the one place cross-component stores are the point
 func (n *Net) absorb(a, b *component) {
 	n.stats.Merges++
-	n.epoch++
-	a.dom = mergeDom(a.dom, b.dom)
 	for _, f := range b.flows {
 		f.comp = a
 		f.cidx = len(a.flows)
@@ -204,6 +173,28 @@ func (n *Net) destroyComponent(c *component) {
 	c.flows = nil
 	c.timer.Cancel()
 	n.removeComp(c)
+}
+
+// recomputeComponent re-derives a dirty component's membership (when a
+// removal may have fragmented it) and re-runs progressive filling.
+func (n *Net) recomputeComponent(c *component) {
+	c.dirtyFlag = false
+	if len(c.flows) == 0 {
+		n.destroyComponent(c)
+		return
+	}
+	if c.splitFlag {
+		c.splitFlag = false
+		if parts := n.repartition(c); parts != nil {
+			for _, p := range parts {
+				n.fill(p)
+				n.scheduleCompletion(p)
+			}
+			return
+		}
+	}
+	n.fill(c)
+	n.scheduleCompletion(c)
 }
 
 // repartition re-derives the connected components of c's membership with a
@@ -278,7 +269,6 @@ func (n *Net) repartition(c *component) []*component {
 	}
 
 	n.stats.Splits++
-	n.epoch++
 	type grp struct {
 		flows []*Flow
 		res   []*Resource
@@ -314,9 +304,6 @@ func (n *Net) repartition(c *component) []*component {
 		}
 		p.flows = g.flows
 		p.res = g.res
-		// Re-fold the part's domain from scratch: a split may leave a
-		// formerly cross-domain component entirely inside one domain.
-		p.dom = -1
 		for i, f := range g.flows {
 			f.comp = p
 			f.cidx = i
@@ -324,7 +311,6 @@ func (n *Net) repartition(c *component) []*component {
 		for i, r := range g.res {
 			r.comp = p
 			r.ridx = i
-			p.dom = mergeDom(p.dom, r.dom)
 		}
 		parts = append(parts, p)
 	}
@@ -332,22 +318,14 @@ func (n *Net) repartition(c *component) []*component {
 }
 
 // fill assigns max-min fair rates to the component's flows by progressive
-// filling; see fillInto.
-func (n *Net) fill(c *component) { n.fillInto(c, &n.stats) }
-
-// fillInto is the progressive-filling pass: raise every unfrozen flow's
-// rate uniformly until a flow hits its cap or a resource saturates; freeze
-// those and repeat. The result is a pure function of the component's
-// membership: every step is a min over a set or an independent per-element
-// update, so iteration order cannot change the outcome — the property the
-// incremental/global equivalence rests on. It touches only c's own flows
-// and resources, so the phased sync can fill disjoint components on
-// concurrent workers; st receives the work counters (the worker's private
-// struct in that case, merged afterwards — the counters are sums, so the
-// totals come out identical to a serial pass).
-func (n *Net) fillInto(c *component, st *RecomputeStats) {
+// filling: raise every unfrozen flow's rate uniformly until a flow hits its
+// cap or a resource saturates; freeze those and repeat. The result is a pure
+// function of the component's membership: every step is a min over a set or
+// an independent per-element update, so iteration order cannot change the
+// outcome — the property the incremental/global equivalence rests on.
+func (n *Net) fill(c *component) {
 	now := n.eng.Now()
-	st.Fills++
+	n.stats.Fills++
 	for _, r := range c.res {
 		r.integrate(now)
 		r.resid = r.Capacity
@@ -360,14 +338,14 @@ func (n *Net) fillInto(c *component, st *RecomputeStats) {
 			r.wsum++
 		}
 	}
-	st.ResourceVisits += uint64(len(c.res))
-	st.FlowVisits += uint64(len(c.flows))
+	n.stats.ResourceVisits += uint64(len(c.res))
+	n.stats.FlowVisits += uint64(len(c.flows))
 
 	unfrozen := len(c.flows)
 	level := 0.0
 	const relEps = 1e-9
 	for unfrozen > 0 {
-		st.Rounds++
+		n.stats.Rounds++
 		delta := math.Inf(1)
 		for _, r := range c.res {
 			if r.wsum > relEps {
@@ -376,7 +354,7 @@ func (n *Net) fillInto(c *component, st *RecomputeStats) {
 				}
 			}
 		}
-		st.ResourceVisits += uint64(len(c.res))
+		n.stats.ResourceVisits += uint64(len(c.res))
 		for _, f := range c.flows {
 			if !f.frozen && f.RateCap > 0 {
 				if d := f.RateCap - level; d < delta {
@@ -384,7 +362,7 @@ func (n *Net) fillInto(c *component, st *RecomputeStats) {
 				}
 			}
 		}
-		st.FlowVisits += uint64(len(c.flows))
+		n.stats.FlowVisits += uint64(len(c.flows))
 		if math.IsInf(delta, 1) {
 			// Flows with no constraining resource and no cap; unreachable
 			// given Start's validation, but guard anyway.
@@ -403,7 +381,7 @@ func (n *Net) fillInto(c *component, st *RecomputeStats) {
 		for _, r := range c.res {
 			r.resid -= delta * r.wsum
 		}
-		st.ResourceVisits += uint64(len(c.res))
+		n.stats.ResourceVisits += uint64(len(c.res))
 
 		frozeAny := false
 		for _, f := range c.flows {

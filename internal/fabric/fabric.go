@@ -86,20 +86,7 @@ type Resource struct {
 	resid float64
 	wsum  float64
 	uf    int32 // union-find scratch for component splitting
-
-	// dom is the PDES domain this resource belongs to (its topology
-	// node; 0 = global, e.g. a switch backplane). Components fold member
-	// resources' domains to tag their completion timers; a component
-	// spanning several domains collapses to the global domain. Set once
-	// at build time, so it survives Reset.
-	dom int32
 }
-
-// SetDomain assigns the resource's PDES domain (0 = global).
-func (r *Resource) SetDomain(d int32) { r.dom = d }
-
-// Domain returns the resource's PDES domain.
-func (r *Resource) Domain() int32 { return r.dom }
 
 // Load returns the resource's current aggregate consumption in bytes/s.
 func (r *Resource) Load() float64 { return r.load }
@@ -158,14 +145,8 @@ type Flow struct {
 	// points: no caller can retain a handle to them, so the record returns
 	// to the Net's free list at completion. installFn is built once per
 	// record lifetime and survives recycling, so steady-state flow startup
-	// allocates nothing. shard pins the record to the free-list shard it
-	// was drawn from: alloc and recycle often run under different ambient
-	// domains (StartAfter fires under the sender's event, completion under
-	// the fabric's shared timer), and releasing to the ambient shard would
-	// migrate records between shards until every shard minted its own
-	// working set.
+	// allocates nothing.
 	pooled    bool
-	shard     uint32
 	installFn func()
 
 	// pathBuf backs Path for StartAfterPath2 flows, so the ubiquitous
@@ -233,24 +214,11 @@ type Net struct {
 	stats         RecomputeStats
 	shadow        func(format string, args ...any)
 
-	// flowShards is the recycled pooled-record free list (see Flow.pooled),
-	// sharded by ambient engine domain so concurrent dispatch contexts never
-	// contend on a single head; each shard's slice header sits on its own
-	// cache line. Shard choice only decides which dead record a StartAfter
-	// reuses — flow IDs are assigned at install — so it never shows in the
-	// event log.
-	flowShards [nFlowShards]flowShard
-	finScr     []*Flow // onCompletionTimer scratch, reused across firings
-
-	// epoch counts component-structure changes (merges and splits): the
-	// engine's parallel mode re-derives its lookahead whenever the epoch
-	// moves, since a merge or split may change which links cross domains.
-	epoch uint64
-
-	// Phase-B scratch for the phased sync: components awaiting fill, and
-	// per-worker stats for the parallel fill (see parfill.go).
-	fillScr     []*component
-	fillStatScr []RecomputeStats
+	// flowPool is the recycled pooled-record free list (see Flow.pooled).
+	// Which dead record a StartAfter reuses never shows in the event log:
+	// flow IDs are assigned at install.
+	flowPool []*Flow
+	finScr   []*Flow // onCompletionTimer scratch, reused across firings
 
 	// san, when non-nil, tracks pooled flow records (hiersan). Nil-guarded
 	// at every hook so the disabled hot path stays allocation-free.
@@ -304,11 +272,6 @@ func (n *Net) Stats() RecomputeStats {
 // Components returns the number of currently active flow components.
 func (n *Net) Components() int { return len(n.comps) }
 
-// Epoch returns the component-structure epoch: it advances on every
-// component merge and split, signalling the engine's conservative parallel
-// mode to re-derive its lookahead.
-func (n *Net) Epoch() uint64 { return n.epoch }
-
 // Reset returns the fabric to its pristine post-NewNet state while keeping
 // the expensive arenas warm: the resource set itself, the flow free list and
 // the completion scratch survive, so a reused fabric allocates nothing on
@@ -327,7 +290,6 @@ func (n *Net) Reset() {
 	n.nextCompID = 0
 	n.syncScheduled = false
 	n.stats = RecomputeStats{}
-	n.epoch = 0
 	for _, r := range n.resources {
 		r.load = 0
 		r.since = 0
@@ -448,7 +410,7 @@ func (n *Net) install(f *Flow) {
 			n.recycleFlow(f)
 		}
 		if cb != nil {
-			n.eng.AtShared(n.eng.Now(), cb)
+			n.eng.At(n.eng.Now(), cb)
 		}
 		return
 	}
@@ -456,38 +418,17 @@ func (n *Net) install(f *Flow) {
 	n.requestSync()
 }
 
-// nFlowShards is the shard count of the flow free list; a power of two so
-// the domain-keyed index is a mask.
-const nFlowShards = 8
-
-// flowShard is one free-list head, padded to a cache line so adjacent
-// shards never false-share.
-type flowShard struct {
-	free []*Flow
-	_    [64 - 24]byte
-}
-
-// poolShard maps the ambient engine domain to a free-list shard. The key is
-// part of the deterministic engine state, so replays reuse records in the
-// same order.
-func (n *Net) poolShard() uint32 {
-	return uint32(n.eng.CurDomain()) & (nFlowShards - 1)
-}
-
 // allocFlow pops a recycled record or mints a pooled one. Pooled records are
 // only reachable through the void-returning StartAfter entry points, so no
-// caller can hold a reference past completion. The record remembers its
-// shard so recycleFlow returns it where it came from (see Flow.shard).
+// caller can hold a reference past completion.
 func (n *Net) allocFlow() *Flow {
 	var f *Flow
-	idx := n.poolShard()
-	sh := &n.flowShards[idx]
-	if k := len(sh.free) - 1; k >= 0 {
-		f = sh.free[k]
-		sh.free[k] = nil
-		sh.free = sh.free[:k]
+	if k := len(n.flowPool) - 1; k >= 0 {
+		f = n.flowPool[k]
+		n.flowPool[k] = nil
+		n.flowPool = n.flowPool[:k]
 	} else {
-		f = &Flow{owner: n, cidx: -1, pooled: true, shard: idx}
+		f = &Flow{owner: n, cidx: -1, pooled: true}
 		f.installFn = func() { n.install(f) }
 	}
 	if n.san != nil {
@@ -516,8 +457,7 @@ func (n *Net) recycleFlow(f *Flow) {
 	f.frozen = false
 	f.completed = false
 	f.aborted = false
-	sh := &n.flowShards[f.shard]
-	sh.free = append(sh.free, f)
+	n.flowPool = append(n.flowPool, f)
 }
 
 // StartAfter installs the flow after a fixed latency (e.g. a message's wire
@@ -541,7 +481,7 @@ func (n *Net) StartAfterClassed(class string, delay, size, rateCap float64, path
 		n.install(f)
 		return
 	}
-	n.eng.AfterShared(delay, f.installFn)
+	n.eng.After(delay, f.installFn)
 }
 
 // StartAfterPath2 is StartAfterClassed specialized to the two-resource path
@@ -561,7 +501,7 @@ func (n *Net) StartAfterPath2(class string, delay, size, rateCap float64, r1, r2
 		n.install(f)
 		return
 	}
-	n.eng.AfterShared(delay, f.installFn)
+	n.eng.After(delay, f.installFn)
 }
 
 // Abort removes an in-flight flow without firing OnComplete.
@@ -613,22 +553,11 @@ func (n *Net) requestSync() {
 		return
 	}
 	n.syncScheduled = true
-	n.eng.AtShared(n.eng.Now(), n.syncFn)
+	n.eng.At(n.eng.Now(), n.syncFn)
 }
 
 // sync recomputes every dirty component (all of them in ModeGlobal), then
 // runs the shadow cross-check when enabled.
-//
-// The pass is phased so the expensive part can fan out: (A) membership —
-// destroy empty components and re-partition fragmented ones, serially,
-// collecting the components that need a refill; (B) fill — progressive
-// filling of each collected component, in parallel when the engine runs in
-// parallel mode and enough components queued up (filling is a pure
-// per-component function touching only that component's flows and
-// resources, the confinement the confine analyzer proves); (C) completion
-// timers, serially in collection order. Only phase C schedules events, and
-// its order matches the old fused per-component loop, so the phased pass
-// consumes the exact same sequence numbers — the event log is unchanged.
 func (n *Net) sync() {
 	n.stats.Syncs++
 	if n.mode == ModeGlobal {
@@ -637,42 +566,17 @@ func (n *Net) sync() {
 			n.markDirty(c)
 		}
 	}
-	fills := n.fillScr[:0]
 	for i := 0; i < len(n.dirty); i++ {
 		c := n.dirty[i]
 		if c.dead || !c.dirtyFlag {
 			continue
 		}
-		c.dirtyFlag = false
-		if len(c.flows) == 0 {
-			n.destroyComponent(c)
-			continue
-		}
-		if c.splitFlag {
-			c.splitFlag = false
-			if parts := n.repartition(c); parts != nil {
-				fills = append(fills, parts...)
-				continue
-			}
-		}
-		fills = append(fills, c)
+		n.recomputeComponent(c)
 	}
 	for i := range n.dirty {
 		n.dirty[i] = nil
 	}
 	n.dirty = n.dirty[:0]
-	if n.eng.Mode() == des.ModeParallel && len(fills) >= parFillMin {
-		n.fillParallel(fills)
-	} else {
-		for _, c := range fills {
-			n.fill(c)
-		}
-	}
-	for i, c := range fills {
-		n.scheduleCompletion(c)
-		fills[i] = nil
-	}
-	n.fillScr = fills[:0]
 	if n.shadow != nil {
 		n.runShadow()
 	}
@@ -749,7 +653,7 @@ func (n *Net) scheduleCompletion(c *component) {
 		next = now
 	}
 	c.timerAt = next
-	c.timer = n.eng.AtDomainShared(c.domTag(), next, func() { n.onCompletionTimer(c) })
+	c.timer = n.eng.At(next, func() { n.onCompletionTimer(c) })
 }
 
 func sortFlows(fs []*Flow) {

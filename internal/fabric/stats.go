@@ -21,15 +21,6 @@ type RecomputeStats struct {
 	PeakComponents int    // high-water mark of concurrent components
 }
 
-// addFill merges the fill-phase counters a worker accumulated privately
-// during a parallel fill. Only the counters fillInto touches are summed.
-func (s *RecomputeStats) addFill(o *RecomputeStats) {
-	s.Fills += o.Fills
-	s.Rounds += o.Rounds
-	s.ResourceVisits += o.ResourceVisits
-	s.FlowVisits += o.FlowVisits
-}
-
 func (s RecomputeStats) String() string {
 	return fmt.Sprintf(
 		"syncs=%d fills=%d rounds=%d res-visits=%d flow-visits=%d merges=%d splits=%d repartitions=%d completions=%d comps=%d peak=%d",

@@ -36,12 +36,11 @@ import (
 	"time"
 
 	"hierknem/internal/lint/flow"
-	"hierknem/internal/phasesafe"
 )
 
 // cacheSchema versions the cache entry layout; bump on incompatible change.
-// 2: FactSet carries phasesafe RegionFacts.
-const cacheSchema = 2
+// 3: FactSet carries only the vtmono/confine/atomicfield summaries.
+const cacheSchema = 3
 
 // Options configures one Analyze run.
 type Options struct {
@@ -51,14 +50,6 @@ type Options struct {
 	Analyzers []*Analyzer // default: the full registry
 	CacheDir  string      // "" disables the result cache
 	Workers   int         // <=0: GOMAXPROCS, capped at 8
-
-	// ManifestPath, when non-empty and the run includes the phasesafe
-	// analyzer, asks Analyze to serialize the proved node-phase regions
-	// into a guard-elision manifest at that path. The manifest is written
-	// only when phasesafe reports nothing: a tree with confinement
-	// findings has no proof to hand the runtime. Cached units contribute
-	// their regions too — RegionFacts ride the cached fact sets.
-	ManifestPath string
 }
 
 // UnitStat is one package's cost line for the -json timing output.
@@ -230,82 +221,7 @@ func Analyze(opts Options) ([]Diagnostic, *Stats, error) {
 		}
 	}
 	SortDiagnostics(all)
-
-	if opts.ManifestPath != "" {
-		if err := emitManifest(opts, mod, as, order, all); err != nil {
-			return nil, nil, err
-		}
-	}
 	return all, stats, nil
-}
-
-// pinnedManifestSources is the runtime guard surface the phasesafe proof
-// reasons about beyond the region files themselves: the confinement guards
-// being elided, the point-to-point and communicator layers that feed them,
-// and the shared-memory cutoff constant. Editing any of these invalidates
-// the proof even if no proved region moved.
-var pinnedManifestSources = []string{
-	"internal/mpi/comm.go",
-	"internal/mpi/confine.go",
-	"internal/mpi/p2p.go",
-	"internal/shm/shm.go",
-}
-
-// emitManifest assembles the guard-elision manifest from the proved regions
-// every unit's fact set carries. No-op (without touching an existing
-// manifest) when phasesafe was not part of the run or reported findings.
-func emitManifest(opts Options, mod string, as []*Analyzer, order []*unitState, all []Diagnostic) error {
-	ran := false
-	for _, a := range as {
-		if a.Name == PhasesafeAnalyzer.Name {
-			ran = true
-		}
-	}
-	if !ran {
-		return nil
-	}
-	for _, d := range all {
-		if d.Analyzer == PhasesafeAnalyzer.Name {
-			return nil // findings mean there is no whole-tree proof to emit
-		}
-	}
-	root, err := filepath.Abs(opts.Dir)
-	if err != nil {
-		return err
-	}
-	m := &phasesafe.Manifest{
-		Schema:   phasesafe.Schema,
-		Module:   mod,
-		MinEager: flow.ConfineCutoff,
-		Cutoff:   flow.ConfineCutoff,
-		Sources:  map[string]string{},
-	}
-	files := append([]string(nil), pinnedManifestSources...)
-	for _, u := range order {
-		if u.own == nil {
-			continue
-		}
-		for _, r := range u.own.Regions {
-			rel, err := filepath.Rel(root, r.File)
-			if err != nil || filepath.IsAbs(rel) {
-				rel = r.File // outside the module: record as-is
-			}
-			rel = filepath.ToSlash(rel)
-			m.Regions = append(m.Regions, phasesafe.Region{Func: r.Func, File: rel, Line: r.Line})
-			files = append(files, rel)
-		}
-	}
-	for _, f := range files {
-		if _, ok := m.Sources[f]; ok {
-			continue
-		}
-		sum, err := phasesafe.HashFile(filepath.Join(root, filepath.FromSlash(f)))
-		if err != nil {
-			return fmt.Errorf("manifest source %s: %v", f, err)
-		}
-		m.Sources[f] = sum
-	}
-	return m.Write(opts.ManifestPath)
 }
 
 // unitDeps returns the unit's base-variant imports. Facts flow along base

@@ -29,43 +29,6 @@ type Fact struct {
 	CrossStores [][2]int `json:"crossStores,omitempty"`
 	// SyncAPI: designated cross-component sync API (//hierflow:sync).
 	SyncAPI bool `json:"syncAPI,omitempty"`
-
-	// ---- phasesafe confinement summary (see lint/phasesafe.go) ----
-	//
-	// The May* bits say a call can violate node-phase confinement no
-	// matter what the caller proves about its arguments; the Confine*
-	// index sets are the residual obligations a call site must discharge
-	// (every listed communicator proved intra-node, every listed size
-	// proved under the eager/fabric cutoff) for the call to be safe
-	// inside an EnterNodePhase/ExitNodePhase region.
-
-	// MayCrossNodeSend: a send or receive can reach a communicator the
-	// caller cannot prove intra-node.
-	MayCrossNodeSend bool `json:"mayCrossNodeSend,omitempty"`
-	// MayWildcardRecvMultiNode: a wildcard (AnySource) receive can be
-	// posted on a communicator not proved intra-node.
-	MayWildcardRecvMultiNode bool `json:"mayWildcardRecvMultiNode,omitempty"`
-	// MaySplit: can call (*mpi.Comm).Split (forbidden inside a phase).
-	MaySplit bool `json:"maySplit,omitempty"`
-	// MayFabricTouch: can start a fabric flow directly.
-	MayFabricTouch bool `json:"mayFabricTouch,omitempty"`
-	// MaySendSizeUnbounded: a guarded size reaches a value the caller
-	// cannot bound under the eager threshold / fabric bypass cutoff.
-	MaySendSizeUnbounded bool `json:"maySendSizeUnbounded,omitempty"`
-	// ConfineComms: parameter indices (receiver = -1) that must be
-	// intra-node communicators for the function to stay node-confined.
-	ConfineComms []int `json:"confineComms,omitempty"`
-	// ConfineSizes: parameter indices whose size quantity (the value of
-	// an int parameter, the Len of a buffer parameter) must stay under
-	// the eager/fabric cutoff.
-	ConfineSizes []int `json:"confineSizes,omitempty"`
-	// WildcardParams: source-rank parameter indices where AnySource
-	// selects a wildcard receive (flavor of the report when the
-	// corresponding communicator is unproven).
-	WildcardParams []int `json:"wildcardParams,omitempty"`
-	// BufLen: for a function returning a buffer, the parameter index
-	// whose value is the returned buffer's length (singleton).
-	BufLen []int `json:"bufLen,omitempty"`
 }
 
 func intsEqual(a, b []int) bool {
@@ -82,25 +45,13 @@ func intsEqual(a, b []int) bool {
 
 func (f Fact) empty() bool {
 	return !f.Yields && !f.SyncAPI &&
-		len(f.NowResults) == 0 && len(f.TimeSinkParams) == 0 && len(f.CrossStores) == 0 &&
-		!f.MayCrossNodeSend && !f.MayWildcardRecvMultiNode && !f.MaySplit &&
-		!f.MayFabricTouch && !f.MaySendSizeUnbounded &&
-		len(f.ConfineComms) == 0 && len(f.ConfineSizes) == 0 &&
-		len(f.WildcardParams) == 0 && len(f.BufLen) == 0
+		len(f.NowResults) == 0 && len(f.TimeSinkParams) == 0 && len(f.CrossStores) == 0
 }
 
 func (f Fact) equal(g Fact) bool {
 	if f.Yields != g.Yields || f.SyncAPI != g.SyncAPI ||
-		f.MayCrossNodeSend != g.MayCrossNodeSend ||
-		f.MayWildcardRecvMultiNode != g.MayWildcardRecvMultiNode ||
-		f.MaySplit != g.MaySplit || f.MayFabricTouch != g.MayFabricTouch ||
-		f.MaySendSizeUnbounded != g.MaySendSizeUnbounded ||
 		!intsEqual(f.NowResults, g.NowResults) ||
 		!intsEqual(f.TimeSinkParams, g.TimeSinkParams) ||
-		!intsEqual(f.ConfineComms, g.ConfineComms) ||
-		!intsEqual(f.ConfineSizes, g.ConfineSizes) ||
-		!intsEqual(f.WildcardParams, g.WildcardParams) ||
-		!intsEqual(f.BufLen, g.BufLen) ||
 		len(f.CrossStores) != len(g.CrossStores) {
 		return false
 	}
@@ -119,19 +70,6 @@ func (f Fact) equal(g Fact) bool {
 type FactSet struct {
 	Funcs         map[string]Fact `json:"funcs,omitempty"`
 	ConfinedTypes map[string]bool `json:"confinedTypes,omitempty"`
-	// Regions are the EnterNodePhase/ExitNodePhase regions the phasesafe
-	// analyzer proved confinement-safe in this package, recorded so proofs
-	// ride the driver's fact cache and feed the runtime guard manifest.
-	Regions []RegionFact `json:"regions,omitempty"`
-}
-
-// RegionFact is one proved node-phase region: the containing function in
-// runtime name format (e.g. "hierknem/internal/core.(*Module).Bcast"), the
-// source file, and the EnterNodePhase line.
-type RegionFact struct {
-	Func string `json:"func"`
-	File string `json:"file"`
-	Line int    `json:"line"`
 }
 
 // NewFactSet returns an empty fact set.
@@ -150,7 +88,6 @@ func (fs *FactSet) Merge(other *FactSet) {
 	for k, v := range other.ConfinedTypes {
 		fs.ConfinedTypes[k] = v
 	}
-	fs.Regions = append(fs.Regions, other.Regions...)
 }
 
 // Hash returns a content hash of the fact set's canonical JSON encoding.
@@ -190,10 +127,7 @@ var baseFacts = map[string]Fact{
 func FuncID(fn *types.Func) string { return fn.FullName() }
 
 // FactFor returns the merged fact for fn: this package's computed facts,
-// then imported facts, then the base table — with the confinement axiom
-// table overlaid last, because the axioms model runtime guard semantics
-// (path-sensitive branches like shm.Copy's fabric fallback) that the
-// derivation cannot see.
+// then imported facts, then the base table.
 func (in *Info) FactFor(fn *types.Func) Fact {
 	if fn == nil {
 		return Fact{}
@@ -209,25 +143,7 @@ func (in *Info) FactFor(fn *types.Func) Fact {
 	if !found {
 		f = baseFacts[id]
 	}
-	if ax, ok := confineAxioms[id]; ok {
-		f.overlayConfine(ax)
-	}
 	return f
-}
-
-// overlayConfine replaces f's confinement summary with ax's, leaving the
-// vtmono/confine/atomicfield fields alone. Axioms fully specify a
-// function's confinement behavior, so the overlay is wholesale.
-func (f *Fact) overlayConfine(ax Fact) {
-	f.MayCrossNodeSend = ax.MayCrossNodeSend
-	f.MayWildcardRecvMultiNode = ax.MayWildcardRecvMultiNode
-	f.MaySplit = ax.MaySplit
-	f.MayFabricTouch = ax.MayFabricTouch
-	f.MaySendSizeUnbounded = ax.MaySendSizeUnbounded
-	f.ConfineComms = ax.ConfineComms
-	f.ConfineSizes = ax.ConfineSizes
-	f.WildcardParams = ax.WildcardParams
-	f.BufLen = ax.BufLen
 }
 
 // computeFacts iterates the per-function summaries to a fixed point. The
@@ -413,6 +329,5 @@ func (fi *FuncInfo) computeFact() Fact {
 		return f.CrossStores[i][1] < f.CrossStores[j][1]
 	})
 
-	fi.confineFact(&f)
 	return f
 }

@@ -49,7 +49,6 @@ type Info struct {
 	TypesInfo *types.Info
 
 	Funcs []*FuncInfo // declaration order
-	byObj map[*types.Func]*FuncInfo
 
 	Markers  Markers
 	Imported *FactSet // dependency facts; may be nil
@@ -92,7 +91,6 @@ func Build(pkgPath string, fset *token.FileSet, files []*ast.File, tpkg *types.P
 		Files:     files,
 		Types:     tpkg,
 		TypesInfo: tinfo,
-		byObj:     map[*types.Func]*FuncInfo{},
 		Imported:  imported,
 	}
 	in.Markers = scanMarkers(fset, files, tinfo)
@@ -108,15 +106,11 @@ func Build(pkgPath string, fset *token.FileSet, files []*ast.File, tpkg *types.P
 			}
 			fi := buildFunc(in, fd, obj)
 			in.Funcs = append(in.Funcs, fi)
-			in.byObj[obj] = fi
 		}
 	}
 	computeFacts(in)
 	return in
 }
-
-// FuncOf returns the FuncInfo for a declared function, or nil.
-func (in *Info) FuncOf(fn *types.Func) *FuncInfo { return in.byObj[fn] }
 
 // buildFunc walks one declaration collecting defs and calls.
 func buildFunc(in *Info, fd *ast.FuncDecl, obj *types.Func) *FuncInfo {
@@ -245,15 +239,6 @@ func (fi *FuncInfo) Reaching(v *types.Var, pos token.Pos) *Def {
 		return nil
 	}
 	return &ds[i-1]
-}
-
-// DefsBefore returns every definition of v lexically before pos. Checkers
-// that must hold on all paths (phasesafe) use this instead of Reaching: a
-// value is proved only when each definition that could reach the use is.
-func (fi *FuncInfo) DefsBefore(v *types.Var, pos token.Pos) []Def {
-	ds := fi.defs[v]
-	i := sort.Search(len(ds), func(i int) bool { return ds[i].Pos >= pos })
-	return ds[:i]
 }
 
 // Local reports whether v is one of the function's tracked locals.

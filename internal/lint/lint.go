@@ -100,8 +100,6 @@ var Analyzers = []*Analyzer{
 	VtMonoAnalyzer,
 	ConfineAnalyzer,
 	AtomicFieldAnalyzer,
-	BracketAnalyzer,
-	PhasesafeAnalyzer,
 }
 
 // ByName returns the registered analyzer with that name, or nil.

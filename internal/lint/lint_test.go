@@ -40,7 +40,7 @@ func TestCleanFixture(t *testing.T) {
 
 // TestByName covers registry lookup.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"determinism", "requesthygiene", "errcheck", "bufferescape", "runisolation", "poolreturn", "tagspace", "vtmono", "confine", "atomicfield", "bracket", "phasesafe"} {
+	for _, name := range []string{"determinism", "requesthygiene", "errcheck", "bufferescape", "runisolation", "poolreturn", "tagspace", "vtmono", "confine", "atomicfield"} {
 		if lint.ByName(name) == nil {
 			t.Errorf("ByName(%q) = nil, want analyzer", name)
 		}

@@ -18,12 +18,11 @@ type smShare struct {
 }
 
 // The three sm* helpers below are the shared intra-node stretches of every
-// classic two-level personality (hierarch, MVAPICH2). Each is node-confined
-// by construction — blackboard posts, intra-node barriers and shared-segment
-// copies among the ranks of one node — so when the message is small enough
-// for the fabric bypass, every participant (the leader included; the
-// brackets must be collective) wraps the whole stretch in EnterNodePhase/
-// ExitNodePhase and the parallel engine runs the node on its own worker.
+// classic two-level personality (hierarch, MVAPICH2): blackboard posts,
+// intra-node barriers and shared-segment copies among the ranks of one node.
+// When the message is small enough for the fabric bypass
+// (mpi.SmallIntraNode), every participant, the leader included, runs the
+// whole helper as a small stretch.
 
 // smBcastIntra is the legacy shared-memory intra-node broadcast: the leader
 // (lcomm rank 0) copies the whole message into the shared segment
@@ -34,9 +33,9 @@ func smBcastIntra(p *mpi.Proc, lcomm *mpi.Comm, buf *buffer.Buffer) {
 	if lcomm.Size() <= 1 {
 		return
 	}
-	bracket := p.PhaseEligible(lcomm, buf.Len())
-	if bracket {
-		p.EnterNodePhase()
+	small := p.SmallIntraNode(lcomm, buf.Len())
+	if small {
+		p.BeginSmallStretch()
 	}
 	key := fmt.Sprintf("smbcast/%d", lcomm.Seq(p))
 	m := p.World().Machine
@@ -52,8 +51,8 @@ func smBcastIntra(p *mpi.Proc, lcomm *mpi.Comm, buf *buffer.Buffer) {
 		shm.CopyBuffer(p.DES(), m, p.Core(), sh.sock, p.Core().Socket, sh.buf, buf)
 		lcomm.Barrier(p)
 	}
-	if bracket {
-		p.ExitNodePhase()
+	if small {
+		p.EndSmallStretch()
 	}
 }
 
@@ -67,13 +66,9 @@ func smReduceIntra(p *mpi.Proc, lcomm *mpi.Comm, a coll.ReduceArgs, sbuf, acc *b
 	if lcomm.Size() <= 1 {
 		return
 	}
-	// acc is nil off the leader and sbuf-sized on it, so the extra conjunct
-	// never changes the bracket decision; it is what bounds the fold's
-	// accumulator for the phasesafe proof.
-	bracket := p.PhaseEligible(lcomm, sbuf.Len()) &&
-		(acc == nil || p.PhaseEligible(lcomm, acc.Len()))
-	if bracket {
-		p.EnterNodePhase()
+	small := p.SmallIntraNode(lcomm, sbuf.Len())
+	if small {
+		p.BeginSmallStretch()
 	}
 	seq := lcomm.Seq(p)
 	m := p.World().Machine
@@ -94,8 +89,8 @@ func smReduceIntra(p *mpi.Proc, lcomm *mpi.Comm, a coll.ReduceArgs, sbuf, acc *b
 		}
 		lcomm.Barrier(p)
 	}
-	if bracket {
-		p.ExitNodePhase()
+	if small {
+		p.EndSmallStretch()
 	}
 }
 
@@ -110,9 +105,9 @@ func smGatherIntra(p *mpi.Proc, lcomm *mpi.Comm, sbuf, rbuf *buffer.Buffer) {
 		return
 	}
 	block := sbuf.Len()
-	bracket := p.PhaseEligible(lcomm, block)
-	if bracket {
-		p.EnterNodePhase()
+	small := p.SmallIntraNode(lcomm, block)
+	if small {
+		p.BeginSmallStretch()
 	}
 	seq := lcomm.Seq(p)
 	m := p.World().Machine
@@ -134,7 +129,7 @@ func smGatherIntra(p *mpi.Proc, lcomm *mpi.Comm, sbuf, rbuf *buffer.Buffer) {
 		}
 		lcomm.Barrier(p)
 	}
-	if bracket {
-		p.ExitNodePhase()
+	if small {
+		p.EndSmallStretch()
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-
-	"hierknem/internal/des"
 )
 
 // Comm is a communicator: an ordered group of world ranks with a private
@@ -142,7 +140,7 @@ func (c *Comm) UniformBlocks() bool { return c.uniform }
 // socket, core) — the construction behind HierKNEM's topology-aware ring.
 // The slice is computed on first use and shared by every caller: treat it
 // as read-only. Like every lazily created field of Comm it is filled
-// outside node phases, by whichever member asks first.
+// by whichever member asks first.
 func (c *Comm) PhysicalOrder() []int {
 	if c.physOrder == nil {
 		order := make([]int, len(c.ranks))
@@ -187,12 +185,6 @@ const Undefined = -32766
 // the last arriver wakes the parked ranks in arrival order: both are part
 // of the determinism contract (they fix (time, seq) tie-breaks downstream).
 func (c *Comm) Split(p *Proc, color, key int) *Comm {
-	if p.dp.Confined() {
-		// Split mints a context id from the world-global counter and parks
-		// ranks across nodes — both global-domain state. Node phases use the
-		// prebuilt NodeComm instead.
-		panic(&des.CausalityError{Op: des.OpConfine, Domain: 0, At: p.dp.Now()})
-	}
 	me := c.Rank(p)
 	if c.splitOp == nil {
 		c.splitOp = &splitState{

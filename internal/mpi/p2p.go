@@ -236,7 +236,6 @@ func (env *envelope) matches(po *posting) bool {
 func (p *Proc) Isend(c *Comm, buf *buffer.Buffer, dst, tag int) *Request {
 	dstWorld := c.WorldRank(dst)
 	target := p.world.procs[dstWorld]
-	p.confineCheckSend(target, buf.Len())
 	env := p.allocEnv()
 	env.srcWorld = p.rank
 	env.tag = tag
@@ -306,7 +305,6 @@ func (p *Proc) Irecv(c *Comm, buf *buffer.Buffer, src, tag int) *Request {
 	if src != AnySource {
 		srcWorld = c.WorldRank(src)
 	}
-	p.confineCheckRecv(c, srcWorld)
 	po := p.allocPosting()
 	po.srcWorld = srcWorld
 	po.tag = tag
@@ -340,8 +338,8 @@ func (p *Proc) SendRecv(c *Comm, sendBuf *buffer.Buffer, dst, sendTag int, recvB
 // while installing a flow for it costs a full max-min recomputation. Fine-
 // grained workloads (ring exchanges of tiny blocks across hundreds of ranks)
 // would otherwise spend almost all simulation wall time in the fabric. The
-// canonical constant lives in shm so the transports and the node-phase
-// bracket placement rule agree.
+// canonical constant lives in shm so the transports and the SmallIntraNode
+// selector agree.
 const smallCopyCutoff = shm.SmallCopyCutoff
 
 // shmCopy charges one intra-node memory copy to core (blocking p) without
@@ -392,11 +390,7 @@ func (w *World) startTransfer(env *envelope, po *posting) {
 			// (see smallCopyCutoff).
 			rate := spec.CoreCopyBandwidth
 			if env.size < smallCopyCutoff {
-				// The finish event rides the receiver's process handle, not
-				// the engine: inside a node phase it must land on the
-				// receiver's own domain queue (sender and receiver share the
-				// node here, so the two routes tag the same domain).
-				po.receiver.dp.After(spec.ShmLatency+float64(env.size)/rate, finish)
+				w.Machine.Eng.After(spec.ShmLatency+float64(env.size)/rate, finish)
 				return
 			}
 			w.Machine.Fab.StartAfterPath2("copy", spec.ShmLatency, float64(env.size), rate,
@@ -412,10 +406,8 @@ func (w *World) startTransfer(env *envelope, po *posting) {
 
 	if env.eager {
 		if env.arrived {
-			// Payload already landed; unloading is effectively free. Shared:
-			// the finish releases the sender's envelope record from receiver
-			// context, a cross-domain store only the coordinator may run.
-			w.Machine.Eng.AtShared(w.Machine.Eng.Now(), finish)
+			// Payload already landed; unloading is effectively free.
+			w.Machine.Eng.At(w.Machine.Eng.Now(), finish)
 			return
 		}
 		w.eagerFlight(env, po.receiver, finish)

@@ -15,9 +15,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
-	"sync/atomic"
 
 	"hierknem/internal/buffer"
 	"hierknem/internal/des"
@@ -99,15 +96,6 @@ type World struct {
 	// san is the attached hiersan runtime (nil when disabled — the
 	// default). See EnableSanitizer.
 	san *san.Sanitizer
-
-	// Guard elision (see guards.go): the mode, the set of manifest-proved
-	// region functions keyed by runtime name, and a count of node-phase
-	// entries that actually ran guard-free (atomic: bracketed ranks enter
-	// phases from parallel workers; the counter is observability only and
-	// never feeds simulation state).
-	guardMode    GuardMode
-	guardRegions map[string]bool
-	elidedPhases atomic.Int64
 }
 
 // Proc is one simulated MPI process. Collective and application code runs in
@@ -122,20 +110,8 @@ type Proc struct {
 	posted     postIndex // posted receives, indexed, posting order preserved
 	unexpected envIndex  // unexpected envelopes, indexed, arrival order preserved
 
-	// envPool and poPool are the recycled send/receive records (see
-	// envelope.refs, posting.refs). Per-rank heads are the pool sharding the
-	// parallel windows rely on: strictly finer than per-domain, each head in
-	// its own heap-allocated Proc (no two heads share a cache line), and the
-	// confinement discipline guarantees every alloc/release runs either on
-	// the owning node's worker or under the serial coordinator.
 	envPool []*envelope // recycled send records (see envelope.refs)
 	poPool  []*posting  // recycled receive records (see posting.refs)
-
-	// elide is set between node-phase brackets whose enclosing function the
-	// phasesafe manifest proves confined: the per-message guards early-out
-	// on it. Written only by the rank's own event context (worker or
-	// coordinator), like the pools above.
-	elide bool
 }
 
 // NewWorld creates a world over machine m with np = binding.NP() ranks.
@@ -158,34 +134,12 @@ func NewWorld(m *topology.Machine, b *topology.Binding, conf Config) (*World, er
 	if san.EnvEnabled() {
 		w.EnableSanitizer()
 	}
-	if engineModeEnv() == des.ModeParallel {
-		w.SetEngineMode(des.ModeParallel)
-	}
-	n, err := workersEnv()
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		w.SetEngineWorkers(n)
-	}
-	gm, err := guardsEnv()
-	if err != nil {
-		return nil, err
-	}
-	if gm == GuardElided {
-		// Runs after EnableSanitizer above, so HIERSAN=1 silently keeps
-		// the world checked even under HIERKNEM_GUARDS=elide.
-		if err := w.SetGuardMode(GuardElided); err != nil {
-			return nil, err
-		}
-	}
 	return w, nil
 }
 
 // buildNodeComms creates one communicator per node holding that node's ranks
-// (in world-rank order), eagerly: confined node phases read them without
-// touching the world-global context counter, so no Split-style collective is
-// needed inside a parallel window. Nodes hosting no rank get a nil entry.
+// (in world-rank order), eagerly, so reading one needs no Split-style
+// collective. Nodes hosting no rank get a nil entry.
 // Runs at NewWorld and again after Reset, in the same order both times, so
 // context ids replay identically.
 func (w *World) buildNodeComms() {
@@ -207,62 +161,8 @@ func (w *World) buildNodeComms() {
 	}
 }
 
-// NodeComm returns the prebuilt communicator of every rank on p's node. It
-// is the communicator node phases run their intra-node collectives on.
+// NodeComm returns the prebuilt communicator of every rank on p's node.
 func (p *Proc) NodeComm() *Comm { return p.world.nodeComms[p.core.NodeID] }
-
-// engineModeEnv reads the HIERKNEM_ENGINE environment toggle ("parallel"
-// selects conservative parallel mode for every new world). Like HIERSAN, an
-// environment read is deterministic for the life of the process.
-func engineModeEnv() des.EngineMode {
-	if os.Getenv("HIERKNEM_ENGINE") == "parallel" {
-		return des.ModeParallel
-	}
-	return des.ModeSerial
-}
-
-// workersEnv reads the HIERKNEM_WORKERS override for the phase worker count.
-// Unset (or empty) keeps the engine's GOMAXPROCS-derived default; anything
-// else must be a positive integer. Rejecting zero, negative and non-numeric
-// values loudly — instead of silently falling back to the default — is
-// deliberate: a typo'd worker count that quietly ran the default pool once
-// cost a day of confused benchmarking.
-func workersEnv() (int, error) {
-	s := os.Getenv("HIERKNEM_WORKERS")
-	if s == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("mpi: HIERKNEM_WORKERS=%q is not an integer", s)
-	}
-	if n < 1 {
-		return 0, fmt.Errorf("mpi: HIERKNEM_WORKERS=%d must be at least 1 (unset it for the engine default)", n)
-	}
-	return n, nil
-}
-
-// SetEngineWorkers fixes the number of workers parallel windows execute on.
-// n=1 selects the degenerate one-worker engine — no staging, no windows, no
-// outboxes — whose overhead over serial is bounded by a bench gate. Worker
-// count never shows in the event log; it only decides how a window's domains
-// are spread over host cores.
-func (w *World) SetEngineWorkers(n int) { w.Machine.Eng.SetWorkers(n) }
-
-// SetEngineMode switches the world's engine between the serial reference
-// and conservative parallel mode (installing the machine's node partition).
-// Must not be called mid-Run; the mode survives Reset, so a reset world
-// replays in the mode it was left in.
-func (w *World) SetEngineMode(m des.EngineMode) {
-	eng := w.Machine.Eng
-	if m == des.ModeParallel {
-		eng.SetPartition(w.Machine.Partition())
-	}
-	eng.SetMode(m)
-}
-
-// EngineMode returns the engine mode the world runs under.
-func (w *World) EngineMode() des.EngineMode { return w.Machine.Eng.Mode() }
 
 // EnableSanitizer attaches a hiersan runtime to the world and every layer
 // under it (engine, fabric, KNEM devices), returning it so tests can install
@@ -278,9 +178,6 @@ func (w *World) EnableSanitizer() *san.Sanitizer {
 	}
 	s := san.New(w.Machine.Eng.Now)
 	w.san = s
-	// The sanitizer exists to run every assertion: revoke guard elision.
-	w.guardMode = GuardChecked
-	w.guardRegions = nil
 	w.Machine.Eng.SetSanitizer(s)
 	w.Machine.Fab.SetSanitizer(s)
 	for _, d := range w.Knem {
@@ -311,7 +208,6 @@ func (w *World) Reset() {
 		p.dp = nil
 		p.posted.reset()
 		p.unexpected.reset()
-		p.elide = false // a run that panicked mid-phase must not leak elision
 	}
 	w.nextCtx = 0
 	w.worldComm = nil
@@ -333,9 +229,6 @@ func (w *World) Run(body func(p *Proc)) error {
 		p.dp = w.Machine.Eng.Spawn(p.name, func(dp *des.Proc) {
 			body(p)
 		})
-		// The rank's home domain is its node: its resume events stage
-		// under that node's queue in parallel mode.
-		p.dp.SetDomain(int32(p.core.NodeID) + 1)
 	}
 	err := w.Machine.Eng.Run()
 	if w.san != nil && err != nil {
@@ -382,17 +275,17 @@ func (p *Proc) DES() *des.Proc { return p.dp }
 
 // ReduceLocal applies dst = op(dst, src), charging reduction arithmetic to
 // this rank's core: the flow reads two streams and writes one through the
-// local memory bus at the configured reduction bandwidth. Inside a node
-// phase the arithmetic may not install a fabric flow, so it charges the
-// unloaded reduction rate directly — same virtual cost in both engine
-// modes; a confined reduction at or above the fabric bypass cutoff panics,
-// mirroring the shm.Copy bracket rule.
+// local memory bus at the configured reduction bandwidth. Inside a small
+// stretch (BeginSmallStretch) it charges the unloaded reduction rate as a
+// plain sleep instead; a reduction at or above the fabric bypass cutoff
+// there panics, mirroring shm.Copy — the stretch was opened on a message
+// SmallIntraNode would have refused.
 func (p *Proc) ReduceLocal(op buffer.Op, dtype buffer.Datatype, dst, src *buffer.Buffer) {
 	n := dst.Len()
 	if n > 0 {
-		if p.dp.Confined() {
+		if p.dp.Bypass() {
 			if n >= smallCopyCutoff {
-				panic(fmt.Sprintf("mpi: rank %d reduced %d bytes inside a node phase; confined reductions must stay under the fabric bypass cutoff (%d)",
+				panic(fmt.Sprintf("mpi: rank %d reduced %d bytes inside a small stretch; reductions there must stay under the fabric bypass cutoff (%d)",
 					p.rank, n, smallCopyCutoff))
 			}
 			p.dp.Sleep(float64(n) / p.world.Conf.ReduceBandwidth)

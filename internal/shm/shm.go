@@ -27,10 +27,9 @@ import (
 // SmallCopyCutoff is the size below which an intra-node copy may bypass the
 // fabric: a sub-4 KiB copy lasts ~1 µs and contributes negligible bus load,
 // while installing a flow for it costs a full max-min recomputation. It is
-// also the node-phase bracketing bound — a confined copy must stay under it,
-// because larger copies install fabric flows, which are global-domain state.
-// The mpi layer and the collective personalities share this one constant so
-// the bracket placement rule and the transport agree.
+// also the bound of mpi's small intra-node stretches (mpi.SmallIntraNode):
+// the mpi layer and the collective personalities share this one constant so
+// the selector and the transport agree.
 const SmallCopyCutoff = 4096
 
 // Copy blocks p while core moves n bytes from srcSock memory to dstSock
@@ -41,20 +40,20 @@ const SmallCopyCutoff = 4096
 // same socket, the bus appears twice in the path and is charged twice
 // (read + write).
 //
-// Inside a node phase (p confined) the copy may not install a fabric flow,
-// so it charges the unloaded source-side rate directly — the same rate both
-// engine modes compute, keeping serial and parallel logs hex-identical. A
-// confined copy at or above SmallCopyCutoff panics: the bracket placement
-// rule was violated upstream.
+// While p carries the bypass mark (a small intra-node stretch, see
+// mpi.BeginSmallStretch) the copy installs no fabric flow: it charges the
+// unloaded source-side rate as a plain sleep. A bypassing copy at or above
+// SmallCopyCutoff panics: the stretch was opened on a message the selector
+// would have refused.
 func Copy(p *des.Proc, m *topology.Machine, core *topology.Core, srcSock, dstSock *topology.Socket, n int64, srcBufID uint64) {
 	if n <= 0 {
 		p.Sleep(m.Spec.ShmLatency)
 		return
 	}
 	srcRes, rate := srcSock.ReadSide(&m.Spec, srcBufID, n, core.Socket == srcSock)
-	if p.Confined() {
+	if p.Bypass() {
 		if n >= SmallCopyCutoff {
-			panic(fmt.Sprintf("shm: %d-byte copy inside a node phase; confined copies must stay under the fabric bypass cutoff (%d)", n, SmallCopyCutoff))
+			panic(fmt.Sprintf("shm: %d-byte copy inside a small stretch; copies there must stay under the fabric bypass cutoff (%d)", n, SmallCopyCutoff))
 		}
 		p.Sleep(m.Spec.ShmLatency + float64(n)/rate)
 		return

@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 
 	"hierknem/internal/clusters"
-	"hierknem/internal/des"
 	"hierknem/internal/mpi"
 	"hierknem/internal/topology"
 )
@@ -53,24 +52,10 @@ type Sweep struct {
 	parallel int
 	progress io.Writer
 
-	jobs       []job
-	ran        bool
-	engMode    des.EngineMode // engine mode every job's worlds run under
-	engWorkers int            // phase worker count per world (0 = engine default)
-	mu         sync.Mutex     // serializes progress writes
+	jobs []job
+	ran  bool
+	mu   sync.Mutex // serializes progress writes
 }
-
-// SetEngineMode selects the engine mode (serial reference or conservative
-// parallel) applied to every world the sweep's jobs obtain through Ctx.
-// Call before Run.
-func (s *Sweep) SetEngineMode(m des.EngineMode) { s.engMode = m }
-
-// SetEngineWorkers fixes the in-window phase worker count applied to every
-// world the sweep's jobs obtain through Ctx (0 keeps the engine default).
-// Note the two parallelism axes are independent: the sweep's own pool runs
-// whole simulations concurrently, the engine's workers split one
-// simulation's windows.
-func (s *Sweep) SetEngineWorkers(n int) { s.engWorkers = n }
 
 type job struct {
 	id string
@@ -148,7 +133,7 @@ func (s *Sweep) Run() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ctx := &Ctx{worlds: make(map[worldKey]*mpi.World), engMode: s.engMode, engWorkers: s.engWorkers}
+			ctx := &Ctx{worlds: make(map[worldKey]*mpi.World)}
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= n {
@@ -203,22 +188,7 @@ type worldKey struct {
 // Ctx is a worker's private job context. Its world cache is never shared:
 // worlds hold engines, and engines are single-threaded by construction.
 type Ctx struct {
-	worlds     map[worldKey]*mpi.World
-	engMode    des.EngineMode
-	engWorkers int
-}
-
-// apply sets the sweep's engine mode and worker count on a world about to be
-// handed to a job. Both survive Reset, so cached worlds only pay the switch
-// once.
-func (c *Ctx) apply(w *mpi.World) *mpi.World {
-	if w.EngineMode() != c.engMode {
-		w.SetEngineMode(c.engMode)
-	}
-	if c.engWorkers > 0 {
-		w.SetEngineWorkers(c.engWorkers)
-	}
-	return w
+	worlds map[worldKey]*mpi.World
 }
 
 // World returns a pristine world for spec with np ranks under the named
@@ -229,14 +199,14 @@ func (c *Ctx) World(spec topology.Spec, binding string, np int) *mpi.World {
 	key := worldKey{spec: spec, binding: binding, np: np}
 	if w := c.worlds[key]; w != nil {
 		w.Reset()
-		return c.apply(w)
+		return w
 	}
 	w, err := clusters.NewWorld(spec, binding, np)
 	if err != nil {
 		panic(err)
 	}
 	c.worlds[key] = w
-	return c.apply(w)
+	return w
 }
 
 // WorldPPN returns a pristine world with exactly ppn ranks on each node of
@@ -245,7 +215,7 @@ func (c *Ctx) WorldPPN(spec topology.Spec, ppn int) *mpi.World {
 	key := worldKey{spec: spec, np: ppn * spec.Nodes, ppn: ppn}
 	if w := c.worlds[key]; w != nil {
 		w.Reset()
-		return c.apply(w)
+		return w
 	}
 	m, err := topology.Build(spec)
 	if err != nil {
@@ -260,5 +230,5 @@ func (c *Ctx) WorldPPN(spec topology.Spec, ppn int) *mpi.World {
 		panic(err)
 	}
 	c.worlds[key] = w
-	return c.apply(w)
+	return w
 }

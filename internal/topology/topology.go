@@ -123,12 +123,6 @@ func Build(spec Spec) (*Machine, error) {
 	gid := 0
 	for ni := 0; ni < spec.Nodes; ni++ {
 		node := &Node{ID: ni}
-		// PDES domain = node index + 1; the backplane keeps the global
-		// domain 0 (it couples every node). A NIC belongs to its node:
-		// an inter-node flow spans two NIC domains and so collapses its
-		// component to the global domain, which is exactly the
-		// conservative treatment cross-domain traffic needs.
-		dom := int32(ni) + 1
 		if spec.NetFullDuplex {
 			node.NicTx = fab.NewResource(fmt.Sprintf("n%d/nic-tx", ni), spec.NetBandwidth)
 			node.NicRx = fab.NewResource(fmt.Sprintf("n%d/nic-rx", ni), spec.NetBandwidth)
@@ -136,8 +130,6 @@ func Build(spec Spec) (*Machine, error) {
 			nic := fab.NewResource(fmt.Sprintf("n%d/nic", ni), spec.NetBandwidth)
 			node.NicTx, node.NicRx = nic, nic
 		}
-		node.NicTx.SetDomain(dom)
-		node.NicRx.SetDomain(dom)
 		l3bw := spec.L3TotalBandwidth
 		if l3bw == 0 {
 			l3bw = 3 * spec.MemBandwidth
@@ -150,8 +142,6 @@ func Build(spec Spec) (*Machine, error) {
 				L3Bus:  fab.NewResource(fmt.Sprintf("n%d/s%d/l3", ni, si), l3bw),
 				l3:     newCacheState(spec.L3Size),
 			}
-			sock.MemBus.SetDomain(dom)
-			sock.L3Bus.SetDomain(dom)
 			for ci := 0; ci < spec.CoresPerSocket; ci++ {
 				core := &Core{GID: gid, NodeID: ni, Socket: sock, Local: ci}
 				sock.Cores = append(sock.Cores, core)
@@ -184,20 +174,6 @@ func (m *Machine) Reset() {
 		}
 	}
 }
-
-// Partition exposes the machine's PDES decomposition to the engine's
-// conservative parallel mode: one domain per node, with the window
-// lookahead equal to the inter-node one-way latency — no event scheduled
-// from one node can affect another node sooner than one network latency
-// away. The epoch mirrors the fabric's component-structure epoch, so a
-// component merge or split invalidates the cached lookahead.
-func (m *Machine) Partition() des.Partition { return machinePartition{m} }
-
-type machinePartition struct{ m *Machine }
-
-func (p machinePartition) Domains() int       { return p.m.Spec.Nodes }
-func (p machinePartition) Lookahead() float64 { return p.m.Spec.NetLatency }
-func (p machinePartition) Epoch() uint64      { return p.m.Fab.Epoch() }
 
 // Core returns the core with global id gid.
 func (m *Machine) Core(gid int) *Core {

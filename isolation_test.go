@@ -118,61 +118,6 @@ func TestWorldResetReplaysBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineModeParallelRunsBitIdentical is the parallel-engine variant of
-// TestParallelRunsBitIdentical: 8 concurrent simulations, each running its
-// own conservative-window (ModeParallel) engine, must all reproduce the
-// serial reference log bit for bit. Under `go test -race` this doubles as a
-// data-race probe over the window-promotion and parallel-fill goroutines.
-func TestEngineModeParallelRunsBitIdentical(t *testing.T) {
-	want := runLogged(t, isoWorld(t))
-
-	parWorld := func() *hierknem.World {
-		w := isoWorld(t)
-		w.SetEngineMode(hierknem.EngineParallel)
-		return w
-	}
-	// Solo parallel run first: it must already match serial, and it must
-	// actually exercise the window machinery.
-	solo := parWorld()
-	diffLogs(t, "solo parallel-engine run", want, runLogged(t, solo))
-	if ws := solo.Machine.Eng.WindowStats(); ws.Windows == 0 {
-		t.Fatalf("parallel engine never advanced a window (stats %+v)", ws)
-	}
-
-	const runs = 8
-	logs := make([][]string, runs)
-	var wg sync.WaitGroup
-	for i := 0; i < runs; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			logs[i] = runLogged(t, parWorld())
-		}(i)
-	}
-	wg.Wait()
-	for i, got := range logs {
-		diffLogs(t, fmt.Sprintf("concurrent parallel-engine run %d", i), want, got)
-	}
-}
-
-// TestEngineModeFlipResetReplays flips one world Serial → Parallel → Serial
-// across World.Reset boundaries and requires every replay to reproduce the
-// original hex-exact log: the mode switch must leave no residue in the
-// event pool, the staging heaps or the fabric (HIERSAN=1 runs of this test
-// additionally assert pool balance at each Reset).
-func TestEngineModeFlipResetReplays(t *testing.T) {
-	w := isoWorld(t)
-	want := runLogged(t, w)
-	for i, mode := range []hierknem.EngineMode{
-		hierknem.EngineParallel, hierknem.EngineSerial,
-		hierknem.EngineParallel, hierknem.EngineSerial,
-	} {
-		w.Reset()
-		w.SetEngineMode(mode)
-		diffLogs(t, fmt.Sprintf("flip %d (%v)", i, mode), want, runLogged(t, w))
-	}
-}
-
 // TestWorldResetAllocsLessThanRebuild pins the point of reuse: a Reset+run
 // must allocate strictly less than a rebuild+run, because the engine event
 // pool, fabric flow pool, matching bucket arrays and envelope pools all stay warm.

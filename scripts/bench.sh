@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench.sh — the reproducible performance harness.
 #
-# Four suites, each distilled to a checked-in JSON document via cmd/benchjson:
+# Three suites, each distilled to a checked-in JSON document via cmd/benchjson:
 #
 #   1. BenchmarkDES* (DES hot-path overhaul): event throughput and allocation
 #      rate of the engine + matching layer, compared against the checked-in
@@ -22,38 +22,9 @@
 #      (always enforced — parallelism must be invisible in the output), and
 #      on hosts with >=4 cores the parallel run must be >=3x faster.
 #
-#   4. BenchmarkPDES* (conservative parallel DES engine): the Fig3a 768-rank
-#      broadcast (swept over 2KB and 64KB) and the NodeLocal 768-rank
-#      bracketed workload, each run under mode=serial, mode=parallel, a
-#      workers={1,2,4} curve and mode=parallel/guards=elided (per-message
-#      confinement guards elided inside phasesafe-proved regions; the suite
-#      emits a fresh manifest first so the variant never trips the
-#      fail-closed staleness check). events/op must agree exactly between
-#      serial and every parallel variant, elided included (always enforced —
-#      the parallel engine promises a hex-identical event log, and elision
-#      removes assertions, not events); the elided variant's events/sec must
-#      stay >= MIN_GUARD_SPEEDUP x the checked parallel twin's on >=4-core
-#      hosts (waived below, like the other throughput bars), with the
-#      measured guard_speedup recorded in the document; the workers=1
-#      degenerate engine
-#      must stay within 10% of serial events/sec and allocs/op on every host
-#      (best-of-count values, so the bar measures engine overhead rather
-#      than scheduler noise); the bracketed workloads (the 2KB Fig3a point
-#      rides HierKNEM's node-phase-bracketed small-broadcast path, NodeLocal
-#      brackets everything) must report a nonzero phased-window fraction on
-#      every workers>=2 variant on every host — phases execute on goroutines
-#      regardless of core count, so zero means the brackets regressed — and
-#      >=50% of windows phased on >=4-core hosts; and on hosts with >=4
-#      cores the NodeLocal parallel engine must reach >=2x the serial
-#      events/sec, waived (and recorded as waived) on smaller hosts like the
-#      sweep gate. The speedup bar binds to NodeLocal only: the 64KB Fig3a
-#      point is above the fabric-bypass cutoff, so its windows are serial by
-#      census and measure pure window overhead, and the 2KB point's phased
-#      windows are gated by fraction, not wall clock.
-#
 # Environment knobs:
 #   DES_COUNT        -count for the DES suite (default 3; the gate compares
-#                    best-of-count, like the pdes suite)
+#                    best-of-count)
 #   MIN_SPEEDUP      enforced events/sec ratio vs. baseline (default 1.5)
 #   MIN_ALLOC_RATIO  enforced allocs/op shrink factor (default 2)
 #   BENCHTIME        fabric suite -benchtime (default 1x: one deterministic
@@ -63,19 +34,6 @@
 #                    full evaluation at CI scale, see below)
 #   SWEEP_WORKERS    -parallel for the parallel sweep run (default: nproc)
 #   MIN_SWEEP_SPEEDUP  enforced sweep speedup at >=4 cores (default 3)
-#   PDES_COUNT       interleaved fresh-process passes of the PDES suite
-#                    (default 3; the pdes gates compare best-of-pass — max
-#                    events/sec, min allocs/op — so shared-host noise can't
-#                    fail the tight parity bar)
-#   MIN_PDES_SPEEDUP enforced parallel-engine events/sec speedup at >=4
-#                    cores (default 2)
-#   MAX_PDES_PARITY  max fractional workers=1 overhead vs serial, both
-#                    events/sec and allocs/op, every host (default 0.10)
-#   MIN_PHASED_FRAC  enforced phased-window fraction on bracketed workloads
-#                    at >=4 cores (default 0.5; nonzero binds on every host)
-#   MIN_GUARD_SPEEDUP  floor on guards=elided events/sec relative to the
-#                    checked parallel twin at >=4 cores (default 0.95; the
-#                    events/op identity bar always binds)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -141,38 +99,4 @@ go run ./cmd/benchjson \
     $identical \
     -o results/BENCH_sweep.json
 
-# The PDES repetitions run as separate fresh go test processes, interleaved
-# in time, rather than one -count run: whole benchmark processes land in
-# fast or slow scheduling bands on shared hosts, and with -count every
-# repetition of a variant sits in the same band, so a serial-vs-workers=1
-# comparison could pit one band against the other. Fresh interleaved passes
-# give every variant one sample per band; best-of-pass then compares like
-# with like. (The DES baseline was recorded the same way.)
-# The guards=elided variant refuses to run without a fresh phasesafe
-# manifest (fail-closed: see internal/phasesafe). Emit one up front from the
-# current tree so the PDES passes measure elision rather than re-running the
-# analyzers inside the first pass's timing window.
-echo "==> hierlint -manifest (phasesafe proof for the guards=elided variant)"
-go run ./cmd/hierlint -manifest ./...
-
-echo "==> go test -bench BenchmarkPDES (${PDES_COUNT:-3} interleaved passes, GOGC=$GOGC)"
-: > results/bench_pdes.txt
-for rep in $(seq "${PDES_COUNT:-3}"); do
-    echo "--- pdes pass $rep"
-    go test -run '^$' -bench 'BenchmarkPDES' -count 1 -benchmem . |
-        tee -a results/bench_pdes.txt
-done
-
-echo "==> benchjson -schema pdes -> results/BENCH_pdes.json"
-go run ./cmd/benchjson \
-    -schema pdes \
-    -min-pdes-speedup "${MIN_PDES_SPEEDUP:-2}" \
-    -max-parity-overhead "${MAX_PDES_PARITY:-0.10}" \
-    -min-phased-fraction "${MIN_PHASED_FRAC:-0.5}" \
-    -min-guard-speedup "${MIN_GUARD_SPEEDUP:-0.95}" \
-    -enforce 'Fig3a|NodeLocal' \
-    -enforce-speedup 'NodeLocal' \
-    -enforce-phased 'Fig3a.*size=2KB|NodeLocal' \
-    -o results/BENCH_pdes.json < results/bench_pdes.txt
-
-echo "bench: wrote results/BENCH_des.json, BENCH_fabric.json, BENCH_sweep.json and BENCH_pdes.json (criteria passed)"
+echo "bench: wrote results/BENCH_des.json, BENCH_fabric.json and BENCH_sweep.json (criteria passed)"

@@ -41,6 +41,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown cluster %q\n", *cluster)
 		os.Exit(2)
 	}
+	if err := checkCounts(&spec, *n); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	np := spec.Nodes * spec.CoresPerNode()
 
 	mods := hierknem.Lineup(&spec)
@@ -79,6 +83,19 @@ func main() {
 			fmt.Println(trace.Report(w.Machine, 6))
 		}
 	}
+}
+
+// checkCounts rejects a node count or matrix dimension no run can use, before
+// anything is printed: left to the run, -nodes 0 fails after the table header
+// and -n below 1 panics in a rank or prints NaN rows.
+func checkCounts(spec *hierknem.Spec, n int) error {
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("-nodes %d: %w", spec.Nodes, err)
+	}
+	if n < 1 {
+		return fmt.Errorf("-n %d must be at least 1", n)
+	}
+	return nil
 }
 
 // randomGraph generates the -verify instance: a reproducible random weighted

@@ -86,3 +86,22 @@ func TestASPBreakdownReplay(t *testing.T) {
 		t.Fatalf("implausible breakdown: bcast %g, total %g", a.Bcast, a.Total)
 	}
 }
+
+// TestCheckCounts pins the up-front rejection of counts no run can use: left
+// to the run, -nodes 0 fails after the table header, -n 0 prints NaN rows
+// and a negative -n panics inside a rank.
+func TestCheckCounts(t *testing.T) {
+	for _, tc := range []struct {
+		nodes, n int
+		ok       bool
+	}{
+		{2, 64, true}, {1, 1, true},
+		{0, 64, false}, {-3, 64, false},
+		{2, 0, false}, {2, -5, false},
+	} {
+		spec := hierknem.Stremi(tc.nodes)
+		if err := checkCounts(&spec, tc.n); (err == nil) != tc.ok {
+			t.Errorf("checkCounts(nodes=%d, n=%d) = %v, want ok=%v", tc.nodes, tc.n, err, tc.ok)
+		}
+	}
+}

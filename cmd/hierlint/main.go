@@ -2,10 +2,9 @@
 // (internal/lint) over Go packages and reports invariant violations:
 // wall-clock time or unseeded randomness inside internal/, leaked
 // Isend/Irecv requests, discarded module-API errors, payload buffers
-// shared with unsynchronized goroutines, free-list allocations that never
-// reach a release, point-to-point tags outside their algorithm's reserved
-// range, and the hierflow PDES preconditions (vtmono, confine,
-// atomicfield — see internal/lint/flow).
+// shared with unsynchronized goroutines, package-level state reachable from
+// a simulation run, free-list allocations that never reach a release, and
+// point-to-point tags outside their algorithm's reserved range.
 //
 // Usage:
 //
@@ -13,15 +12,10 @@
 //	hierlint ./internal/coll       # one package
 //	hierlint -list                 # show the analyzer catalogue
 //	hierlint -run determinism ./...# run a single analyzer
-//	hierlint -json ./...           # machine-readable findings + timings
-//	hierlint -sarif out.sarif ./...# SARIF 2.1.0 for code-scanning upload
-//	hierlint -nocache ./...        # force full re-analysis
-//	hierlint -parallel 1 ./...     # serial (output is identical either way)
+//	hierlint -json ./...           # machine-readable findings
 //
-// Results are cached per package under -cache (default .hierlint-cache in
-// the working directory), keyed on source content and dependency fact
-// hashes: a warm run on an untouched tree re-analyzes nothing. A summary
-// line on stderr reports cache effectiveness.
+// Packages are loaded and analyzed one after another in listing order, test
+// files included; the findings are sorted once across all of them.
 //
 // Exit status is 0 when clean, 1 when any diagnostic is reported, 2 on
 // usage or load errors. Suppress an individual finding with a
@@ -31,8 +25,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,116 +45,94 @@ type jsonDiag struct {
 	Message  string `json:"message"`
 }
 
-// jsonReport is the full -json document: sorted findings, then the
-// per-package (and per-analyzer, for analyzed packages) timing breakdown.
+// jsonReport is the full -json document: the sorted findings.
 type jsonReport struct {
-	Diagnostics []jsonDiag  `json:"diagnostics"`
-	Stats       *lint.Stats `json:"stats"`
+	Diagnostics []jsonDiag `json:"diagnostics"`
 }
 
 func main() {
-	list := flag.Bool("list", false, "list analyzers and exit")
-	run := flag.String("run", "", "run only the named analyzer (default: all)")
-	asJSON := flag.Bool("json", false, "emit findings and timings as JSON on stdout")
-	sarifPath := flag.String("sarif", "", "write findings as SARIF 2.1.0 to the given file")
-	cacheDir := flag.String("cache", "", "result cache directory (default .hierlint-cache in the working directory)")
-	noCache := flag.Bool("nocache", false, "disable the result cache")
-	parallel := flag.Int("parallel", 0, "package analysis workers (0 = one per CPU, capped)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it lints the packages args name from the
+// working directory and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hierlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list analyzers and exit")
+	only := fs.String("run", "", "run only the named analyzer (default: all)")
+	asJSON := fs.Bool("json", false, "emit findings as JSON on stdout")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "hierlint: %v\n", err)
+		return 2
+	}
 
 	if *list {
 		for _, a := range lint.Analyzers {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
 	analyzers := lint.Analyzers
-	if *run != "" {
-		a := lint.ByName(*run)
+	if *only != "" {
+		a := lint.ByName(*only)
 		if a == nil {
-			fmt.Fprintf(os.Stderr, "hierlint: unknown analyzer %q (try -list)\n", *run)
-			os.Exit(2)
+			return fail(fmt.Errorf("unknown analyzer %q (try -list)", *only))
 		}
 		analyzers = []*lint.Analyzer{a}
 	}
 
-	patterns := flag.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hierlint: %v\n", err)
-		os.Exit(2)
+		return fail(err)
 	}
-	cache := *cacheDir
-	if cache == "" {
-		cache = lint.DefaultCacheDir(cwd)
-	}
-	if *noCache {
-		cache = ""
-	}
-
-	diags, stats, err := lint.Analyze(lint.Options{
-		Dir:       cwd,
-		Patterns:  patterns,
-		Analyzers: analyzers,
-		CacheDir:  cache,
-		Workers:   *parallel,
-	})
+	pkgs, err := lint.Load(cwd, fs.Args()...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hierlint: %v\n", err)
-		os.Exit(2)
+		return fail(err)
 	}
-
-	if *sarifPath != "" {
-		if err := writeSARIF(*sarifPath, cwd, analyzers, diags); err != nil {
-			fmt.Fprintf(os.Stderr, "hierlint: %v\n", err)
-			os.Exit(2)
-		}
+	var diags []lint.Diagnostic
+	for _, pkg := range pkgs {
+		diags = append(diags, lint.Run(pkg, analyzers)...)
+	}
+	lint.SortDiagnostics(diags)
+	for i := range diags {
+		// cwd-relative paths for readability; sorting is unaffected, every
+		// path loses the same prefix.
+		diags[i].Pos.Filename = strings.TrimPrefix(diags[i].Pos.Filename, cwd+string(filepath.Separator))
 	}
 
 	if *asJSON {
-		report := jsonReport{Diagnostics: []jsonDiag{}, Stats: stats}
+		report := jsonReport{Diagnostics: []jsonDiag{}}
 		for _, d := range diags {
 			report.Diagnostics = append(report.Diagnostics, jsonDiag{
-				File:     relPath(cwd, d.Pos.Filename),
+				File:     d.Pos.Filename,
 				Line:     d.Pos.Line,
 				Col:      d.Pos.Column,
 				Analyzer: d.Analyzer,
 				Message:  d.Message,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(report); err != nil {
-			fmt.Fprintf(os.Stderr, "hierlint: %v\n", err)
-			os.Exit(2)
+			return fail(err)
 		}
 	} else {
 		for _, d := range diags {
-			fmt.Println(relativize(cwd, d))
+			fmt.Fprintln(stdout, d)
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "hierlint: %d package(s): %d analyzed, %d cache hit(s)\n",
-		stats.Units, stats.Analyzed, stats.CacheHits)
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "hierlint: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "hierlint: %d finding(s)\n", len(diags))
+		return 1
 	}
-}
-
-// relPath shortens an absolute path to cwd-relative for readability.
-func relPath(cwd, p string) string {
-	return strings.TrimPrefix(p, cwd+string(filepath.Separator))
-}
-
-// relativize shortens absolute file paths to cwd-relative for readability.
-func relativize(cwd string, d lint.Diagnostic) string {
-	s := d.String()
-	prefix := cwd + string(filepath.Separator)
-	return strings.Replace(s, prefix, "", 1)
+	return 0
 }

@@ -55,15 +55,22 @@ func TestSweepParallelMatchesSerial(t *testing.T) {
 func TestCheckCounts(t *testing.T) {
 	for _, tc := range []struct {
 		nodes, np int
+		min, max  int64
+		iters     int
 		ok        bool
 	}{
-		{2, 48, true}, {2, 1, true},
-		{0, 0, false}, {-1, 24, false},
-		{2, 0, false}, {2, -4, false}, {2, 49, false},
+		{2, 48, 1024, 4096, 3, true}, {2, 1, 1, 1, 1, true},
+		{0, 0, 1024, 4096, 3, false}, {-1, 24, 1024, 4096, 3, false},
+		{2, 0, 1024, 4096, 3, false}, {2, -4, 1024, 4096, 3, false}, {2, 49, 1024, 4096, 3, false},
+		// a size of zero never doubles past -max: planning the sweep would not end
+		{2, 48, 0, 4096, 3, false}, {2, 48, -8, 4096, 3, false}, {2, 48, 4096, 1024, 3, false},
+		// no iterations to time: every job would panic in the timing loop
+		{2, 48, 1024, 4096, 0, false}, {2, 48, 1024, 4096, -1, false},
 	} {
 		spec := hierknem.Parapluie(tc.nodes)
-		if err := checkCounts(&spec, tc.np); (err == nil) != tc.ok {
-			t.Errorf("checkCounts(nodes=%d, np=%d) = %v, want ok=%v", tc.nodes, tc.np, err, tc.ok)
+		if err := checkCounts(&spec, tc.np, tc.min, tc.max, tc.iters); (err == nil) != tc.ok {
+			t.Errorf("checkCounts(nodes=%d, np=%d, min=%d, max=%d, iters=%d) = %v, want ok=%v",
+				tc.nodes, tc.np, tc.min, tc.max, tc.iters, err, tc.ok)
 		}
 	}
 }

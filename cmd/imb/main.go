@@ -54,7 +54,7 @@ func main() {
 	if *np == 0 {
 		*np = spec.TotalCores()
 	}
-	if err := checkCounts(&spec, *np); err != nil {
+	if err := checkCounts(&spec, *np, *minSize, *maxSize, *iters); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -91,15 +91,22 @@ func main() {
 	}
 }
 
-// checkCounts rejects a node or process count no job can run on, once, before
-// the sweep is planned: left to the jobs, each would panic separately in
-// topology.Build or the binding.
-func checkCounts(spec *hierknem.Spec, np int) error {
+// checkCounts rejects a node or process count, size range or iteration count
+// no job can run on, once, before the sweep is planned: left to the jobs, each
+// would panic separately in topology.Build, the binding or the timing loop,
+// and a size of zero never doubles past -max, so planning would not end.
+func checkCounts(spec *hierknem.Spec, np int, minSize, maxSize int64, iters int) error {
 	if err := spec.Validate(); err != nil {
 		return fmt.Errorf("-nodes %d: %w", spec.Nodes, err)
 	}
 	if np < 1 || np > spec.TotalCores() {
 		return fmt.Errorf("-np %d must be between 1 and the cluster's %d cores", np, spec.TotalCores())
+	}
+	if minSize < 1 || maxSize < minSize {
+		return fmt.Errorf("-min %d -max %d: sizes must satisfy 1 <= min <= max", minSize, maxSize)
+	}
+	if iters < 1 {
+		return fmt.Errorf("-iters %d must be at least 1", iters)
 	}
 	return nil
 }

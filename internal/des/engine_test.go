@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -77,18 +78,35 @@ func TestCancelledTimerDoesNotFire(t *testing.T) {
 	}
 }
 
+// TestSchedulingInPastPanics pins every schedule-time check of the engine:
+// a time that is past, negative or non-finite panics at the call instead of
+// corrupting causality.
 func TestSchedulingInPastPanics(t *testing.T) {
-	e := New()
-	e.At(5, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("At(past) did not panic")
+	for _, tc := range []struct {
+		name string
+		call func(e *Engine, p *Proc)
+	}{
+		{"At(past)", func(e *Engine, p *Proc) { e.At(1, func() {}) }},
+		{"At(NaN)", func(e *Engine, p *Proc) { e.At(math.NaN(), func() {}) }},
+		{"At(+Inf)", func(e *Engine, p *Proc) { e.At(math.Inf(1), func() {}) }},
+		{"After(-1)", func(e *Engine, p *Proc) { e.After(-1, func() {}) }},
+		{"Sleep(-1)", func(e *Engine, p *Proc) { p.Sleep(-1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New()
+			e.Spawn("p", func(p *Proc) {
+				p.Sleep(5)
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s did not panic", tc.name)
+					}
+				}()
+				tc.call(e, p)
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
 			}
-		}()
-		e.At(1, func() {})
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 

@@ -16,12 +16,10 @@ import (
 // the larger); splits are lazy (a removal marks splitFlag and the next sync
 // re-partitions the component with a local union-find).
 //
-// The hierflow marker makes each component a confinement domain: the
-// confine analyzer proves no state leaks between components outside the
-// //hierflow:sync membership APIs, which is what lets fill be a pure
-// function of one component's membership.
-//
-//hierflow:component
+// Components share no state outside the membership transfers (absorb,
+// repartition), which is what lets fill be a pure function of one component's
+// membership; equivalence_test.go checks that against ModeGlobal bit for
+// bit with EnableShadow on every sync.
 type component struct {
 	id    uint64
 	cpos  int // position in Net.comps
@@ -111,8 +109,9 @@ func (n *Net) attach(f *Flow) {
 }
 
 // absorb merges component b into a (caller picks a as the larger side).
-//
-//hierflow:sync designated membership transfer: the merge retargets every flow and resource of b onto a and kills b, under the engine's single-threaded sync — the one place cross-component stores are the point
+// It is the designated membership transfer: the merge retargets every flow
+// and resource of b onto a and kills b, under the engine's single-threaded
+// sync — the one place cross-component stores are the point.
 func (n *Net) absorb(a, b *component) {
 	n.stats.Merges++
 	for _, f := range b.flows {

@@ -34,9 +34,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
-
-	"hierknem/internal/lint/flow"
 )
 
 // Diagnostic is one finding, positioned in the analyzed source.
@@ -54,7 +51,6 @@ func (d Diagnostic) String() string {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	Flow     *flow.Info // hierflow dataflow view of the same variant
 
 	diags *[]Diagnostic
 }
@@ -97,9 +93,6 @@ var Analyzers = []*Analyzer{
 	RunIsolationAnalyzer,
 	PoolReturnAnalyzer,
 	TagSpaceAnalyzer,
-	VtMonoAnalyzer,
-	ConfineAnalyzer,
-	AtomicFieldAnalyzer,
 }
 
 // ByName returns the registered analyzer with that name, or nil.
@@ -118,48 +111,19 @@ func internalOnly(pkgPath string) bool {
 	return strings.Contains(pkgPath, "internal/")
 }
 
-// AnalyzerTiming is the wall-clock cost of one analyzer on one package
-// variant, for the driver's -json timing output.
-type AnalyzerTiming struct {
-	Analyzer string  `json:"analyzer"`
-	Millis   float64 `json:"millis"`
-}
-
 // Run applies each analyzer in as to pkg and returns the surviving
 // diagnostics in deterministic order (see SortDiagnostics), with one
 // "lint"-analyzer finding appended for every malformed //lint:ignore
-// directive in the package.
+// directive in the package. When the variant restricts reporting
+// (Package.ReportFiles), diagnostics outside those files are dropped — the
+// plain variant already reported them.
 func Run(pkg *Package, as []*Analyzer) []Diagnostic {
-	diags, _, _ := RunVariant(pkg, as, nil)
-	return diags
-}
-
-// RunVariant is Run with the interprocedural machinery exposed: imported
-// seeds the package's hierflow facts with its dependencies' summaries, and
-// the built flow.Info is returned so the driver can persist this package's
-// own facts for its dependents. Malformed hierflow markers are reported
-// under the "lint" pseudo-analyzer, exactly like malformed //lint:ignore
-// directives. When the variant restricts reporting (Package.ReportFiles),
-// diagnostics outside those files are dropped — the plain variant already
-// reported them.
-func RunVariant(pkg *Package, as []*Analyzer, imported *flow.FactSet) ([]Diagnostic, *flow.Info, []AnalyzerTiming) {
-	fl := flow.Build(pkg.PkgPath, pkg.Fset, pkg.Files, pkg.Types, pkg.TypesInfo, imported)
 	var diags []Diagnostic
-	var timings []AnalyzerTiming
 	for _, a := range as {
 		if a.Applies != nil && !a.Applies(pkg.PkgPath) {
 			continue
 		}
-		start := time.Now() //lint:ignore determinism wall-clock timing of the lint tooling itself, not simulation state
-		pass := &Pass{Analyzer: a, Pkg: pkg, Flow: fl, diags: &diags}
-		a.Run(pass)
-		timings = append(timings, AnalyzerTiming{
-			Analyzer: a.Name,
-			Millis:   float64(time.Since(start)) / float64(time.Millisecond), //lint:ignore determinism wall-clock timing of the lint tooling itself, not simulation state
-		})
-	}
-	for _, m := range fl.Markers.Malformed {
-		diags = append(diags, Diagnostic{Pos: m.Pos, Analyzer: "lint", Message: m.Message})
+		a.Run(&Pass{Analyzer: a, Pkg: pkg, diags: &diags})
 	}
 	dir := parseDirectives(pkg)
 	kept := diags[:0]
@@ -179,7 +143,7 @@ func RunVariant(pkg *Package, as []*Analyzer, imported *flow.FactSet) ([]Diagnos
 		kept = filtered
 	}
 	SortDiagnostics(kept)
-	return kept, fl, timings
+	return kept
 }
 
 // SortDiagnostics orders findings by (file, line, analyzer, column, message)

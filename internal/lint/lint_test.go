@@ -40,7 +40,7 @@ func TestCleanFixture(t *testing.T) {
 
 // TestByName covers registry lookup.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"determinism", "requesthygiene", "errcheck", "bufferescape", "runisolation", "poolreturn", "tagspace", "vtmono", "confine", "atomicfield"} {
+	for _, name := range []string{"determinism", "requesthygiene", "errcheck", "bufferescape", "runisolation", "poolreturn", "tagspace"} {
 		if lint.ByName(name) == nil {
 			t.Errorf("ByName(%q) = nil, want analyzer", name)
 		}
@@ -161,37 +161,6 @@ func TestSuppressionReasonRequired(t *testing.T) {
 	// well-formed suppression in excused() removes the third.
 	if len(determinism) != 2 {
 		t.Fatalf("got %d determinism findings, want 2 (reasonless directives must not suppress): %v", len(determinism), diags)
-	}
-}
-
-// TestMarkerReasonRequired pins the hierflow marker contract, mirroring
-// TestSuppressionReasonRequired: //hierflow:sync and //hierflow:serial are
-// exemptions, so a reasonless one declares nothing and is reported as
-// malformed under the "lint" pseudo-analyzer, while the well-formed sync
-// marker in the same fixture passes silently.
-func TestMarkerReasonRequired(t *testing.T) {
-	pkgs, err := lint.Load(".", "./testdata/markers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := lint.Run(pkgs[0], nil)
-	if len(diags) != 2 {
-		t.Fatalf("got %d findings, want 2 malformed markers: %v", len(diags), diags)
-	}
-	var sawSync, sawSerial bool
-	for _, d := range diags {
-		if d.Analyzer != "lint" {
-			t.Errorf("marker finding under analyzer %q, want lint: %s", d.Analyzer, d)
-		}
-		if strings.Contains(d.Message, "hierflow:sync without a reason") {
-			sawSync = true
-		}
-		if strings.Contains(d.Message, "hierflow:serial without a reason") {
-			sawSerial = true
-		}
-	}
-	if !sawSync || !sawSerial {
-		t.Errorf("missing malformed-marker findings (sync=%v serial=%v): %v", sawSync, sawSerial, diags)
 	}
 }
 

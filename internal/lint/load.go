@@ -14,7 +14,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, parsed and type-checked package variant. A source
@@ -50,9 +49,6 @@ type unitMeta struct {
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
-	Imports      []string
-	TestImports  []string
-	XTestImports []string
 	Error        *struct{ Err string }
 }
 
@@ -62,7 +58,7 @@ type unitMeta struct {
 // pattern expansion but accepts when named outright.
 func listUnits(dir string, patterns []string) ([]*unitMeta, error) {
 	args := append([]string{"list",
-		"-json=ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles,Imports,TestImports,XTestImports,Error"},
+		"-json=ImportPath,Dir,GoFiles,TestGoFiles,XTestGoFiles,Error"},
 		patterns...)
 	out, err := runGo(dir, args...)
 	if err != nil {
@@ -80,63 +76,32 @@ func listUnits(dir string, patterns []string) ([]*unitMeta, error) {
 	return metas, nil
 }
 
-// modulePath returns the import path of dir's main module.
-func modulePath(dir string) (string, error) {
-	out, err := runGo(dir, "list", "-m", "-f", "{{.Path}}")
+// exportLookup builds the compiled export data of the targets' full
+// dependency closure, including test-only dependencies (-test), and returns
+// the reader importer.ForCompiler resolves imports through.
+func exportLookup(dir string, patterns []string) (importer.Lookup, error) {
+	args := append([]string{"list", "-deps", "-test", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, patterns...)
+	out, err := runGo(dir, args...)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	return strings.TrimSpace(out), nil
-}
-
-// exportResolver locates (building on first use) the compiled export data
-// of the targets' full dependency closure, including test-only
-// dependencies (-test). The build is lazy: a fully cache-hit driver run
-// never needs export data at all, which is what keeps warm `hierlint ./...`
-// runs cheap as the tree grows.
-type exportResolver struct {
-	dir      string
-	patterns []string
-
-	once sync.Once
-	m    map[string]string
-	err  error
-}
-
-func newExportResolver(dir string, patterns []string) *exportResolver {
-	return &exportResolver{dir: dir, patterns: patterns}
-}
-
-func (r *exportResolver) build() {
-	args := append([]string{"list", "-deps", "-test", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, r.patterns...)
-	out, err := runGo(r.dir, args...)
-	if err != nil {
-		r.err = err
-		return
-	}
-	r.m = map[string]string{}
+	files := map[string]string{}
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		path, file, ok := strings.Cut(line, "\t")
 		if !ok || file == "" {
 			continue
 		}
-		if _, exists := r.m[path]; !exists {
-			r.m[path] = file
+		if _, exists := files[path]; !exists {
+			files[path] = file
 		}
 	}
-}
-
-// lookup returns an export-data reader for path, for importer.ForCompiler.
-func (r *exportResolver) lookup(path string) (io.ReadCloser, error) {
-	r.once.Do(r.build)
-	if r.err != nil {
-		return nil, r.err
-	}
-	file, ok := r.m[path]
-	if !ok || file == "" {
-		return nil, fmt.Errorf("no export data for %q", path)
-	}
-	return os.Open(file)
+	return func(path string) (io.ReadCloser, error) {
+		file, ok := files[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	}, nil
 }
 
 // unitImporter resolves imports for one unit's type-checks: in-memory
@@ -156,14 +121,13 @@ func (u *unitImporter) Import(path string) (*types.Package, error) {
 }
 
 // loadUnit parses and type-checks every variant of one listed package.
-// Each unit owns its FileSet, so units load concurrently without sharing.
-func loadUnit(m *unitMeta, exp *exportResolver) ([]*Package, error) {
+func loadUnit(m *unitMeta, lookup importer.Lookup) ([]*Package, error) {
 	if m.Error != nil {
 		return nil, fmt.Errorf("go list: %s: %s", m.ImportPath, m.Error.Err)
 	}
 	fset := token.NewFileSet()
 	imp := &unitImporter{
-		exp:   importer.ForCompiler(fset, "gc", exp.lookup),
+		exp:   importer.ForCompiler(fset, "gc", lookup),
 		local: map[string]*types.Package{},
 	}
 	parse := func(names []string) ([]*ast.File, error) {
@@ -254,8 +218,7 @@ func loadUnit(m *unitMeta, exp *exportResolver) ([]*Package, error) {
 // every variant, test files included — resolving imports (stdlib and
 // module-internal alike) through the build cache's compiled export data.
 // Only the `go` tool itself is shelled out to; the analysis is pure
-// go/ast + go/types. The incremental, parallel entry point is Analyze
-// (driver.go); Load is the simple serial path used by tests and fixtures.
+// go/ast + go/types.
 func Load(dir string, patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -264,10 +227,13 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	exp := newExportResolver(dir, patterns)
+	lookup, err := exportLookup(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
 	var pkgs []*Package
 	for _, m := range metas {
-		ps, err := loadUnit(m, exp)
+		ps, err := loadUnit(m, lookup)
 		if err != nil {
 			return nil, err
 		}

@@ -61,44 +61,3 @@ func hostPause() {
 var hits int //lint:ignore runisolation host-side fixture counter, not simulation state
 
 func recordHit() { hits++ }
-
-// deadline schedules from a stale now read on purpose; the directive
-// records why that is safe and suppresses the vtmono finding.
-func deadline(e *des.Engine, p *des.Proc, fn func()) {
-	horizon := p.Now() + 1e12
-	p.Sleep(1)
-	//lint:ignore vtmono horizon is beyond any reachable virtual time in the fixture
-	e.At(horizon, fn)
-}
-
-// domain is a confinement cell for the suppressed confine case below.
-//
-//hierflow:component
-type domain struct {
-	refs []*domain
-}
-
-// inspectPeer aliases one domain into another read-only; the directive
-// records that and suppresses the confine finding.
-func inspectPeer(a, b *domain) {
-	//lint:ignore confine read-only diagnostic alias, never written through
-	a.refs = append(a.refs, b)
-}
-
-// probe is written by its goroutine and read ambiently, but the consumer
-// provably waits for the channel first; the directive records that and
-// suppresses the atomicfield finding.
-type probe struct {
-	//lint:ignore atomicfield read happens after the done-channel sync in sample
-	val  int
-	done chan struct{}
-}
-
-func sample(pr *probe) int {
-	go func() {
-		pr.val = 42
-		close(pr.done)
-	}()
-	<-pr.done
-	return pr.val
-}

@@ -5,11 +5,8 @@
 #   vet       the stock Go analyzers
 #   hierlint  the simulator-invariant analyzers (cmd/hierlint):
 #             determinism, requesthygiene, errcheck, bufferescape,
-#             runisolation, poolreturn, tagspace, plus the hierflow
-#             interprocedural analyzers vtmono, confine, atomicfield. Runs
-#             twice (cold-ish, then warm) and prints both timings so
-#             result-cache effectiveness stays visible; also gates that all
-#             ten analyzers are registered.
+#             runisolation, poolreturn, tagspace. One run, wall time
+#             printed; also gates that all seven analyzers are registered.
 #   test      the full suite under the race detector
 #   san       the conformance/isolation suites under HIERSAN=1 (the hiersan
 #             dynamic sanitizer) plus the seeded fault fixtures
@@ -39,17 +36,15 @@ go vet ./...
 
 echo "==> hierlint ./..."
 go build -o /tmp/hierlint.verify ./cmd/hierlint
-if [ "$(/tmp/hierlint.verify -list | wc -l)" -ne 10 ]; then
-  echo "hierlint: expected 10 registered analyzers" >&2
+if [ "$(/tmp/hierlint.verify -list | wc -l)" -ne 7 ]; then
+  echo "hierlint: expected 7 registered analyzers" >&2
   /tmp/hierlint.verify -list >&2
   exit 1
 fi
 t0=$(date +%s%N)
 /tmp/hierlint.verify ./...
 t1=$(date +%s%N)
-/tmp/hierlint.verify ./...
-t2=$(date +%s%N)
-echo "hierlint timing: first run $(( (t1 - t0) / 1000000 ))ms, warm-cache run $(( (t2 - t1) / 1000000 ))ms"
+echo "hierlint timing: $(( (t1 - t0) / 1000000 ))ms"
 
 echo "==> go test -race ./..."
 go test -race ./...
@@ -65,7 +60,7 @@ echo "==> benchsmoke (bench/ci.sh)"
 t3=$(date +%s%N)
 scripts/benchsmoke.sh
 t4=$(date +%s%N)
-echo "gate timing: hierlint first run $(( (t1 - t0) / 1000000 ))ms, warm-cache run $(( (t2 - t1) / 1000000 ))ms; benchsmoke $(( (t4 - t3) / 1000000 ))ms"
+echo "gate timing: hierlint $(( (t1 - t0) / 1000000 ))ms; benchsmoke $(( (t4 - t3) / 1000000 ))ms"
 
 echo "==> bench (DES hot path + fabric allocator + sweep)"
 scripts/bench.sh

@@ -19,7 +19,7 @@ import (
 // Components share no state outside the membership transfers (absorb,
 // repartition), which is what lets fill be a pure function of one component's
 // membership; equivalence_test.go checks that against ModeGlobal bit for
-// bit with EnableShadow on every sync.
+// bit with enableShadow on every sync.
 type component struct {
 	id    uint64
 	cpos  int // position in Net.comps

@@ -35,8 +35,8 @@ type testCluster struct {
 func newTestCluster(t testing.TB, mode Mode, nodes int, backplane bool) *testCluster {
 	eng := des.New()
 	net := NewNet(eng)
-	net.SetMode(mode)
-	net.EnableShadow(func(format string, args ...any) {
+	net.setMode(mode)
+	net.enableShadow(func(format string, args ...any) {
 		t.Fatalf("shadow mismatch in %v mode: %s", mode, fmt.Sprintf(format, args...))
 	})
 	c := &testCluster{eng: eng, net: net}
@@ -289,6 +289,10 @@ func TestEquivalenceFig3TreeBcast(t *testing.T) {
 	// No backplane (the paper's clusters have none): distinct branches of
 	// the tree are distinct components, the incremental win's source.
 	inc, glob := requireEquivalent(t, 16, false, treeBcast(4, 512<<10))
+	if glob.ResourceVisits < 2*inc.ResourceVisits {
+		t.Errorf("expected >=2x resource-visit savings on the tree broadcast: incremental %d, global %d",
+			inc.ResourceVisits, glob.ResourceVisits)
+	}
 	t.Logf("incremental: %v", inc)
 	t.Logf("global:      %v", glob)
 }
@@ -327,7 +331,7 @@ func TestShadowCatchesCorruption(t *testing.T) {
 	eng := des.New()
 	net := NewNet(eng)
 	caught := 0
-	net.EnableShadow(func(format string, args ...any) { caught++ })
+	net.enableShadow(func(format string, args ...any) { caught++ })
 	r := net.NewResource("wire", 1e9)
 	other := net.NewResource("other-wire", 1e9)
 	var f *Flow

@@ -256,11 +256,8 @@ func NewNet(eng *des.Engine) *Net {
 // audits the pooled flow free list.
 func (n *Net) SetSanitizer(s *san.Sanitizer) { n.san = s }
 
-// SetMode selects the recompute mode; the next sync applies it.
-func (n *Net) SetMode(m Mode) { n.mode = m }
-
-// Mode returns the current recompute mode.
-func (n *Net) Mode() Mode { return n.mode }
+// setMode selects the recompute mode; the next sync applies it.
+func (n *Net) setMode(m Mode) { n.mode = m }
 
 // Stats returns the recompute counters accumulated so far.
 func (n *Net) Stats() RecomputeStats {
@@ -308,14 +305,14 @@ func (n *Net) Reset() {
 	n.classScr = n.classScr[:0]
 }
 
-// EnableShadow turns on the always-on-in-tests cross-check: after every
+// enableShadow turns on the always-on-in-tests cross-check: after every
 // sync the Net re-derives the component partition and all rates from
 // scratch and compares them against the incrementally maintained state
 // (exactly), and against the seed's one-pass global filling (within a tight
 // relative tolerance — its fp delta sequence differs). onMismatch receives
 // a description of any divergence; nil means panic, which is what the tests
 // want.
-func (n *Net) EnableShadow(onMismatch func(format string, args ...any)) {
+func (n *Net) enableShadow(onMismatch func(format string, args ...any)) {
 	if onMismatch == nil {
 		onMismatch = func(format string, args ...any) {
 			panic("fabric shadow: " + fmt.Sprintf(format, args...))

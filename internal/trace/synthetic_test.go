@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"strings"
 	"testing"
 
-	"hierknem/internal/fabric"
 	"hierknem/internal/topology"
 )
 
@@ -117,34 +115,5 @@ func TestZeroActivityOverlap(t *testing.T) {
 	}
 	if o.HiddenFraction() != 0 {
 		t.Fatalf("HiddenFraction on idle machine = %g", o.HiddenFraction())
-	}
-}
-
-// FabricStats and RecomputeReport surface the allocator counters.
-func TestFabricStatsReport(t *testing.T) {
-	m := syntheticMachine(t)
-	r := m.Fab.Resources()
-	if len(r) == 0 {
-		t.Fatal("machine has no resources")
-	}
-	m.Eng.At(0, func() {
-		m.Fab.StartClassed("copy", 1e6, 0, []*fabric.Resource{r[0]}, nil)
-	})
-	if err := m.Eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := FabricStats(m)
-	if st.Syncs == 0 || st.Fills == 0 || st.Completions != 1 {
-		t.Fatalf("implausible counters: %v", st)
-	}
-	rep := RecomputeReport(m)
-	for _, frag := range []string{"incremental", "res-visits", "events="} {
-		if !strings.Contains(rep, frag) {
-			t.Fatalf("report missing %q:\n%s", frag, rep)
-		}
-	}
-	m.Fab.SetMode(fabric.ModeGlobal)
-	if !strings.Contains(RecomputeReport(m), "global") {
-		t.Fatal("report does not reflect the global mode")
 	}
 }

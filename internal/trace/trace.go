@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 
-	"hierknem/internal/fabric"
 	"hierknem/internal/topology"
 )
 
@@ -98,30 +97,6 @@ func MeasureOverlap(m *topology.Machine) Overlap {
 		CopyBusy: m.Fab.ClassBusyTime("copy"),
 		Both:     m.Fab.OverlapTime("net", "copy"),
 	}
-}
-
-// FabricStats returns the allocator's recompute counters: how many
-// progressive-filling passes ran, how many resources and flows they visited,
-// and how the flow/resource graph partitioned into connected components.
-// Comparing these between fabric.ModeIncremental and fabric.ModeGlobal is
-// how the benchmarks quantify the incremental allocator's savings.
-func FabricStats(m *topology.Machine) fabric.RecomputeStats {
-	return m.Fab.Stats()
-}
-
-// RecomputeReport renders the recompute counters plus the derived per-event
-// costs (resource visits and flow visits per processed event).
-func RecomputeReport(m *topology.Machine) string {
-	s := FabricStats(m)
-	ev := m.Eng.Processed()
-	var b strings.Builder
-	fmt.Fprintf(&b, "fabric recompute (%s mode)\n", m.Fab.Mode())
-	fmt.Fprintf(&b, "  %s\n", s.String())
-	if ev > 0 {
-		fmt.Fprintf(&b, "  events=%d res-visits/event=%.2f flow-visits/event=%.2f\n",
-			ev, float64(s.ResourceVisits)/float64(ev), float64(s.FlowVisits)/float64(ev))
-	}
-	return b.String()
 }
 
 // MaxUtilization returns the highest-utilization resource — the system

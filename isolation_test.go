@@ -106,9 +106,10 @@ func TestParallelRunsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestWorldResetReplaysBitIdentical reruns the program on a Reset world and
-// requires the hex-exact log of the fresh run — the invariant that lets
-// sweep workers substitute a reused arena for a fresh build.
+// TestWorldResetReplaysBitIdentical reruns the program on a Reset world,
+// after itself and after a different program, and requires the hex-exact
+// log of the fresh run — the invariant that lets sweep workers substitute a
+// reused arena for a fresh build.
 func TestWorldResetReplaysBitIdentical(t *testing.T) {
 	w := isoWorld(t)
 	want := runLogged(t, w)
@@ -116,6 +117,22 @@ func TestWorldResetReplaysBitIdentical(t *testing.T) {
 		w.Reset()
 		diffLogs(t, fmt.Sprintf("reset replay %d", i), want, runLogged(t, w))
 	}
+
+	// A world that ran a different program first — real 2 KB buffers, a
+	// non-zero root — must forget it too. The log's final line carries
+	// Engine.Processed(), so this pins the event count as well as every
+	// completion instant.
+	w = isoWorld(t)
+	spec := isoSpec()
+	mod := hierknem.ForCluster(&spec)
+	err := w.Run(func(p *mpi.Proc) {
+		mod.Bcast(p, w.WorldComm(), buffer.NewReal(make([]byte, 2<<10)), 5)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Reset()
+	diffLogs(t, "reset after a different program", want, runLogged(t, w))
 }
 
 // TestWorldResetAllocsLessThanRebuild pins the point of reuse: a Reset+run

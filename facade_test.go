@@ -1,6 +1,7 @@
 package hierknem_test
 
 import (
+	"fmt"
 	"testing"
 
 	"hierknem"
@@ -34,6 +35,15 @@ func TestFacadeWorldConstruction(t *testing.T) {
 	}
 	if _, err := hierknem.NewWorldPPN(spec, 100); err == nil {
 		t.Fatal("accepted ppn > cores per node")
+	}
+	for _, binding := range []string{"bycore", "bynode"} {
+		for _, np := range []int{-1, 0, 49} {
+			_, err := hierknem.NewWorld(spec, binding, np)
+			want := fmt.Sprintf("topology: np %d out of range [1, 48]", np)
+			if err == nil || err.Error() != want {
+				t.Fatalf("NewWorld(%s, np=%d): err = %v, want %q", binding, np, err, want)
+			}
+		}
 	}
 }
 

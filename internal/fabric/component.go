@@ -1,9 +1,11 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
 
 	"hierknem/internal/des"
+	"hierknem/internal/san"
 )
 
 // component is one connected component of the flow/resource graph: the unit
@@ -28,21 +30,78 @@ type component struct {
 
 	timer   des.Timer // completion timer for the earliest deadline
 	timerAt float64   // absolute time the timer is armed for
+	timerFn func()    // the timer's body, built once per shell
 
 	dirtyFlag bool // queued for recompute at the next sync
 	splitFlag bool // membership may have fragmented (a flow left)
 	dead      bool // absorbed or destroyed; skip if found in the dirty queue
 }
 
-func (n *Net) newComponent() *component {
-	c := &component{id: n.nextCompID, cpos: len(n.comps)}
+// shellKeep is the largest backing array (in entries) a recycled shell keeps;
+// see the package comment for the measurement behind it.
+const shellKeep = 128
+
+// allocComponent puts an empty component into service on a recycled shell,
+// or a freshly minted one when the free list is empty.
+func (n *Net) allocComponent() *component {
+	var c *component
+	if k := len(n.compPool) - 1; k >= 0 {
+		c = n.compPool[k]
+		n.compPool = n.compPool[:k]
+	} else {
+		c = &component{}
+		c.timerFn = func() { n.onCompletionTimer(c) }
+	}
+	c.id = n.nextCompID
 	n.nextCompID++
+	c.cpos = len(n.comps)
+	c.dead = false
+	if n.san != nil {
+		n.san.PoolAlloc(san.KindComponent, c, compName(c))
+	}
 	n.comps = append(n.comps, c)
 	if len(n.comps) > n.stats.PeakComponents {
 		n.stats.PeakComponents = len(n.comps)
 	}
 	return c
 }
+
+// recycleComponent returns a dead shell to the free list with its arrays
+// (already emptied by whoever killed it) capped at shellKeep entries.
+func (n *Net) recycleComponent(c *component) {
+	if n.san != nil {
+		who := compName(c)
+		n.san.PoolRelease(san.KindComponent, c, who)
+		if !c.dead {
+			// Still listed in n.comps: the partition goes on using a
+			// shell the free list is about to hand out again.
+			n.san.PoolUse(c, who)
+		}
+	}
+	if cap(c.flows) > shellKeep {
+		c.flows = nil
+	}
+	if cap(c.res) > shellKeep {
+		c.res = nil
+	}
+	c.timer = des.Timer{}
+	c.timerAt = 0
+	c.dirtyFlag = false
+	c.splitFlag = false
+	n.compPool = append(n.compPool, c)
+}
+
+// recycleRetired moves the shells killed since the last sync to the free
+// list. Callers have emptied the dirty queue first.
+func (n *Net) recycleRetired() {
+	for _, c := range n.retired {
+		n.recycleComponent(c)
+	}
+	n.retired = n.retired[:0]
+}
+
+// compName names a component incarnation in sanitizer reports.
+func compName(c *component) string { return fmt.Sprintf("component %d", c.id) }
 
 func (n *Net) markDirty(c *component) {
 	if !c.dirtyFlag {
@@ -60,6 +119,7 @@ func (n *Net) removeComp(c *component) {
 	n.comps = n.comps[:last]
 	c.cpos = -1
 	c.dead = true
+	n.retired = append(n.retired, c)
 }
 
 // attach inserts a new flow: it joins the component owning its path's
@@ -67,7 +127,7 @@ func (n *Net) removeComp(c *component) {
 func (n *Net) attach(f *Flow) {
 	n.advanceClasses()
 	if f.Class != "" {
-		n.classCount[f.Class]++
+		n.classCount[n.internClass(f.Class)]++
 	}
 	n.nFlows++
 	now := n.eng.Now()
@@ -92,7 +152,7 @@ func (n *Net) attach(f *Flow) {
 		target = a
 	}
 	if target == nil {
-		target = n.newComponent()
+		target = n.allocComponent()
 	}
 	for _, r := range f.Path {
 		if r.comp == nil {
@@ -125,8 +185,10 @@ func (n *Net) absorb(a, b *component) {
 		a.res = append(a.res, r)
 	}
 	a.splitFlag = a.splitFlag || b.splitFlag
-	b.flows = nil
-	b.res = nil
+	clear(b.flows)
+	b.flows = b.flows[:0]
+	clear(b.res)
+	b.res = b.res[:0]
 	b.timer.Cancel()
 	n.removeComp(b)
 }
@@ -136,7 +198,7 @@ func (n *Net) absorb(a, b *component) {
 func (n *Net) detach(f *Flow) {
 	n.advanceClasses()
 	if f.Class != "" {
-		n.classCount[f.Class]--
+		n.classCount[n.classIndex(f.Class)]--
 	}
 	n.nFlows--
 	c := f.comp
@@ -160,16 +222,13 @@ func (n *Net) releaseResource(r *Resource) {
 	r.ridx = -1
 }
 
+// destroyComponent retires a component whose last flow has left.
 func (n *Net) destroyComponent(c *component) {
-	now := n.eng.Now()
 	for _, r := range c.res {
-		r.integrate(now)
-		r.load = 0
-		r.comp = nil
-		r.ridx = -1
+		n.releaseResource(r)
 	}
-	c.res = nil
-	c.flows = nil
+	clear(c.res)
+	c.res = c.res[:0]
 	c.timer.Cancel()
 	n.removeComp(c)
 }
@@ -199,9 +258,10 @@ func (n *Net) recomputeComponent(c *component) {
 // repartition re-derives the connected components of c's membership with a
 // local union-find over its resources. It returns nil when the component is
 // still connected (the common case: a completed flow's peers share its
-// links); otherwise it returns the resulting parts, the first of which
-// reuses c's shell — and therefore c's armed timer, which stays valid when
-// the surviving minimum deadline is unchanged.
+// links); otherwise it returns the resulting parts (in Net-owned scratch,
+// valid until the next call), the first of which reuses c's shell — and
+// therefore c's armed timer, which stays valid when the surviving minimum
+// deadline is unchanged.
 func (n *Net) repartition(c *component) []*component {
 	n.stats.Repartitions++
 	res := c.res
@@ -267,52 +327,53 @@ func (n *Net) repartition(c *component) []*component {
 		return nil
 	}
 
+	// Parts are numbered in order of their first flow, and members keep
+	// their relative order. Part 0 is compacted into c's own arrays: its
+	// k-th member is written at index k, never ahead of the read position.
 	n.stats.Splits++
-	type grp struct {
-		flows []*Flow
-		res   []*Resource
+	partOf := n.partOf[:0] // union-find root (an index into res) -> part
+	for range res {
+		partOf = append(partOf, -1)
 	}
-	var groups []*grp
-	idxOf := make(map[int32]int)
-	for _, f := range c.flows {
+	n.partOf = partOf
+	flows := c.flows
+	c.flows, c.res = flows[:0], res[:0]
+	parts := n.parts[:0]
+	nextPart := func() *component {
+		p := c
+		if len(parts) > 0 {
+			p = n.allocComponent()
+		}
+		parts = append(parts, p)
+		return p
+	}
+	for _, f := range flows {
+		var p *component
 		if len(f.Path) == 0 {
-			groups = append(groups, &grp{flows: []*Flow{f}})
-			continue
+			p = nextPart()
+		} else if root := f.Path[0].uf; partOf[root] >= 0 {
+			p = parts[partOf[root]]
+		} else {
+			partOf[root] = int32(len(parts))
+			p = nextPart()
 		}
-		rt := f.Path[0].uf
-		gi, ok := idxOf[rt]
-		if !ok {
-			gi = len(groups)
-			idxOf[rt] = gi
-			groups = append(groups, &grp{})
-		}
-		groups[gi].flows = append(groups[gi].flows, f)
+		f.comp = p
+		f.cidx = len(p.flows)
+		p.flows = append(p.flows, f)
 	}
 	for _, r := range res {
-		if gi, ok := idxOf[r.uf]; ok {
-			groups[gi].res = append(groups[gi].res, r)
+		if pi := partOf[r.uf]; pi >= 0 {
+			p := parts[pi]
+			r.comp = p
+			r.ridx = len(p.res)
+			p.res = append(p.res, r)
 		} else {
 			n.releaseResource(r)
 		}
 	}
-	parts := make([]*component, 0, len(groups))
-	for gi, g := range groups {
-		p := c
-		if gi > 0 {
-			p = n.newComponent()
-		}
-		p.flows = g.flows
-		p.res = g.res
-		for i, f := range g.flows {
-			f.comp = p
-			f.cidx = i
-		}
-		for i, r := range g.res {
-			r.comp = p
-			r.ridx = i
-		}
-		parts = append(parts, p)
-	}
+	clear(flows[len(c.flows):])
+	clear(res[len(c.res):])
+	n.parts = parts
 	return parts
 }
 

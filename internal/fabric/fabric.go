@@ -47,16 +47,40 @@
 // against a from-scratch partition and against the seed's one-pass global
 // filling algorithm.
 //
-// The implementation is allocation-light: flows and resources live in flat
-// per-component slices and the progressive-filling pass reuses scratch state
-// on the resources themselves, because benchmark workloads recompute
-// allocations tens of thousands of times.
+// # Allocation
+//
+// Benchmark workloads recompute allocations hundreds of thousands of times
+// per collective, so the steady state allocates nothing. Three things are
+// reused instead of rebuilt:
+//
+//   - Component shells. A component record, its flows/res backing arrays and
+//     its completion-timer closure are recycled through a Net-owned free
+//     list (allocComponent/recycleComponent), like pooled Flow records.
+//   - Recompute scratch. Progressive filling and the union-find of a split
+//     keep their per-resource state (resid, wsum, uf) on the Resource itself;
+//     a split maps roots to parts through one Net-owned index slice and
+//     compacts part 0 into the component's own arrays.
+//   - Traffic classes. Class names are interned to small indices on first
+//     sight, so the overlap integrals are slices, not string-keyed maps.
+//
+// Two ordering rules keep the event log independent of what is recycled. A
+// split numbers its parts in first-flow order: part order fixes component
+// ids and the order completion timers are armed, hence the engine's sequence
+// tie-breaks. And a dead shell re-enters the free list only once sync has
+// drained the dirty queue (or in Reset), because a component absorbed or
+// destroyed while queued is still listed there and must be skipped as dead,
+// not recomputed as its next occupant.
+//
+// A recycled shell keeps backing arrays of at most shellKeep entries. Every
+// shell sooner or later carries a fully merged component, and unbounded
+// retention grew the ring Allgather world's live heap by 19.5 % (24 shells x
+// ~570 entries); the cap holds that to about 2 % at the price of regrowing
+// the few large components.
 package fabric
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"hierknem/internal/des"
 	"hierknem/internal/san"
@@ -80,7 +104,7 @@ type Resource struct {
 	BusyTime    float64
 
 	comp *component // owning component; nil while idle
-	ridx int        // position in comp.res
+	ridx int        // position in comp.res; -1 while idle
 
 	// recompute scratch
 	resid float64
@@ -220,31 +244,37 @@ type Net struct {
 	flowPool []*Flow
 	finScr   []*Flow // onCompletionTimer scratch, reused across firings
 
-	// san, when non-nil, tracks pooled flow records (hiersan). Nil-guarded
-	// at every hook so the disabled hot path stays allocation-free.
+	// compPool is the component-shell free list. A shell killed by
+	// removeComp may still be listed in dirty, so it waits in retired until
+	// sync has drained that queue. parts and partOf are repartition's
+	// split scratch.
+	compPool []*component
+	retired  []*component
+	parts    []*component
+	partOf   []int32
+
+	// san, when non-nil, tracks pooled flow records and component shells
+	// (hiersan). Nil-guarded at every hook so the disabled hot path stays
+	// allocation-free.
 	san *san.Sanitizer
 
 	// Overlap accounting: virtual time during which at least one flow of
 	// a class was active, and during which two classes were concurrently
-	// active (key "a|b" with a < b). This is how experiments quantify the
-	// paper's central claim — intra-node copies overlapping inter-node
-	// transfers. Maintained from per-class active counts, integrated
-	// whenever a count changes.
-	classBusy   map[string]float64
-	overlapBusy map[string]float64
-	classCount  map[string]int
-	lastClass   float64  // virtual time of the last class integration
-	classScr    []string // scratch (reused across integrations)
+	// active. This is how experiments quantify the paper's central claim —
+	// intra-node copies overlapping inter-node transfers. Maintained from
+	// per-class active counts, integrated whenever a count changes. Class
+	// names are interned in order of first sight (classNames survives
+	// Reset); the pair (i, j) with i < j lives at overlapBusy[j*(j-1)/2+i].
+	classNames  []string
+	classCount  []int
+	classBusy   []float64
+	overlapBusy []float64
+	lastClass   float64 // virtual time of the last class integration
 }
 
 // NewNet creates an empty fabric bound to eng.
 func NewNet(eng *des.Engine) *Net {
-	n := &Net{
-		eng:         eng,
-		classBusy:   make(map[string]float64),
-		overlapBusy: make(map[string]float64),
-		classCount:  make(map[string]int),
-	}
+	n := &Net{eng: eng}
 	n.syncFn = func() {
 		n.syncScheduled = false
 		n.sync()
@@ -253,7 +283,7 @@ func NewNet(eng *des.Engine) *Net {
 }
 
 // SetSanitizer attaches (or, with nil, detaches) a hiersan runtime that
-// audits the pooled flow free list.
+// audits the pooled flow and component-shell free lists.
 func (n *Net) SetSanitizer(s *san.Sanitizer) { n.san = s }
 
 // setMode selects the recompute mode; the next sync applies it.
@@ -270,19 +300,25 @@ func (n *Net) Stats() RecomputeStats {
 func (n *Net) Components() int { return len(n.comps) }
 
 // Reset returns the fabric to its pristine post-NewNet state while keeping
-// the expensive arenas warm: the resource set itself, the flow free list and
-// the completion scratch survive, so a reused fabric allocates nothing on
-// its next run. Identifier counters restart at zero — flow IDs only ever
-// feed the (ID-ordered) progressive-filling tie-breaks within one run, so
-// restarting them reproduces a fresh fabric's allocation decisions exactly.
-// Reset panics if flows are still in flight; callers reset the owning
-// engine first, so no sync or completion event can be pending either.
+// the expensive arenas warm: the resource set itself, the flow and component
+// free lists, the completion scratch and the interned class names survive,
+// so a reused fabric allocates nothing on its next run. Identifier counters
+// restart at zero — flow IDs only ever feed the (ID-ordered) progressive-
+// filling tie-breaks within one run, so restarting them reproduces a fresh
+// fabric's allocation decisions exactly. Reset panics if flows are still in
+// flight; callers reset the owning engine first, so no sync or completion
+// event can be pending either.
 func (n *Net) Reset() {
 	if n.nFlows > 0 {
 		panic(fmt.Sprintf("fabric: Reset with %d flow(s) in flight", n.nFlows))
 	}
-	n.comps = n.comps[:0]
+	// Components emptied by the last completions but not yet swept by the
+	// sync the engine reset discarded.
+	for len(n.comps) > 0 {
+		n.destroyComponent(n.comps[len(n.comps)-1])
+	}
 	n.dirty = n.dirty[:0]
+	n.recycleRetired()
 	n.nextID = 0
 	n.nextCompID = 0
 	n.syncScheduled = false
@@ -293,7 +329,7 @@ func (n *Net) Reset() {
 		r.BytesServed = 0
 		r.BusyTime = 0
 		r.comp = nil
-		r.ridx = 0
+		r.ridx = -1
 		r.resid = 0
 		r.wsum = 0
 		r.uf = 0
@@ -302,7 +338,6 @@ func (n *Net) Reset() {
 	clear(n.overlapBusy)
 	clear(n.classCount)
 	n.lastClass = 0
-	n.classScr = n.classScr[:0]
 }
 
 // enableShadow turns on the always-on-in-tests cross-check: after every
@@ -321,21 +356,56 @@ func (n *Net) enableShadow(onMismatch func(format string, args ...any)) {
 	n.shadow = onMismatch
 }
 
+// classIndex returns the interned index of a class name, or -1 if no flow
+// of that class was ever started. A handful of classes exist in practice, so
+// a scan beats hashing the string.
+func (n *Net) classIndex(class string) int {
+	for i, name := range n.classNames {
+		if name == class {
+			return i
+		}
+	}
+	return -1
+}
+
+// internClass is classIndex for a flow entering service: an unseen name gets
+// the next index, and the integrals grow by one class and one row of pairs.
+func (n *Net) internClass(class string) int {
+	if i := n.classIndex(class); i >= 0 {
+		return i
+	}
+	i := len(n.classNames)
+	n.classNames = append(n.classNames, class)
+	n.classCount = append(n.classCount, 0)
+	n.classBusy = append(n.classBusy, 0)
+	for k := 0; k < i; k++ {
+		n.overlapBusy = append(n.overlapBusy, 0)
+	}
+	return i
+}
+
 // ClassBusyTime returns the virtual time during which at least one flow of
 // the class was active.
 func (n *Net) ClassBusyTime(class string) float64 {
 	n.advanceClasses()
-	return n.classBusy[class]
+	if i := n.classIndex(class); i >= 0 {
+		return n.classBusy[i]
+	}
+	return 0
 }
 
 // OverlapTime returns the virtual time during which flows of both classes
 // were concurrently active.
 func (n *Net) OverlapTime(a, b string) float64 {
 	n.advanceClasses()
-	if a > b {
-		a, b = b, a
+	i, j := n.classIndex(a), n.classIndex(b)
+	if i > j {
+		i, j = j, i
 	}
-	return n.overlapBusy[a+"|"+b]
+	if i < 0 || i == j {
+		return 0
+	}
+	return n.overlapBusy[j*(j-1)/2+i]
 }
 
 // Engine returns the underlying event engine.
@@ -349,7 +419,7 @@ func (n *Net) NewResource(name string, capacity float64) *Resource {
 	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
 		panic(fmt.Sprintf("fabric: resource %q capacity must be positive and finite, got %g", name, capacity))
 	}
-	r := &Resource{Name: name, Capacity: capacity}
+	r := &Resource{Name: name, Capacity: capacity, ridx: -1}
 	n.resources = append(n.resources, r)
 	return r
 }
@@ -519,28 +589,27 @@ func (f *Flow) Abort() {
 func (n *Net) ActiveFlows() int { return n.nFlows }
 
 // advanceClasses integrates class-activity time up to engine-now at the
-// current per-class counts. Called before any count changes.
+// current per-class counts. Called before any count changes. Every integral
+// accumulates independently, so the visiting order cannot change a bit.
 func (n *Net) advanceClasses() {
 	now := n.eng.Now()
 	dt := now - n.lastClass
+	n.lastClass = now
 	if dt <= 0 {
-		n.lastClass = now
 		return
 	}
-	n.classScr = n.classScr[:0]
-	for class, cnt := range n.classCount {
-		if cnt > 0 {
-			n.classScr = append(n.classScr, class)
+	for j, cnt := range n.classCount {
+		if cnt <= 0 {
+			continue
+		}
+		n.classBusy[j] += dt
+		row := n.overlapBusy[j*(j-1)/2:]
+		for i, cnt := range n.classCount[:j] {
+			if cnt > 0 {
+				row[i] += dt
+			}
 		}
 	}
-	sort.Strings(n.classScr)
-	for i, a := range n.classScr {
-		n.classBusy[a] += dt
-		for _, b := range n.classScr[i+1:] {
-			n.overlapBusy[a+"|"+b] += dt
-		}
-	}
-	n.lastClass = now
 }
 
 // requestSync coalesces recomputation: all adds/removes within one virtual
@@ -574,6 +643,7 @@ func (n *Net) sync() {
 		n.dirty[i] = nil
 	}
 	n.dirty = n.dirty[:0]
+	n.recycleRetired()
 	if n.shadow != nil {
 		n.runShadow()
 	}
@@ -650,7 +720,7 @@ func (n *Net) scheduleCompletion(c *component) {
 		next = now
 	}
 	c.timerAt = next
-	c.timer = n.eng.At(next, func() { n.onCompletionTimer(c) })
+	c.timer = n.eng.At(next, c.timerFn)
 }
 
 func sortFlows(fs []*Flow) {

@@ -10,7 +10,8 @@ const shadowRelTol = 1e-9
 
 // runShadow cross-checks the incrementally maintained state after a sync:
 //
-//   - structural invariants (back-pointers, flow counts, class counts);
+//   - structural invariants (back-pointers, flow counts, class counts, idle
+//     resources);
 //   - the component partition against a from-scratch union-find;
 //   - every flow's rate against a from-scratch refill of its component
 //     (exact equality — fill is a pure function of membership, so any
@@ -73,15 +74,21 @@ func (n *Net) runShadow() {
 			}
 		}
 	}
-	for class, cnt := range n.classCount {
-		if cnt != counts[class] {
+	for i, class := range n.classNames {
+		if cnt := n.classCount[i]; cnt != counts[class] {
 			n.shadow("class %q count %d, flows say %d", class, cnt, counts[class])
 			return
 		}
 	}
 	for class, cnt := range counts {
-		if cnt != n.classCount[class] {
+		if n.classIndex(class) < 0 {
 			n.shadow("class %q count %d missing from bookkeeping", class, cnt)
+			return
+		}
+	}
+	for _, r := range n.resources {
+		if r.comp == nil && (r.ridx != -1 || r.load != 0) {
+			n.shadow("idle resource %q has ridx=%d load=%g", r.Name, r.ridx, r.load)
 			return
 		}
 	}

@@ -80,6 +80,11 @@ type World struct {
 	nodeComms []*Comm                       // per-node communicators, built eagerly (see NodeComm)
 	netPaths  map[uint64][]*fabric.Resource // shared read-only inter-node paths, keyed by socket pair (see netPath)
 
+	// reducePaths holds ReduceLocal's flow path per socket, node-major: the
+	// socket's memory bus three times (two streams read, one written). Pure
+	// topology, shared read-only by every reduction flow like netPaths.
+	reducePaths [][3]*fabric.Resource
+
 	// empty is this world's zero-byte phantom for control messages. One
 	// buffer (one identity) per world suffices: zero-byte transfers never
 	// read data, their CopyFrom is a no-op, and a zero-byte Touch neither
@@ -129,6 +134,12 @@ func NewWorld(m *topology.Machine, b *topology.Binding, conf Config) (*World, er
 	w.procs = make([]*Proc, b.NP())
 	for r := range w.procs {
 		w.procs[r] = &Proc{world: w, rank: r, name: fmt.Sprintf("rank%d", r), core: b.Core(m, r)}
+	}
+	w.reducePaths = make([][3]*fabric.Resource, 0, len(m.Nodes)*len(m.Nodes[0].Sockets))
+	for _, node := range m.Nodes {
+		for _, s := range node.Sockets {
+			w.reducePaths = append(w.reducePaths, [3]*fabric.Resource{s.MemBus, s.MemBus, s.MemBus})
+		}
 	}
 	w.buildNodeComms()
 	if san.EnvEnabled() {
@@ -290,10 +301,10 @@ func (p *Proc) ReduceLocal(op buffer.Op, dtype buffer.Datatype, dst, src *buffer
 			}
 			p.dp.Sleep(float64(n) / p.world.Conf.ReduceBandwidth)
 		} else {
-			bus := p.core.Socket.MemBus
-			path := []*fabric.Resource{bus, bus, bus}
+			w, s := p.world, p.core.Socket
+			path := w.reducePaths[s.NodeID*len(w.Machine.Nodes[0].Sockets)+s.ID][:]
 			des.Await(p.dp, func(done func()) {
-				p.world.Machine.Fab.StartAfterClassed("compute", 0, float64(n), p.world.Conf.ReduceBandwidth, path, done)
+				w.Machine.Fab.StartAfterClassed("compute", 0, float64(n), w.Conf.ReduceBandwidth, path, done)
 			})
 		}
 	}

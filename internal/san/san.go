@@ -4,11 +4,11 @@
 // static hierlint analyzers can only approximate:
 //
 //   - Pool provenance. The des engine, the mpi layer and the fabric recycle
-//     records (events, envelopes, postings, flows) through free lists. A
-//     generation record is kept per pooled object, so a double release or a
-//     use after release trips immediately, with the offender's rank and the
-//     virtual time of both touches, instead of corrupting an unrelated
-//     message several events later.
+//     records (events, envelopes, postings, flows, component shells) through
+//     free lists. A generation record is kept per pooled object, so a double
+//     release or a use after release trips immediately, with the offender's
+//     rank and the virtual time of both touches, instead of corrupting an
+//     unrelated message several events later.
 //
 //   - Virtual-time buffer conflicts. Collectives and KNEM devices register
 //     (rank, buffer, [off,end), vtime-interval, R/W) access windows. Two
@@ -41,10 +41,11 @@ import (
 
 // Kinds of pooled records tracked by the provenance checker.
 const (
-	KindEvent    = "des.event"
-	KindEnvelope = "mpi.envelope"
-	KindPosting  = "mpi.posting"
-	KindFlow     = "fabric.flow"
+	KindEvent     = "des.event"
+	KindEnvelope  = "mpi.envelope"
+	KindPosting   = "mpi.posting"
+	KindFlow      = "fabric.flow"
+	KindComponent = "fabric.component"
 )
 
 // EnvEnabled reports whether the HIERSAN environment variable asks for the

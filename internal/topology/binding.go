@@ -36,11 +36,19 @@ func (b *Binding) Validate(m *Machine) error {
 	return nil
 }
 
+// checkNP rejects a process count the machine cannot host.
+func checkNP(m *Machine, np int) error {
+	if total := m.Spec.TotalCores(); np < 1 || np > total {
+		return fmt.Errorf("topology: np %d out of range [1, %d]", np, total)
+	}
+	return nil
+}
+
 // ByCore builds the default binding: sequential ranks fill the cores of a
 // node before moving to the next node.
 func ByCore(m *Machine, np int) (*Binding, error) {
-	if np > m.Spec.TotalCores() {
-		return nil, fmt.Errorf("topology: %d processes > %d cores", np, m.Spec.TotalCores())
+	if err := checkNP(m, np); err != nil {
+		return nil, err
 	}
 	b := &Binding{Name: "bycore", CoreOf: make([]int, np)}
 	for r := 0; r < np; r++ {
@@ -52,9 +60,8 @@ func ByCore(m *Machine, np int) (*Binding, error) {
 // ByNode builds the round-robin binding: one process per node per round,
 // skipping nodes whose cores are exhausted, exactly as the paper describes.
 func ByNode(m *Machine, np int) (*Binding, error) {
-	total := m.Spec.TotalCores()
-	if np > total {
-		return nil, fmt.Errorf("topology: %d processes > %d cores", np, total)
+	if err := checkNP(m, np); err != nil {
+		return nil, err
 	}
 	cpn := m.Spec.CoresPerNode()
 	used := make([]int, m.Spec.Nodes) // next free core index per node

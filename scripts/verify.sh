@@ -48,7 +48,7 @@ go test -race ./...
 
 echo "==> san (HIERSAN=1 conformance + seeded faults)"
 HIERSAN=1 go test ./... -run 'Conformance|Isolation'
-go test ./internal/des ./internal/mpi -run 'Sanitizer|StallAutopsy|MaxTimeAbort'
+go test ./internal/des ./internal/mpi ./internal/fabric -run 'Sanitizer|StallAutopsy|MaxTimeAbort'
 
 echo "==> fuzz smoke (FuzzMatch, 10s)"
 go test ./internal/mpi -run '^$' -fuzz '^FuzzMatch$' -fuzztime 10s

@@ -1,12 +1,16 @@
 package hierknem_test
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hierknem"
 	"hierknem/internal/buffer"
+	"hierknem/internal/des"
 	"hierknem/internal/imb"
+	"hierknem/internal/mpi"
 )
 
 func TestFacadeClusterPresets(t *testing.T) {
@@ -85,6 +89,37 @@ func TestFacadeEndToEndCollective(t *testing.T) {
 	}
 	if bad != 0 {
 		t.Fatalf("%d ranks wrong", bad)
+	}
+}
+
+// A stall reaches facade users as a stall autopsy even without HIERSAN=1:
+// two ranks each receiving from the other get a *mpi.StallError naming both
+// pending receives, which still unwraps to the engine's *des.DeadlockError.
+func TestFacadeStallAutopsyWithoutSanitizer(t *testing.T) {
+	t.Setenv("HIERSAN", "")
+	w, err := hierknem.NewWorld(hierknem.Parapluie(1), "bycore", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Sanitizer() != nil {
+		t.Fatal("sanitizer attached with HIERSAN unset")
+	}
+	err = w.Run(func(p *hierknem.Proc) {
+		c := w.WorldComm()
+		p.Recv(c, buffer.NewReal(make([]byte, 8)), 1-c.Rank(p), 5)
+	})
+	var se *mpi.StallError
+	if !errors.As(err, &se) {
+		t.Fatalf("error is %T, want *mpi.StallError: %v", err, err)
+	}
+	var dl *des.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Error("StallError must unwrap to *des.DeadlockError")
+	}
+	for _, want := range []string{"rank0: recv pending", "src=rank1 tag=5", "rank1: recv pending", "src=rank0 tag=5"} {
+		if !strings.Contains(se.Report, want) {
+			t.Errorf("stall report lacks %q:\n%s", want, se.Report)
+		}
 	}
 }
 

@@ -34,12 +34,24 @@ func NewReal(data []byte) *Buffer {
 }
 
 // NewPhantom creates a size-only buffer.
+// Like Slice, NewPhantom must stay within the compiler's inlining budget
+// (80): only an inlined NewPhantom — and coll.Like around it — lets escape
+// analysis keep per-segment phantom scratch on the caller's stack. Hence the
+// panic value is the size itself as a negativeSize, formatted only when
+// printed; a fmt.Sprintf message costs 88, over budget even when moved into
+// a helper.
 func NewPhantom(size int64) *Buffer {
 	if size < 0 {
-		panic(fmt.Sprintf("buffer: negative size %d", size))
+		panic(negativeSize(size))
 	}
 	return &Buffer{id: nextID.Add(1), size: size}
 }
+
+// negativeSize is NewPhantom's panic value: the offending size, which
+// prints as "buffer: negative size N".
+type negativeSize int64
+
+func (n negativeSize) Error() string { return fmt.Sprintf("buffer: negative size %d", int64(n)) }
 
 // ID identifies the allocation; slices of one buffer share it.
 func (b *Buffer) ID() uint64 { return b.id }

@@ -26,6 +26,18 @@ func TestPhantomBuffer(t *testing.T) {
 	}
 }
 
+// The panic value names the offending size, though NewPhantom must not
+// format it itself (see its comment).
+func TestNewPhantomNegativeSizePanic(t *testing.T) {
+	defer func() {
+		err, ok := recover().(error)
+		if !ok || err.Error() != "buffer: negative size -3" {
+			t.Fatalf("NewPhantom(-3) panicked with %v, want buffer: negative size -3", err)
+		}
+	}()
+	NewPhantom(-3)
+}
+
 func TestSliceSharesIdentityAndStorage(t *testing.T) {
 	b := NewReal(make([]byte, 10))
 	s := b.Slice(2, 4)

@@ -82,7 +82,8 @@ func BcastChain(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int, segSize 
 		off, n := mpi.SegmentBounds(buf.Len(), segSize, 0)
 		recvReqs[0] = p.Irecv(c, buf.Slice(off, n), prev, collTag)
 	}
-	var sendReqs []*mpi.Request
+	var window [3]*mpi.Request
+	sendReqs := window[:0]
 	for i := int64(0); i < nseg; i++ {
 		off, n := mpi.SegmentBounds(buf.Len(), segSize, i)
 		seg := buf.Slice(off, n)
@@ -96,10 +97,11 @@ func BcastChain(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int, segSize 
 		if !last {
 			sendReqs = append(sendReqs, p.Isend(c, seg, next, collTag+int(i)))
 			// Keep at most two sends in flight so the pipeline stays a
-			// pipeline rather than an unbounded burst.
+			// pipeline rather than an unbounded burst; dropping the oldest
+			// by copying down keeps the window in its stack array.
 			if len(sendReqs) > 2 {
 				p.Wait(sendReqs[0])
-				sendReqs = sendReqs[1:]
+				sendReqs = sendReqs[:copy(sendReqs, sendReqs[1:])]
 			}
 		}
 	}

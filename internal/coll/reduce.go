@@ -127,7 +127,10 @@ func ReduceChainOverhead(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buf
 		acc.CopyFrom(sbuf)
 	}
 	tmp := Like(sbuf, segSize)
-	var pending []*mpi.Request
+	// At most two sends in flight: the window drops its oldest entry by
+	// copying down, so it never outgrows its stack array.
+	var window [3]*mpi.Request
+	pending := window[:0]
 	for i := int64(0); i < nseg; i++ {
 		off, n := mpi.SegmentBounds(sbuf.Len(), segSize, i)
 		accSeg := acc.Slice(off, n)
@@ -143,7 +146,7 @@ func ReduceChainOverhead(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buf
 			pending = append(pending, p.Isend(c, accSeg, unvrank(toPeer, root, size), collTag+int(i)))
 			if len(pending) > 2 {
 				p.Wait(pending[0])
-				pending = pending[1:]
+				pending = pending[:copy(pending, pending[1:])]
 			}
 		}
 	}

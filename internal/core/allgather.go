@@ -1,10 +1,9 @@
 package core
 
 import (
-	"strconv"
-
 	"hierknem/internal/buffer"
 	"hierknem/internal/coll"
+	"hierknem/internal/hier"
 	"hierknem/internal/knem"
 	"hierknem/internal/mpi"
 )
@@ -55,11 +54,12 @@ func (m *Module) Allgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer) 
 // inter-node exchange — but every local byte still crosses the leader's
 // memory bus, the hot spot that motivates the ring for large nodes.
 func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer) {
-	hy := m.hierarchy(p, c, 0)
+	var scratch hier.Hierarchy
+	hy := m.hierarchy(p, c, 0, &scratch)
 	lcomm := hy.LComm
 	block := sbuf.Len()
 	spec := &p.World().Machine.Spec
-	key := "hkag/" + strconv.Itoa(lcomm.Seq(p))
+	key := mpi.BBKey{Op: "hkag", Seq: lcomm.Seq(p)}
 
 	nodeBytes := block * int64(lcomm.Size())
 	nodes := hy.NodeCount

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"hierknem/internal/buffer"
 	"hierknem/internal/hier"
 	"hierknem/internal/knem"
@@ -79,13 +77,14 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 	if c.Size() == 1 {
 		return
 	}
-	hy := m.hierarchy(p, c, root) // build (or reuse) the topology map
+	var scratch hier.Hierarchy
+	hy := m.hierarchy(p, c, root, &scratch) // build (or reuse) the topology map
 	seg := m.Opt.BcastPipeline(buf.Len())
 	nseg := segCount(buf.Len(), seg)
 	spec := &p.World().Machine.Spec
 
 	lcomm := hy.LComm
-	key := "hkbcast/" + strconv.Itoa(lcomm.Seq(p))
+	key := mpi.BBKey{Op: "hkbcast", Seq: lcomm.Seq(p)}
 	onRootNode := hy.NodeIndex == hy.RootNodeIndex
 
 	if nseg == 1 && p.SmallIntraNode(lcomm, buf.Len()) {
@@ -186,7 +185,7 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 // interleaving buys nothing, so the leader first completes all inter-node
 // forwarding, then the whole node — leader and non-leaders together — runs
 // the KNEM linear fan-out as a small stretch.
-func (m *Module) bcastSmall(p *mpi.Proc, hy *hier.Hierarchy, buf *buffer.Buffer, key string, spec *topology.Spec) {
+func (m *Module) bcastSmall(p *mpi.Proc, hy *hier.Hierarchy, buf *buffer.Buffer, key mpi.BBKey, spec *topology.Spec) {
 	lcomm := hy.LComm
 	if hy.IsLeader {
 		ll := hy.LLComm

@@ -22,7 +22,6 @@
 package core
 
 import (
-	"hierknem/internal/buffer"
 	"hierknem/internal/hier"
 	"hierknem/internal/mpi"
 )
@@ -136,17 +135,22 @@ type Module struct {
 func New(opt Options) *Module { return &Module{Opt: opt.withDefaults()} }
 
 // hierCache is what Options.CacheTopology keeps in a communicator's
-// attribute slot: the hierarchies built on it so far, by [root][comm rank].
-// The communicator owns it, so it is collected with the communicator (a
-// World.Reset mints a fresh world communicator every time).
-type hierCache [][]*hier.Hierarchy
+// attribute slot: the hierarchies built on it so far, by [root][comm rank];
+// an entry is built once its Comm is set. The communicator owns it, so it
+// is collected with the communicator (a World.Reset mints a fresh world
+// communicator every time).
+type hierCache [][]hier.Hierarchy
 
 // hierarchy builds (or, with CacheTopology, reuses) the two-level structure
 // for p on c, charging the topology-detection cost on construction only.
-func (m *Module) hierarchy(p *mpi.Proc, c *mpi.Comm, root int) *hier.Hierarchy {
+// Uncached, it builds into *scratch — a value on the caller's stack — and
+// returns scratch; cached, it returns the communicator's entry, so
+// Hierarchy.NewComm keeps its split across calls.
+func (m *Module) hierarchy(p *mpi.Proc, c *mpi.Comm, root int, scratch *hier.Hierarchy) *hier.Hierarchy {
 	if !m.Opt.CacheTopology {
 		p.Compute(m.Opt.TopoDetectCost)
-		return hier.Build(p, c, root)
+		*scratch = hier.Build(p, c, root)
+		return scratch
 	}
 	cache, _ := c.Attr().(hierCache)
 	if cache == nil {
@@ -154,15 +158,13 @@ func (m *Module) hierarchy(p *mpi.Proc, c *mpi.Comm, root int) *hier.Hierarchy {
 		c.SetAttr(cache)
 	}
 	if cache[root] == nil {
-		cache[root] = make([]*hier.Hierarchy, c.Size())
+		cache[root] = make([]hier.Hierarchy, c.Size())
 	}
-	me := c.Rank(p)
-	if h := cache[root][me]; h != nil {
-		return h
+	h := &cache[root][c.Rank(p)]
+	if h.Comm == nil {
+		p.Compute(m.Opt.TopoDetectCost)
+		*h = hier.Build(p, c, root)
 	}
-	p.Compute(m.Opt.TopoDetectCost)
-	h := hier.Build(p, c, root)
-	cache[root][me] = h
 	return h
 }
 
@@ -181,12 +183,4 @@ func segCount(total, seg int64) int64 {
 		n = 1
 	}
 	return n
-}
-
-// scratchLike returns a scratch buffer matching b's realness.
-func scratchLike(b *buffer.Buffer, n int64) *buffer.Buffer {
-	if b != nil && !b.Phantom() {
-		return buffer.NewReal(make([]byte, n))
-	}
-	return buffer.NewPhantom(n)
 }

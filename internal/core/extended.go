@@ -1,10 +1,9 @@
 package core
 
 import (
-	"strconv"
-
 	"hierknem/internal/buffer"
 	"hierknem/internal/coll"
+	"hierknem/internal/hier"
 	"hierknem/internal/knem"
 	"hierknem/internal/mpi"
 )
@@ -27,12 +26,13 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 		coll.ScatterBinomial(p, c, sbuf, rbuf, root)
 		return
 	}
-	hy := m.hierarchy(p, c, root)
+	var scratch hier.Hierarchy
+	hy := m.hierarchy(p, c, root, &scratch)
 	lcomm := hy.LComm
 	block := rbuf.Len()
 	nodeBytes := block * int64(lcomm.Size())
 	spec := &p.World().Machine.Spec
-	key := "hkscatter/" + strconv.Itoa(lcomm.Seq(p))
+	key := mpi.BBKey{Op: "hkscatter", Seq: lcomm.Seq(p)}
 
 	// Position of this rank within its node's contiguous comm-rank block.
 	// (lcomm rank order is reshuffled by root promotion, so derive the
@@ -47,7 +47,7 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 
 	if hy.IsLeader {
 		// Inter-node phase: binomial scatter of node blocks over llcomm.
-		staging := scratchLike(rbuf, nodeBytes)
+		staging := coll.Like(rbuf, nodeBytes)
 		if hy.LLComm.Size() > 1 {
 			var nodeSrc *buffer.Buffer
 			if c.Rank(p) == root {
@@ -106,12 +106,13 @@ func (m *Module) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, roo
 		coll.GatherBinomial(p, c, sbuf, rbuf, root)
 		return
 	}
-	hy := m.hierarchy(p, c, root)
+	var scratch hier.Hierarchy
+	hy := m.hierarchy(p, c, root, &scratch)
 	lcomm := hy.LComm
 	block := sbuf.Len()
 	nodeBytes := block * int64(lcomm.Size())
 	spec := &p.World().Machine.Spec
-	key := "hkgather/" + strconv.Itoa(lcomm.Seq(p))
+	key := mpi.BBKey{Op: "hkgather", Seq: lcomm.Seq(p)}
 	pos := int64(c.Rank(p) % lcomm.Size())
 
 	// The intra-node push phase is a small stretch when per-rank blocks fit
@@ -119,7 +120,7 @@ func (m *Module) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, roo
 	small := p.SmallIntraNode(lcomm, block)
 
 	if hy.IsLeader {
-		staging := scratchLike(sbuf, nodeBytes)
+		staging := coll.Like(sbuf, nodeBytes)
 		if small {
 			p.BeginSmallStretch()
 		}
@@ -174,10 +175,11 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 		rbuf.CopyFrom(sbuf)
 		return
 	}
-	hy := m.hierarchy(p, c, 0)
+	var scratch hier.Hierarchy
+	hy := m.hierarchy(p, c, 0, &scratch)
 	lcomm := hy.LComm
 	spec := &p.World().Machine.Spec
-	key := "hkallreduce/" + strconv.Itoa(lcomm.Seq(p))
+	key := mpi.BBKey{Op: "hkallreduce", Seq: lcomm.Seq(p)}
 
 	// Both intra-node phases are small stretches when the message fits the
 	// fabric bypass; the inter-node allreduce in between is not, with the
@@ -204,7 +206,7 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 	if hy.IsLeader {
 		// Phase 2: inter-node allreduce among leaders.
 		if hy.LLComm.Size() > 1 {
-			tmp := scratchLike(sbuf, sbuf.Len())
+			tmp := coll.Like(sbuf, sbuf.Len())
 			tmp.CopyFrom(acc)
 			if sbuf.Len() < 64<<10 {
 				coll.AllreduceRecursiveDoubling(p, hy.LLComm, a, tmp, acc)

@@ -1,10 +1,9 @@
 package core
 
 import (
-	"strconv"
-
 	"hierknem/internal/buffer"
 	"hierknem/internal/coll"
+	"hierknem/internal/hier"
 	"hierknem/internal/knem"
 	"hierknem/internal/mpi"
 )
@@ -35,7 +34,8 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 		rbuf.CopyFrom(sbuf)
 		return
 	}
-	hy := m.hierarchy(p, c, root)
+	var scratch hier.Hierarchy
+	hy := m.hierarchy(p, c, root, &scratch)
 	seg := m.Opt.ReducePipeline(sbuf.Len())
 	nseg := segCount(sbuf.Len(), seg)
 	spec := &p.World().Machine.Spec
@@ -54,7 +54,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 			if isRoot {
 				acc = rbuf
 			} else {
-				acc = scratchLike(sbuf, sbuf.Len())
+				acc = coll.Like(sbuf, sbuf.Len())
 			}
 		}
 		// The intra-node reduction to the leader is a small stretch when
@@ -83,7 +83,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 	}
 
 	newComm := hy.NewComm(p)
-	key := "hkreduce/" + strconv.Itoa(lcomm.Seq(p))
+	key := mpi.BBKey{Op: "hkreduce", Seq: lcomm.Seq(p)}
 
 	switch {
 	case lrank == 0:
@@ -94,7 +94,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 		p.Compute(spec.ShmLatency)
 		var sh reduceShare
 		if haveSecond {
-			tmp = scratchLike(sbuf, sbuf.Len())
+			tmp = coll.Like(sbuf, sbuf.Len())
 			sh = reduceShare{
 				dev:    dev,
 				sbufCk: dev.Register(sbuf, p.Core(), knem.RightRead),
@@ -104,7 +104,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 			lcomm.BBPost(p, key, sh)
 		} else {
 			// Alone on the node: my contribution goes up directly.
-			tmp = scratchLike(sbuf, sbuf.Len())
+			tmp = coll.Like(sbuf, sbuf.Len())
 			tmp.CopyFrom(sbuf)
 		}
 
@@ -129,8 +129,8 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 				// Ping-pong prepost: one segment's receive always in
 				// flight ahead of the pipeline, so rendezvous transfers
 				// start without a handshake round trip.
-				partial[0] = scratchLike(sbuf, seg)
-				partial[1] = scratchLike(sbuf, seg)
+				partial[0] = coll.Like(sbuf, seg)
+				partial[1] = coll.Like(sbuf, seg)
 				_, n0 := mpi.SegmentBounds(sbuf.Len(), seg, 0)
 				rreq[0] = p.Irecv(ll, partial[0].Slice(0, n0), chainUp, hkTag+(1<<16))
 			}
@@ -195,7 +195,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 		// --- 2nd leader ---
 		p.Compute(spec.ShmLatency)
 		sh := lcomm.BBWait(p, key).(reduceShare)
-		fetch := scratchLike(sbuf, seg)
+		fetch := coll.Like(sbuf, seg)
 		for i := int64(0); i < nseg; i++ {
 			off, n := mpi.SegmentBounds(sbuf.Len(), seg, i)
 			fseg := fetch.Slice(0, n)
@@ -209,7 +209,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 			// A fan-in-1 chain keeps the 2nd leader's per-segment work
 			// constant; consecutive segments pipeline down the chain.
 			if newComm != nil && newComm.Size() > 1 {
-				acc := scratchLike(sbuf, n)
+				acc := coll.Like(sbuf, n)
 				coll.ReduceChain(p, newComm, a, fseg, acc, 0, 0)
 				fseg.CopyFrom(acc)
 			}

@@ -14,7 +14,9 @@ import (
 
 // Hierarchy is one process's view of the two-level structure. The Comm
 // pointers are shared across member processes; the scalar fields are
-// per-process.
+// per-process. It is a value: a per-call hierarchy lives on the caller's
+// stack, a cached one in its cache's backing array, and neither costs a
+// heap object of its own.
 type Hierarchy struct {
 	Comm   *mpi.Comm // the original communicator
 	LComm  *mpi.Comm // ranks of my node (always non-nil, may be size 1)
@@ -38,7 +40,7 @@ type Hierarchy struct {
 // to root. All members of c must call Build with the same root (it is a
 // collective operation: it performs two Splits). Pass root = 0 for unrooted
 // collectives (Allgather).
-func Build(p *mpi.Proc, c *mpi.Comm, root int) *Hierarchy {
+func Build(p *mpi.Proc, c *mpi.Comm, root int) Hierarchy {
 	me := c.Rank(p)
 	myNode := p.Core().NodeID
 
@@ -61,7 +63,7 @@ func Build(p *mpi.Proc, c *mpi.Comm, root int) *Hierarchy {
 
 	// Node indexing is a per-communicator fact read from c's placement
 	// index (identical at all ranks, no communication needed).
-	return &Hierarchy{
+	return Hierarchy{
 		Comm:          c,
 		LComm:         lcomm,
 		LLComm:        llcomm,

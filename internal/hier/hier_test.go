@@ -225,12 +225,12 @@ func TestBuildSparseNodeSubComm(t *testing.T) {
 	}
 }
 
-// buildCost768 returns what one collective Build on 32 x 24 by-core ranks
-// costs the host per rank: a run of two Builds less a run of one, so the
-// cost of spawning the ranks cancels.
-func buildCost768(tb testing.TB) (ns, bytes, mallocs float64) {
+// buildCost768 returns what one collective Build on 32 x 24 ranks, bound by
+// core or by node, costs the host per rank: a run of two Builds less a run
+// of one, so the cost of spawning the ranks cancels.
+func buildCost768(tb testing.TB, bynode bool) (ns, bytes, mallocs float64) {
 	const np = 768
-	w := testWorld(tb, 32, 24, np, false)
+	w := testWorld(tb, 32, 24, np, bynode)
 	run := func(builds int) (time.Duration, runtime.MemStats) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -255,23 +255,29 @@ func buildCost768(tb testing.TB) (ns, bytes, mallocs float64) {
 	return float64(t2-t1) / np, float64(m2.TotalAlloc-m1.TotalAlloc) / np, float64(m2.Mallocs-m1.Mallocs) / np
 }
 
-// Build reads the node facts from the communicator's placement index, so a
-// rank's share of one call is a Hierarchy plus its slice of the two Splits'
-// staging. The bounds are half of what the per-rank occupied-node map and
-// the map-staged Split cost (2.5 KB and 9 mallocs per rank): a scan of all
-// ranks by every rank cannot come back unnoticed.
+// Build reads the node facts from the communicator's placement index and
+// returns the Hierarchy by value, so a rank's share of one call is only its
+// slice of the two Splits' staging and of the communicators they mint (one
+// record, one member list and one table each). The bounds sit between that
+// and the previous heap Hierarchy plus map-indexed communicators (199 B and
+// 1.31 mallocs per rank): neither a per-call Hierarchy nor a per-rank scan
+// can come back unnoticed. The by-node row holds the same bounds: its node
+// communicators' members are spread over the whole world, and a rank index
+// sized by that spread rather than by the member count would break them.
 func TestBuildCostPerRank(t *testing.T) {
-	_, bytes, mallocs := buildCost768(t)
-	t.Logf("one 768-rank Build: %.0f B and %.2f mallocs per rank", bytes, mallocs)
-	if bytes > 1250 || mallocs > 4.5 {
-		t.Errorf("one 768-rank Build costs %.0f B and %.2f mallocs per rank, want at most 1250 B and 4.5", bytes, mallocs)
+	for _, bynode := range []bool{false, true} {
+		_, bytes, mallocs := buildCost768(t, bynode)
+		t.Logf("one 768-rank Build (bynode %v): %.0f B and %.2f mallocs per rank", bynode, bytes, mallocs)
+		if bytes > 150 || mallocs > 0.5 {
+			t.Errorf("one 768-rank Build (bynode %v) costs %.0f B and %.2f mallocs per rank, want at most 150 B and 0.5", bynode, bytes, mallocs)
+		}
 	}
 }
 
 func BenchmarkBuild768(b *testing.B) {
 	var ns, bytes, mallocs float64
 	for i := 0; i < b.N; i++ {
-		n, by, m := buildCost768(b)
+		n, by, m := buildCost768(b, false)
 		ns, bytes, mallocs = ns+n, bytes+by, mallocs+m
 	}
 	n := float64(b.N)

@@ -8,7 +8,7 @@ import (
 	"hierknem/internal/lint"
 )
 
-// wantRe extracts the backquoted pattern of a `// want `...`` comment.
+// wantRe extracts the backquoted pattern of a "// want `...`" comment.
 var wantRe = regexp.MustCompile("// want `([^`]+)`")
 
 // expectation is one `// want` annotation in a fixture file.

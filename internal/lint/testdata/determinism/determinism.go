@@ -12,8 +12,8 @@ import (
 
 // wallClock reads and waits on the host clock three different ways.
 func wallClock() float64 {
-	start := time.Now()          // want `time\.Now depends on the host clock`
-	time.Sleep(time.Millisecond) // want `time\.Sleep depends on the host clock`
+	start := time.Now()                // want `time\.Now depends on the host clock`
+	time.Sleep(time.Millisecond)       // want `time\.Sleep depends on the host clock`
 	return time.Since(start).Seconds() // want `time\.Since depends on the host clock`
 }
 

@@ -113,7 +113,7 @@ func (m *MVAPICH2Module) Allgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.
 
 	// Step 2: leaders exchange node blocks over a ring.
 	if hy.IsLeader && hy.LLComm.Size() > 1 {
-		leaderRingAllgather(p, hy, rbuf, block*int64(lcomm.Size()))
+		leaderRingAllgather(p, &hy, rbuf, block*int64(lcomm.Size()))
 	}
 
 	// Step 3: leaders fan the full result out locally.

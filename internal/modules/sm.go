@@ -1,8 +1,6 @@
 package modules
 
 import (
-	"fmt"
-
 	"hierknem/internal/buffer"
 	"hierknem/internal/coll"
 	"hierknem/internal/mpi"
@@ -37,7 +35,7 @@ func smBcastIntra(p *mpi.Proc, lcomm *mpi.Comm, buf *buffer.Buffer) {
 	if small {
 		p.BeginSmallStretch()
 	}
-	key := fmt.Sprintf("smbcast/%d", lcomm.Seq(p))
+	key := mpi.BBKey{Op: "smbcast", Seq: lcomm.Seq(p)}
 	m := p.World().Machine
 	if lcomm.Rank(p) == 0 {
 		shm.Copy(p.DES(), m, p.Core(), p.Core().Socket, p.Core().Socket, buf.Len(), buf.ID())
@@ -76,13 +74,13 @@ func smReduceIntra(p *mpi.Proc, lcomm *mpi.Comm, a coll.ReduceArgs, sbuf, acc *b
 	if me != 0 {
 		// copy-in my contribution (bounce buffer in my socket).
 		shm.Copy(p.DES(), m, p.Core(), p.Core().Socket, p.Core().Socket, sbuf.Len(), sbuf.ID())
-		lcomm.BBPost(p, fmt.Sprintf("smreduce/%d/%d", seq, me), smShare{buf: sbuf, sock: p.Core().Socket})
+		lcomm.BBPost(p, mpi.BBKey{Op: "smreduce", Seq: seq, Rank: me}, smShare{buf: sbuf, sock: p.Core().Socket})
 		lcomm.Barrier(p) // contributions ready
 		lcomm.Barrier(p) // leader done
 	} else {
 		lcomm.Barrier(p)
 		for r := 1; r < lcomm.Size(); r++ {
-			key := fmt.Sprintf("smreduce/%d/%d", seq, r)
+			key := mpi.BBKey{Op: "smreduce", Seq: seq, Rank: r}
 			sh := lcomm.BBWait(p, key).(smShare)
 			p.ReduceLocal(a.Op, a.Dtype, acc, sh.buf)
 			lcomm.BBClear(key)
@@ -114,14 +112,14 @@ func smGatherIntra(p *mpi.Proc, lcomm *mpi.Comm, sbuf, rbuf *buffer.Buffer) {
 	me := lcomm.Rank(p)
 	if me != 0 {
 		shm.Copy(p.DES(), m, p.Core(), p.Core().Socket, p.Core().Socket, block, sbuf.ID())
-		lcomm.BBPost(p, fmt.Sprintf("smgather/%d/%d", seq, me), smShare{buf: sbuf, sock: p.Core().Socket})
+		lcomm.BBPost(p, mpi.BBKey{Op: "smgather", Seq: seq, Rank: me}, smShare{buf: sbuf, sock: p.Core().Socket})
 		lcomm.Barrier(p)
 		lcomm.Barrier(p)
 	} else {
 		rbuf.Slice(0, block).CopyFrom(sbuf)
 		lcomm.Barrier(p)
 		for r := 1; r < lcomm.Size(); r++ {
-			key := fmt.Sprintf("smgather/%d/%d", seq, r)
+			key := mpi.BBKey{Op: "smgather", Seq: seq, Rank: r}
 			sh := lcomm.BBWait(p, key).(smShare)
 			dst := rbuf.Slice(int64(r)*block, block)
 			shm.CopyBuffer(p.DES(), m, p.Core(), sh.sock, p.Core().Socket, sh.buf, dst)

@@ -11,6 +11,20 @@ package mpi
 // can derive matching blackboard keys without communicating: every member
 // executes the same sequence of collectives on a communicator, so the n-th
 // call at one rank pairs with the n-th call at every other rank.
+//
+// A slot is named by a BBKey — the operation, the call's Seq and, for
+// per-rank slots, the posting comm rank — so naming one formats nothing and
+// allocates nothing. Slots that differ in any field are independent.
+
+// BBKey names a blackboard slot. Op is the posting operation's constant
+// name ("hkbcast", "smreduce", ...), Seq the call's Seq on the
+// communicator, and Rank the posting comm rank for slots each rank posts
+// separately (0 when one slot serves the whole call).
+type BBKey struct {
+	Op   string
+	Seq  int
+	Rank int
+}
 
 type bbEntry struct {
 	val     any
@@ -19,37 +33,36 @@ type bbEntry struct {
 	waiters []*Proc
 }
 
-// BBPost publishes v under key on the communicator's blackboard, waking any
-// BBWait-ers. Posting an existing key overwrites it.
-func (c *Comm) BBPost(p *Proc, key string, v any) {
+// entry returns key's slot, creating it empty on first use.
+func (c *Comm) entry(key BBKey) *bbEntry {
 	if c.bb == nil {
-		c.bb = make(map[string]*bbEntry)
+		c.bb = make(map[BBKey]*bbEntry)
 	}
 	e := c.bb[key]
 	if e == nil {
 		e = &bbEntry{}
 		c.bb[key] = e
 	}
+	return e
+}
+
+// BBPost publishes v under key on the communicator's blackboard, waking any
+// BBWait-ers. Posting an existing key overwrites it.
+func (c *Comm) BBPost(p *Proc, key BBKey, v any) {
+	e := c.entry(key)
 	e.val = v
 	e.present = true
 	e.poster = p
-	for _, w := range e.waiters {
-		w.dp.Wake()
-	}
-	e.waiters = nil
+	wakeAll(&e.waiters)
 }
 
 // BBWait blocks until key is posted and returns its value.
-func (c *Comm) BBWait(p *Proc, key string) any {
-	if c.bb == nil {
-		c.bb = make(map[string]*bbEntry)
-	}
-	e := c.bb[key]
-	if e == nil {
-		e = &bbEntry{}
-		c.bb[key] = e
-	}
+func (c *Comm) BBWait(p *Proc, key BBKey) any {
+	e := c.entry(key)
 	for !e.present {
+		if e.waiters == nil {
+			e.waiters = make([]*Proc, 0, c.Size()-1)
+		}
 		e.waiters = append(e.waiters, p)
 		p.dp.Park()
 	}
@@ -64,7 +77,7 @@ func (c *Comm) BBWait(p *Proc, key string) any {
 }
 
 // BBClear removes a key (typically by the last reader, after a barrier).
-func (c *Comm) BBClear(key string) {
+func (c *Comm) BBClear(key BBKey) {
 	delete(c.bb, key)
 }
 
@@ -72,9 +85,10 @@ func (c *Comm) BBClear(key string) {
 // aligned across ranks by SPMD execution order.
 func (c *Comm) Seq(p *Proc) int {
 	if c.seqs == nil {
-		c.seqs = make(map[int]int)
+		c.seqs = make([]int, c.Size())
 	}
-	n := c.seqs[p.rank]
-	c.seqs[p.rank] = n + 1
+	me := c.Rank(p)
+	n := c.seqs[me]
+	c.seqs[me] = n + 1
 	return n
 }

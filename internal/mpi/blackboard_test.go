@@ -26,9 +26,9 @@ func TestBBPostThenWait(t *testing.T) {
 	err := w.Run(func(p *Proc) {
 		c := w.WorldComm()
 		if p.Rank() == 0 {
-			c.BBPost(p, "k", 42)
+			c.BBPost(p, BBKey{Op: "k"}, 42)
 		} else if p.Rank() == 1 {
-			got = c.BBWait(p, "k")
+			got = c.BBWait(p, BBKey{Op: "k"})
 		}
 	})
 	if err != nil {
@@ -47,9 +47,9 @@ func TestBBWaitBlocksUntilPost(t *testing.T) {
 		switch p.Rank() {
 		case 0:
 			p.Compute(5)
-			c.BBPost(p, "late", "v")
+			c.BBPost(p, BBKey{Op: "late"}, "v")
 		case 1:
-			_ = c.BBWait(p, "late")
+			_ = c.BBWait(p, BBKey{Op: "late"})
 			gotAt = p.Now()
 		}
 	})
@@ -68,10 +68,10 @@ func TestBBMultipleWaiters(t *testing.T) {
 		c := w.WorldComm()
 		if p.Rank() == 0 {
 			p.Compute(1)
-			c.BBPost(p, "x", 7)
+			c.BBPost(p, BBKey{Op: "x"}, 7)
 			return
 		}
-		if c.BBWait(p, "x") == 7 {
+		if c.BBWait(p, BBKey{Op: "x"}) == 7 {
 			count++
 		}
 	})
@@ -90,14 +90,14 @@ func TestBBClearRemovesKey(t *testing.T) {
 		c := w.WorldComm()
 		switch p.Rank() {
 		case 0:
-			c.BBPost(p, "tmp", 1)
-			c.BBClear("tmp")
+			c.BBPost(p, BBKey{Op: "tmp"}, 1)
+			c.BBClear(BBKey{Op: "tmp"})
 			// Re-post under the same key: a fresh value.
 			p.Compute(2)
-			c.BBPost(p, "tmp", 2)
+			c.BBPost(p, BBKey{Op: "tmp"}, 2)
 		case 1:
 			p.Compute(1) // after the clear
-			if c.BBWait(p, "tmp") == 2 {
+			if c.BBWait(p, BBKey{Op: "tmp"}) == 2 {
 				resumed = true
 			}
 		}
@@ -107,6 +107,51 @@ func TestBBClearRemovesKey(t *testing.T) {
 	}
 	if !resumed {
 		t.Fatal("waiter did not see the re-posted value")
+	}
+}
+
+// Slots whose keys differ only in Op, Seq or Rank are independent: posting
+// or clearing one leaves the others' values and parked waiters alone.
+func TestBBKeySlotsIndependent(t *testing.T) {
+	w := bbWorld(t)
+	base := BBKey{Op: "a", Seq: 1, Rank: 2}
+	others := []BBKey{{Op: "b", Seq: 1, Rank: 2}, {Op: "a", Seq: 2, Rank: 2}, {Op: "a", Seq: 1, Rank: 3}}
+	got, at := make([]any, 4), make([]float64, 4)
+	err := w.Run(func(p *Proc) {
+		c := w.WorldComm()
+		if r := p.Rank(); r > 0 {
+			got[r] = c.BBWait(p, others[r-1])
+			at[r] = p.Now()
+			return
+		}
+		p.Compute(1) // every waiter is parked by now
+		untouched := func(after string) {
+			for _, k := range others {
+				if e := c.bb[k]; e == nil || e.present || len(e.waiters) != 1 {
+					t.Errorf("%s %+v: slot %+v changed", after, base, k)
+				}
+			}
+		}
+		c.BBPost(p, base, "base")
+		untouched("posting")
+		c.BBClear(base)
+		untouched("clearing")
+		for i, k := range others {
+			p.Compute(1)
+			c.BBPost(p, k, i)
+		}
+		c.BBClear(others[0])
+		if e := c.bb[others[1]]; e == nil || e.val != 1 {
+			t.Errorf("clearing %+v disturbed %+v", others[0], others[1])
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r < 4; r++ {
+		if got[r] != r-1 || at[r] != float64(r+1) {
+			t.Errorf("waiter on %+v got %v at t=%g, want %d at t=%d", others[r-1], got[r], at[r], r-1, r+1)
+		}
 	}
 }
 

@@ -13,16 +13,22 @@ import (
 type Comm struct {
 	world *World
 	ctx   int
-	ranks []int       // comm rank -> world rank
-	index map[int]int // world rank -> comm rank
+	ranks []int // comm rank -> world rank
 
-	barrier *barrierState
+	// Rank index: the members' world ranks in ascending order and, at the
+	// same position, their comm ranks (see lookup). It is sized by the
+	// member count whatever the spread of the world ranks (a by-node node
+	// communicator's members sit a node count apart).
+	byWorld []int32
+	commOf  []int32
+
+	barrier barrierState
 	splitOp *splitState
 
 	// Placement index: what the binding says about this group of ranks,
 	// computed once in newComm and only read afterwards. It is
-	// node-granular (no per-rank table), so the sub-communicators every
-	// hier.Build call mints carry a few words each.
+	// node-granular (no per-rank table beyond the rank index), so the
+	// sub-communicators every hier.Build call mints carry a few words each.
 	nodeLo    int     // lowest node id hosting a member
 	nodeDense []int32 // node id - nodeLo -> dense node index, -1 where no member lives
 	nodeSpan  int     // number of distinct nodes
@@ -32,25 +38,41 @@ type Comm struct {
 	physOrder []int // memoised by PhysicalOrder
 	attr      any   // see Attr
 
-	bb   map[string]*bbEntry
-	seqs map[int]int
+	bb   map[BBKey]*bbEntry
+	seqs []int // comm rank -> Seq calls so far
 }
 
 // newComm creates the communicator of the given world ranks (at least one).
 func (w *World) newComm(ranks []int) *Comm {
-	c := &Comm{world: w, ctx: w.nextCtx, ranks: ranks, index: make(map[int]int, len(ranks))}
+	c := &Comm{world: w, ctx: w.nextCtx, ranks: ranks}
 	w.nextCtx++
 	lo, hi := w.procs[ranks[0]].core.NodeID, -1
-	ascending := true
+	ascending, inOrder := true, true
 	for i, r := range ranks {
-		c.index[r] = i
 		n := w.procs[r].core.NodeID
 		ascending = ascending && n >= hi
 		lo, hi = min(lo, n), max(hi, n)
+		inOrder = inOrder && (i == 0 || r > ranks[i-1])
 	}
+	// One allocation backs all three tables: the two halves of the rank
+	// index, then the node table over the node-id range.
+	size := len(ranks)
+	tables := make([]int32, 2*size+hi-lo+1)
+	byWorld, commOf, dense := tables[:size:size], tables[size:2*size:2*size], tables[2*size:]
+	for i := range commOf {
+		commOf[i] = int32(i)
+	}
+	// World and node communicators come in order; sorting them anyway
+	// would cost 40 % of newComm.
+	if !inOrder {
+		slices.SortFunc(commOf, func(a, b int32) int { return cmp.Compare(ranks[a], ranks[b]) })
+	}
+	for i, r := range commOf {
+		byWorld[i] = int32(ranks[r])
+	}
+	c.byWorld, c.commOf = byWorld, commOf
 	// Count members per node in place, then turn the counts into dense
 	// indices: O(P + node range), no map.
-	dense := make([]int32, hi-lo+1)
 	for _, r := range ranks {
 		dense[w.procs[r].core.NodeID-lo]++
 	}
@@ -91,17 +113,29 @@ func (c *Comm) Size() int { return len(c.ranks) }
 
 // Rank returns p's rank within c, or panics if p is not a member.
 func (c *Comm) Rank(p *Proc) int {
-	r, ok := c.index[p.rank]
-	if !ok {
+	r := c.lookup(p.rank)
+	if r < 0 {
 		panic(fmt.Sprintf("mpi: world rank %d not in communicator", p.rank))
 	}
 	return r
 }
 
 // Member reports whether p belongs to c.
-func (c *Comm) Member(p *Proc) bool {
-	_, ok := c.index[p.rank]
-	return ok
+func (c *Comm) Member(p *Proc) bool { return c.lookup(p.rank) >= 0 }
+
+// lookup returns the comm rank of world rank wr, or -1 for a non-member.
+// When the members' world ranks are contiguous (every by-core
+// communicator, whatever its comm-rank order) wr sits at offset
+// wr - byWorld[0]; any other member set falls back to a binary search.
+func (c *Comm) lookup(wr int) int {
+	i := wr - int(c.byWorld[0])
+	if uint(i) >= uint(len(c.byWorld)) || int(c.byWorld[i]) != wr {
+		var ok bool
+		if i, ok = slices.BinarySearch(c.byWorld, int32(wr)); !ok {
+			return -1
+		}
+	}
+	return int(c.commOf[i])
 }
 
 // WorldRank translates a comm rank to a world rank.
@@ -239,11 +273,24 @@ func (c *Comm) Split(p *Proc, color, key int) *Comm {
 }
 
 // barrierState implements a sense-reversing centralized barrier for
-// intra-node comms and stages the dissemination barrier's tag space.
+// intra-node comms. Its waiter array is allocated on first use and reused
+// by every later barrier on the communicator (see wakeAll).
 type barrierState struct {
 	count   int
 	gen     int
 	waiters []*Proc
+}
+
+// wakeAll wakes every process on *ws in order, then empties the list while
+// keeping its array. Reusing the array at once is safe because Wake only
+// schedules a resume event: no woken process runs, and so none re-enters
+// and appends, before the loop is over.
+func wakeAll(ws *[]*Proc) {
+	for _, w := range *ws {
+		w.dp.Wake()
+	}
+	clear(*ws)
+	*ws = (*ws)[:0]
 }
 
 // Barrier blocks until every member has entered. Intra-node communicators
@@ -256,19 +303,16 @@ func (c *Comm) Barrier(p *Proc) {
 	}
 	if c.IntraNode() {
 		p.dp.Sleep(c.world.Machine.Spec.ShmLatency)
-		if c.barrier == nil {
-			c.barrier = &barrierState{}
-		}
-		b := c.barrier
+		b := &c.barrier
 		b.count++
 		if b.count == c.Size() {
 			b.count = 0
 			b.gen++
-			for _, w := range b.waiters {
-				w.dp.Wake()
-			}
-			b.waiters = nil
+			wakeAll(&b.waiters)
 			return
+		}
+		if b.waiters == nil {
+			b.waiters = make([]*Proc, 0, c.Size()-1)
 		}
 		myGen := b.gen
 		b.waiters = append(b.waiters, p)

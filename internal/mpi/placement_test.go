@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -257,6 +258,19 @@ func checkPlacement(t *testing.T, c *Comm, wantUniform bool) {
 	}
 	if got := c.UniformBlocks(); got != bruteUniformBlocks(c) || got != wantUniform {
 		t.Errorf("UniformBlocks = %v, brute force %v, expected %v", got, bruteUniformBlocks(c), wantUniform)
+	}
+	for wr, p := range c.world.procs {
+		want := slices.Index(c.ranks, wr)
+		if got := c.Member(p); got != (want >= 0) {
+			t.Errorf("Member(world rank %d) = %v, want %v", wr, got, want >= 0)
+		}
+		if want >= 0 {
+			if got := c.Rank(p); got != want {
+				t.Errorf("Rank(world rank %d) = %d, want %d", wr, got, want)
+			}
+		} else if msg := rankPanic(c, p); msg != fmt.Sprintf("mpi: world rank %d not in communicator", wr) {
+			t.Errorf("Rank(non-member world rank %d) panicked with %q", wr, msg)
+		}
 	}
 	order := c.PhysicalOrder()
 	if want := brutePhysicalOrder(c); !slices.Equal(order, want) {

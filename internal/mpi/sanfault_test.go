@@ -66,10 +66,10 @@ func TestSanitizerDetectsOverlappingCopy(t *testing.T) {
 		c := w.WorldComm()
 		if p.Rank() == 0 {
 			ck := p.Knem().Register(target, p.Core(), knem.RightWrite)
-			c.BBPost(p, "ck", ck)
+			c.BBPost(p, BBKey{Op: "ck"}, ck)
 			return
 		}
-		ck := c.BBWait(p, "ck").(knem.Cookie)
+		ck := c.BBWait(p, BBKey{Op: "ck"}).(knem.Cookie)
 		src := buffer.NewReal(make([]byte, 32))
 		if err := p.Knem().Put(p.DES(), p.Core(), ck, 0, src); err != nil {
 			t.Error(err)

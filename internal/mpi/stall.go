@@ -2,11 +2,13 @@ package mpi
 
 // Stall autopsy (hiersan checker 3): when the event queue drains while
 // ranks are still parked, the bare engine can only name the stuck
-// processes. With the sanitizer enabled, World.Run wraps the deadlock in a
-// StallError carrying every pending point-to-point operation — which rank
-// waits on which (comm, peer, tag) and when it posted — so a mismatched tag
-// or a missing send reads straight off the failure instead of requiring a
-// debugger session against recycled records.
+// processes. World.Run therefore wraps every deadlock in a StallError
+// carrying every pending point-to-point operation — which rank waits on
+// which (comm, peer, tag) and when it posted — so a mismatched tag or a
+// missing send reads straight off the failure instead of requiring a
+// debugger session against recycled records. The report reads only the
+// matching indexes, which every run keeps, so it needs no sanitizer and
+// costs nothing on a run that completes.
 
 import (
 	"fmt"

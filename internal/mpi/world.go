@@ -242,14 +242,12 @@ func (w *World) Run(body func(p *Proc)) error {
 		})
 	}
 	err := w.Machine.Eng.Run()
-	if w.san != nil && err != nil {
-		var dl *des.DeadlockError
-		if errors.As(err, &dl) {
-			// Stall autopsy: the queue drained with ranks still parked.
-			// Attach every pending point-to-point operation so the report
-			// names the missing message, not just the stuck ranks.
-			return &StallError{Deadlock: dl, Report: w.stallReport()}
-		}
+	var dl *des.DeadlockError
+	if err != nil && errors.As(err, &dl) {
+		// Stall autopsy: the queue drained with ranks still parked.
+		// Attach every pending point-to-point operation so the report
+		// names the missing message, not just the stuck ranks.
+		return &StallError{Deadlock: dl, Report: w.stallReport()}
 	}
 	return err
 }

@@ -2,12 +2,16 @@
 # verify.sh — the repository's full verification gate, identical to CI.
 #
 #   build     every package compiles
+#   gofmt     `gofmt -l .` lists nothing
 #   vet       the stock Go analyzers
 #   hierlint  the simulator-invariant analyzers (cmd/hierlint):
 #             determinism, requesthygiene, errcheck, bufferescape,
 #             runisolation, poolreturn, tagspace. One run, wall time
 #             printed; also gates that all seven analyzers are registered.
 #   test      the full suite under the race detector
+#   alloc     internal/core's per-call malloc guard, which skips itself
+#             under -race (there coll.Like stops inlining and phantom
+#             scratch escapes), run once more without it
 #   san       the conformance/isolation suites under HIERSAN=1 (the hiersan
 #             dynamic sanitizer) plus the seeded fault fixtures
 #   fuzz      10s FuzzMatch smoke over the p2p matching machinery
@@ -28,6 +32,14 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "gofmt: these files need formatting:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 echo "==> go vet ./..."
 go vet ./...
 
@@ -45,6 +57,9 @@ echo "hierlint timing: $(( (t1 - t0) / 1000000 ))ms"
 
 echo "==> go test -race ./..."
 go test -race ./...
+
+echo "==> allocation guard (no race detector)"
+go test ./internal/core -run '^TestCollectiveMallocsPerRankCall$'
 
 echo "==> san (HIERSAN=1 conformance + seeded faults)"
 HIERSAN=1 go test ./... -run 'Conformance|Isolation'

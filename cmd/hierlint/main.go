@@ -1,17 +1,14 @@
 // Command hierlint runs the simulator's custom static-analysis suite
 // (internal/lint) over Go packages and reports invariant violations:
-// wall-clock time or unseeded randomness inside internal/, leaked
-// Isend/Irecv requests, discarded module-API errors, payload buffers
-// shared with unsynchronized goroutines, package-level state reachable from
-// a simulation run, free-list allocations that never reach a release, and
-// point-to-point tags outside their algorithm's reserved range.
+// leaked Isend/Irecv requests, discarded module-API errors, and
+// package-level mutable state reachable from a simulation run.
 //
 // Usage:
 //
 //	hierlint ./...                 # lint the whole module (the CI gate)
 //	hierlint ./internal/coll       # one package
 //	hierlint -list                 # show the analyzer catalogue
-//	hierlint -run determinism ./...# run a single analyzer
+//	hierlint -run errcheck ./...   # run a single analyzer
 //	hierlint -json ./...           # machine-readable findings
 //
 // Packages are loaded and analyzed one after another in listing order, test

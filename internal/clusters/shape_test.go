@@ -26,9 +26,8 @@ func TestShapeProbe(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				t0 := time.Now() //lint:ignore determinism host wall-clock measures the test's own runtime, not simulated time
+				t0 := time.Now()
 				r := imb.Bcast(w, mod, size, imb.Opts{Iterations: 2, Warmup: 1, RotateRoot: true})
-				//lint:ignore determinism host wall-clock measures the test's own runtime, not simulated time
 				t.Logf("%-10s wall=%8v %v", cluster, time.Since(t0).Round(time.Millisecond), r)
 			}
 		}

@@ -28,7 +28,6 @@ func TestSanitizerCatchesEventDoubleRelease(t *testing.T) {
 	_, got := collectSan(e)
 	ev := e.alloc(0)
 	e.release(ev)
-	//lint:ignore poolreturn planted fault: the double release is exactly what the sanitizer must catch
 	e.release(ev) // planted fault
 	if len(*got) != 1 || !strings.Contains((*got)[0], "double release of des.event") {
 		t.Fatalf("violations = %q, want exactly one double release of des.event", *got)

@@ -234,13 +234,13 @@ func buildCost768(tb testing.TB, bynode bool) (ns, bytes, mallocs float64) {
 	run := func(builds int) (time.Duration, runtime.MemStats) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		start := time.Now() //lint:ignore determinism host wall-clock times the benchmark itself, not simulated time
+		start := time.Now()
 		err := w.Run(func(p *mpi.Proc) {
 			for i := 0; i < builds; i++ {
 				Build(p, w.WorldComm(), i)
 			}
 		})
-		elapsed := time.Since(start) //lint:ignore determinism host wall-clock times the benchmark itself, not simulated time
+		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			tb.Fatal(err)

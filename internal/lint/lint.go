@@ -1,20 +1,18 @@
 // Package lint is hierlint's analysis framework: a small, stdlib-only
-// (go/ast + go/types) multi-analyzer pass that enforces the simulator's
-// core invariants at analysis time instead of debugging time.
+// (go/ast + go/types) multi-analyzer pass that enforces the simulator
+// invariants no test checks.
 //
 // The reproduction's claims rest on two properties the compiler cannot
-// check:
-//
-//   - Determinism. Virtual time must come from the DES engine
-//     (internal/des), never the host clock, and no unseeded randomness or
-//     map-iteration-order-dependent output may leak into internal/.
-//     Otherwise two runs of the same experiment diverge and the paper's
-//     figures stop being reproducible.
+// check and a passing suite does not prove:
 //
 //   - Liveness and hygiene of the simulated MPI layer. A leaked
 //     Isend/Irecv request or a silently discarded error from the runtime
 //     turns into a simulated deadlock or a dropped message that only
 //     manifests as a subtly wrong timing curve.
+//
+//   - Isolation of concurrent runs. Sweep jobs run side by side, so
+//     package-level mutable state in internal/ is a channel between
+//     simulations that should share nothing.
 //
 // Each Analyzer inspects one invariant. Diagnostics can be suppressed with
 // a trailing or preceding directive comment:
@@ -22,9 +20,9 @@
 //	//lint:ignore <analyzer> <reason>
 //
 // which silences that analyzer on the directive's own line and on the line
-// immediately below it. The reason is mandatory: a directive that does not
-// say why the finding is safe suppresses nothing and is itself reported.
-// See docs/STATIC_ANALYSIS.md for the catalogue.
+// immediately below it. The reason is mandatory, and the analyzer must be
+// registered: any other directive suppresses nothing and is itself
+// reported. See docs/STATIC_ANALYSIS.md for the catalogue.
 package lint
 
 import (
@@ -33,7 +31,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // Diagnostic is one finding, positioned in the analyzed source.
@@ -64,14 +61,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Fset, Files, Types and Info are shorthands into the loaded package.
-func (p *Pass) Fset() *token.FileSet  { return p.Pkg.Fset }
-func (p *Pass) Files() []*ast.File    { return p.Pkg.Files }
-func (p *Pass) Types() *types.Package { return p.Pkg.Types }
-func (p *Pass) Info() *types.Info     { return p.Pkg.TypesInfo }
-
-// ObjectOf resolves the identifier via the package's type info.
-func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Pkg.TypesInfo.ObjectOf(id) }
+// Files and Info are shorthands into the loaded package.
+func (p *Pass) Files() []*ast.File { return p.Pkg.Files }
+func (p *Pass) Info() *types.Info  { return p.Pkg.TypesInfo }
 
 // Analyzer is one invariant checker.
 type Analyzer struct {
@@ -86,13 +78,9 @@ type Analyzer struct {
 
 // Analyzers is the registry, in deterministic (registration) order.
 var Analyzers = []*Analyzer{
-	DeterminismAnalyzer,
 	RequestHygieneAnalyzer,
 	ErrcheckAnalyzer,
-	BufferEscapeAnalyzer,
 	RunIsolationAnalyzer,
-	PoolReturnAnalyzer,
-	TagSpaceAnalyzer,
 }
 
 // ByName returns the registered analyzer with that name, or nil.
@@ -103,12 +91,6 @@ func ByName(name string) *Analyzer {
 		}
 	}
 	return nil
-}
-
-// internalOnly scopes an analyzer to the simulator core: any package with an
-// internal/ path element. cmd/ and examples/ may talk to the host freely.
-func internalOnly(pkgPath string) bool {
-	return strings.Contains(pkgPath, "internal/")
 }
 
 // Run applies each analyzer in as to pkg and returns the surviving

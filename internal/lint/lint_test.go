@@ -40,13 +40,15 @@ func TestCleanFixture(t *testing.T) {
 
 // TestByName covers registry lookup.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"determinism", "requesthygiene", "errcheck", "bufferescape", "runisolation", "poolreturn", "tagspace"} {
+	for _, name := range []string{"requesthygiene", "errcheck", "runisolation"} {
 		if lint.ByName(name) == nil {
 			t.Errorf("ByName(%q) = nil, want analyzer", name)
 		}
 	}
-	if lint.ByName("nope") != nil {
-		t.Error("ByName(nope) should be nil")
+	for _, name := range []string{"nope", "all", "determinism"} {
+		if lint.ByName(name) != nil {
+			t.Errorf("ByName(%q) should be nil", name)
+		}
 	}
 }
 
@@ -118,49 +120,46 @@ func collectWants(t *testing.T, pkg *lint.Package) []*expectation {
 	return wants
 }
 
-// TestSuppressionReasonRequired pins the directive contract: a reasonless
-// //lint:ignore suppresses nothing (the underlying finding survives) and is
-// itself reported as a malformed directive, while a well-formed one still
-// silences its line.
+// TestSuppressionReasonRequired pins the directive contract: a reasonless,
+// bare or unregistered-analyzer //lint:ignore suppresses nothing (the
+// underlying finding survives) and is itself reported as a malformed
+// directive, while a well-formed one still silences its line.
 func TestSuppressionReasonRequired(t *testing.T) {
 	pkgs, err := lint.Load(".", "./testdata/ignorereason")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := lint.Run(pkgs[0], []*lint.Analyzer{lint.ByName("determinism")})
+	diags := lint.Run(pkgs[0], []*lint.Analyzer{lint.ByName("errcheck")})
 
-	var malformed, determinism []lint.Diagnostic
+	var malformed, errcheck []lint.Diagnostic
 	for _, d := range diags {
 		switch d.Analyzer {
 		case "lint":
 			malformed = append(malformed, d)
-		case "determinism":
-			determinism = append(determinism, d)
+		case "errcheck":
+			errcheck = append(errcheck, d)
 		default:
 			t.Errorf("unexpected analyzer %q in %s", d.Analyzer, d)
 		}
 	}
-	// Two malformed directives: the reasonless one and the bare one.
-	if len(malformed) != 2 {
-		t.Fatalf("got %d malformed-directive findings, want 2: %v", len(malformed), diags)
+	// Three malformed directives, in line order: reasonless, bare, retired.
+	want := []string{
+		"without a reason suppresses nothing",
+		"missing analyzer name and reason",
+		`names "vtmono", which is not a registered analyzer`,
 	}
-	if !strings.Contains(malformed[0].Message, "missing analyzer name and reason") &&
-		!strings.Contains(malformed[1].Message, "missing analyzer name and reason") {
-		t.Errorf("no finding mentions the bare directive: %v", malformed)
+	if len(malformed) != len(want) {
+		t.Fatalf("got %d malformed-directive findings, want %d: %v", len(malformed), len(want), diags)
 	}
-	found := false
-	for _, d := range malformed {
-		if strings.Contains(d.Message, "without a reason suppresses nothing") {
-			found = true
+	for i, w := range want {
+		if !strings.Contains(malformed[i].Message, w) {
+			t.Errorf("malformed finding %d = %q, want it to say %q", i, malformed[i].Message, w)
 		}
 	}
-	if !found {
-		t.Errorf("no finding rejects the reasonless directive: %v", malformed)
-	}
-	// Two determinism findings survive (reasonless + bare lines); the
-	// well-formed suppression in excused() removes the third.
-	if len(determinism) != 2 {
-		t.Fatalf("got %d determinism findings, want 2 (reasonless directives must not suppress): %v", len(determinism), diags)
+	// Three errcheck findings survive (reasonless, bare, retired); the
+	// well-formed suppression in excused() removes the fourth.
+	if len(errcheck) != 3 {
+		t.Fatalf("got %d errcheck findings, want 3 (malformed directives must not suppress): %v", len(errcheck), diags)
 	}
 }
 
@@ -173,21 +172,21 @@ func TestSortDiagnostics(t *testing.T) {
 		return d
 	}
 	in := []lint.Diagnostic{
-		mk("b.go", 1, 1, "determinism", "z"),
-		mk("a.go", 9, 2, "tagspace", "m"),
-		mk("a.go", 9, 1, "poolreturn", "m"),
-		mk("a.go", 9, 2, "poolreturn", "b"),
-		mk("a.go", 9, 2, "poolreturn", "a"),
+		mk("b.go", 1, 1, "errcheck", "z"),
+		mk("a.go", 9, 2, "runisolation", "m"),
+		mk("a.go", 9, 1, "requesthygiene", "m"),
+		mk("a.go", 9, 2, "requesthygiene", "b"),
+		mk("a.go", 9, 2, "requesthygiene", "a"),
 		mk("a.go", 3, 7, "errcheck", "x"),
 	}
 	lint.SortDiagnostics(in)
 	want := []string{
 		"a.go:3:7: [errcheck] x",
-		"a.go:9:1: [poolreturn] m",
-		"a.go:9:2: [poolreturn] a",
-		"a.go:9:2: [poolreturn] b",
-		"a.go:9:2: [tagspace] m",
-		"b.go:1:1: [determinism] z",
+		"a.go:9:1: [requesthygiene] m",
+		"a.go:9:2: [requesthygiene] a",
+		"a.go:9:2: [requesthygiene] b",
+		"a.go:9:2: [runisolation] m",
+		"b.go:1:1: [errcheck] z",
 	}
 	for i, d := range in {
 		if d.String() != want[i] {

@@ -78,7 +78,10 @@ func listUnits(dir string, patterns []string) ([]*unitMeta, error) {
 
 // exportLookup builds the compiled export data of the targets' full
 // dependency closure, including test-only dependencies (-test), and returns
-// the reader importer.ForCompiler resolves imports through.
+// the reader importer.ForCompiler resolves imports through. A dependency
+// that only a test imports is listed once, as `path [pkg.test]`, so entries
+// are keyed by the path with that suffix cut off; an entry listed without
+// the suffix wins.
 func exportLookup(dir string, patterns []string) (importer.Lookup, error) {
 	args := append([]string{"list", "-deps", "-test", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, patterns...)
 	out, err := runGo(dir, args...)
@@ -91,8 +94,9 @@ func exportLookup(dir string, patterns []string) (importer.Lookup, error) {
 		if !ok || file == "" {
 			continue
 		}
-		if _, exists := files[path]; !exists {
-			files[path] = file
+		bare, _, variant := strings.Cut(path, " [")
+		if _, exists := files[bare]; !exists || !variant {
+			files[bare] = file
 		}
 	}
 	return func(path string) (io.ReadCloser, error) {

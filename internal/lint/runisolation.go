@@ -36,17 +36,13 @@ import (
 // effectively-constant exemption: they can be mutated through the
 // reference without any assignment to the variable itself.
 //
-// internal/lint itself is excluded: the analyzer registry and keyword
-// tables are write-once composites, and the linter never runs inside a
-// simulation.
+// internal/lint itself is excluded: the analyzer registry is a write-once
+// composite, and the linter never runs inside a simulation.
 var RunIsolationAnalyzer = &Analyzer{
 	Name: "runisolation",
 	Doc:  "forbid non-atomic package-level mutable state shared across concurrent simulations",
 	Applies: func(pkgPath string) bool {
-		if strings.HasSuffix(pkgPath, "internal/lint") {
-			return false
-		}
-		return internalOnly(pkgPath)
+		return strings.Contains(pkgPath, "internal/") && !strings.HasSuffix(pkgPath, "internal/lint")
 	},
 	Run: runRunIsolation,
 }

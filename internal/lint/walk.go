@@ -54,11 +54,12 @@ type ignoreKey struct {
 }
 
 // directives is one package's parsed suppression table plus the findings for
-// malformed directives. A directive must name an analyzer (or "all") AND give
-// a reason; a suppression that cannot say why the finding is safe suppresses
-// nothing and is itself reported, so reasonless ignores cannot accumulate.
+// malformed directives. A directive must name a registered analyzer AND give
+// a reason; a suppression that cannot say why the finding is safe, or that
+// names an analyzer which no longer exists, suppresses nothing and is itself
+// reported, so neither reasonless nor stale ignores can accumulate.
 type directives struct {
-	ignored   map[ignoreKey]map[string]bool // file:line -> analyzer set ("all" wildcard)
+	ignored   map[ignoreKey]map[string]bool // file:line -> analyzer set
 	malformed []Diagnostic
 }
 
@@ -85,6 +86,11 @@ func parseDirectives(pkg *Package) directives {
 					d.malformed = append(d.malformed, Diagnostic{Pos: pos, Analyzer: "lint",
 						Message: fmt.Sprintf("//lint:ignore %s without a reason suppresses nothing: say why the finding is safe", fields[0])})
 				default:
+					if ByName(fields[0]) == nil {
+						d.malformed = append(d.malformed, Diagnostic{Pos: pos, Analyzer: "lint",
+							Message: fmt.Sprintf("//lint:ignore names %q, which is not a registered analyzer (see hierlint -list): it suppresses nothing", fields[0])})
+						continue
+					}
 					if d.ignored == nil {
 						d.ignored = map[ignoreKey]map[string]bool{}
 					}
@@ -105,5 +111,5 @@ func parseDirectives(pkg *Package) directives {
 // suppressed reports whether diag is covered by a well-formed directive.
 func (d directives) suppressed(diag Diagnostic) bool {
 	set := d.ignored[ignoreKey{diag.Pos.Filename, diag.Pos.Line}]
-	return set != nil && (set[diag.Analyzer] || set["all"])
+	return set[diag.Analyzer]
 }

@@ -30,7 +30,6 @@ func TestSanitizerEnvelopeDoubleRelease(t *testing.T) {
 	env := p.allocEnv()
 	env.refs = 1
 	env.release()
-	//lint:ignore poolreturn planted fault: the reuse after release is exactly what the sanitizer must catch
 	env.refs = 1
 	env.release() // planted fault: second recycle of the same record
 	if len(*got) != 1 || !strings.Contains((*got)[0], "double release of mpi.envelope") {
@@ -48,7 +47,6 @@ func TestSanitizerPostingUseAfterRelease(t *testing.T) {
 	po := p.allocPosting()
 	po.refs = 1
 	po.release()
-	//lint:ignore poolreturn planted fault: the touch after recycle is exactly what the sanitizer must catch
 	w.Sanitizer().PoolUse(po, p.name) // planted fault: touch after recycle
 	if len(*got) != 1 || !strings.Contains((*got)[0], "use after release of mpi.posting") {
 		t.Fatalf("violations = %q, want one use-after-release of mpi.posting", *got)

@@ -5,15 +5,16 @@
 #   gofmt     `gofmt -l .` lists nothing
 #   vet       the stock Go analyzers
 #   hierlint  the simulator-invariant analyzers (cmd/hierlint):
-#             determinism, requesthygiene, errcheck, bufferescape,
-#             runisolation, poolreturn, tagspace. One run, wall time
-#             printed; also gates that all seven analyzers are registered.
-#   test      the full suite under the race detector
-#   alloc     internal/core's per-call malloc guard, which skips itself
-#             under -race (there coll.Like stops inlining and phantom
-#             scratch escapes), run once more without it
+#             requesthygiene, errcheck, runisolation. One run, wall time
+#             printed; also gates that all three analyzers are registered.
+#   test      the full suite without the race detector (internal/core's
+#             per-call malloc guard and the seeded sanitizer faults
+#             included), except ./bench, whose tests benchsmoke runs
+#   race      the race detector, only over code that starts goroutines:
+#             the sweep pool, the coroutine pool, hierbench's sweeps and
+#             bench's RSS poller (-short), and the root isolation tests
 #   san       the conformance/isolation suites under HIERSAN=1 (the hiersan
-#             dynamic sanitizer) plus the seeded fault fixtures
+#             dynamic sanitizer)
 #   fuzz      10s FuzzMatch smoke over the p2p matching machinery
 #   benchsmoke  the repository benchmark's own gate (bench/ci.sh, called as
 #             it stands): vet, hierlint and tests of ./bench, then a -quick
@@ -45,8 +46,8 @@ go vet ./...
 
 echo "==> hierlint ./..."
 go build -o /tmp/hierlint.verify ./cmd/hierlint
-if [ "$(/tmp/hierlint.verify -list | wc -l)" -ne 7 ]; then
-  echo "hierlint: expected 7 registered analyzers" >&2
+if [ "$(/tmp/hierlint.verify -list | wc -l)" -ne 3 ]; then
+  echo "hierlint: expected 3 registered analyzers" >&2
   /tmp/hierlint.verify -list >&2
   exit 1
 fi
@@ -55,15 +56,15 @@ t0=$(date +%s%N)
 t1=$(date +%s%N)
 echo "hierlint timing: $(( (t1 - t0) / 1000000 ))ms"
 
-echo "==> go test -race ./..."
-go test -race ./...
+echo "==> go test ./... (without ./bench)"
+go test $(go list ./... | grep -vx 'hierknem/bench')
 
-echo "==> allocation guard (no race detector)"
-go test ./internal/core -run '^TestCollectiveMallocsPerRankCall$'
+echo "==> go test -race (packages that start goroutines)"
+go test -race -short ./internal/sweep ./internal/des ./cmd/hierbench ./bench
+go test -race -short . -run 'Isolation|Parallel'
 
-echo "==> san (HIERSAN=1 conformance + seeded faults)"
+echo "==> san (HIERSAN=1 conformance)"
 HIERSAN=1 go test ./... -run 'Conformance|Isolation'
-go test ./internal/des ./internal/mpi ./internal/fabric -run 'Sanitizer|StallAutopsy|MaxTimeAbort'
 
 echo "==> fuzz smoke (FuzzMatch, 10s)"
 go test ./internal/mpi -run '^$' -fuzz '^FuzzMatch$' -fuzztime 10s

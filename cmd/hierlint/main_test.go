@@ -78,6 +78,18 @@ func TestTestOnlyDependencyLoads(t *testing.T) {
 	}
 }
 
+// TestExternalTestSeesOneTestVariant lints a package whose external test
+// calls an export_test.go helper and also imports, through the facade, a
+// package built on the package under test (internal/fabric's traffic test):
+// both must resolve to the one test-binary build of internal/fabric, or the
+// helper's *fabric.Net and the facade's are different types.
+func TestExternalTestSeesOneTestVariant(t *testing.T) {
+	code, stdout, stderr := hierlint(t, "./internal/fabric")
+	if code != 0 || stdout != "" {
+		t.Fatalf("hierlint ./internal/fabric: exit %d, stdout %q, stderr %q; want 0 and no findings", code, stdout, stderr)
+	}
+}
+
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-run", "nope", fixtures + "clean"},

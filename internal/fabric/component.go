@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"hierknem/internal/des"
 	"hierknem/internal/san"
@@ -15,26 +16,49 @@ import (
 // and fires completions independently.
 //
 // Merges are eager (a new flow bridging components absorbs the smaller into
-// the larger); splits are lazy (a removal marks splitFlag and the next sync
-// re-partitions the component with a local union-find).
+// the larger); splits are lazy (a removal that kills a bundle marks splitFlag
+// and the next sync re-partitions the component with a local union-find).
 //
 // Components share no state outside the membership transfers (absorb,
 // repartition), which is what lets fill be a pure function of one component's
 // membership; equivalence_test.go checks that against ModeGlobal bit for
 // bit with enableShadow on every sync.
 type component struct {
-	id    uint64
-	cpos  int // position in Net.comps
-	flows []*Flow
-	res   []*Resource
+	id      uint64
+	cpos    int // position in Net.comps
+	flows   []*Flow
+	bundles []*bundle // flows grouped by (Path, RateCap), unordered
+	res     []*Resource
 
 	timer   des.Timer // completion timer for the earliest deadline
 	timerAt float64   // absolute time the timer is armed for
 	timerFn func()    // the timer's body, built once per shell
 
 	dirtyFlag bool // queued for recompute at the next sync
-	splitFlag bool // membership may have fragmented (a flow left)
+	splitFlag bool // membership may have fragmented (a bundle died)
 	dead      bool // absorbed or destroyed; skip if found in the dirty queue
+}
+
+// bundle is the set of a component's flows whose paths are element-wise
+// identical and whose rate caps are equal (see "Bundles" in the package
+// comment). A bundle lives in one component: its members all start at
+// path[0], which belongs to exactly one component, and the bundle is listed
+// in path[0].heads.
+type bundle struct {
+	// path is the bundle's own copy of its members' path: a pooled flow's
+	// pathBuf is reused for another path once that flow completes, while
+	// its twins may still be in flight. pathBuf backs it for every path the
+	// MPI layer builds (five resources at most), so a bundle record is one
+	// allocation.
+	path    []*Resource
+	pathBuf [5]*Resource
+	cap     float64
+	m       int // member flows
+	bidx    int // position in comp.bundles
+
+	// fill scratch
+	rate   float64
+	frozen bool
 }
 
 // shellKeep is the largest backing array (in entries) a recycled shell keeps;
@@ -80,6 +104,9 @@ func (n *Net) recycleComponent(c *component) {
 	}
 	if cap(c.flows) > shellKeep {
 		c.flows = nil
+	}
+	if cap(c.bundles) > shellKeep {
+		c.bundles = nil
 	}
 	if cap(c.res) > shellKeep {
 		c.res = nil
@@ -165,19 +192,81 @@ func (n *Net) attach(f *Flow) {
 	f.comp = target
 	f.cidx = len(target.flows)
 	target.flows = append(target.flows, f)
+	n.joinBundle(target, f)
 	n.markDirty(target)
 }
 
+// joinBundle files an attaching flow under the bundle of its (Path, RateCap)
+// in c, opening one when c has none. A pathless flow always opens its own:
+// it is the sole occupant of a component of its own.
+func (n *Net) joinBundle(c *component, f *Flow) {
+	var b *bundle
+	if len(f.Path) > 0 {
+		for _, x := range f.Path[0].heads {
+			if x.cap == f.RateCap && slices.Equal(x.path, f.Path) {
+				b = x
+				break
+			}
+		}
+	}
+	if b == nil {
+		if k := len(n.bundlePool) - 1; k >= 0 {
+			b = n.bundlePool[k]
+			n.bundlePool[k] = nil
+			n.bundlePool = n.bundlePool[:k]
+		} else {
+			b = &bundle{}
+			b.path = b.pathBuf[:0]
+		}
+		b.path = append(b.path, f.Path...)
+		b.cap = f.RateCap
+		b.bidx = len(c.bundles)
+		c.bundles = append(c.bundles, b)
+		if len(f.Path) > 0 {
+			f.Path[0].heads = append(f.Path[0].heads, b)
+		}
+	}
+	b.m++
+	f.bundle = b
+}
+
+// dropBundle unlists a bundle whose last flow has left c and recycles it.
+func (n *Net) dropBundle(c *component, b *bundle) {
+	last := len(c.bundles) - 1
+	other := c.bundles[last]
+	c.bundles[b.bidx] = other
+	other.bidx = b.bidx
+	c.bundles[last] = nil
+	c.bundles = c.bundles[:last]
+	if len(b.path) > 0 {
+		r := b.path[0]
+		k := len(r.heads) - 1
+		r.heads[slices.Index(r.heads, b)] = r.heads[k]
+		r.heads[k] = nil
+		r.heads = r.heads[:k]
+	}
+	clear(b.path)
+	b.path = b.path[:0]
+	b.bidx = -1
+	n.bundlePool = append(n.bundlePool, b)
+}
+
 // absorb merges component b into a (caller picks a as the larger side).
-// It is the designated membership transfer: the merge retargets every flow
-// and resource of b onto a and kills b, under the engine's single-threaded
-// sync — the one place cross-component stores are the point.
+// It is the designated membership transfer: the merge retargets every flow,
+// bundle and resource of b onto a and kills b, under the engine's
+// single-threaded sync — the one place cross-component stores are the point.
+// No two bundles of the merged component share a key: twins start at the
+// same resource, so they were in one component already.
 func (n *Net) absorb(a, b *component) {
 	n.stats.Merges++
 	for _, f := range b.flows {
 		f.comp = a
 		f.cidx = len(a.flows)
 		a.flows = append(a.flows, f)
+	}
+	for _, x := range b.bundles {
+		x.bidx = len(a.bundles)
+		a.bundles = append(a.bundles, x)
 	}
 	for _, r := range b.res {
 		r.comp = a
@@ -187,14 +276,18 @@ func (n *Net) absorb(a, b *component) {
 	a.splitFlag = a.splitFlag || b.splitFlag
 	clear(b.flows)
 	b.flows = b.flows[:0]
+	clear(b.bundles)
+	b.bundles = b.bundles[:0]
 	clear(b.res)
 	b.res = b.res[:0]
 	b.timer.Cancel()
 	n.removeComp(b)
 }
 
-// detach removes a flow from its component (swap-delete) and marks the
-// component for a lazy split check at the next sync.
+// detach removes a flow from its component (swap-delete). When the flow was
+// the last of its bundle, the component is marked for a lazy split check at
+// the next sync; a surviving twin still covers every resource the flow
+// crossed, so nothing can have come apart otherwise.
 func (n *Net) detach(f *Flow) {
 	n.advanceClasses()
 	if f.Class != "" {
@@ -208,10 +301,15 @@ func (n *Net) detach(f *Flow) {
 	other.cidx = f.cidx
 	c.flows[last] = nil
 	c.flows = c.flows[:last]
+	b := f.bundle
+	if b.m--; b.m == 0 {
+		n.dropBundle(c, b)
+		c.splitFlag = true
+	}
 	f.comp = nil
 	f.cidx = -1
+	f.bundle = nil
 	f.rate = 0
-	c.splitFlag = true
 	n.markDirty(c)
 }
 
@@ -245,22 +343,21 @@ func (n *Net) recomputeComponent(c *component) {
 		c.splitFlag = false
 		if parts := n.repartition(c); parts != nil {
 			for _, p := range parts {
-				n.fill(p)
-				n.scheduleCompletion(p)
+				n.scheduleCompletion(p, n.fill(p))
 			}
 			return
 		}
 	}
-	n.fill(c)
-	n.scheduleCompletion(c)
+	n.scheduleCompletion(c, n.fill(c))
 }
 
 // repartition re-derives the connected components of c's membership with a
-// local union-find over its resources. It returns nil when the component is
-// still connected (the common case: a completed flow's peers share its
-// links); otherwise it returns the resulting parts (in Net-owned scratch,
-// valid until the next call), the first of which reuses c's shell — and
-// therefore c's armed timer, which stays valid when the surviving minimum
+// local union-find over its resources, uniting along bundle paths (a
+// bundle's members all cross the same resources). It returns nil when the
+// component is still connected (the common case: a completed flow's peers
+// share its links); otherwise it returns the resulting parts (in Net-owned
+// scratch, valid until the next call), the first of which reuses c's shell —
+// and therefore c's armed timer, which stays valid when the surviving minimum
 // deadline is unchanged.
 func (n *Net) repartition(c *component) []*component {
 	n.stats.Repartitions++
@@ -275,13 +372,13 @@ func (n *Net) repartition(c *component) []*component {
 		}
 		return i
 	}
-	for _, f := range c.flows {
-		if len(f.Path) == 0 {
+	for _, b := range c.bundles {
+		if len(b.path) == 0 {
 			continue
 		}
-		n.stats.ResourceVisits += uint64(len(f.Path))
-		r0 := find(f.Path[0].uf)
-		for _, r := range f.Path[1:] {
+		n.stats.ResourceVisits += uint64(len(b.path))
+		r0 := find(b.path[0].uf)
+		for _, r := range b.path[1:] {
 			if r1 := find(r.uf); r1 != r0 {
 				res[r1].uf = r0
 			}
@@ -293,17 +390,17 @@ func (n *Net) repartition(c *component) []*component {
 		res[i].uf = find(int32(i))
 	}
 
-	// Connected fast path: all flows share one root. Pathless flows are
-	// always their own group (they can only be sole occupants — nothing
-	// ever merges into a component without resources).
+	// Connected fast path: all bundles share one root. A pathless flow is
+	// always a group of its own, and the sole occupant of its component:
+	// nothing ever merges into a component without resources.
 	single := true
 	root0 := int32(-1)
-	for _, f := range c.flows {
-		if len(f.Path) == 0 {
+	for _, b := range c.bundles {
+		if len(b.path) == 0 {
 			single = len(c.flows) == 1
 			break
 		}
-		rt := f.Path[0].uf
+		rt := b.path[0].uf
 		if root0 < 0 {
 			root0 = rt
 		} else if rt != root0 {
@@ -330,36 +427,35 @@ func (n *Net) repartition(c *component) []*component {
 	// Parts are numbered in order of their first flow, and members keep
 	// their relative order. Part 0 is compacted into c's own arrays: its
 	// k-th member is written at index k, never ahead of the read position.
+	// Every flow here has a path: a pathless one is alone, hence single.
 	n.stats.Splits++
 	partOf := n.partOf[:0] // union-find root (an index into res) -> part
 	for range res {
 		partOf = append(partOf, -1)
 	}
 	n.partOf = partOf
-	flows := c.flows
-	c.flows, c.res = flows[:0], res[:0]
+	flows, bundles := c.flows, c.bundles
+	c.flows, c.bundles, c.res = flows[:0], bundles[:0], res[:0]
 	parts := n.parts[:0]
-	nextPart := func() *component {
-		p := c
-		if len(parts) > 0 {
-			p = n.allocComponent()
-		}
-		parts = append(parts, p)
-		return p
-	}
 	for _, f := range flows {
-		var p *component
-		if len(f.Path) == 0 {
-			p = nextPart()
-		} else if root := f.Path[0].uf; partOf[root] >= 0 {
-			p = parts[partOf[root]]
-		} else {
+		root := f.Path[0].uf
+		if partOf[root] < 0 {
 			partOf[root] = int32(len(parts))
-			p = nextPart()
+			p := c
+			if len(parts) > 0 {
+				p = n.allocComponent()
+			}
+			parts = append(parts, p)
 		}
+		p := parts[partOf[root]]
 		f.comp = p
 		f.cidx = len(p.flows)
 		p.flows = append(p.flows, f)
+	}
+	for _, b := range bundles {
+		p := parts[partOf[b.path[0].uf]]
+		b.bidx = len(p.bundles)
+		p.bundles = append(p.bundles, b)
 	}
 	for _, r := range res {
 		if pi := partOf[r.uf]; pi >= 0 {
@@ -372,6 +468,7 @@ func (n *Net) repartition(c *component) []*component {
 		}
 	}
 	clear(flows[len(c.flows):])
+	clear(bundles[len(c.bundles):])
 	clear(res[len(c.res):])
 	n.parts = parts
 	return parts
@@ -379,11 +476,17 @@ func (n *Net) repartition(c *component) []*component {
 
 // fill assigns max-min fair rates to the component's flows by progressive
 // filling: raise every unfrozen flow's rate uniformly until a flow hits its
-// cap or a resource saturates; freeze those and repeat. The result is a pure
-// function of the component's membership: every step is a min over a set or
-// an independent per-element update, so iteration order cannot change the
-// outcome — the property the incremental/global equivalence rests on.
-func (n *Net) fill(c *component) {
+// cap or a resource saturates; freeze those and repeat. The rounds run over
+// bundles, each weighing its member count m: members share a path and a cap,
+// so they freeze together, and the weights stay whole numbers, so every sum
+// is the one the per-flow filling forms. The result is a pure function of the
+// component's membership: every step is a min over a set or an independent
+// per-element update, so iteration order cannot change the outcome — the
+// property the incremental/global equivalence rests on.
+//
+// fill returns the component's earliest completion deadline, found by the
+// write-back pass that visits every flow anyway.
+func (n *Net) fill(c *component) float64 {
 	now := n.eng.Now()
 	n.stats.Fills++
 	for _, r := range c.res {
@@ -391,17 +494,17 @@ func (n *Net) fill(c *component) {
 		r.resid = r.Capacity
 		r.wsum = 0
 	}
-	for _, f := range c.flows {
-		f.prevRate = f.rate
-		f.frozen = false
-		for _, r := range f.Path {
-			r.wsum++
+	for _, b := range c.bundles {
+		b.frozen = false
+		w := float64(b.m)
+		for _, r := range b.path {
+			r.wsum += w
 		}
 	}
 	n.stats.ResourceVisits += uint64(len(c.res))
-	n.stats.FlowVisits += uint64(len(c.flows))
+	n.stats.FlowVisits += uint64(len(c.bundles))
 
-	unfrozen := len(c.flows)
+	unfrozen := len(c.bundles)
 	level := 0.0
 	const relEps = 1e-9
 	for unfrozen > 0 {
@@ -415,21 +518,21 @@ func (n *Net) fill(c *component) {
 			}
 		}
 		n.stats.ResourceVisits += uint64(len(c.res))
-		for _, f := range c.flows {
-			if !f.frozen && f.RateCap > 0 {
-				if d := f.RateCap - level; d < delta {
+		for _, b := range c.bundles {
+			if !b.frozen && b.cap > 0 {
+				if d := b.cap - level; d < delta {
 					delta = d
 				}
 			}
 		}
-		n.stats.FlowVisits += uint64(len(c.flows))
+		n.stats.FlowVisits += uint64(len(c.bundles))
 		if math.IsInf(delta, 1) {
 			// Flows with no constraining resource and no cap; unreachable
 			// given Start's validation, but guard anyway.
-			for _, f := range c.flows {
-				if !f.frozen {
-					f.frozen = true
-					f.rate = level
+			for _, b := range c.bundles {
+				if !b.frozen {
+					b.frozen = true
+					b.rate = level
 				}
 			}
 			break
@@ -444,14 +547,14 @@ func (n *Net) fill(c *component) {
 		n.stats.ResourceVisits += uint64(len(c.res))
 
 		frozeAny := false
-		for _, f := range c.flows {
-			if f.frozen {
+		for _, b := range c.bundles {
+			if b.frozen {
 				continue
 			}
-			capped := f.RateCap > 0 && level >= f.RateCap*(1-relEps)
+			capped := b.cap > 0 && level >= b.cap*(1-relEps)
 			saturated := false
 			if !capped {
-				for _, r := range f.Path {
+				for _, r := range b.path {
 					if r.resid <= r.Capacity*relEps {
 						saturated = true
 						break
@@ -459,56 +562,56 @@ func (n *Net) fill(c *component) {
 				}
 			}
 			if capped || saturated {
-				f.frozen = true
-				f.rate = level
+				b.frozen = true
+				b.rate = level
 				unfrozen--
-				for _, r := range f.Path {
-					r.wsum--
+				w := float64(b.m)
+				for _, r := range b.path {
+					r.wsum -= w
 				}
 				frozeAny = true
 			}
 		}
 		if !frozeAny {
 			// Numerical stalemate: freeze everything at the current level.
-			for _, f := range c.flows {
-				if !f.frozen {
-					f.frozen = true
-					f.rate = level
+			for _, b := range c.bundles {
+				if !b.frozen {
+					b.frozen = true
+					b.rate = level
 					unfrozen--
 				}
 			}
 		}
 	}
 
-	// Write new loads, and re-anchor progress and deadline for flows whose
-	// rate changed. Flows whose rate came out identical keep their anchor
-	// and deadline bit-for-bit, so refilling an untouched component is a
-	// no-op in virtual time.
+	// Write new loads, per flow in c.flows order (a float sum's bits depend
+	// on its order), and re-anchor progress and deadline for flows whose rate
+	// changed. Flows whose rate came out identical keep their anchor and
+	// deadline bit-for-bit, so refilling an untouched component is a no-op in
+	// virtual time.
 	for _, r := range c.res {
 		r.load = 0
 	}
+	next := math.Inf(1)
 	for _, f := range c.flows {
+		rate := f.bundle.rate
 		for _, r := range f.Path {
-			r.load += f.rate
+			r.load += rate
 		}
-		if f.rate != f.prevRate {
-			f.done0 = f.doneAtRate(now, f.prevRate)
+		if rate != f.rate {
+			f.done0 = f.doneAt(now)
 			f.since = now
-			if f.rate > 0 {
-				f.deadline = now + (f.Size-f.done0)/f.rate
+			f.rate = rate
+			if rate > 0 {
+				f.deadline = now + (f.Size-f.done0)/rate
 			} else {
 				f.deadline = math.Inf(1)
 			}
 		}
+		if f.deadline < next {
+			next = f.deadline
+		}
 	}
-}
-
-// doneAtRate is doneAt with an explicit rate (the pre-refill rate, used
-// when re-anchoring progress at a rate change).
-func (f *Flow) doneAtRate(now, rate float64) float64 {
-	d := f.done0 + rate*(now-f.since)
-	if d > f.Size {
-		d = f.Size
-	}
-	return d
+	n.stats.FlowVisits += uint64(len(c.flows))
+	return next
 }

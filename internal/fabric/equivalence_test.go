@@ -285,6 +285,70 @@ func randomChurn(seed int64, flows int) func(c *testCluster, rec recorder) {
 	}
 }
 
+// bundleChurn draws its flows from a few paths and caps, so bundles of many
+// twins are the rule, as when many cores copy over one bus pair at one
+// per-core cap. It mixes in mid-flight aborts, a path that lists one
+// resource twice, pathless capped flows, zero-size flows, and pooled
+// two-resource flows whose path buffers are reused while their twins are
+// still in flight. peak receives the largest bundle seen at any start.
+func bundleChurn(seed int64, flows int, peak *int) func(c *testCluster, rec recorder) {
+	return func(c *testCluster, rec recorder) {
+		rng := rand.New(rand.NewSource(seed))
+		netPaths := [][]*Resource{c.netPath(0, 1), c.netPath(1, 0), c.netPath(2, 3), {c.mem[3], c.tx[3], c.rx[0]}}
+		copies := [][2]*Resource{{c.mem[0], c.mem[1]}, {c.mem[1], c.mem[1]}, {c.mem[2], c.mem[0]}}
+		caps := []float64{0, 2e9, 3e8}
+		for k := 0; k < flows; k++ {
+			k := k
+			at := rng.Float64() * 0.01
+			size := float64(1<<10 + rng.Intn(1<<19))
+			if rng.Intn(20) == 0 {
+				size = 0
+			}
+			rc := caps[rng.Intn(len(caps))]
+			kind := rng.Intn(10)
+			pick := rng.Int()
+			abort := rng.Intn(8) == 0
+			c.eng.At(at, func() {
+				done := func() { rec("done k=%d t=%s", k, ts(c.eng.Now())) }
+				var f *Flow
+				switch {
+				case kind == 0:
+					f = c.net.StartClassed("compute", size, 1e8+rc, nil, done)
+				case kind <= 4:
+					p := copies[pick%len(copies)]
+					c.net.StartAfterPath2("copy", 0, size, rc, p[0], p[1], done)
+				default:
+					f = c.net.StartClassed("net", size, rc, netPaths[pick%len(netPaths)], done)
+				}
+				*peak = max(*peak, MaxBundle(c.net))
+				if f != nil && abort {
+					c.eng.After(2e-4, func() {
+						f.Abort()
+						rec("abort k=%d done=%s t=%s", k, ts(f.Done()), ts(c.eng.Now()))
+					})
+				}
+			})
+		}
+	}
+}
+
+func TestEquivalenceBundleChurn(t *testing.T) {
+	for _, seed := range []int64{3, 7, 2012} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			peak := 0
+			inc, _ := requireEquivalent(t, 4, false, bundleChurn(seed, 400, &peak))
+			if peak < 8 {
+				t.Errorf("largest bundle held %d flows; the row should make twins common", peak)
+			}
+			if inc.Repartitions >= inc.Completions {
+				t.Errorf("%d repartitions for %d completions: departures that leave a twin behind should not re-partition",
+					inc.Repartitions, inc.Completions)
+			}
+			t.Logf("peak bundle %d; incremental: %v", peak, inc)
+		})
+	}
+}
+
 func TestEquivalenceFig3TreeBcast(t *testing.T) {
 	// No backplane (the paper's clusters have none): distinct branches of
 	// the tree are distinct components, the incremental win's source.

@@ -40,6 +40,25 @@
 //     change, and a component's timer is left untouched when its earliest
 //     deadline is unchanged.
 //
+// # Bundles
+//
+// Flows with an element-wise identical Path and an identical RateCap always
+// receive the same rate: progressive filling cannot tell them apart, so they
+// freeze in the same round at the same level. Collective traffic is full of
+// such twins (many cores copying over one memory-bus pair at one per-core
+// cap), so each component keeps its flows grouped into bundles — one per
+// distinct (path, cap) with its member count m — and filling runs over
+// bundles: a bundle adds m to each resource's weight and takes m away when it
+// freezes. The weights only ever hold whole numbers, so adding m once is
+// bit-for-bit adding 1 m times, and the rates are exactly the per-flow ones
+// (shadow.go's per-flow shadowFill checks that on every sync under test).
+//
+// Bundles also bound splits: a flow that leaves while its bundle survives
+// cannot disconnect anything, because its twins still cover every resource
+// it crossed. Only the death of a bundle marks its component for a
+// re-partition, and the union-find of that re-partition runs over bundle
+// paths rather than flow paths.
+//
 // ModeGlobal re-derives the partition and refills every component on every
 // event; by the invariants above it produces the same event sequence as
 // ModeIncremental and serves as the reference for the equivalence tests.
@@ -53,9 +72,10 @@
 // per collective, so the steady state allocates nothing. Three things are
 // reused instead of rebuilt:
 //
-//   - Component shells. A component record, its flows/res backing arrays and
-//     its completion-timer closure are recycled through a Net-owned free
-//     list (allocComponent/recycleComponent), like pooled Flow records.
+//   - Component shells and bundles. A component record, its flows/bundles/res
+//     backing arrays and its completion-timer closure are recycled through a
+//     Net-owned free list (allocComponent/recycleComponent), like pooled Flow
+//     records; bundle records, with their path copies, have a free list too.
 //   - Recompute scratch. Progressive filling and the union-find of a split
 //     keep their per-resource state (resid, wsum, uf) on the Resource itself;
 //     a split maps roots to parts through one Net-owned index slice and
@@ -106,6 +126,10 @@ type Resource struct {
 	comp *component // owning component; nil while idle
 	ridx int        // position in comp.res; -1 while idle
 
+	// heads lists the bundles whose path starts here: the index a starting
+	// flow looks its bundle up in. All of them belong to comp.
+	heads []*bundle
+
 	// recompute scratch
 	resid float64
 	wsum  float64
@@ -146,9 +170,10 @@ type Flow struct {
 
 	OnComplete func()
 
-	owner *Net
-	comp  *component // owning component; nil when detached
-	cidx  int        // position in comp.flows
+	owner  *Net
+	comp   *component // owning component; nil when detached
+	cidx   int        // position in comp.flows
+	bundle *bundle    // the (Path, RateCap) group in comp; nil when detached
 
 	// Progress is closed-form: done(t) = done0 + rate·(t−since). The
 	// pair (done0, since) is re-anchored only when rate changes, and
@@ -160,8 +185,6 @@ type Flow struct {
 	rate     float64
 	deadline float64
 
-	prevRate  float64 // fill scratch: rate before the current refill
-	frozen    bool    // fill scratch
 	completed bool
 	aborted   bool
 
@@ -253,6 +276,11 @@ type Net struct {
 	parts    []*component
 	partOf   []int32
 
+	// bundlePool is the free list of bundle records. A bundle dies with its
+	// last flow and is never listed anywhere after that, so it is recycled
+	// at once.
+	bundlePool []*bundle
+
 	// san, when non-nil, tracks pooled flow records and component shells
 	// (hiersan). Nil-guarded at every hook so the disabled hot path stays
 	// allocation-free.
@@ -300,8 +328,8 @@ func (n *Net) Stats() RecomputeStats {
 func (n *Net) Components() int { return len(n.comps) }
 
 // Reset returns the fabric to its pristine post-NewNet state while keeping
-// the expensive arenas warm: the resource set itself, the flow and component
-// free lists, the completion scratch and the interned class names survive,
+// the expensive arenas warm: the resource set itself, the flow, component and
+// bundle free lists, the completion scratch and the interned class names survive,
 // so a reused fabric allocates nothing on its next run. Identifier counters
 // restart at zero — flow IDs only ever feed the (ID-ordered) progressive-
 // filling tie-breaks within one run, so restarting them reproduces a fresh
@@ -427,9 +455,11 @@ func (n *Net) NewResource(name string, capacity float64) *Resource {
 const byteEps = 1e-6 // bytes: a flow within this of its size is complete
 
 // Start installs a flow of size bytes over path and returns it. onComplete
-// fires (as an engine event) when the last byte arrives. A flow must have a
-// non-empty path or a positive rate cap; otherwise its rate would be
-// unbounded. Zero-size flows complete at the current time.
+// fires (as an engine event) when the last byte arrives. A rate cap is 0
+// (unlimited) or positive and finite, and a flow must have a non-empty path
+// or a positive rate cap; otherwise its rate would be unbounded. Start
+// panics on any other argument. Zero-size flows complete at the current
+// time.
 func (n *Net) Start(size float64, rateCap float64, path []*Resource, onComplete func()) *Flow {
 	return n.start("", size, rateCap, path, onComplete)
 }
@@ -440,7 +470,7 @@ func (n *Net) StartClassed(class string, size, rateCap float64, path []*Resource
 }
 
 func (n *Net) start(class string, size, rateCap float64, path []*Resource, onComplete func()) *Flow {
-	checkFlowArgs(size, rateCap, path)
+	checkFlowArgs(size, rateCap, len(path))
 	f := &Flow{
 		Size:       size,
 		RateCap:    rateCap,
@@ -454,11 +484,18 @@ func (n *Net) start(class string, size, rateCap float64, path []*Resource, onCom
 	return f
 }
 
-func checkFlowArgs(size, rateCap float64, path []*Resource) {
+// checkFlowArgs validates a flow before any record is taken for it. A rate
+// cap is 0 (unlimited) or positive and finite: anything else would be
+// treated as unlimited by fill without a word, and a NaN cap would never
+// equal itself as a bundle key.
+func checkFlowArgs(size, rateCap float64, pathLen int) {
 	if size < 0 || math.IsNaN(size) {
 		panic(fmt.Sprintf("fabric: invalid flow size %g", size))
 	}
-	if len(path) == 0 && rateCap <= 0 {
+	if rateCap < 0 || math.IsNaN(rateCap) || math.IsInf(rateCap, 0) {
+		panic(fmt.Sprintf("fabric: invalid flow rate cap %g", rateCap))
+	}
+	if pathLen == 0 && rateCap == 0 {
 		panic("fabric: flow needs a path or a rate cap")
 	}
 }
@@ -520,8 +557,6 @@ func (n *Net) recycleFlow(f *Flow) {
 	f.since = 0
 	f.rate = 0
 	f.deadline = 0
-	f.prevRate = 0
-	f.frozen = false
 	f.completed = false
 	f.aborted = false
 	n.flowPool = append(n.flowPool, f)
@@ -537,7 +572,7 @@ func (n *Net) StartAfter(delay, size, rateCap float64, path []*Resource, onCompl
 // it does not return the flow — which is what lets it recycle the record
 // (and its delayed-install closure) through the Net's free list.
 func (n *Net) StartAfterClassed(class string, delay, size, rateCap float64, path []*Resource, onComplete func()) {
-	checkFlowArgs(size, rateCap, path)
+	checkFlowArgs(size, rateCap, len(path))
 	f := n.allocFlow()
 	f.Size = size
 	f.RateCap = rateCap
@@ -556,6 +591,7 @@ func (n *Net) StartAfterClassed(class string, delay, size, rateCap float64, path
 // record's own backing array holds the pair, so starting such a flow
 // allocates nothing in steady state.
 func (n *Net) StartAfterPath2(class string, delay, size, rateCap float64, r1, r2 *Resource, onComplete func()) {
+	checkFlowArgs(size, rateCap, 2)
 	f := n.allocFlow()
 	f.pathBuf[0], f.pathBuf[1] = r1, r2
 	f.Size = size
@@ -563,7 +599,6 @@ func (n *Net) StartAfterPath2(class string, delay, size, rateCap float64, r1, r2
 	f.Path = f.pathBuf[:2]
 	f.Class = class
 	f.OnComplete = onComplete
-	checkFlowArgs(size, rateCap, f.Path)
 	if delay <= 0 {
 		n.install(f)
 		return
@@ -655,16 +690,19 @@ func (n *Net) onCompletionTimer(c *component) {
 	c.timer = des.Timer{} // fired: drop the stale handle
 	now := n.eng.Now()
 	finished := n.finScr[:0]
+	next := math.Inf(1)
 	for _, f := range c.flows {
 		if f.deadline <= now {
 			finished = append(finished, f)
+		} else if f.deadline < next {
+			next = f.deadline
 		}
 	}
 	if len(finished) == 0 {
 		n.finScr = finished
 		// Defensive: the timer fires at the minimum deadline, so some
 		// flow must qualify; re-arm rather than stall if not.
-		n.scheduleCompletion(c)
+		n.scheduleCompletion(c, next)
 		return
 	}
 	// Deterministic callback order.
@@ -694,17 +732,11 @@ func (n *Net) onCompletionTimer(c *component) {
 }
 
 // scheduleCompletion (re)arms the completion timer of one component for its
-// earliest deadline. The timer is left untouched when that deadline is
-// unchanged, so a refill that does not alter the component's rates does not
-// perturb the engine's event sequence — the keystone of ModeGlobal and
-// ModeIncremental producing identical runs.
-func (n *Net) scheduleCompletion(c *component) {
-	next := math.Inf(1)
-	for _, f := range c.flows {
-		if f.deadline < next {
-			next = f.deadline
-		}
-	}
+// earliest deadline next (fill's write-back finds it). The timer is left
+// untouched when that deadline is unchanged, so a refill that does not alter
+// the component's rates does not perturb the engine's event sequence — the
+// keystone of ModeGlobal and ModeIncremental producing identical runs.
+func (n *Net) scheduleCompletion(c *component, next float64) {
 	if math.IsInf(next, 1) {
 		if len(c.flows) > 0 {
 			panic("fabric: active flows but no positive rates; simulation would stall")

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -171,6 +172,75 @@ func TestZeroSizeFlowCompletesImmediately(t *testing.T) {
 	}
 	if done != 0 {
 		t.Fatalf("zero-size flow done at %g, want 0", done)
+	}
+}
+
+// panicText runs fn and returns what it panicked with, or "" if it returned.
+func panicText(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
+}
+
+// A rate cap is 0 or positive and finite, on every entry point, with a path
+// or without one; a bad cap panics naming the value.
+func TestInvalidRateCapPanics(t *testing.T) {
+	e := des.New()
+	n := NewNet(e)
+	link := n.NewResource("link", 100)
+	path := []*Resource{link}
+	for _, rc := range []float64{math.NaN(), -1, math.Inf(1), math.Inf(-1)} {
+		want := fmt.Sprintf("fabric: invalid flow rate cap %g", rc)
+		for _, start := range []struct {
+			name string
+			fn   func()
+		}{
+			{"Start", func() { n.Start(10, rc, path, nil) }},
+			{"Start pathless", func() { n.Start(10, rc, nil, nil) }},
+			{"StartAfterClassed", func() { n.StartAfterClassed("net", 0, 10, rc, path, nil) }},
+			{"StartAfterPath2", func() { n.StartAfterPath2("copy", 0, 10, rc, link, link, nil) }},
+		} {
+			if got := panicText(start.fn); got != want {
+				t.Errorf("%s with cap %g: panic %q, want %q", start.name, rc, got, want)
+			}
+		}
+	}
+	if got := panicText(func() { n.Start(10, 0, nil, nil) }); got != "fabric: flow needs a path or a rate cap" {
+		t.Errorf("pathless uncapped flow: panic %q", got)
+	}
+	if n.ActiveFlows() != 0 {
+		t.Fatalf("%d flows installed by rejected starts", n.ActiveFlows())
+	}
+}
+
+// StartAfterPath2 validates before it takes a pooled record: a rejected
+// start leaves the free list as it was.
+func TestStartAfterPath2RejectsBeforePopping(t *testing.T) {
+	e := des.New()
+	n := NewNet(e)
+	bus := n.NewResource("bus", 100)
+	for i := 0; i < 3; i++ {
+		n.StartAfterPath2("copy", 0, 10, 0, bus, bus, nil)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	pooled := len(n.flowPool)
+	if pooled == 0 {
+		t.Fatal("no record reached the free list")
+	}
+	for _, size := range []float64{-1, math.NaN()} {
+		want := fmt.Sprintf("fabric: invalid flow size %g", size)
+		if got := panicText(func() { n.StartAfterPath2("copy", 0, size, 0, bus, bus, nil) }); got != want {
+			t.Fatalf("size %g: panic %q, want %q", size, got, want)
+		}
+		if len(n.flowPool) != pooled {
+			t.Fatalf("size %g: free list %d records, want %d", size, len(n.flowPool), pooled)
+		}
 	}
 }
 

@@ -19,20 +19,26 @@ func newShadowNet() (*des.Engine, *Net) {
 }
 
 // TestWarmChurnCycleAllocatesNothing drives merge -> split -> complete on a
-// Reset Net: two single-link flows, a bridging flow that merges their
-// components and finishes first (splitting them again), then the rest.
+// Reset Net: single-link flows (two of them twins in one bundle), a bridging
+// flow that merges their components and finishes first (its bundle dies and
+// splits them again), then the rest, among them two pooled twins.
 func TestWarmChurnCycleAllocatesNothing(t *testing.T) {
 	eng, net := newShadowNet()
 	a := net.NewResource("a", 100)
 	b := net.NewResource("b", 100)
 	pa, pb, pab := []*Resource{a}, []*Resource{b}, []*Resource{a, b}
+	peak := 0
+	sample := func() { peak = max(peak, MaxBundle(net)) }
 	cycle := func() {
 		eng.Reset()
 		net.Reset()
 		net.StartAfterClassed("copy", 0, 400, 0, pa, nil)
+		net.StartAfterClassed("copy", 0, 300, 0, pa, nil)
 		net.StartAfterClassed("copy", 0, 600, 0, pb, nil)
 		net.StartAfterClassed("net", 1, 50, 0, pab, nil)
 		net.StartAfterPath2("compute", 2, 100, 30, a, a, nil)
+		net.StartAfterPath2("compute", 2, 80, 30, a, a, nil)
+		eng.At(2, sample)
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -40,8 +46,12 @@ func TestWarmChurnCycleAllocatesNothing(t *testing.T) {
 	cycle()
 	cycle()
 	st := net.Stats()
-	if st.Merges == 0 || st.Splits == 0 || st.Completions != 4 || st.Components != 0 {
-		t.Fatalf("cycle does not churn as intended: %v", st)
+	if st.Merges == 0 || st.Splits == 0 || st.Completions != 6 || st.Components != 0 || peak != 2 {
+		t.Fatalf("cycle does not churn as intended (peak bundle %d): %v", peak, st)
+	}
+	bundles := len(net.bundlePool)
+	if bundles == 0 {
+		t.Fatal("no bundle record reached the free list")
 	}
 	// The shadow checker builds maps on every sync; it vouched for the
 	// warm-up cycles above and steps aside for the count.
@@ -51,6 +61,9 @@ func TestWarmChurnCycleAllocatesNothing(t *testing.T) {
 	}
 	if got := net.Stats(); got != st {
 		t.Fatalf("counted cycle diverged from the warm-up:\n  got  %v\n  want %v", got, st)
+	}
+	if got := len(net.bundlePool); got != bundles {
+		t.Fatalf("bundle free list holds %d records after the counted cycles, %d after warm-up", got, bundles)
 	}
 }
 

@@ -1,6 +1,9 @@
 package fabric
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // shadowRelTol bounds the divergence allowed between per-component filling
 // and the seed's one-pass global filling. The two are equal in exact
@@ -10,8 +13,9 @@ const shadowRelTol = 1e-9
 
 // runShadow cross-checks the incrementally maintained state after a sync:
 //
-//   - structural invariants (back-pointers, flow counts, class counts, idle
-//     resources);
+//   - structural invariants (back-pointers, bundle membership and keys,
+//     flow counts, class counts, idle resources, each component's timer at
+//     its earliest deadline);
 //   - the component partition against a from-scratch union-find;
 //   - every flow's rate against a from-scratch refill of its component
 //     (exact equality — fill is a pure function of membership, so any
@@ -56,8 +60,21 @@ func (n *Net) runShadow() {
 				return
 			}
 		}
+		if !n.bundlesConsistent(c) {
+			return
+		}
 		if c.timer.Stopped() {
 			n.shadow("component %d has flows but no armed completion timer", c.id)
+			return
+		}
+		next := math.Inf(1)
+		for _, f := range c.flows {
+			next = math.Min(next, f.deadline)
+		}
+		// The timer sits at the earliest deadline, or at the instant it was
+		// armed when that deadline had already passed.
+		if c.timerAt != next && !(next < c.timerAt && c.timerAt <= n.eng.Now()) {
+			n.shadow("component %d timer armed for %g, earliest deadline is %g", c.id, c.timerAt, next)
 			return
 		}
 		nf += len(c.flows)
@@ -87,8 +104,8 @@ func (n *Net) runShadow() {
 		}
 	}
 	for _, r := range n.resources {
-		if r.comp == nil && (r.ridx != -1 || r.load != 0) {
-			n.shadow("idle resource %q has ridx=%d load=%g", r.Name, r.ridx, r.load)
+		if r.comp == nil && (r.ridx != -1 || r.load != 0 || len(r.heads) != 0) {
+			n.shadow("idle resource %q has ridx=%d load=%g and %d bundles", r.Name, r.ridx, r.load, len(r.heads))
 			return
 		}
 	}
@@ -215,6 +232,65 @@ func (n *Net) runShadow() {
 	}
 }
 
+// bundlesConsistent checks c's bundle bookkeeping: each listed bundle knows
+// its index, each flow's bundle is listed in c and carries the flow's key,
+// each m counts the flows pointing at its bundle, each bundle sits once in
+// the heads of its first resource, the heads of c's resources list only c's
+// bundles, and no two bundles share a key (twins would share those heads).
+func (n *Net) bundlesConsistent(c *component) bool {
+	members := make(map[*bundle]int, len(c.bundles))
+	for i, b := range c.bundles {
+		if b.bidx != i {
+			n.shadow("bundle at %d of component %d has bidx=%d", i, c.id, b.bidx)
+			return false
+		}
+		members[b] = 0
+	}
+	for _, f := range c.flows {
+		b := f.bundle
+		if _, ok := members[b]; !ok {
+			n.shadow("flow %d's bundle is not listed in component %d", f.ID, c.id)
+			return false
+		}
+		if b.cap != f.RateCap || !slices.Equal(b.path, f.Path) {
+			n.shadow("flow %d does not match the key of its bundle in component %d", f.ID, c.id)
+			return false
+		}
+		members[b]++
+	}
+	for i, b := range c.bundles {
+		if members[b] != b.m {
+			n.shadow("bundle at %d of component %d has m=%d, %d flows point at it", i, c.id, b.m, members[b])
+			return false
+		}
+		if len(b.path) == 0 {
+			continue
+		}
+		listed := 0
+		for _, x := range b.path[0].heads {
+			if x == b {
+				listed++
+			} else if x.cap == b.cap && slices.Equal(x.path, b.path) {
+				n.shadow("component %d holds two bundles with one key", c.id)
+				return false
+			}
+		}
+		if listed != 1 {
+			n.shadow("bundle at %d of component %d is listed %d times at %q", i, c.id, listed, b.path[0].Name)
+			return false
+		}
+	}
+	for _, r := range c.res {
+		for _, x := range r.heads {
+			if _, ok := members[x]; !ok || x.path[0] != r {
+				n.shadow("resource %q of component %d lists a bundle that is not the component's or does not start there", r.Name, c.id)
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func withinRel(a, b, tol float64) bool {
 	d := math.Abs(a - b)
 	if d == 0 {
@@ -224,10 +300,11 @@ func withinRel(a, b, tol float64) bool {
 	return d <= m*tol
 }
 
-// shadowFill runs progressive filling over an arbitrary flow set without
-// touching any simulator state. Applied to one component's flows it mirrors
-// fill bit-for-bit; applied to all active flows it reproduces the seed's
-// global one-pass algorithm.
+// shadowFill runs progressive filling over an arbitrary flow set, one flow at
+// a time and without touching any simulator state. Applied to one
+// component's flows it must agree with fill's bundled rounds bit-for-bit;
+// applied to all active flows it reproduces the seed's global one-pass
+// algorithm.
 func shadowFill(flows []*Flow) map[*Flow]float64 {
 	rates := make(map[*Flow]float64, len(flows))
 	if len(flows) == 0 {

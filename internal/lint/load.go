@@ -78,62 +78,57 @@ func listUnits(dir string, patterns []string) ([]*unitMeta, error) {
 
 // exportLookup builds the compiled export data of the targets' full
 // dependency closure, including test-only dependencies (-test), and returns
-// the reader importer.ForCompiler resolves imports through. A dependency
-// that only a test imports is listed once, as `path [pkg.test]`, so entries
-// are keyed by the path with that suffix cut off; an entry listed without
-// the suffix wins.
-func exportLookup(dir string, patterns []string) (importer.Lookup, error) {
+// a constructor of the readers importer.ForCompiler resolves imports
+// through, one per test binary. The go tool lists a package rebuilt for the
+// test binary of package M as `path [M.test]`: M itself with its in-package
+// test files, and every dependency of M's external tests that imports M.
+// The reader for M's test binary (lookup(M)) prefers those entries, so an
+// external test and the packages it imports agree on one M. Otherwise, and
+// for lookup(""), an entry is keyed by its path with the suffix cut off; an
+// entry listed without the suffix wins.
+func exportLookup(dir string, patterns []string) (func(test string) importer.Lookup, error) {
 	args := append([]string{"list", "-deps", "-test", "-export", "-f", "{{.ImportPath}}\t{{.Export}}"}, patterns...)
 	out, err := runGo(dir, args...)
 	if err != nil {
 		return nil, err
 	}
-	files := map[string]string{}
+	listed := map[string]string{} // as listed, variant suffix included
+	byPath := map[string]string{} // suffix cut off
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		path, file, ok := strings.Cut(line, "\t")
 		if !ok || file == "" {
 			continue
 		}
+		listed[path] = file
 		bare, _, variant := strings.Cut(path, " [")
-		if _, exists := files[bare]; !exists || !variant {
-			files[bare] = file
+		if _, exists := byPath[bare]; !exists || !variant {
+			byPath[bare] = file
 		}
 	}
-	return func(path string) (io.ReadCloser, error) {
-		file, ok := files[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
+	return func(test string) importer.Lookup {
+		return func(path string) (io.ReadCloser, error) {
+			file, ok := listed[path+" ["+test+".test]"]
+			if !ok {
+				file, ok = byPath[path]
+			}
+			if !ok {
+				return nil, fmt.Errorf("no export data for %q", path)
+			}
+			return os.Open(file)
 		}
-		return os.Open(file)
 	}, nil
 }
 
-// unitImporter resolves imports for one unit's type-checks: in-memory
-// packages first (the xtest variant must see the freshly type-checked test
-// variant of its own directory, exported test helpers included), compiled
-// export data for everything else.
-type unitImporter struct {
-	exp   types.Importer
-	local map[string]*types.Package
-}
-
-func (u *unitImporter) Import(path string) (*types.Package, error) {
-	if p := u.local[path]; p != nil {
-		return p, nil
-	}
-	return u.exp.Import(path)
-}
-
-// loadUnit parses and type-checks every variant of one listed package.
-func loadUnit(m *unitMeta, lookup importer.Lookup) ([]*Package, error) {
+// loadUnit parses and type-checks every variant of one listed package. The
+// external test package resolves its imports, the package under test
+// included, through the export data of the package's test binary: that is
+// what the go tool compiles it against, exported test helpers and all.
+func loadUnit(m *unitMeta, lookup func(test string) importer.Lookup) ([]*Package, error) {
 	if m.Error != nil {
 		return nil, fmt.Errorf("go list: %s: %s", m.ImportPath, m.Error.Err)
 	}
 	fset := token.NewFileSet()
-	imp := &unitImporter{
-		exp:   importer.ForCompiler(fset, "gc", lookup),
-		local: map[string]*types.Package{},
-	}
+	imp := importer.ForCompiler(fset, "gc", lookup(""))
 	parse := func(names []string) ([]*ast.File, error) {
 		var files []*ast.File
 		for _, name := range names {
@@ -145,7 +140,7 @@ func loadUnit(m *unitMeta, lookup importer.Lookup) ([]*Package, error) {
 		}
 		return files, nil
 	}
-	check := func(path string, files []*ast.File) (*types.Package, *types.Info, error) {
+	check := func(imp types.Importer, path string, files []*ast.File) (*types.Package, *types.Info, error) {
 		info := &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
@@ -174,11 +169,10 @@ func loadUnit(m *unitMeta, lookup importer.Lookup) ([]*Package, error) {
 		return nil, err
 	}
 	if len(baseFiles) > 0 {
-		tpkg, info, err := check(m.ImportPath, baseFiles)
+		tpkg, info, err := check(imp, m.ImportPath, baseFiles)
 		if err != nil {
 			return nil, err
 		}
-		imp.local[m.ImportPath] = tpkg
 		pkgs = append(pkgs, &Package{
 			PkgPath: m.ImportPath, Variant: "", Dir: m.Dir,
 			Fset: fset, Files: baseFiles, Types: tpkg, TypesInfo: info,
@@ -190,11 +184,10 @@ func loadUnit(m *unitMeta, lookup importer.Lookup) ([]*Package, error) {
 			return nil, err
 		}
 		all := append(append([]*ast.File{}, baseFiles...), testFiles...)
-		tpkg, info, err := check(m.ImportPath, all)
+		tpkg, info, err := check(imp, m.ImportPath, all)
 		if err != nil {
 			return nil, err
 		}
-		imp.local[m.ImportPath] = tpkg // xtest sees test-variant exports
 		pkgs = append(pkgs, &Package{
 			PkgPath: m.ImportPath, Variant: "test", Dir: m.Dir,
 			Fset: fset, Files: all, ReportFiles: fileSet(m.TestGoFiles),
@@ -206,7 +199,8 @@ func loadUnit(m *unitMeta, lookup importer.Lookup) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		tpkg, info, err := check(m.ImportPath+"_test", xFiles)
+		ximp := importer.ForCompiler(fset, "gc", lookup(m.ImportPath))
+		tpkg, info, err := check(ximp, m.ImportPath+"_test", xFiles)
 		if err != nil {
 			return nil, err
 		}

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"crypto/md5"
+	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -81,6 +84,30 @@ func TestExperimentsDeterministic(t *testing.T) {
 	}
 }
 
+// goldenMD5 is the md5 of the bytes `hierbench -exp all -nodes 2 -iters 1
+// -asp-n 128 -asp-nodes 2` prints (tinyCfg). A change that means to move the
+// timing model updates it and says so; any other change leaves every
+// figure's bytes alone.
+const goldenMD5 = "d662bc2fea12e17a1d6c80e3607da79a"
+
+// TestExperimentsGolden pins the whole evaluation's output at tinyCfg.
+func TestExperimentsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden recorded on amd64; the %s compiler may fuse multiply-adds", runtime.GOARCH)
+	}
+	if testing.Short() {
+		t.Skip("whole-evaluation golden skipped in -short mode")
+	}
+	out := captureStdout(t, func() {
+		if err := runExperiments(experimentIDs(), tinyCfg, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := fmt.Sprintf("%x", md5.Sum([]byte(out))); got != goldenMD5 {
+		t.Fatalf("-exp all at tinyCfg prints bytes with md5 %s, want %s", got, goldenMD5)
+	}
+}
+
 // TestExperimentIDsStable pins the experiment catalog: renaming or dropping
 // an -exp id silently breaks published reproduction instructions.
 func TestExperimentIDsStable(t *testing.T) {
@@ -112,6 +139,8 @@ func TestConfigValidate(t *testing.T) {
 		{nodes: -1, iters: 1, aspN: 128, aspDim: 2},
 		{nodes: 2, iters: 1, aspN: 128, aspDim: 0},
 		{nodes: 2, iters: 1, aspN: 0, aspDim: 2},
+		{nodes: 2, iters: 0, aspN: 128, aspDim: 2},
+		{nodes: 2, iters: -1, aspN: 128, aspDim: 2},
 	} {
 		if err := bad.validate(); err == nil {
 			t.Errorf("config %+v accepted", bad)

@@ -66,8 +66,8 @@ func ablation(cfg config, s *sweep.Sweep) func() {
 		name string
 		opt  core.Options
 	}{
-		{"physical order", core.Options{ForceAllgather: "ring"}},
-		{"rank order", core.Options{ForceAllgather: "ring", RankOrderedRing: true}},
+		{"physical order", core.Options{ForceAllgather: core.AllgatherRing}},
+		{"rank order", core.Options{ForceAllgather: core.AllgatherRing, RankOrderedRing: true}},
 	}
 	var rings []*sweep.Future[imb.Result]
 	for _, cse := range ringCases {

@@ -54,9 +54,9 @@ func fig1(cfg config, s *sweep.Sweep) func() {
 func fig2(cfg config, s *sweep.Sweep) func() {
 	spec := clusterSpec("parapluie", cfg.nodes)
 	ppns := []int{2, 4, 6, 8, 12, 16, 20, 24}
-	algs := []string{"leader", "ring"}
+	algs := []core.AllgatherAlg{core.AllgatherLeader, core.AllgatherRing}
 
-	futs := map[string]map[int]*sweep.Future[imb.Result]{}
+	futs := map[core.AllgatherAlg]map[int]*sweep.Future[imb.Result]{}
 	for _, alg := range algs {
 		futs[alg] = map[int]*sweep.Future[imb.Result]{}
 		for _, ppn := range ppns {

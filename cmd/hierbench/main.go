@@ -41,7 +41,9 @@ type config struct {
 }
 
 // validate rejects counts no experiment can run on, once, before any job is
-// planned: left to the jobs, each would panic separately in topology.Build.
+// planned: left to the jobs, each would panic separately in topology.Build
+// or the timing loop (and an iteration count of 0 would silently run the
+// timing loop's default of four).
 func (c config) validate() error {
 	for _, f := range []struct {
 		flag  string
@@ -54,6 +56,9 @@ func (c config) validate() error {
 	}
 	if c.aspN < 1 {
 		return fmt.Errorf("-asp-n %d must be at least 1", c.aspN)
+	}
+	if c.iters < 1 {
+		return fmt.Errorf("-iters %d must be at least 1", c.iters)
 	}
 	return nil
 }

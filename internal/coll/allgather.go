@@ -130,10 +130,3 @@ func GatherLinear(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, root int)
 	}
 	p.WaitAll(reqs...)
 }
-
-// AllgatherGatherBcast is the naive composition: gather to rank 0, then
-// broadcast the concatenation — the classic small-cluster baseline.
-func AllgatherGatherBcast(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, segSize int64) {
-	GatherLinear(p, c, sbuf, rbuf, 0)
-	BcastChain(p, c, rbuf, 0, segSize)
-}

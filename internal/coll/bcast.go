@@ -5,23 +5,6 @@ import (
 	"hierknem/internal/mpi"
 )
 
-// BcastLinear has the root send the full buffer to every other rank, one
-// Isend per peer. Simple, and optimal only for tiny communicators.
-func BcastLinear(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
-	me := c.Rank(p)
-	if me == root {
-		reqs := make([]*mpi.Request, 0, c.Size()-1)
-		for r := 0; r < c.Size(); r++ {
-			if r != root {
-				reqs = append(reqs, p.Isend(c, buf, r, collTag))
-			}
-		}
-		p.WaitAll(reqs...)
-		return
-	}
-	p.Recv(c, buf, root, collTag)
-}
-
 // BcastBinomial runs the classic binomial-tree broadcast: log2(P) rounds,
 // each holder doubling the set of ranks that have the data.
 func BcastBinomial(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
@@ -153,39 +136,6 @@ func BcastBinaryTree(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int, seg
 }
 
 func emptyLike() *buffer.Buffer { return buffer.NewPhantom(0) }
-
-// sendChain segments buf and returns the outstanding send requests.
-func sendChain(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, dst int, segSize int64, tag int) []*mpi.Request {
-	if segSize <= 0 || segSize >= buf.Len() {
-		if buf.Len() == 0 {
-			return nil
-		}
-		return []*mpi.Request{p.Isend(c, buf, dst, tag)}
-	}
-	nseg := mpi.CeilDiv(buf.Len(), segSize)
-	reqs := make([]*mpi.Request, 0, nseg)
-	for i := int64(0); i < nseg; i++ {
-		off, n := mpi.SegmentBounds(buf.Len(), segSize, i)
-		reqs = append(reqs, p.Isend(c, buf.Slice(off, n), dst, tag+int(i)))
-	}
-	return reqs
-}
-
-// recvChain receives the segmented counterpart of sendChain.
-func recvChain(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, src int, segSize int64, tag int) {
-	if segSize <= 0 || segSize >= buf.Len() {
-		if buf.Len() == 0 {
-			return
-		}
-		p.Recv(c, buf, src, tag)
-		return
-	}
-	nseg := mpi.CeilDiv(buf.Len(), segSize)
-	for i := int64(0); i < nseg; i++ {
-		off, n := mpi.SegmentBounds(buf.Len(), segSize, i)
-		p.Recv(c, buf.Slice(off, n), src, tag+int(i))
-	}
-}
 
 // BcastScatterAllgather implements MPICH's large-message broadcast: scatter
 // the buffer over a binomial tree, then ring-allgather the pieces (Thakur &

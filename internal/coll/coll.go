@@ -1,7 +1,9 @@
-// Package coll implements the classic collective-communication algorithm
-// zoo over the simulated MPI runtime: linear, binomial-tree, pipelined-chain
-// and split-binary broadcasts; linear, binomial, pipelined and
-// Rabenseifner-style reductions; ring and recursive-doubling allgathers.
+// Package coll implements the classic collective-communication algorithms
+// the modules ship, over the simulated MPI runtime: binomial-tree,
+// pipelined-chain, split-binary and scatter-allgather broadcasts; binomial,
+// pipelined-chain and Rabenseifner reductions; ring and recursive-doubling
+// allgathers; linear and binomial scatters and gathers; recursive-doubling
+// and ring allreduces.
 //
 // These are the building blocks of the baseline "personalities"
 // (internal/modules) the paper compares against — Open MPI Tuned, Open MPI

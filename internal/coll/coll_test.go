@@ -59,7 +59,6 @@ type bcastAlg struct {
 
 func bcastAlgs() []bcastAlg {
 	return []bcastAlg{
-		{"linear", func(p *mpi.Proc, c *mpi.Comm, b *buffer.Buffer, root int) { BcastLinear(p, c, b, root) }},
 		{"binomial", func(p *mpi.Proc, c *mpi.Comm, b *buffer.Buffer, root int) { BcastBinomial(p, c, b, root) }},
 		{"chain", func(p *mpi.Proc, c *mpi.Comm, b *buffer.Buffer, root int) { BcastChain(p, c, b, root, 1000) }},
 		{"chain-whole", func(p *mpi.Proc, c *mpi.Comm, b *buffer.Buffer, root int) { BcastChain(p, c, b, root, 0) }},
@@ -122,14 +121,11 @@ type reduceAlg struct {
 
 func reduceAlgs() []reduceAlg {
 	return []reduceAlg{
-		{"linear", func(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, s, r *buffer.Buffer, root int) {
-			ReduceLinear(p, c, a, s, r, root)
-		}},
 		{"binomial", func(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, s, r *buffer.Buffer, root int) {
-			ReduceBinomial(p, c, a, s, r, root)
+			ReduceBinomial(p, c, a, s, r, root, 0)
 		}},
 		{"chain", func(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, s, r *buffer.Buffer, root int) {
-			ReduceChain(p, c, a, s, r, root, 800)
+			ReduceChain(p, c, a, s, r, root, 800, 0)
 		}},
 		{"rabenseifner", func(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, s, r *buffer.Buffer, root int) {
 			ReduceRabenseifner(p, c, a, s, r, root)
@@ -194,7 +190,7 @@ func TestReduceMaxOp(t *testing.T) {
 		if me == 0 {
 			rbuf = buffer.Int64s(make([]int64, 2))
 		}
-		ReduceBinomial(p, c, ReduceArgs{Op: buffer.OpMax, Dtype: buffer.Int64}, sbuf, rbuf, 0)
+		ReduceBinomial(p, c, ReduceArgs{Op: buffer.OpMax, Dtype: buffer.Int64}, sbuf, rbuf, 0, 0)
 		if me == 0 {
 			got = buffer.AsInt64s(rbuf)
 		}
@@ -221,9 +217,6 @@ func TestAllgatherVariantsDeliverAllBlocks(t *testing.T) {
 		}},
 		{"recursive-doubling", func(p *mpi.Proc, c *mpi.Comm, s, r *buffer.Buffer) {
 			AllgatherRecursiveDoubling(p, c, s, r)
-		}},
-		{"gather-bcast", func(p *mpi.Proc, c *mpi.Comm, s, r *buffer.Buffer) {
-			AllgatherGatherBcast(p, c, s, r, 1000)
 		}},
 	}
 	for _, v := range variants {
@@ -381,7 +374,8 @@ func TestChainVsBinomialCrossover(t *testing.T) {
 	chain := bcastAlg{"chain", func(p *mpi.Proc, c *mpi.Comm, b *buffer.Buffer, root int) {
 		BcastChain(p, c, b, root, 64<<10)
 	}}
-	binomial := bcastAlgs()[1]
+	algs := bcastAlgs()
+	binomial := algs[slices.IndexFunc(algs, func(a bcastAlg) bool { return a.name == "binomial" })]
 
 	bigChain := run(chain, 8<<20)
 	bigBinom := run(binomial, 8<<20)

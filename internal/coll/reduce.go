@@ -11,39 +11,21 @@ type ReduceArgs struct {
 	Dtype buffer.Datatype
 }
 
-// ReduceLinear has every rank send its buffer to the root, which applies the
-// operator in rank order. rbuf is only significant at root; non-roots may
-// pass nil.
-func ReduceLinear(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buffer.Buffer, root int) {
-	me := c.Rank(p)
-	if me != root {
-		p.Send(c, sbuf, root, collTag)
-		return
-	}
-	rbuf.CopyFrom(sbuf)
-	tmp := Like(sbuf, sbuf.Len())
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		p.Recv(c, tmp, r, collTag)
-		p.ReduceLocal(a.Op, a.Dtype, rbuf, tmp)
-	}
-}
+// ReduceDefectMin is the message/segment size from which the modeled Open
+// MPI reduction defect applies (calibrated to the paper's section IV-E
+// profile and Figure 4(b) crossover).
+const ReduceDefectMin = 64 << 10
 
 // ReduceBinomial reduces up a binomial tree: log2(P) rounds, partial results
 // combined pairwise toward the root.
-func ReduceBinomial(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buffer.Buffer, root int) {
-	ReduceBinomialOverhead(p, c, a, sbuf, rbuf, root, 0)
-}
-
-// ReduceBinomialOverhead is ReduceBinomial with an extra per-message sender
-// CPU cost, used to model software stacks whose reduction path pays a
-// per-send penalty (the Open MPI-on-InfiniBand defect the paper profiles in
-// section IV-E). The penalty sits in the large-message RDMA pipeline
-// protocol: the paper's Figure 4(b) shows it from 64 KB upward (HierKNEM
-// "clearly dominates" 2-32 KB), so smaller messages are exempt.
-func ReduceBinomialOverhead(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buffer.Buffer, root int, perHop float64) {
+//
+// perHop is an extra per-message sender CPU cost, modelling software stacks
+// whose reduction path pays a per-send penalty (the Open MPI-on-InfiniBand
+// defect the paper profiles in section IV-E); 0 for quirk-free stacks. The
+// penalty sits in the large-message RDMA pipeline protocol: the paper's
+// Figure 4(b) shows it from 64 KB upward (HierKNEM "clearly dominates"
+// 2-32 KB), so messages below ReduceDefectMin are exempt.
+func ReduceBinomial(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buffer.Buffer, root int, perHop float64) {
 	if sbuf.Len() < ReduceDefectMin {
 		perHop = 0
 	}
@@ -84,19 +66,9 @@ func ReduceBinomialOverhead(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *
 // receives a partial segment from its successor, folds in its own
 // contribution, and forwards toward the root. Segment i+1 can be inbound
 // while segment i is being reduced, hiding arithmetic behind transfers.
-func ReduceChain(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buffer.Buffer, root int, segSize int64) {
-	ReduceChainOverhead(p, c, a, sbuf, rbuf, root, segSize, 0)
-}
-
-// ReduceDefectMin is the message/segment size from which the modeled Open
-// MPI reduction defect applies (calibrated to the paper's section IV-E
-// profile and Figure 4(b) crossover).
-const ReduceDefectMin = 64 << 10
-
-// ReduceChainOverhead is ReduceChain with an extra per-segment sender CPU
-// cost (see ReduceBinomialOverhead; segments below ReduceDefectMin are
-// exempt).
-func ReduceChainOverhead(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buffer.Buffer, root int, segSize int64, perHop float64) {
+// perHop is charged per forwarded segment, as in ReduceBinomial; segments
+// below ReduceDefectMin are exempt.
+func ReduceChain(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buffer.Buffer, root int, segSize int64, perHop float64) {
 	if segSize > 0 && segSize < ReduceDefectMin {
 		perHop = 0
 	}
@@ -160,7 +132,7 @@ func ReduceChainOverhead(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buf
 func ReduceRabenseifner(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buffer.Buffer, root int) {
 	size := c.Size()
 	if size&(size-1) != 0 || size == 1 || sbuf.Len() < int64(size) {
-		ReduceBinomial(p, c, a, sbuf, rbuf, root)
+		ReduceBinomial(p, c, a, sbuf, rbuf, root, 0)
 		return
 	}
 	me := c.Rank(p)

@@ -140,12 +140,6 @@ func GatherBinomial(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, root in
 	}
 }
 
-// GatherLinearRooted is GatherLinear with an arbitrary root (kept separate
-// so existing call sites stay unchanged).
-func GatherLinearRooted(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, root int) {
-	GatherLinear(p, c, sbuf, rbuf, root)
-}
-
 // AllreduceRecursiveDoubling performs the classic log2(P) exchange-and-fold
 // allreduce for power-of-two communicators, falling back to reduce+bcast
 // otherwise. Every rank ends with the full reduction in rbuf.
@@ -157,7 +151,7 @@ func AllreduceRecursiveDoubling(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rb
 		return
 	}
 	if size&(size-1) != 0 {
-		ReduceBinomial(p, c, a, sbuf, rbuf, 0)
+		ReduceBinomial(p, c, a, sbuf, rbuf, 0, 0)
 		BcastBinomial(p, c, rbuf, 0)
 		return
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"hierknem/internal/buffer"
 	"hierknem/internal/coll"
 	"hierknem/internal/hier"
@@ -8,11 +10,30 @@ import (
 	"hierknem/internal/mpi"
 )
 
-// agShare is the 1st leader's blackboard record for the leader-based
-// Allgather: its rbuf cookie, writable (step 1) and readable (step 3).
-type agShare struct {
-	dev *knem.Device
-	ck  knem.Cookie
+// AllgatherAlg selects HierKNEM's Allgather algorithm (Options.ForceAllgather).
+type AllgatherAlg int
+
+const (
+	// AllgatherAuto selects by processes per node: leader-based up to 6,
+	// the topology-aware ring above (section III-D).
+	AllgatherAuto AllgatherAlg = iota
+	// AllgatherLeader forces the leader-based algorithm.
+	AllgatherLeader
+	// AllgatherRing forces the topology-aware ring.
+	AllgatherRing
+)
+
+// allgatherLeaderMaxPPN is the largest processes-per-node count for which
+// AllgatherAuto selects the leader-based algorithm.
+const allgatherLeaderMaxPPN = 6
+
+// String returns the name Figure 2 prints for the algorithm.
+func (a AllgatherAlg) String() string {
+	names := [...]string{"auto", "leader", "ring"}
+	if a >= 0 && int(a) < len(names) {
+		return names[a]
+	}
+	return fmt.Sprintf("AllgatherAlg(%d)", int(a))
 }
 
 // Allgather implements section III-D: a leader-based algorithm for small
@@ -20,19 +41,22 @@ type agShare struct {
 // processes-per-node count (or forced via Options.ForceAllgather, as in the
 // Figure 2 study).
 func (m *Module) Allgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer) {
+	alg := m.Opt.ForceAllgather
+	switch alg {
+	case AllgatherAuto:
+		alg = AllgatherRing
+		if c.MaxPPN() <= allgatherLeaderMaxPPN {
+			alg = AllgatherLeader
+		}
+	case AllgatherLeader, AllgatherRing:
+	default:
+		panic(fmt.Sprintf("core: unknown Allgather algorithm %v", alg))
+	}
 	if c.Size() == 1 {
 		rbuf.CopyFrom(sbuf)
 		return
 	}
-	mode := m.Opt.ForceAllgather
-	if mode == "" {
-		if c.MaxPPN() <= m.Opt.AllgatherLeaderMaxPPN {
-			mode = "leader"
-		} else {
-			mode = "ring"
-		}
-	}
-	if mode == "leader" && c.UniformBlocks() {
+	if alg == AllgatherLeader && c.UniformBlocks() {
 		m.allgatherLeader(p, c, sbuf, rbuf)
 		return
 	}
@@ -58,7 +82,6 @@ func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Bu
 	hy := m.hierarchy(p, c, 0, &scratch)
 	lcomm := hy.LComm
 	block := sbuf.Len()
-	spec := &p.World().Machine.Spec
 	key := mpi.BBKey{Op: "hkag", Seq: lcomm.Seq(p)}
 
 	nodeBytes := block * int64(lcomm.Size())
@@ -79,10 +102,7 @@ func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Bu
 		if small {
 			p.BeginSmallStretch()
 		}
-		dev := p.Knem()
-		p.Compute(spec.ShmLatency)
-		ck := dev.Register(rbuf, p.Core(), knem.RightRead|knem.RightWrite)
-		lcomm.BBPost(p, key, agShare{dev: dev, ck: ck})
+		sh := publish(p, lcomm, key, rbuf, knem.RightRead|knem.RightWrite)
 		// My own block goes straight into place.
 		rbuf.Slice(int64(c.Rank(p))*block, block).CopyFrom(sbuf)
 		lcomm.Barrier(p) // step 1 complete: all local blocks pushed
@@ -107,11 +127,7 @@ func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Bu
 			lcomm.Barrier(p) // release block recvIdx(s)
 		}
 		lcomm.Barrier(p) // wait for the last fetches
-		p.Compute(spec.ShmLatency)
-		if err := dev.Deregister(ck); err != nil {
-			panic(err)
-		}
-		lcomm.BBClear(key)
+		sh.withdraw(p, lcomm, key)
 		return
 	}
 
@@ -119,12 +135,9 @@ func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Bu
 	if small {
 		p.BeginSmallStretch()
 	}
-	p.Compute(spec.ShmLatency)
-	sh := lcomm.BBWait(p, key).(agShare)
+	sh := lookup(p, lcomm, key)
 	// Step 1: push my block into the leader's rbuf (one-sided, offloaded).
-	if err := sh.dev.Put(p.DES(), p.Core(), sh.ck, int64(c.Rank(p))*block, sbuf); err != nil {
-		panic(err)
-	}
+	sh.put(p, int64(c.Rank(p))*block, sbuf)
 	lcomm.Barrier(p)
 	if small {
 		p.EndSmallStretch()
@@ -132,15 +145,11 @@ func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Bu
 	// My own node's aggregate can be pulled right away; remote blocks as
 	// they arrive (one-sided, overlapping the leader's ring).
 	myNodeOff := int64(me) * nodeBytes
-	if err := sh.dev.Get(p.DES(), p.Core(), sh.ck, myNodeOff, rbuf.Slice(myNodeOff, nodeBytes)); err != nil {
-		panic(err)
-	}
+	sh.get(p, myNodeOff, rbuf.Slice(myNodeOff, nodeBytes))
 	for s := 0; s < nodes-1; s++ {
 		lcomm.Barrier(p) // wait for block recvIdx(s)
 		off := int64(recvIdx(s)) * nodeBytes
-		if err := sh.dev.Get(p.DES(), p.Core(), sh.ck, off, rbuf.Slice(off, nodeBytes)); err != nil {
-			panic(err)
-		}
+		sh.get(p, off, rbuf.Slice(off, nodeBytes))
 	}
 	lcomm.Barrier(p)
 }

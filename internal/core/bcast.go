@@ -5,15 +5,7 @@ import (
 	"hierknem/internal/hier"
 	"hierknem/internal/knem"
 	"hierknem/internal/mpi"
-	"hierknem/internal/topology"
 )
-
-// cookieShare is the blackboard record a leader posts after registering its
-// receive buffer with the node's KNEM device.
-type cookieShare struct {
-	dev    *knem.Device
-	cookie knem.Cookie
-}
 
 // chainMinSegs is the pipeline depth from which the inter-node spanning
 // tree degenerates into a chain: with enough segments in flight the chain's
@@ -81,7 +73,6 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 	hy := m.hierarchy(p, c, root, &scratch) // build (or reuse) the topology map
 	seg := m.Opt.BcastPipeline(buf.Len())
 	nseg := segCount(buf.Len(), seg)
-	spec := &p.World().Machine.Spec
 
 	lcomm := hy.LComm
 	key := mpi.BBKey{Op: "hkbcast", Seq: lcomm.Seq(p)}
@@ -91,17 +82,14 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 		// Single-segment messages have no cross-segment overlap to preserve,
 		// so the small path reorders to inter-node-then-intra-node and runs
 		// the intra-node fan-out as a small stretch.
-		m.bcastSmall(p, hy, buf, key, spec)
+		m.bcastSmall(p, hy, buf, key)
 		return
 	}
 
 	if hy.IsLeader {
 		// Register rbuf with the KNEM device; share the cookie with the
 		// node's non-leaders (steps 2-3).
-		dev := p.Knem()
-		p.Compute(spec.ShmLatency) // registration syscall
-		ck := dev.Register(buf, p.Core(), knem.RightRead)
-		lcomm.BBPost(p, key, cookieShare{dev: dev, cookie: ck})
+		sh := publish(p, lcomm, key, buf, knem.RightRead)
 
 		ll := hy.LLComm
 		llSize := ll.Size()
@@ -150,32 +138,23 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 		}
 		p.WaitAll(pending...)
 		lcomm.Barrier(p) // final synchronization (step 32 / 45)
-		p.Compute(spec.ShmLatency)
-		if err := dev.Deregister(ck); err != nil {
-			panic(err)
-		}
-		lcomm.BBClear(key)
+		sh.withdraw(p, lcomm, key)
 		return
 	}
 
 	// Non-leader (steps 36-46).
-	p.Compute(spec.ShmLatency) // cookie lookup
-	sh := lcomm.BBWait(p, key).(cookieShare)
+	sh := lookup(p, lcomm, key)
 	if onRootNode {
 		// The root holds the whole message already: fetch it in one
 		// one-sided copy (step 38).
-		if err := sh.dev.Get(p.DES(), p.Core(), sh.cookie, 0, buf); err != nil {
-			panic(err)
-		}
+		sh.get(p, 0, buf)
 		lcomm.Barrier(p)
 		return
 	}
 	for i := int64(0); i < nseg; i++ {
 		lcomm.Barrier(p) // wait for the leader's notification (step 42)
 		off, n := mpi.SegmentBounds(buf.Len(), seg, i)
-		if err := sh.dev.Get(p.DES(), p.Core(), sh.cookie, off, buf.Slice(off, n)); err != nil {
-			panic(err)
-		}
+		sh.get(p, off, buf.Slice(off, n))
 	}
 	lcomm.Barrier(p) // step 45
 }
@@ -185,7 +164,7 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 // interleaving buys nothing, so the leader first completes all inter-node
 // forwarding, then the whole node — leader and non-leaders together — runs
 // the KNEM linear fan-out as a small stretch.
-func (m *Module) bcastSmall(p *mpi.Proc, hy *hier.Hierarchy, buf *buffer.Buffer, key mpi.BBKey, spec *topology.Spec) {
+func (m *Module) bcastSmall(p *mpi.Proc, hy *hier.Hierarchy, buf *buffer.Buffer, key mpi.BBKey) {
 	lcomm := hy.LComm
 	if hy.IsLeader {
 		ll := hy.LLComm
@@ -211,22 +190,11 @@ func (m *Module) bcastSmall(p *mpi.Proc, hy *hier.Hierarchy, buf *buffer.Buffer,
 	// (BBWait already orders each fetch after the post).
 	p.BeginSmallStretch()
 	if hy.IsLeader {
-		dev := p.Knem()
-		p.Compute(spec.ShmLatency) // registration syscall
-		ck := dev.Register(buf, p.Core(), knem.RightRead)
-		lcomm.BBPost(p, key, cookieShare{dev: dev, cookie: ck})
+		sh := publish(p, lcomm, key, buf, knem.RightRead)
 		lcomm.Barrier(p) // fetches complete
-		p.Compute(spec.ShmLatency)
-		if err := dev.Deregister(ck); err != nil {
-			panic(err)
-		}
-		lcomm.BBClear(key)
+		sh.withdraw(p, lcomm, key)
 	} else {
-		p.Compute(spec.ShmLatency) // cookie lookup
-		sh := lcomm.BBWait(p, key).(cookieShare)
-		if err := sh.dev.Get(p.DES(), p.Core(), sh.cookie, 0, buf); err != nil {
-			panic(err)
-		}
+		lookup(p, lcomm, key).get(p, 0, buf)
 		lcomm.Barrier(p)
 	}
 	p.EndSmallStretch()

@@ -37,14 +37,10 @@ type Options struct {
 	BcastPipeline  PipelineFunc
 	ReducePipeline PipelineFunc
 
-	// AllgatherLeaderMaxPPN is the largest processes-per-node for which
-	// the leader-based Allgather is selected; above it the topology-aware
-	// ring is used (section III-D). Default 6.
-	AllgatherLeaderMaxPPN int
-
-	// ForceAllgather overrides the automatic selection: "leader" or
-	// "ring" (used by the Figure 2 study). Empty means automatic.
-	ForceAllgather string
+	// ForceAllgather overrides the automatic Allgather selection (the
+	// Figure 2 study); the zero value, AllgatherAuto, selects by
+	// processes per node.
+	ForceAllgather AllgatherAlg
 
 	// RankOrderedRing is an ablation switch: build the Allgather ring in
 	// MPI rank order instead of physical order, disabling the
@@ -75,9 +71,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ReducePipeline == nil {
 		o.ReducePipeline = PipelineIB().Reduce
-	}
-	if o.AllgatherLeaderMaxPPN == 0 {
-		o.AllgatherLeaderMaxPPN = 6
 	}
 	if o.TopoDetectCost == 0 {
 		o.TopoDetectCost = 2e-6

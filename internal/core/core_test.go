@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hierknem/internal/buffer"
@@ -143,39 +144,49 @@ func TestAllgatherSelection(t *testing.T) {
 	// 2 ppn -> leader-based; 12 ppn -> ring. Verified via ForceAllgather
 	// equivalence of virtual times.
 	spec := miniCluster(true)
-	run := func(force string, ppn int) float64 {
+	run := func(force AllgatherAlg, ppn int) float64 {
 		w := ppnWorld(t, spec, ppn)
 		mod := New(Options{ForceAllgather: force})
 		r := imb.Allgather(w, mod, 64<<10, imb.Opts{Iterations: 2, Warmup: 1})
 		return r.AvgTime
 	}
 	// Auto at 2 ppn equals forced leader mode.
-	if a, l := run("", 2), run("leader", 2); a != l {
+	if a, l := run(AllgatherAuto, 2), run(AllgatherLeader, 2); a != l {
 		t.Fatalf("auto(2ppn)=%g != leader=%g", a, l)
 	}
 	// Auto at 12 ppn equals forced ring mode.
-	if a, r := run("", 12), run("ring", 12); a != r {
+	if a, r := run(AllgatherAuto, 12), run(AllgatherRing, 12); a != r {
 		t.Fatalf("auto(12ppn)=%g != ring=%g", a, r)
 	}
+	// An override outside the set panics with its value instead of falling
+	// through to one of the algorithms.
+	func() {
+		defer func() {
+			if r := recover(); !strings.Contains(fmt.Sprint(r), "AllgatherAlg(7)") {
+				t.Fatalf("AllgatherAlg(7) recovered %v, want a panic naming the value", r)
+			}
+		}()
+		run(AllgatherAlg(7), 2)
+	}()
 }
 
 // Figure 2's mechanism at mini scale: leader-based wins at 2 ppn, the ring
 // wins at full nodes.
 func TestAllgatherCrossover(t *testing.T) {
 	spec := miniCluster(true)
-	run := func(force string, ppn int) float64 {
+	run := func(force AllgatherAlg, ppn int) float64 {
 		w := ppnWorld(t, spec, ppn)
 		mod := New(Options{ForceAllgather: force})
 		return imb.Allgather(w, mod, 512<<10, imb.Opts{Iterations: 2, Warmup: 1}).AvgTime
 	}
 	// At 2 ppn the paper reports a slight leader-based advantage; in this
 	// model the two are within a few percent — assert competitiveness.
-	if leader, ring := run("leader", 2), run("ring", 2); leader > ring*1.05 {
+	if leader, ring := run(AllgatherLeader, 2), run(AllgatherRing, 2); leader > ring*1.05 {
 		t.Fatalf("2 ppn: leader-based (%g) should be within 5%% of ring (%g)", leader, ring)
 	}
 	// At full nodes the leader's memory bus is the hot spot and the ring
 	// must win clearly.
-	if leader, ring := run("leader", 12), run("ring", 12); ring >= leader*0.95 {
+	if leader, ring := run(AllgatherLeader, 12), run(AllgatherRing, 12); ring >= leader*0.95 {
 		t.Fatalf("12 ppn: ring (%g) should clearly beat leader-based (%g)", ring, leader)
 	}
 }

@@ -31,7 +31,6 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 	lcomm := hy.LComm
 	block := rbuf.Len()
 	nodeBytes := block * int64(lcomm.Size())
-	spec := &p.World().Machine.Spec
 	key := mpi.BBKey{Op: "hkscatter", Seq: lcomm.Seq(p)}
 
 	// Position of this rank within its node's contiguous comm-rank block.
@@ -61,18 +60,11 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 		if small {
 			p.BeginSmallStretch()
 		}
-		dev := p.Knem()
-		p.Compute(spec.ShmLatency)
-		ck := dev.Register(staging, p.Core(), knem.RightRead)
-		lcomm.BBPost(p, key, cookieShare{dev: dev, cookie: ck})
+		sh := publish(p, lcomm, key, staging, knem.RightRead)
 		rbuf.CopyFrom(staging.Slice(pos*block, block))
 		lcomm.Barrier(p) // non-leaders may pull
 		lcomm.Barrier(p) // pulls complete
-		p.Compute(spec.ShmLatency)
-		if err := dev.Deregister(ck); err != nil {
-			panic(err)
-		}
-		lcomm.BBClear(key)
+		sh.withdraw(p, lcomm, key)
 		if small {
 			p.EndSmallStretch()
 		}
@@ -82,12 +74,9 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 	if small {
 		p.BeginSmallStretch()
 	}
-	p.Compute(spec.ShmLatency)
-	sh := lcomm.BBWait(p, key).(cookieShare)
+	sh := lookup(p, lcomm, key)
 	lcomm.Barrier(p)
-	if err := sh.dev.Get(p.DES(), p.Core(), sh.cookie, pos*block, rbuf); err != nil {
-		panic(err)
-	}
+	sh.get(p, pos*block, rbuf)
 	lcomm.Barrier(p)
 	if small {
 		p.EndSmallStretch()
@@ -111,7 +100,6 @@ func (m *Module) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, roo
 	lcomm := hy.LComm
 	block := sbuf.Len()
 	nodeBytes := block * int64(lcomm.Size())
-	spec := &p.World().Machine.Spec
 	key := mpi.BBKey{Op: "hkgather", Seq: lcomm.Seq(p)}
 	pos := int64(c.Rank(p) % lcomm.Size())
 
@@ -124,17 +112,10 @@ func (m *Module) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, roo
 		if small {
 			p.BeginSmallStretch()
 		}
-		dev := p.Knem()
-		p.Compute(spec.ShmLatency)
-		ck := dev.Register(staging, p.Core(), knem.RightWrite)
-		lcomm.BBPost(p, key, cookieShare{dev: dev, cookie: ck})
+		sh := publish(p, lcomm, key, staging, knem.RightWrite)
 		staging.Slice(pos*block, block).CopyFrom(sbuf)
 		lcomm.Barrier(p) // wait for all pushes
-		p.Compute(spec.ShmLatency)
-		if err := dev.Deregister(ck); err != nil {
-			panic(err)
-		}
-		lcomm.BBClear(key)
+		sh.withdraw(p, lcomm, key)
 		if small {
 			p.EndSmallStretch()
 		}
@@ -154,11 +135,7 @@ func (m *Module) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, roo
 	if small {
 		p.BeginSmallStretch()
 	}
-	p.Compute(spec.ShmLatency)
-	sh := lcomm.BBWait(p, key).(cookieShare)
-	if err := sh.dev.Put(p.DES(), p.Core(), sh.cookie, pos*block, sbuf); err != nil {
-		panic(err)
-	}
+	lookup(p, lcomm, key).put(p, pos*block, sbuf)
 	lcomm.Barrier(p)
 	if small {
 		p.EndSmallStretch()
@@ -178,7 +155,6 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 	var scratch hier.Hierarchy
 	hy := m.hierarchy(p, c, 0, &scratch)
 	lcomm := hy.LComm
-	spec := &p.World().Machine.Spec
 	key := mpi.BBKey{Op: "hkallreduce", Seq: lcomm.Seq(p)}
 
 	// Both intra-node phases are small stretches when the message fits the
@@ -191,17 +167,7 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 	if hy.IsLeader {
 		acc = rbuf
 	}
-	if small {
-		p.BeginSmallStretch()
-	}
-	if lcomm.Size() > 1 {
-		coll.ReduceBinomial(p, lcomm, a, sbuf, acc, 0)
-	} else if hy.IsLeader {
-		acc.CopyFrom(sbuf)
-	}
-	if small {
-		p.EndSmallStretch()
-	}
+	reduceToLeader(p, hy, a, sbuf, acc)
 
 	if hy.IsLeader {
 		// Phase 2: inter-node allreduce among leaders.
@@ -219,17 +185,10 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 			if small {
 				p.BeginSmallStretch()
 			}
-			dev := p.Knem()
-			p.Compute(spec.ShmLatency)
-			ck := dev.Register(acc, p.Core(), knem.RightRead)
-			lcomm.BBPost(p, key, cookieShare{dev: dev, cookie: ck})
+			sh := publish(p, lcomm, key, acc, knem.RightRead)
 			lcomm.Barrier(p)
 			lcomm.Barrier(p)
-			p.Compute(spec.ShmLatency)
-			if err := dev.Deregister(ck); err != nil {
-				panic(err)
-			}
-			lcomm.BBClear(key)
+			sh.withdraw(p, lcomm, key)
 			if small {
 				p.EndSmallStretch()
 			}
@@ -240,12 +199,9 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 	if small {
 		p.BeginSmallStretch()
 	}
-	p.Compute(spec.ShmLatency)
-	sh := lcomm.BBWait(p, key).(cookieShare)
+	sh := lookup(p, lcomm, key)
 	lcomm.Barrier(p)
-	if err := sh.dev.Get(p.DES(), p.Core(), sh.cookie, 0, rbuf); err != nil {
-		panic(err)
-	}
+	sh.get(p, 0, rbuf)
 	lcomm.Barrier(p)
 	if small {
 		p.EndSmallStretch()

@@ -8,14 +8,30 @@ import (
 	"hierknem/internal/mpi"
 )
 
-// reduceShare is posted by the 1st leader: cookies for its send buffer
-// (read access, fetched by the 2nd leader) and its staging buffer (write
-// access, pushed by the 2nd leader).
+// reduceShare is posted by the 1st leader: its send buffer (read access,
+// fetched by the 2nd leader) and its staging buffer (write access, pushed by
+// the 2nd leader), registered under one syscall charge.
 type reduceShare struct {
-	dev    *knem.Device
-	sbufCk knem.Cookie
-	tmpCk  knem.Cookie
-	tmp    *buffer.Buffer
+	src, dst share
+}
+
+// reduceToLeader folds every local rank's sbuf into acc, significant at the
+// node leader only, up a binomial tree over lcomm. It runs as a small
+// stretch when the message fits the fabric bypass.
+func reduceToLeader(p *mpi.Proc, hy *hier.Hierarchy, a coll.ReduceArgs, sbuf, acc *buffer.Buffer) {
+	lcomm := hy.LComm
+	small := p.SmallIntraNode(lcomm, sbuf.Len())
+	if small {
+		p.BeginSmallStretch()
+	}
+	if lcomm.Size() > 1 {
+		coll.ReduceBinomial(p, lcomm, a, sbuf, acc, 0, 0)
+	} else if hy.IsLeader {
+		acc.CopyFrom(sbuf)
+	}
+	if small {
+		p.EndSmallStretch()
+	}
 }
 
 // Reduce implements Algorithm 2 of the paper: the double-leader pipelined
@@ -57,26 +73,13 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 				acc = coll.Like(sbuf, sbuf.Len())
 			}
 		}
-		// The intra-node reduction to the leader is a small stretch when
-		// the message fits the fabric bypass.
-		small := p.SmallIntraNode(lcomm, sbuf.Len())
-		if small {
-			p.BeginSmallStretch()
-		}
-		if lcomm.Size() > 1 {
-			coll.ReduceBinomial(p, lcomm, a, sbuf, acc, 0)
-		} else if hy.IsLeader {
-			acc.CopyFrom(sbuf)
-		}
-		if small {
-			p.EndSmallStretch()
-		}
+		reduceToLeader(p, hy, a, sbuf, acc)
 		if hy.IsLeader && hy.LLComm.Size() > 1 {
 			var out *buffer.Buffer
 			if isRoot {
 				out = rbuf
 			}
-			coll.ReduceBinomialOverhead(p, hy.LLComm, a, acc, out,
+			coll.ReduceBinomial(p, hy.LLComm, a, acc, out,
 				hy.RootNodeIndex, m.Opt.ReducePerHop)
 		}
 		return
@@ -88,23 +91,19 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 	switch {
 	case lrank == 0:
 		// --- 1st leader ---
-		dev := p.Knem()
-		var tmp *buffer.Buffer
 		haveSecond := lcomm.Size() >= 2
-		p.Compute(spec.ShmLatency)
+		p.Compute(spec.ShmLatency) // registration syscall
+		tmp := coll.Like(sbuf, sbuf.Len())
 		var sh reduceShare
 		if haveSecond {
-			tmp = coll.Like(sbuf, sbuf.Len())
+			dev := p.Knem()
 			sh = reduceShare{
-				dev:    dev,
-				sbufCk: dev.Register(sbuf, p.Core(), knem.RightRead),
-				tmpCk:  dev.Register(tmp, p.Core(), knem.RightWrite),
-				tmp:    tmp,
+				src: share{dev: dev, ck: dev.Register(sbuf, p.Core(), knem.RightRead)},
+				dst: share{dev: dev, ck: dev.Register(tmp, p.Core(), knem.RightWrite)},
 			}
 			lcomm.BBPost(p, key, sh)
 		} else {
 			// Alone on the node: my contribution goes up directly.
-			tmp = coll.Like(sbuf, sbuf.Len())
 			tmp.CopyFrom(sbuf)
 		}
 
@@ -173,7 +172,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 					out.CopyFrom(acc)
 				}
 			case llSize > 1:
-				coll.ReduceBinomialOverhead(p, ll, a, tmp.Slice(off, n), out,
+				coll.ReduceBinomial(p, ll, a, tmp.Slice(off, n), out,
 					hy.RootNodeIndex, m.Opt.ReducePerHop)
 			case isRoot:
 				out.CopyFrom(tmp.Slice(off, n))
@@ -182,10 +181,10 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 		lcomm.Barrier(p)
 		if haveSecond {
 			p.Compute(spec.ShmLatency)
-			if err := dev.Deregister(sh.sbufCk); err != nil {
+			if err := sh.src.dev.Deregister(sh.src.ck); err != nil {
 				panic(err)
 			}
-			if err := dev.Deregister(sh.tmpCk); err != nil {
+			if err := sh.dst.dev.Deregister(sh.dst.ck); err != nil {
 				panic(err)
 			}
 			lcomm.BBClear(key)
@@ -193,16 +192,14 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 
 	case lrank == 1:
 		// --- 2nd leader ---
-		p.Compute(spec.ShmLatency)
+		p.Compute(spec.ShmLatency) // cookie lookup
 		sh := lcomm.BBWait(p, key).(reduceShare)
 		fetch := coll.Like(sbuf, seg)
 		for i := int64(0); i < nseg; i++ {
 			off, n := mpi.SegmentBounds(sbuf.Len(), seg, i)
 			fseg := fetch.Slice(0, n)
 			// Step 9: fetch the 1st leader's segment (one-sided).
-			if err := sh.dev.Get(p.DES(), p.Core(), sh.sbufCk, off, fseg); err != nil {
-				panic(err)
-			}
+			sh.src.get(p, off, fseg)
 			// Step 10: fold in my own contribution.
 			p.ReduceLocal(a.Op, a.Dtype, fseg, sbuf.Slice(off, n))
 			// Step 11: intra-node reduction over new_comm (I am root 0).
@@ -210,14 +207,12 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 			// constant; consecutive segments pipeline down the chain.
 			if newComm != nil && newComm.Size() > 1 {
 				acc := coll.Like(sbuf, n)
-				coll.ReduceChain(p, newComm, a, fseg, acc, 0, 0)
+				coll.ReduceChain(p, newComm, a, fseg, acc, 0, 0, 0)
 				fseg.CopyFrom(acc)
 			}
 			// Step 12: push the result into the 1st leader's staging
 			// buffer (one-sided) and notify (step 13).
-			if err := sh.dev.Put(p.DES(), p.Core(), sh.tmpCk, off, fseg); err != nil {
-				panic(err)
-			}
+			sh.dst.put(p, off, fseg)
 			p.Send(lcomm, buffer.NewPhantom(0), 0, hkTag+1000+int(i))
 		}
 		lcomm.Barrier(p)
@@ -226,7 +221,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 		// --- non-leader: intra-node reduction participant (steps 17-19) ---
 		for i := int64(0); i < nseg; i++ {
 			off, n := mpi.SegmentBounds(sbuf.Len(), seg, i)
-			coll.ReduceChain(p, newComm, a, sbuf.Slice(off, n), nil, 0, 0)
+			coll.ReduceChain(p, newComm, a, sbuf.Slice(off, n), nil, 0, 0, 0)
 		}
 		lcomm.Barrier(p)
 	}

@@ -51,27 +51,6 @@ func KnownOp(op string) bool {
 	return false
 }
 
-// RunOp dispatches the named collective benchmark — one sweep data point —
-// on w. It reports an error for an unknown operation name.
-func RunOp(w *mpi.World, mod modules.Module, op string, bytes int64, opts Opts) (Result, error) {
-	switch op {
-	case "bcast":
-		return Bcast(w, mod, bytes, opts), nil
-	case "reduce":
-		return Reduce(w, mod, bytes, opts), nil
-	case "allgather":
-		return Allgather(w, mod, bytes, opts), nil
-	case "allreduce":
-		return Allreduce(w, mod, bytes, opts), nil
-	case "scatter":
-		return Scatter(w, mod, bytes, opts), nil
-	case "gather":
-		return Gather(w, mod, bytes, opts), nil
-	default:
-		return Result{}, fmt.Errorf("imb: unknown op %q", op)
-	}
-}
-
 // AggregateBW computes the paper's "aggregate bandwidth" metric: total bytes
 // delivered cluster-wide per second of operation time.
 //
@@ -152,35 +131,40 @@ func timeOp(w *mpi.World, opts Opts, body func(p *mpi.Proc, c *mpi.Comm, iter in
 	return sum / float64(len(timed)), min, max, len(timed)
 }
 
-// Bcast benchmarks MPI_Bcast for one module and message size.
-func Bcast(w *mpi.World, mod modules.Module, bytes int64, opts Opts) Result {
-	np := w.Size()
-	bufs := make([]*buffer.Buffer, np)
-	for i := range bufs {
-		bufs[i] = opts.newBuf(bytes)
+// RunOp benchmarks the named collective — one sweep data point — on w:
+// bytes is the message size, or the per-rank block for allgather, scatter
+// and gather. It reports an error for an unknown operation, a negative size
+// or a negative iteration count. Reductions sum float64s.
+func RunOp(w *mpi.World, mod modules.Module, op string, bytes int64, opts Opts) (Result, error) {
+	switch {
+	case !KnownOp(op):
+		return Result{}, fmt.Errorf("imb: unknown op %q", op)
+	case bytes < 0:
+		return Result{}, fmt.Errorf("imb: %s size %d is negative", op, bytes)
+	case opts.Iterations < 0:
+		return Result{}, fmt.Errorf("imb: %d iterations is negative", opts.Iterations)
 	}
-	avg, min, max, iters := timeOp(w, opts, func(p *mpi.Proc, c *mpi.Comm, it int) {
-		root := 0
-		if opts.RotateRoot {
-			root = it % np
-		}
-		mod.Bcast(p, c, bufs[c.Rank(p)], root)
-	})
-	return Result{
-		Op: "bcast", Module: mod.Name(), Bytes: bytes, Iterations: iters,
-		AvgTime: avg, MinTime: min, MaxTime: max,
-		AggBW: AggregateBW("bcast", np, bytes, avg),
-	}
-}
-
-// Reduce benchmarks MPI_Reduce (sum over float64).
-func Reduce(w *mpi.World, mod modules.Module, bytes int64, opts Opts) Result {
 	np := w.Size()
+	sLen, rLen := bytes, bytes
+	switch op {
+	case "allgather", "gather":
+		rLen = bytes * int64(np)
+	case "scatter":
+		sLen = bytes * int64(np)
+	}
+	// Buffers are minted send before receive, rank by rank: the L3
+	// residency model keys on buffer identity, so the order is part of
+	// the timing. Bcast has one buffer per rank.
 	sbufs := make([]*buffer.Buffer, np)
-	rbufs := make([]*buffer.Buffer, np)
+	var rbufs []*buffer.Buffer
+	if op != "bcast" {
+		rbufs = make([]*buffer.Buffer, np)
+	}
 	for i := range sbufs {
-		sbufs[i] = opts.newBuf(bytes)
-		rbufs[i] = opts.newBuf(bytes)
+		sbufs[i] = opts.newBuf(sLen)
+		if rbufs != nil {
+			rbufs[i] = opts.newBuf(rLen)
+		}
 	}
 	a := coll.ReduceArgs{Op: buffer.OpSum, Dtype: buffer.Float64}
 	avg, min, max, iters := timeOp(w, opts, func(p *mpi.Proc, c *mpi.Comm, it int) {
@@ -188,30 +172,49 @@ func Reduce(w *mpi.World, mod modules.Module, bytes int64, opts Opts) Result {
 		if opts.RotateRoot {
 			root = it % np
 		}
-		mod.Reduce(p, c, a, sbufs[c.Rank(p)], rbufs[c.Rank(p)], root)
+		me := c.Rank(p)
+		switch op {
+		case "bcast":
+			mod.Bcast(p, c, sbufs[me], root)
+		case "reduce":
+			mod.Reduce(p, c, a, sbufs[me], rbufs[me], root)
+		case "allgather":
+			mod.Allgather(p, c, sbufs[me], rbufs[me])
+		case "allreduce":
+			mod.Allreduce(p, c, a, sbufs[me], rbufs[me])
+		case "scatter":
+			mod.Scatter(p, c, sbufs[me], rbufs[me], root)
+		case "gather":
+			mod.Gather(p, c, sbufs[me], rbufs[me], root)
+		}
 	})
 	return Result{
-		Op: "reduce", Module: mod.Name(), Bytes: bytes, Iterations: iters,
+		Op: op, Module: mod.Name(), Bytes: bytes, Iterations: iters,
 		AvgTime: avg, MinTime: min, MaxTime: max,
-		AggBW: AggregateBW("reduce", np, bytes, avg),
+		AggBW: AggregateBW(op, np, bytes, avg),
+	}, nil
+}
+
+// must returns r, panicking on err.
+func must(r Result, err error) Result {
+	if err != nil {
+		panic(err)
 	}
+	return r
+}
+
+// Bcast benchmarks MPI_Bcast; it panics where RunOp reports an error.
+func Bcast(w *mpi.World, mod modules.Module, bytes int64, opts Opts) Result {
+	return must(RunOp(w, mod, "bcast", bytes, opts))
+}
+
+// Reduce benchmarks MPI_Reduce; it panics where RunOp reports an error.
+func Reduce(w *mpi.World, mod modules.Module, bytes int64, opts Opts) Result {
+	return must(RunOp(w, mod, "reduce", bytes, opts))
 }
 
 // Allgather benchmarks MPI_Allgather; bytes is the per-rank contribution.
+// It panics where RunOp reports an error.
 func Allgather(w *mpi.World, mod modules.Module, bytes int64, opts Opts) Result {
-	np := w.Size()
-	sbufs := make([]*buffer.Buffer, np)
-	rbufs := make([]*buffer.Buffer, np)
-	for i := range sbufs {
-		sbufs[i] = opts.newBuf(bytes)
-		rbufs[i] = opts.newBuf(bytes * int64(np))
-	}
-	avg, min, max, iters := timeOp(w, opts, func(p *mpi.Proc, c *mpi.Comm, it int) {
-		mod.Allgather(p, c, sbufs[c.Rank(p)], rbufs[c.Rank(p)])
-	})
-	return Result{
-		Op: "allgather", Module: mod.Name(), Bytes: bytes, Iterations: iters,
-		AvgTime: avg, MinTime: min, MaxTime: max,
-		AggBW: AggregateBW("allgather", np, bytes, avg),
-	}
+	return must(RunOp(w, mod, "allgather", bytes, opts))
 }

@@ -68,6 +68,24 @@ func TestReduceAndAllgatherRun(t *testing.T) {
 	}
 }
 
+func TestRunOpRejectsBadInput(t *testing.T) {
+	w := testWorld(t, 2, 2, 4)
+	for _, tc := range []struct {
+		op    string
+		bytes int64
+		opts  Opts
+	}{
+		{"barrier", 1024, Opts{}},
+		{"bcast", -1, Opts{}},
+		{"scatter", -1024, Opts{}},
+		{"allgather", 1024, Opts{Iterations: -1}},
+	} {
+		if r, err := RunOp(w, core.New(core.Options{}), tc.op, tc.bytes, tc.opts); err == nil {
+			t.Errorf("RunOp(%q, %d, %+v) = %+v, want an error", tc.op, tc.bytes, tc.opts, r)
+		}
+	}
+}
+
 func TestAggregateBWFormulas(t *testing.T) {
 	if got := AggregateBW("bcast", 10, 100, 1); got != 900 {
 		t.Fatalf("bcast agg = %g, want 900", got)

@@ -23,7 +23,7 @@ func (t *TunedModule) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffe
 // Gather uses a binomial tree.
 func (t *TunedModule) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, root int) {
 	if c.Size() < 4 {
-		coll.GatherLinearRooted(p, c, sbuf, rbuf, root)
+		coll.GatherLinear(p, c, sbuf, rbuf, root)
 		return
 	}
 	coll.GatherBinomial(p, c, sbuf, rbuf, root)

@@ -15,27 +15,22 @@ import (
 type HierarchModule struct {
 	Q Quirks
 
-	// Inter-node (leader) layer thresholds — the layer reuses Tuned-style
-	// algorithms, tuned independently of the intra layer (that mismatch is
-	// the point).
-	BcastBinomialMax int64
-	BcastChainSeg    int64
-	ReduceChainMin   int64
-	ReduceChainSeg   int64
-
 	fallback *TunedModule // hierarch has no Allgather; Open MPI falls back
 }
 
+// Hierarch's inter-node (leader) layer thresholds (bytes), mirroring Open
+// MPI 1.5: the layer reuses Tuned-style algorithms, tuned independently of
+// the intra layer (that mismatch is the point).
+const (
+	hierarchBcastBinomialMax = 8 << 10
+	hierarchBcastChainSeg    = 128 << 10
+	hierarchReduceChainMin   = 512 << 10
+	hierarchReduceChainSeg   = 128 << 10
+)
+
 // Hierarch returns the module with defaults mirroring Open MPI 1.5.
 func Hierarch(q Quirks) *HierarchModule {
-	return &HierarchModule{
-		Q:                q,
-		BcastBinomialMax: 8 << 10,
-		BcastChainSeg:    128 << 10,
-		ReduceChainMin:   512 << 10,
-		ReduceChainSeg:   128 << 10,
-		fallback:         Tuned(q),
-	}
+	return &HierarchModule{Q: q, fallback: Tuned(q)}
 }
 
 func (h *HierarchModule) Name() string { return "hierarch" }
@@ -46,10 +41,10 @@ func (h *HierarchModule) Name() string { return "hierarch" }
 func (h *HierarchModule) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 	hy := hier.Build(p, c, root)
 	if hy.IsLeader && hy.LLComm.Size() > 1 {
-		if buf.Len() < h.BcastBinomialMax {
+		if buf.Len() < hierarchBcastBinomialMax {
 			coll.BcastBinomial(p, hy.LLComm, buf, hy.RootNodeIndex)
 		} else {
-			coll.BcastChain(p, hy.LLComm, buf, hy.RootNodeIndex, h.BcastChainSeg)
+			coll.BcastChain(p, hy.LLComm, buf, hy.RootNodeIndex, hierarchBcastChainSeg)
 		}
 	}
 	smBcastIntra(p, hy.LComm, buf)
@@ -83,10 +78,10 @@ func (h *HierarchModule) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbu
 		} else {
 			out = nil
 		}
-		if sbuf.Len() >= h.ReduceChainMin {
-			coll.ReduceChainOverhead(p, hy.LLComm, a, acc, out, hy.RootNodeIndex, h.ReduceChainSeg, h.Q.ReducePerHop)
+		if sbuf.Len() >= hierarchReduceChainMin {
+			coll.ReduceChain(p, hy.LLComm, a, acc, out, hy.RootNodeIndex, hierarchReduceChainSeg, h.Q.ReducePerHop)
 		} else {
-			coll.ReduceBinomialOverhead(p, hy.LLComm, a, acc, out, hy.RootNodeIndex, h.Q.ReducePerHop)
+			coll.ReduceBinomial(p, hy.LLComm, a, acc, out, hy.RootNodeIndex, h.Q.ReducePerHop)
 		}
 	}
 }

@@ -12,24 +12,18 @@ import (
 // models at the p2p level).
 type MPICH2Module struct {
 	Q Quirks
-
-	BcastBinomialMax int64 // below: always binomial
-	BcastLongMin     int64 // above: scatter + ring allgather
-	ReduceSmallMax   int64 // below: binomial; above: Rabenseifner
-	AllgatherRDMax   int64 // below (total): recursive doubling; above: ring
 }
 
-// MPICH2 returns the module with MPICH2 1.4 defaults (12 KiB / 512 KiB
-// bcast switches, 2 KiB reduce switch, 80 KiB allgather switch).
-func MPICH2(q Quirks) *MPICH2Module {
-	return &MPICH2Module{
-		Q:                q,
-		BcastBinomialMax: 12 << 10,
-		BcastLongMin:     512 << 10,
-		ReduceSmallMax:   2 << 10,
-		AllgatherRDMax:   80 << 10,
-	}
-}
+// MPICH2 1.4's algorithm switches (bytes).
+const (
+	mpich2BcastBinomialMax = 12 << 10  // below: always binomial
+	mpich2BcastLongMin     = 512 << 10 // above: scatter + ring allgather
+	mpich2ReduceSmallMax   = 2 << 10   // below: binomial; above: Rabenseifner
+	mpich2AllgatherRDMax   = 80 << 10  // below (total): recursive doubling; above: ring
+)
+
+// MPICH2 returns the module with MPICH2 1.4 defaults.
+func MPICH2(q Quirks) *MPICH2Module { return &MPICH2Module{Q: q} }
 
 func (m *MPICH2Module) Name() string { return "mpich2" }
 
@@ -42,9 +36,9 @@ func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 func (m *MPICH2Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 	n := buf.Len()
 	switch {
-	case n < m.BcastBinomialMax || c.Size() < 8:
+	case n < mpich2BcastBinomialMax || c.Size() < 8:
 		coll.BcastBinomial(p, c, buf, root)
-	case n < m.BcastLongMin && !isPow2(c.Size()):
+	case n < mpich2BcastLongMin && !isPow2(c.Size()):
 		coll.BcastBinomial(p, c, buf, root)
 	default:
 		coll.BcastScatterAllgather(p, c, buf, root)
@@ -52,15 +46,15 @@ func (m *MPICH2Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root 
 }
 
 func (m *MPICH2Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf *buffer.Buffer, root int) {
-	if sbuf.Len() < m.ReduceSmallMax {
-		coll.ReduceBinomial(p, c, a, sbuf, rbuf, root)
+	if sbuf.Len() < mpich2ReduceSmallMax {
+		coll.ReduceBinomial(p, c, a, sbuf, rbuf, root, 0)
 		return
 	}
 	coll.ReduceRabenseifner(p, c, a, sbuf, rbuf, root)
 }
 
 func (m *MPICH2Module) Allgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer) {
-	if rbuf.Len() < m.AllgatherRDMax {
+	if rbuf.Len() < mpich2AllgatherRDMax {
 		coll.AllgatherRecursiveDoubling(p, c, sbuf, rbuf)
 		return
 	}

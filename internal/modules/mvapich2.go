@@ -12,22 +12,18 @@ import (
 // overlapped) and a leader-based Allgather. Its InfiniBand point-to-point
 // stack has none of Open MPI's reduction quirk, which is why the paper's
 // Figure 4(b) shows it winning large reductions.
-type MVAPICH2Module struct {
-	BcastBinomialMax int64
-	BcastChainSeg    int64
-	ReduceChainMin   int64
-	ReduceChainSeg   int64
-}
+type MVAPICH2Module struct{}
+
+// MVAPICH2 1.7-like thresholds (bytes).
+const (
+	mvapich2BcastBinomialMax = 8 << 10
+	mvapich2BcastChainSeg    = 64 << 10
+	mvapich2ReduceChainMin   = 256 << 10
+	mvapich2ReduceChainSeg   = 64 << 10
+)
 
 // MVAPICH2 returns the module with MVAPICH2 1.7-like defaults.
-func MVAPICH2() *MVAPICH2Module {
-	return &MVAPICH2Module{
-		BcastBinomialMax: 8 << 10,
-		BcastChainSeg:    64 << 10,
-		ReduceChainMin:   256 << 10,
-		ReduceChainSeg:   64 << 10,
-	}
-}
+func MVAPICH2() *MVAPICH2Module { return &MVAPICH2Module{} }
 
 func (m *MVAPICH2Module) Name() string { return "mvapich2" }
 
@@ -37,17 +33,17 @@ func (m *MVAPICH2Module) Name() string { return "mvapich2" }
 func (m *MVAPICH2Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 	hy := hier.Build(p, c, root)
 	if hy.IsLeader && hy.LLComm.Size() > 1 {
-		if buf.Len() < m.BcastBinomialMax {
+		if buf.Len() < mvapich2BcastBinomialMax {
 			coll.BcastBinomial(p, hy.LLComm, buf, hy.RootNodeIndex)
 		} else {
-			coll.BcastChain(p, hy.LLComm, buf, hy.RootNodeIndex, m.BcastChainSeg)
+			coll.BcastChain(p, hy.LLComm, buf, hy.RootNodeIndex, mvapich2BcastChainSeg)
 		}
 	}
 	smBcastIntra(p, hy.LComm, buf)
 }
 
 // Reduce: shared-memory reduction to leaders, then an inter-node reduction
-// (binomial below ReduceChainMin, pipelined chain above), quirk-free — the
+// (binomial below mvapich2ReduceChainMin, pipelined chain above), quirk-free — the
 // clean InfiniBand reduction path that lets MVAPICH2 win Figure 4(b)'s
 // large-message regime. Small messages use the leader-serial shared-segment
 // reduction; large ones MVAPICH2's knomial pipelined intra-node scheme
@@ -55,7 +51,7 @@ func (m *MVAPICH2Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, roo
 func (m *MVAPICH2Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf *buffer.Buffer, root int) {
 	hy := hier.Build(p, c, root)
 	isRoot := c.Rank(p) == root
-	large := sbuf.Len() >= m.ReduceChainMin
+	large := sbuf.Len() >= mvapich2ReduceChainMin
 
 	var acc *buffer.Buffer
 	if hy.IsLeader {
@@ -67,7 +63,7 @@ func (m *MVAPICH2Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbu
 		acc.CopyFrom(sbuf)
 	}
 	if large && hy.LComm.Size() > 1 {
-		coll.ReduceChain(p, hy.LComm, a, sbuf, acc, 0, m.ReduceChainSeg)
+		coll.ReduceChain(p, hy.LComm, a, sbuf, acc, 0, mvapich2ReduceChainSeg, 0)
 	} else {
 		smReduceIntra(p, hy.LComm, a, sbuf, acc)
 	}
@@ -77,9 +73,9 @@ func (m *MVAPICH2Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbu
 			out = rbuf
 		}
 		if large {
-			coll.ReduceChain(p, hy.LLComm, a, acc, out, hy.RootNodeIndex, m.ReduceChainSeg)
+			coll.ReduceChain(p, hy.LLComm, a, acc, out, hy.RootNodeIndex, mvapich2ReduceChainSeg, 0)
 		} else {
-			coll.ReduceBinomial(p, hy.LLComm, a, acc, out, hy.RootNodeIndex)
+			coll.ReduceBinomial(p, hy.LLComm, a, acc, out, hy.RootNodeIndex, 0)
 		}
 	}
 }
@@ -113,30 +109,9 @@ func (m *MVAPICH2Module) Allgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.
 
 	// Step 2: leaders exchange node blocks over a ring.
 	if hy.IsLeader && hy.LLComm.Size() > 1 {
-		leaderRingAllgather(p, &hy, rbuf, block*int64(lcomm.Size()))
+		coll.AllgatherRing(p, hy.LLComm, nodeBlock, rbuf, nil, true)
 	}
 
 	// Step 3: leaders fan the full result out locally.
 	smBcastIntra(p, lcomm, rbuf)
-}
-
-// leaderRingAllgather exchanges equal-size node blocks among leaders; each
-// leader's block sits at its node's base offset in rbuf.
-func leaderRingAllgather(p *mpi.Proc, hy *hier.Hierarchy, rbuf *buffer.Buffer, nodeBytes int64) {
-	ll := hy.LLComm
-	size := ll.Size()
-	me := ll.Rank(p)
-	const tagBase = 1 << 23
-	for s := 0; s < size-1; s++ {
-		sendIdx := (me - s + size) % size
-		recvIdx := (me - s - 1 + 2*size) % size
-		sb := rbuf.Slice(int64(sendIdx)*nodeBytes, nodeBytes)
-		rb := rbuf.Slice(int64(recvIdx)*nodeBytes, nodeBytes)
-		right := (me + 1) % size
-		left := (me - 1 + size) % size
-		r := p.Irecv(ll, rb, left, tagBase+s)
-		sr := p.Isend(ll, sb, right, tagBase+s)
-		p.Wait(r)
-		p.Wait(sr)
-	}
 }

@@ -325,7 +325,7 @@ func TestPlacementIndex(t *testing.T) {
 		w := world(t, 16, false)
 		checkPlacement(t, w.WorldComm(), true)
 		for n := range w.Machine.Nodes {
-			checkPlacement(t, w.nodeComms[n], true)
+			checkPlacement(t, nodeComm(w, n), true)
 		}
 	})
 	t.Run("by-node", func(t *testing.T) {

@@ -31,6 +31,18 @@ func stretchWorld(t *testing.T, nodes, cores int, eager int64) *World {
 	return w
 }
 
+// nodeComm builds the communicator of node n's ranks, in world-rank order.
+// The node must host at least one rank.
+func nodeComm(w *World, n int) *Comm {
+	var ranks []int
+	for r, p := range w.procs {
+		if p.core.NodeID == n {
+			ranks = append(ranks, r)
+		}
+	}
+	return w.newComm(ranks)
+}
+
 // TestSmallIntraNodeBounds is the boundary-value table for SmallIntraNode:
 // both size bounds are strict (`<`), so a message exactly at the eager
 // threshold or exactly at the fabric-bypass cutoff is already out — at those
@@ -63,7 +75,7 @@ func TestSmallIntraNodeBounds(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/n=%d", tc.name, tc.n), func(t *testing.T) {
 			w := stretchWorld(t, 1, 2, tc.eager)
 			p := w.Proc(0)
-			if got := p.SmallIntraNode(p.NodeComm(), tc.n); got != tc.want {
+			if got := p.SmallIntraNode(nodeComm(w, 0), tc.n); got != tc.want {
 				t.Errorf("SmallIntraNode(node comm, %d) with eager %d = %v, want %v",
 					tc.n, tc.eager, got, tc.want)
 			}
@@ -75,7 +87,7 @@ func TestSmallIntraNodeBounds(t *testing.T) {
 		// stretch, so even a 1-byte message is out.
 		w := stretchWorld(t, 2, 1, 8192)
 		p := w.Proc(0)
-		if p.SmallIntraNode(p.NodeComm(), 1) {
+		if p.SmallIntraNode(nodeComm(w, 0), 1) {
 			t.Error("SmallIntraNode(singleton comm, 1) = true, want false")
 		}
 	})

@@ -77,7 +77,6 @@ type World struct {
 	procs     []*Proc
 	nextCtx   int
 	worldComm *Comm
-	nodeComms []*Comm                       // per-node communicators, built eagerly (see NodeComm)
 	netPaths  map[uint64][]*fabric.Resource // shared read-only inter-node paths, keyed by socket pair (see netPath)
 
 	// reducePaths holds ReduceLocal's flow path per socket, node-major: the
@@ -141,39 +140,11 @@ func NewWorld(m *topology.Machine, b *topology.Binding, conf Config) (*World, er
 			w.reducePaths = append(w.reducePaths, [3]*fabric.Resource{s.MemBus, s.MemBus, s.MemBus})
 		}
 	}
-	w.buildNodeComms()
 	if san.EnvEnabled() {
 		w.EnableSanitizer()
 	}
 	return w, nil
 }
-
-// buildNodeComms creates one communicator per node holding that node's ranks
-// (in world-rank order), eagerly, so reading one needs no Split-style
-// collective. Nodes hosting no rank get a nil entry.
-// Runs at NewWorld and again after Reset, in the same order both times, so
-// context ids replay identically.
-func (w *World) buildNodeComms() {
-	nodes := len(w.Machine.Nodes)
-	if cap(w.nodeComms) < nodes {
-		w.nodeComms = make([]*Comm, nodes)
-	}
-	w.nodeComms = w.nodeComms[:nodes]
-	perNode := make([][]int, nodes)
-	for r, p := range w.procs {
-		perNode[p.core.NodeID] = append(perNode[p.core.NodeID], r)
-	}
-	for n, ranks := range perNode {
-		if len(ranks) == 0 {
-			w.nodeComms[n] = nil
-			continue
-		}
-		w.nodeComms[n] = w.newComm(ranks)
-	}
-}
-
-// NodeComm returns the prebuilt communicator of every rank on p's node.
-func (p *Proc) NodeComm() *Comm { return p.world.nodeComms[p.core.NodeID] }
 
 // EnableSanitizer attaches a hiersan runtime to the world and every layer
 // under it (engine, fabric, KNEM devices), returning it so tests can install
@@ -222,7 +193,6 @@ func (w *World) Reset() {
 	}
 	w.nextCtx = 0
 	w.worldComm = nil
-	w.buildNodeComms()
 	w.BytesCross = 0
 	if w.san != nil {
 		// After Machine.Reset: the engine's drain has already routed

@@ -8,8 +8,9 @@
 #             requesthygiene, errcheck, runisolation. One run, wall time
 #             printed; also gates that all three analyzers are registered.
 #   test      the full suite without the race detector (internal/core's
-#             per-call malloc guard and the seeded sanitizer faults
-#             included), except ./bench, whose tests benchsmoke runs
+#             per-call malloc guard, hierbench's -exp all golden and the
+#             seeded sanitizer faults included), except ./bench, whose
+#             tests benchsmoke runs
 #   race      the race detector, only over code that starts goroutines:
 #             the sweep pool, the coroutine pool, hierbench's sweeps and
 #             bench's RSS poller (-short), and the root isolation tests

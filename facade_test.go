@@ -3,10 +3,12 @@ package hierknem_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"hierknem"
+	"hierknem/internal/asp"
 	"hierknem/internal/buffer"
 	"hierknem/internal/des"
 	"hierknem/internal/imb"
@@ -148,4 +150,53 @@ func TestFacadeASP(t *testing.T) {
 	if res.Total <= 0 || res.Bcast <= 0 || res.Bcast > res.Total {
 		t.Fatalf("asp result: %+v", res)
 	}
+}
+
+// TestASPRejectsBadInput: asp.Run and asp.Solve turn bad input into an
+// error before any rank starts, instead of panicking deep in a rank or
+// printing NaN; the facade panics with that same error.
+func TestASPRejectsBadInput(t *testing.T) {
+	spec := hierknem.Stremi(1)
+	mod := hierknem.ForCluster(&spec)
+	ragged := [][]float64{{0, 1}, {1}}
+	for _, tc := range []struct {
+		name string
+		run  func(w *hierknem.World) error
+		want string
+	}{
+		{"n=-5", func(w *hierknem.World) error { _, err := asp.Run(w, mod, -5, 0); return err }, "-5 vertices"},
+		{"n=0", func(w *hierknem.World) error { _, err := asp.Run(w, mod, 0, 0); return err }, "0 vertices"},
+		{"cellCost=-1", func(w *hierknem.World) error { _, err := asp.Run(w, mod, 8, -1); return err }, "cell cost -1"},
+		{"cellCost=NaN", func(w *hierknem.World) error { _, err := asp.Run(w, mod, 8, math.NaN()); return err }, "cell cost NaN"},
+		{"cellCost=+Inf", func(w *hierknem.World) error { _, err := asp.Run(w, mod, 8, math.Inf(1)); return err }, "cell cost +Inf"},
+		{"ragged", func(w *hierknem.World) error { _, err := asp.Solve(w, mod, ragged); return err }, "row 1 has 1 entries, want 2"},
+		{"empty", func(w *hierknem.World) error { _, err := asp.Solve(w, mod, nil); return err }, "empty distance matrix"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := hierknem.NewWorld(spec, "bycore", 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = tc.run(w)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error = %v, want one mentioning %q", err, tc.want)
+			}
+			if n := w.Machine.Eng.Processed(); n != 0 {
+				t.Fatalf("%d events ran before the input was rejected", n)
+			}
+		})
+	}
+	t.Run("facade panics with the error", func(t *testing.T) {
+		w, err := hierknem.NewWorld(spec, "bycore", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			r, _ := recover().(error)
+			if r == nil || !strings.Contains(r.Error(), "0 vertices") {
+				t.Fatalf("RunASP(n=0) panicked with %v, want asp's error", r)
+			}
+		}()
+		hierknem.RunASP(w, mod, 0, 0)
+	})
 }

@@ -120,11 +120,22 @@ var (
 )
 
 // RunASP executes the ASP timing skeleton (phantom payloads) for n vertices.
+// It panics with the error where asp.Run reports one (n < 1, a negative or
+// non-finite cellCost).
 func RunASP(w *World, mod Module, n int, cellCost float64) ASPResult {
-	return asp.Run(w, mod, n, cellCost)
+	return must(asp.Run(w, mod, n, cellCost))
 }
 
 // SolveASP runs ASP with real data and returns the solved distance matrix.
+// It panics with the error where asp.Solve reports one (an empty or
+// non-square dist).
 func SolveASP(w *World, mod Module, dist [][]float64) [][]float64 {
-	return asp.Solve(w, mod, dist)
+	return must(asp.Solve(w, mod, dist))
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -11,6 +11,7 @@
 package asp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -76,7 +77,15 @@ func rowOwner(n, np, k int) int {
 // Run executes the ASP communication/computation skeleton with phantom
 // payloads: the timing model of the real algorithm without allocating N²
 // floats. cellCost is the per-cell relaxation cost (0 = DefaultCellCost).
-func Run(w *mpi.World, mod modules.Module, n int, cellCost float64) Result {
+// It reports an error, before any rank starts, for n < 1 or a negative or
+// non-finite cellCost, and an error when the run itself fails.
+func Run(w *mpi.World, mod modules.Module, n int, cellCost float64) (Result, error) {
+	switch {
+	case n < 1:
+		return Result{}, fmt.Errorf("asp: %d vertices, need at least 1", n)
+	case cellCost < 0 || math.IsNaN(cellCost) || math.IsInf(cellCost, 0):
+		return Result{}, fmt.Errorf("asp: cell cost %g is not a finite non-negative time", cellCost)
+	}
 	if cellCost == 0 {
 		cellCost = DefaultCellCost
 	}
@@ -106,9 +115,9 @@ func Run(w *mpi.World, mod modules.Module, n int, cellCost float64) Result {
 		}
 	})
 	if err != nil {
-		panic(fmt.Sprintf("asp: run failed: %v", err))
+		return Result{}, fmt.Errorf("asp: run failed: %w", err)
 	}
-	return Result{N: n, NP: np, Module: mod.Name(), Bcast: maxBcast, Total: maxTotal}
+	return Result{N: n, NP: np, Module: mod.Name(), Bcast: maxBcast, Total: maxTotal}, nil
 }
 
 // Inf is the "no edge" distance.
@@ -136,9 +145,19 @@ func Sequential(d [][]float64) {
 // Solve runs the parallel algorithm with real data over the simulated
 // cluster and returns the solved matrix (gathered at rank 0's block order).
 // It verifies the distributed algorithm end to end: every rank relaxes its
-// own block using the broadcast rows.
-func Solve(w *mpi.World, mod modules.Module, dist [][]float64) [][]float64 {
+// own block using the broadcast rows. It reports an error, before any rank
+// starts, for an empty or non-square dist, and an error when the run
+// itself fails.
+func Solve(w *mpi.World, mod modules.Module, dist [][]float64) ([][]float64, error) {
 	n := len(dist)
+	if n < 1 {
+		return nil, errors.New("asp: empty distance matrix")
+	}
+	for i, row := range dist {
+		if len(row) != n {
+			return nil, fmt.Errorf("asp: distance matrix is not square: row %d has %d entries, want %d", i, len(row), n)
+		}
+	}
 	np := w.Size()
 	out := make([][]float64, n)
 
@@ -183,7 +202,7 @@ func Solve(w *mpi.World, mod modules.Module, dist [][]float64) [][]float64 {
 		}
 	})
 	if err != nil {
-		panic(fmt.Sprintf("asp: solve failed: %v", err))
+		return nil, fmt.Errorf("asp: solve failed: %w", err)
 	}
 	for r := 0; r < np; r++ {
 		lo, hi := rowRange(n, np, r)
@@ -191,5 +210,5 @@ func Solve(w *mpi.World, mod modules.Module, dist [][]float64) [][]float64 {
 			out[i] = blocks[r][i-lo]
 		}
 	}
-	return out
+	return out, nil
 }

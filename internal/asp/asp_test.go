@@ -163,7 +163,10 @@ func TestSolveMatchesSequential(t *testing.T) {
 			Sequential(ref)
 
 			w := testWorld(t, 2, 4, 8)
-			got := Solve(w, mod, g)
+			got, err := Solve(w, mod, g)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
 					a, b := got[i][j], ref[i][j]
@@ -179,7 +182,10 @@ func TestSolveMatchesSequential(t *testing.T) {
 func TestRunBreakdownSane(t *testing.T) {
 	w := testWorld(t, 2, 4, 8)
 	mod := core.New(core.Options{})
-	res := Run(w, mod, 256, 0)
+	res, err := Run(w, mod, 256, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Total <= 0 || res.Bcast <= 0 {
 		t.Fatalf("non-positive times: %+v", res)
 	}
@@ -198,8 +204,14 @@ func TestRunBreakdownSane(t *testing.T) {
 // The application-level claim of Table II: a faster broadcast module lowers
 // ASP total runtime, with compute unchanged.
 func TestModuleChangesOnlyCommTime(t *testing.T) {
-	resFast := Run(testWorld(t, 4, 6, 24), core.New(core.Options{}), 384, 0)
-	resSlow := Run(testWorld(t, 4, 6, 24), modules.Tuned(modules.Quirks{}), 384, 0)
+	resFast, err := Run(testWorld(t, 4, 6, 24), core.New(core.Options{}), 384, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resSlow, err := Run(testWorld(t, 4, 6, 24), modules.Tuned(modules.Quirks{}), 384, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	computeFast := resFast.Total - resFast.Bcast
 	computeSlow := resSlow.Total - resSlow.Bcast
 	if math.Abs(computeFast-computeSlow) > 0.2*computeFast {

@@ -71,9 +71,9 @@ type Engine struct {
 	// Zero means no horizon.
 	MaxTime float64
 
-	// san, when non-nil, receives pool-provenance and sync-edge hooks
-	// (hiersan). Every hook site is nil-guarded so the disabled hot path
-	// pays one predictable branch and zero allocations.
+	// san, when non-nil, receives Wake's sync-edge hook (hiersan). The
+	// hook site is nil-guarded so the disabled hot path pays one
+	// predictable branch and zero allocations.
 	san *san.Sanitizer
 }
 
@@ -86,9 +86,8 @@ func New() *Engine {
 func (e *Engine) Now() float64 { return e.now }
 
 // SetSanitizer attaches (or, with nil, detaches) a hiersan runtime. The
-// sanitizer observes event-record recycling and Wake synchronization edges;
-// it schedules nothing, so an instrumented run stays event-for-event
-// identical to a bare one.
+// sanitizer observes Wake synchronization edges; it schedules nothing, so an
+// instrumented run stays event-for-event identical to a bare one.
 func (e *Engine) SetSanitizer(s *san.Sanitizer) { e.san = s }
 
 // event is one scheduled occurrence. Exactly one of fn (callback event) and
@@ -127,20 +126,12 @@ func (e *Engine) alloc(at float64) *event {
 	ev.at = at
 	ev.seq = e.seq
 	e.seq++
-	if e.san != nil {
-		e.san.PoolAlloc(san.KindEvent, ev, "")
-	}
 	return ev
 }
 
 // release clears an event record and returns it to the free list. The
 // generation bump invalidates any Timer handle still pointing here.
 func (e *Engine) release(ev *event) {
-	if e.san != nil {
-		// Before the wipe, so a double release reports the record's
-		// original generation and release time.
-		e.san.PoolRelease(san.KindEvent, ev, "")
-	}
 	ev.fn = nil
 	ev.proc = nil
 	ev.gen++
@@ -582,9 +573,9 @@ func (e *Engine) Reset() {
 
 // drainPending routes every still-queued event — leftovers after a MaxTime
 // abort, plus bucket entries cancelled in place — through release. Going
-// through release (never raw pool appends) keeps each record's generation
-// counter, and the attached sanitizer's provenance, at exactly one release
-// per allocation.
+// through release (never raw pool appends) bumps each record's generation,
+// so a Timer handle held across the abort cannot cancel the record's next
+// life.
 func (e *Engine) drainPending() {
 	for _, ev := range e.queue {
 		e.release(ev)

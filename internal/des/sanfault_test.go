@@ -1,50 +1,26 @@
 package des
 
-// Seeded-fault fixtures for the hiersan pool-provenance checker on the
-// engine's event free list: planted double releases must fire, a MaxTime
+// Fixtures for the engine's record recycling around hiersan: a MaxTime
 // abort must leave the pool reusable (Reset routes leftovers through
 // release, never raw appends), and the disabled sanitizer must add zero
 // allocations to the warm schedule/cancel hot path.
 
-import (
-	"strings"
-	"testing"
+import "testing"
 
-	"hierknem/internal/san"
-)
-
-// collectSan attaches a sanitizer whose violations are collected instead of
-// panicking.
-func collectSan(e *Engine) (*san.Sanitizer, *[]string) {
-	var got []string
-	s := san.New(e.Now)
-	s.SetOnViolation(func(msg string) { got = append(got, msg) })
-	e.SetSanitizer(s)
-	return s, &got
-}
-
-func TestSanitizerCatchesEventDoubleRelease(t *testing.T) {
+// TestMaxTimeAbortDrainReleasesLeftovers pins the drain-after-abort path:
+// after a horizon abort, Reset must route every leftover event through
+// release, whose generation bump disarms the Timer handles still pointing
+// at the records. If it fed the pool with raw appends instead, the next
+// wave would reuse the records under their old generation, and cancelling
+// through a stale handle would cancel a new event.
+func TestMaxTimeAbortDrainReleasesLeftovers(t *testing.T) {
 	e := New()
-	_, got := collectSan(e)
-	ev := e.alloc(0)
-	e.release(ev)
-	e.release(ev) // planted fault
-	if len(*got) != 1 || !strings.Contains((*got)[0], "double release of des.event") {
-		t.Fatalf("violations = %q, want exactly one double release of des.event", *got)
-	}
-}
-
-// TestMaxTimeAbortDrainReleasesUnderSanitizer pins the drain-after-abort
-// path: after a horizon abort, Reset must route every leftover event through
-// release. If it fed the pool with raw appends instead, the next wave's
-// allocations would trip the sanitizer's alloc-of-live check.
-func TestMaxTimeAbortDrainReleasesUnderSanitizer(t *testing.T) {
-	e := New()
-	_, got := collectSan(e)
 	e.MaxTime = 2
 	e.After(1, func() {})
-	e.After(5, func() { t.Error("event beyond the horizon fired") })
-	e.After(9, func() { t.Error("event beyond the horizon fired") })
+	stale := []Timer{
+		e.After(5, func() { t.Error("event beyond the horizon fired") }),
+		e.After(9, func() { t.Error("event beyond the horizon fired") }),
+	}
 	if err := e.Run(); err == nil {
 		t.Fatal("expected a horizon error from Run")
 	}
@@ -55,14 +31,18 @@ func TestMaxTimeAbortDrainReleasesUnderSanitizer(t *testing.T) {
 	if e.Pending() != 0 {
 		t.Fatalf("Pending() = %d after Reset, want 0", e.Pending())
 	}
-	// Reuse the drained records: provenance must show them released.
-	e.After(1, func() {})
-	e.After(2, func() {})
+	// Reuse the drained records, then cancel through the stale handles.
+	fired := 0
+	e.After(1, func() { fired++ })
+	e.After(2, func() { fired++ })
+	for i := range stale {
+		stale[i].Cancel()
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(*got) != 0 {
-		t.Fatalf("violations = %q, want none: drain must release leftovers", *got)
+	if fired != 2 {
+		t.Fatalf("%d of 2 new events fired: a stale handle cancelled a reused record", fired)
 	}
 }
 

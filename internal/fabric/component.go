@@ -1,12 +1,10 @@
 package fabric
 
 import (
-	"fmt"
 	"math"
 	"slices"
 
 	"hierknem/internal/des"
-	"hierknem/internal/san"
 )
 
 // component is one connected component of the flow/resource graph: the unit
@@ -21,7 +19,7 @@ import (
 //
 // Components share no state outside the membership transfers (absorb,
 // repartition), which is what lets fill be a pure function of one component's
-// membership; equivalence_test.go checks that against ModeGlobal bit for
+// membership; equivalence_test.go checks that against refillAll bit for
 // bit with enableShadow on every sync.
 type component struct {
 	id      uint64
@@ -80,9 +78,6 @@ func (n *Net) allocComponent() *component {
 	n.nextCompID++
 	c.cpos = len(n.comps)
 	c.dead = false
-	if n.san != nil {
-		n.san.PoolAlloc(san.KindComponent, c, compName(c))
-	}
 	n.comps = append(n.comps, c)
 	if len(n.comps) > n.stats.PeakComponents {
 		n.stats.PeakComponents = len(n.comps)
@@ -93,15 +88,6 @@ func (n *Net) allocComponent() *component {
 // recycleComponent returns a dead shell to the free list with its arrays
 // (already emptied by whoever killed it) capped at shellKeep entries.
 func (n *Net) recycleComponent(c *component) {
-	if n.san != nil {
-		who := compName(c)
-		n.san.PoolRelease(san.KindComponent, c, who)
-		if !c.dead {
-			// Still listed in n.comps: the partition goes on using a
-			// shell the free list is about to hand out again.
-			n.san.PoolUse(c, who)
-		}
-	}
 	if cap(c.flows) > shellKeep {
 		c.flows = nil
 	}
@@ -126,9 +112,6 @@ func (n *Net) recycleRetired() {
 	}
 	n.retired = n.retired[:0]
 }
-
-// compName names a component incarnation in sanitizer reports.
-func compName(c *component) string { return fmt.Sprintf("component %d", c.id) }
 
 func (n *Net) markDirty(c *component) {
 	if !c.dirtyFlag {

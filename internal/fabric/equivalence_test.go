@@ -11,7 +11,7 @@ import (
 
 // These tests drive the fabric with collective-shaped workloads (the tree
 // broadcast of Figure 3, the ring pipeline of Figure 5, and a Table II-style
-// random churn) under ModeIncremental and ModeGlobal and require the two
+// random churn) incrementally and with refillAll and require the two
 // runs to be indistinguishable in virtual time: every completion fires at
 // the bit-identical instant, in the same order, with the same rates. The
 // shadow checker is armed in both runs, so every sync is also cross-checked
@@ -32,12 +32,12 @@ type testCluster struct {
 	bp          *Resource
 }
 
-func newTestCluster(t testing.TB, mode Mode, nodes int, backplane bool) *testCluster {
+func newTestCluster(t testing.TB, refillAll bool, nodes int, backplane bool) *testCluster {
 	eng := des.New()
 	net := NewNet(eng)
-	net.setMode(mode)
+	net.refillAll = refillAll
 	net.enableShadow(func(format string, args ...any) {
-		t.Fatalf("shadow mismatch in %v mode: %s", mode, fmt.Sprintf(format, args...))
+		t.Fatalf("shadow mismatch (refillAll=%v): %s", refillAll, fmt.Sprintf(format, args...))
 	})
 	c := &testCluster{eng: eng, net: net}
 	for i := 0; i < nodes; i++ {
@@ -60,30 +60,31 @@ func (c *testCluster) netPath(src, dst int) []*Resource {
 
 type recorder func(format string, args ...any)
 
-// runWorkload builds a cluster in the given mode, lets body schedule its
-// flows, runs to completion and returns the event log and allocator stats.
-func runWorkload(t *testing.T, mode Mode, nodes int, backplane bool,
+// runWorkload builds a cluster (refilling everything on every sync when
+// refillAll is set), lets body schedule its flows, runs to completion and
+// returns the event log and allocator stats.
+func runWorkload(t *testing.T, refillAll bool, nodes int, backplane bool,
 	body func(c *testCluster, rec recorder)) ([]string, RecomputeStats, *testCluster) {
 	t.Helper()
-	c := newTestCluster(t, mode, nodes, backplane)
+	c := newTestCluster(t, refillAll, nodes, backplane)
 	var events []string
 	rec := func(format string, args ...any) {
 		events = append(events, fmt.Sprintf(format, args...))
 	}
 	body(c, rec)
 	if err := c.eng.Run(); err != nil {
-		t.Fatalf("%v mode: %v", mode, err)
+		t.Fatalf("refillAll=%v: %v", refillAll, err)
 	}
 	return events, c.net.Stats(), c
 }
 
-// requireEquivalent runs body under both modes and asserts bit-identical
+// requireEquivalent runs body both ways and asserts bit-identical
 // virtual behavior plus tolerance-checked byte integrals.
 func requireEquivalent(t *testing.T, nodes int, backplane bool,
 	body func(c *testCluster, rec recorder)) (inc, glob RecomputeStats) {
 	t.Helper()
-	evInc, stInc, cInc := runWorkload(t, ModeIncremental, nodes, backplane, body)
-	evGlob, stGlob, cGlob := runWorkload(t, ModeGlobal, nodes, backplane, body)
+	evInc, stInc, cInc := runWorkload(t, false, nodes, backplane, body)
+	evGlob, stGlob, cGlob := runWorkload(t, true, nodes, backplane, body)
 
 	if len(evInc) == 0 {
 		t.Fatal("workload recorded no events")
@@ -118,7 +119,7 @@ func requireEquivalent(t *testing.T, nodes int, backplane bool,
 	}
 
 	// Byte and busy-time integrals telescope over different sub-intervals
-	// (ModeGlobal integrates every resource at every sync), so they agree
+	// (refillAll integrates every resource at every sync), so they agree
 	// only up to rounding.
 	ri, rg := cInc.net.Resources(), cGlob.net.Resources()
 	if len(ri) != len(rg) {
@@ -411,15 +412,5 @@ func TestShadowCatchesCorruption(t *testing.T) {
 	}
 	if caught == 0 {
 		t.Fatal("shadow checker missed a corrupted rate")
-	}
-}
-
-// TestModeString pins the mode names used in benchmark output.
-func TestModeString(t *testing.T) {
-	if ModeIncremental.String() != "incremental" || ModeGlobal.String() != "global" {
-		t.Fatalf("mode names changed: %v, %v", ModeIncremental, ModeGlobal)
-	}
-	if got := Mode(99).String(); got == "" {
-		t.Fatal("unknown mode must still render")
 	}
 }

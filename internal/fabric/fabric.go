@@ -51,7 +51,7 @@
 // bundles: a bundle adds m to each resource's weight and takes m away when it
 // freezes. The weights only ever hold whole numbers, so adding m once is
 // bit-for-bit adding 1 m times, and the rates are exactly the per-flow ones
-// (shadow.go's per-flow shadowFill checks that on every sync under test).
+// (the tests' per-flow shadowFill checks that on every sync).
 //
 // Bundles also bound splits: a flow that leaves while its bundle survives
 // cannot disconnect anything, because its twins still cover every resource
@@ -59,12 +59,12 @@
 // re-partition, and the union-find of that re-partition runs over bundle
 // paths rather than flow paths.
 //
-// ModeGlobal re-derives the partition and refills every component on every
-// event; by the invariants above it produces the same event sequence as
-// ModeIncremental and serves as the reference for the equivalence tests.
-// The shadow checker (see shadow.go) additionally cross-checks every sync
-// against a from-scratch partition and against the seed's one-pass global
-// filling algorithm.
+// With refillAll set, the Net re-derives the partition and refills every
+// component on every event; by the invariants above it produces the same
+// event sequence as the incremental default and serves as the reference for
+// the equivalence tests. The tests' shadow checker (shadow_test.go, hung on
+// afterSync) additionally cross-checks every sync against a from-scratch
+// partition and against the seed's one-pass global filling algorithm.
 //
 // # Allocation
 //
@@ -103,7 +103,6 @@ import (
 	"math"
 
 	"hierknem/internal/des"
-	"hierknem/internal/san"
 )
 
 // Resource is a capacity-limited transport element (link direction, NIC
@@ -226,25 +225,6 @@ func (f *Flow) doneAt(now float64) float64 {
 // Completed reports whether the flow finished normally.
 func (f *Flow) Completed() bool { return f.completed }
 
-// Mode selects how the Net recomputes allocations after each event.
-type Mode int
-
-const (
-	// ModeIncremental (the default) recomputes only the connected
-	// component(s) touched by the event.
-	ModeIncremental Mode = iota
-	// ModeGlobal re-partitions and refills every component on every
-	// event — the reference the equivalence tests compare against.
-	ModeGlobal
-)
-
-func (m Mode) String() string {
-	if m == ModeGlobal {
-		return "global"
-	}
-	return "incremental"
-}
-
 // Net owns a set of resources and active flows on one des.Engine.
 type Net struct {
 	eng        *des.Engine
@@ -255,11 +235,16 @@ type Net struct {
 	nextID     uint64
 	nextCompID uint64
 
-	mode          Mode
 	syncScheduled bool
 	syncFn        func() // the sync event body, built once in NewNet
 	stats         RecomputeStats
-	shadow        func(format string, args ...any)
+
+	// refillAll makes every sync re-partition and refill every component,
+	// not only the dirty ones: the reference the equivalence tests compare
+	// the incremental default against. afterSync, when non-nil, runs at the
+	// end of every sync (the tests' shadow checker).
+	refillAll bool
+	afterSync func()
 
 	// flowPool is the recycled pooled-record free list (see Flow.pooled).
 	// Which dead record a StartAfter reuses never shows in the event log:
@@ -280,11 +265,6 @@ type Net struct {
 	// last flow and is never listed anywhere after that, so it is recycled
 	// at once.
 	bundlePool []*bundle
-
-	// san, when non-nil, tracks pooled flow records and component shells
-	// (hiersan). Nil-guarded at every hook so the disabled hot path stays
-	// allocation-free.
-	san *san.Sanitizer
 
 	// Overlap accounting: virtual time during which at least one flow of
 	// a class was active, and during which two classes were concurrently
@@ -309,13 +289,6 @@ func NewNet(eng *des.Engine) *Net {
 	}
 	return n
 }
-
-// SetSanitizer attaches (or, with nil, detaches) a hiersan runtime that
-// audits the pooled flow and component-shell free lists.
-func (n *Net) SetSanitizer(s *san.Sanitizer) { n.san = s }
-
-// setMode selects the recompute mode; the next sync applies it.
-func (n *Net) setMode(m Mode) { n.mode = m }
 
 // Stats returns the recompute counters accumulated so far.
 func (n *Net) Stats() RecomputeStats {
@@ -366,22 +339,6 @@ func (n *Net) Reset() {
 	clear(n.overlapBusy)
 	clear(n.classCount)
 	n.lastClass = 0
-}
-
-// enableShadow turns on the always-on-in-tests cross-check: after every
-// sync the Net re-derives the component partition and all rates from
-// scratch and compares them against the incrementally maintained state
-// (exactly), and against the seed's one-pass global filling (within a tight
-// relative tolerance — its fp delta sequence differs). onMismatch receives
-// a description of any divergence; nil means panic, which is what the tests
-// want.
-func (n *Net) enableShadow(onMismatch func(format string, args ...any)) {
-	if onMismatch == nil {
-		onMismatch = func(format string, args ...any) {
-			panic("fabric shadow: " + fmt.Sprintf(format, args...))
-		}
-	}
-	n.shadow = onMismatch
 }
 
 // classIndex returns the interned index of a class name, or -1 if no flow
@@ -535,18 +492,12 @@ func (n *Net) allocFlow() *Flow {
 		f = &Flow{owner: n, cidx: -1, pooled: true}
 		f.installFn = func() { n.install(f) }
 	}
-	if n.san != nil {
-		n.san.PoolAlloc(san.KindFlow, f, "")
-	}
 	return f
 }
 
 // recycleFlow returns a pooled record to the free list, clearing references
 // so recycled flows do not pin paths or callbacks.
 func (n *Net) recycleFlow(f *Flow) {
-	if n.san != nil {
-		n.san.PoolRelease(san.KindFlow, f, "")
-	}
 	f.Path = nil
 	f.pathBuf = [2]*Resource{}
 	f.Class = ""
@@ -657,11 +608,11 @@ func (n *Net) requestSync() {
 	n.eng.At(n.eng.Now(), n.syncFn)
 }
 
-// sync recomputes every dirty component (all of them in ModeGlobal), then
-// runs the shadow cross-check when enabled.
+// sync recomputes every dirty component (all of them under refillAll), then
+// runs the afterSync hook when set.
 func (n *Net) sync() {
 	n.stats.Syncs++
-	if n.mode == ModeGlobal {
+	if n.refillAll {
 		for _, c := range n.comps {
 			c.splitFlag = true
 			n.markDirty(c)
@@ -679,8 +630,8 @@ func (n *Net) sync() {
 	}
 	n.dirty = n.dirty[:0]
 	n.recycleRetired()
-	if n.shadow != nil {
-		n.runShadow()
+	if n.afterSync != nil {
+		n.afterSync()
 	}
 }
 
@@ -735,7 +686,7 @@ func (n *Net) onCompletionTimer(c *component) {
 // earliest deadline next (fill's write-back finds it). The timer is left
 // untouched when that deadline is unchanged, so a refill that does not alter
 // the component's rates does not perturb the engine's event sequence — the
-// keystone of ModeGlobal and ModeIncremental producing identical runs.
+// keystone of refillAll and incremental runs being identical.
 func (n *Net) scheduleCompletion(c *component, next float64) {
 	if math.IsInf(next, 1) {
 		if len(c.flows) > 0 {

@@ -55,7 +55,7 @@ func TestWarmChurnCycleAllocatesNothing(t *testing.T) {
 	}
 	// The shadow checker builds maps on every sync; it vouched for the
 	// warm-up cycles above and steps aside for the count.
-	net.shadow = nil
+	net.afterSync = nil
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
 		t.Fatalf("warm churn cycle allocates %v per run, want 0", n)
 	}
@@ -149,7 +149,7 @@ func TestResetReplayWithWarmPool(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := newTestCluster(t, ModeIncremental, tc.nodes, false)
+			c := newTestCluster(t, false, tc.nodes, false)
 			run := func() ([]string, RecomputeStats) {
 				var log []string
 				tc.body(c, func(format string, args ...any) {

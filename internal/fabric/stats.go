@@ -5,8 +5,9 @@ import "fmt"
 // RecomputeStats counts the work the allocator performed. The headline
 // number for the incremental-vs-global comparison is ResourceVisits: every
 // time the allocator reads or writes one resource during progressive
-// filling or re-partitioning. ModeGlobal revisits every resource on every
-// sync; ModeIncremental only visits the component(s) an event touched.
+// filling or re-partitioning. A refillAll Net revisits every resource on
+// every sync; the incremental default only visits the component(s) an event
+// touched.
 //
 // ResourceVisits counts, per fill, the component's resources once for the
 // set-up and twice per round, and, per re-partition, one visit per path

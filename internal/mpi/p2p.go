@@ -6,7 +6,6 @@ import (
 	"hierknem/internal/buffer"
 	"hierknem/internal/des"
 	"hierknem/internal/fabric"
-	"hierknem/internal/san"
 	"hierknem/internal/shm"
 	"hierknem/internal/topology"
 )
@@ -82,11 +81,6 @@ func (p *Proc) Wait(r *Request) {
 	}
 	if o := r.owner; o != nil {
 		r.owner = nil
-		if s := p.world.san; s != nil {
-			// Catches a Request waited on after its record was recycled
-			// (e.g. a request handle reused across WaitAll rounds).
-			s.PoolUse(o, p.name)
-		}
 		o.release()
 	}
 }
@@ -137,9 +131,6 @@ func (env *envelope) release() {
 		return
 	}
 	p := env.sender
-	if s := p.world.san; s != nil {
-		s.PoolRelease(san.KindEnvelope, env, p.name)
-	}
 	// sendReq.done is deliberately left set (callers may poll Done after
 	// WaitAll); allocEnv resets the request on reuse.
 	env.bufv = buffer.Buffer{}
@@ -169,9 +160,6 @@ func (p *Proc) allocEnv() *envelope {
 	}
 	env.refs = 2 // the caller's *Request + the transfer's finish
 	env.sanRead = -1
-	if s := p.world.san; s != nil {
-		s.PoolAlloc(san.KindEnvelope, env, p.name)
-	}
 	return env
 }
 
@@ -200,9 +188,6 @@ func (po *posting) release() {
 		return
 	}
 	p := po.receiver
-	if s := p.world.san; s != nil {
-		s.PoolRelease(san.KindPosting, po, p.name)
-	}
 	po.bufv = buffer.Buffer{}
 	p.poPool = append(p.poPool, po)
 }
@@ -220,9 +205,6 @@ func (p *Proc) allocPosting() *posting {
 	}
 	po.refs = 2 // the caller's *Request + the transfer's finish
 	po.sanWrite = -1
-	if s := p.world.san; s != nil {
-		s.PoolAlloc(san.KindPosting, po, p.name)
-	}
 	return po
 }
 

@@ -1,7 +1,6 @@
 package mpi
 
-// Seeded-fault fixtures for hiersan at the MPI layer: planted envelope and
-// posting pool faults must fire with rank diagnostics, an unsynchronized
+// Seeded-fault fixtures for hiersan at the MPI layer: an unsynchronized
 // overlapping single-copy must trip the virtual-time conflict checker with
 // rank/vtime detail, and a drained queue with outstanding operations must
 // produce a stall autopsy naming the pending receive and the unmatched send.
@@ -21,36 +20,6 @@ func collectViolations(w *World) *[]string {
 	var got []string
 	w.EnableSanitizer().SetOnViolation(func(msg string) { got = append(got, msg) })
 	return &got
-}
-
-func TestSanitizerEnvelopeDoubleRelease(t *testing.T) {
-	w := newToyWorld(t, 1, 1, 2, 2)
-	got := collectViolations(w)
-	p := w.Proc(0)
-	env := p.allocEnv()
-	env.refs = 1
-	env.release()
-	env.refs = 1
-	env.release() // planted fault: second recycle of the same record
-	if len(*got) != 1 || !strings.Contains((*got)[0], "double release of mpi.envelope") {
-		t.Fatalf("violations = %q, want one double release of mpi.envelope", *got)
-	}
-	if !strings.Contains((*got)[0], "rank0") {
-		t.Fatalf("violation %q does not name the rank", (*got)[0])
-	}
-}
-
-func TestSanitizerPostingUseAfterRelease(t *testing.T) {
-	w := newToyWorld(t, 1, 1, 2, 2)
-	got := collectViolations(w)
-	p := w.Proc(0)
-	po := p.allocPosting()
-	po.refs = 1
-	po.release()
-	w.Sanitizer().PoolUse(po, p.name) // planted fault: touch after recycle
-	if len(*got) != 1 || !strings.Contains((*got)[0], "use after release of mpi.posting") {
-		t.Fatalf("violations = %q, want one use-after-release of mpi.posting", *got)
-	}
 }
 
 // TestSanitizerDetectsOverlappingCopy plants the bug class the conflict

@@ -1,6 +1,6 @@
 package mpi
 
-// Stall autopsy (hiersan checker 3): when the event queue drains while
+// Stall autopsy (hiersan checker 2): when the event queue drains while
 // ranks are still parked, the bare engine can only name the stuck
 // processes. World.Run therefore wraps every deadlock in a StallError
 // carrying every pending point-to-point operation — which rank waits on

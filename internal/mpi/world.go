@@ -147,13 +147,12 @@ func NewWorld(m *topology.Machine, b *topology.Binding, conf Config) (*World, er
 }
 
 // EnableSanitizer attaches a hiersan runtime to the world and every layer
-// under it (engine, fabric, KNEM devices), returning it so tests can install
+// under it (engine, KNEM devices), returning it so tests can install
 // a violation collector. Idempotent. NewWorld calls it automatically when
 // HIERSAN=1 is set in the environment. The sanitizer schedules no events
 // and never advances the clock, so an instrumented run is event-for-event
-// identical to a bare one; it only turns virtual-time hazards — double
-// release, use after release, unsynchronized overlapping buffer accesses —
-// into immediate, diagnosable violations.
+// identical to a bare one; it only turns unsynchronized overlapping buffer
+// accesses into immediate, diagnosable violations.
 func (w *World) EnableSanitizer() *san.Sanitizer {
 	if w.san != nil {
 		return w.san
@@ -161,7 +160,6 @@ func (w *World) EnableSanitizer() *san.Sanitizer {
 	s := san.New(w.Machine.Eng.Now)
 	w.san = s
 	w.Machine.Eng.SetSanitizer(s)
-	w.Machine.Fab.SetSanitizer(s)
 	for _, d := range w.Knem {
 		d.SetSanitizer(s)
 	}
@@ -195,8 +193,6 @@ func (w *World) Reset() {
 	w.worldComm = nil
 	w.BytesCross = 0
 	if w.san != nil {
-		// After Machine.Reset: the engine's drain has already routed
-		// leftover events through release, under the sanitizer's eyes.
 		w.san.Reset()
 	}
 }

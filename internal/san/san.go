@@ -1,14 +1,7 @@
 // Package san is hiersan, the simulator's opt-in dynamic sanitizer. It
-// checks the hazards that happen in *virtual* time on a single scheduler
-// goroutine — invisible to go test -race by construction — and that the
-// static hierlint analyzers can only approximate:
-//
-//   - Pool provenance. The des engine, the mpi layer and the fabric recycle
-//     records (events, envelopes, postings, flows, component shells) through
-//     free lists. A generation record is kept per pooled object, so a double
-//     release or a use after release trips immediately, with the offender's
-//     rank and the virtual time of both touches, instead of corrupting an
-//     unrelated message several events later.
+// checks a hazard that happens in *virtual* time on a single scheduler —
+// invisible to go test -race by construction, since a world's hooks all run
+// on one coroutine at a time:
 //
 //   - Virtual-time buffer conflicts. Collectives and KNEM devices register
 //     (rank, buffer, [off,end), vtime-interval, R/W) access windows. Two
@@ -36,30 +29,11 @@ package san
 import (
 	"fmt"
 	"os"
-	"sync"
-)
-
-// Kinds of pooled records tracked by the provenance checker.
-const (
-	KindEvent     = "des.event"
-	KindEnvelope  = "mpi.envelope"
-	KindPosting   = "mpi.posting"
-	KindFlow      = "fabric.flow"
-	KindComponent = "fabric.component"
 )
 
 // EnvEnabled reports whether the HIERSAN environment variable asks for the
 // sanitizer (mpi.NewWorld consults it). Only the literal "1" enables.
 func EnvEnabled() bool { return os.Getenv("HIERSAN") == "1" }
-
-// poolRec is the provenance record of one pooled object.
-type poolRec struct {
-	kind string
-	live bool
-	gen  uint64 // allocation count; bumped on every reuse
-	at   float64
-	who  string
-}
 
 // window is one registered buffer access. Slots are handle-indexed and
 // reused through a free list; a closed window survives only until the clock
@@ -77,23 +51,12 @@ type window struct {
 }
 
 // Sanitizer is one world's dynamic checker. The zero value is not usable;
-// create one with New. Every public hook takes an internal mutex: in the
-// engine's parallel mode, pool and access hooks fire concurrently from
-// in-window worker goroutines, and the checker's state (provenance map,
-// window table, union-find) is global to the world. Within a window the
-// engine clock is frozen at the window floor, so all in-phase accesses stamp
-// the same instant — cross-rank ordering inside a window comes from the sync
-// edges the engine records on every wake and outbox handoff, exactly the
-// instant-scoped edges the conflict rule already consumes. Serial mode pays
-// one uncontended lock per hook, and the disabled hot path (nil-guarded at
-// every call site) still pays nothing.
+// create one with New. It takes no lock: a world's hooks run on one
+// coroutine at a time.
 type Sanitizer struct {
-	mu          sync.Mutex
 	now         func() float64
 	onViolation func(msg string)
 	violations  int
-
-	pool map[any]*poolRec
 
 	windows []window
 	free    []int
@@ -110,7 +73,6 @@ type Sanitizer struct {
 func New(now func() float64) *Sanitizer {
 	return &Sanitizer{
 		now:    now,
-		pool:   make(map[any]*poolRec),
 		parent: make(map[int]int),
 	}
 }
@@ -120,18 +82,11 @@ func New(now func() float64) *Sanitizer {
 func (s *Sanitizer) SetOnViolation(fn func(msg string)) { s.onViolation = fn }
 
 // Violations returns the number of violations reported so far.
-func (s *Sanitizer) Violations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.violations
-}
+func (s *Sanitizer) Violations() int { return s.violations }
 
-// Reset clears all provenance records, access windows and sync edges,
-// matching a World/Engine reset. The violation handler survives.
+// Reset clears all access windows and sync edges, matching a World/Engine
+// reset. The violation handler survives.
 func (s *Sanitizer) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	clear(s.pool)
 	s.windows = s.windows[:0]
 	s.free = s.free[:0]
 	s.recent = s.recent[:0]
@@ -170,73 +125,6 @@ func (s *Sanitizer) advance() float64 {
 	return now
 }
 
-// PoolAlloc records that a pooled record of the given kind entered service.
-// who names the acting rank ("" for engine-level records).
-func (s *Sanitizer) PoolAlloc(kind string, rec any, who string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.advance()
-	pr := s.pool[rec]
-	if pr == nil {
-		s.pool[rec] = &poolRec{kind: kind, live: true, gen: 1, at: now, who: who}
-		return
-	}
-	if pr.live {
-		s.violate("san: alloc of live %s (gen %d) by %s at t=%g: allocated by %s at t=%g",
-			pr.kind, pr.gen, orEngine(who), now, orEngine(pr.who), pr.at)
-	}
-	pr.live = true
-	pr.gen++
-	pr.at = now
-	pr.who = who
-}
-
-// PoolRelease records that a pooled record left service (returned to its
-// free list). Releasing a record that is not live is the double-release bug
-// class and fires a violation.
-func (s *Sanitizer) PoolRelease(kind string, rec any, who string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.advance()
-	pr := s.pool[rec]
-	if pr == nil {
-		// Record predates the sanitizer (pools warm before attach); adopt
-		// it in the released state so its next life is tracked.
-		s.pool[rec] = &poolRec{kind: kind, at: now, who: who}
-		return
-	}
-	if !pr.live {
-		s.violate("san: double release of %s (gen %d) by %s at t=%g: already released by %s at t=%g",
-			pr.kind, pr.gen, orEngine(who), now, orEngine(pr.who), pr.at)
-		return
-	}
-	pr.live = false
-	pr.at = now
-	pr.who = who
-}
-
-// PoolUse asserts that a pooled record is in service. Unknown records (never
-// seen by the sanitizer) pass; a known record in the released state is the
-// use-after-release bug class.
-func (s *Sanitizer) PoolUse(rec any, who string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.advance()
-	pr := s.pool[rec]
-	if pr == nil || pr.live {
-		return
-	}
-	s.violate("san: use after release of %s (gen %d) by %s at t=%g: released by %s at t=%g",
-		pr.kind, pr.gen, orEngine(who), now, orEngine(pr.who), pr.at)
-}
-
-func orEngine(who string) string {
-	if who == "" {
-		return "engine"
-	}
-	return who
-}
-
 // BeginAccess opens an access window: rank (a des proc identity) touches
 // bytes [off, off+n) of allocation buf from the current instant until the
 // matching EndAccess, reading or writing. It returns a handle for EndAccess;
@@ -244,8 +132,6 @@ func orEngine(who string) string {
 // against every overlapping window of another rank that is still in flight,
 // or that closed at the current instant without a sync edge to rank.
 func (s *Sanitizer) BeginAccess(rank int, who string, buf uint64, off, n int64, write bool) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if n <= 0 {
 		return -1
 	}
@@ -293,8 +179,6 @@ func rw(write bool) string {
 // no-op). The window stays visible to conflict checks until the clock
 // leaves the current instant.
 func (s *Sanitizer) EndAccess(h int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if h < 0 {
 		return
 	}
@@ -312,8 +196,6 @@ func (s *Sanitizer) EndAccess(h int) {
 // begins at this instant. Edges are transitive within the instant and
 // expire when the clock advances.
 func (s *Sanitizer) SyncEdge(a, b int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if a == b {
 		return
 	}

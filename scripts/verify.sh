@@ -9,13 +9,14 @@
 #             printed; also gates that all three analyzers are registered.
 #   test      the full suite without the race detector (internal/core's
 #             per-call malloc guard, hierbench's -exp all golden and the
-#             seeded sanitizer faults included), except ./bench, whose
-#             tests benchsmoke runs
+#             seeded overlapping-copy and stall fixtures included), except
+#             ./bench, whose tests benchsmoke runs
 #   race      the race detector, only over code that starts goroutines:
 #             the sweep pool, the coroutine pool, hierbench's sweeps and
 #             bench's RSS poller (-short), and the root isolation tests
 #   san       the conformance/isolation suites under HIERSAN=1 (the hiersan
-#             dynamic sanitizer)
+#             dynamic sanitizer: virtual-time buffer conflicts between
+#             ranks)
 #   fuzz      10s FuzzMatch smoke over the p2p matching machinery
 #   benchsmoke  the repository benchmark's own gate (bench/ci.sh, called as
 #             it stands): vet, hierlint and tests of ./bench, then a -quick

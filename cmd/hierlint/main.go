@@ -1,7 +1,7 @@
 // Command hierlint runs the simulator's custom static-analysis suite
 // (internal/lint) over Go packages and reports invariant violations:
-// leaked Isend/Irecv requests, discarded module-API errors, and
-// package-level mutable state reachable from a simulation run.
+// discarded module-API errors and package-level mutable state reachable
+// from a simulation run.
 //
 // Usage:
 //

@@ -51,6 +51,12 @@ func TestFacadeWorldConstruction(t *testing.T) {
 			}
 		}
 	}
+	nan := spec
+	nan.NetLatency = math.NaN()
+	want := "topology: parapluie: NetLatency = NaN"
+	if _, err := hierknem.NewWorld(nan, "bycore", 48); err == nil || err.Error() != want {
+		t.Fatalf("NewWorld(NetLatency=NaN): err = %v, want %q", err, want)
+	}
 }
 
 func TestFacadeLineupAndModules(t *testing.T) {
@@ -94,34 +100,82 @@ func TestFacadeEndToEndCollective(t *testing.T) {
 	}
 }
 
-// A stall reaches facade users as a stall autopsy even without HIERSAN=1:
-// two ranks each receiving from the other get a *mpi.StallError naming both
-// pending receives, which still unwraps to the engine's *des.DeadlockError.
-func TestFacadeStallAutopsyWithoutSanitizer(t *testing.T) {
+// TestFacadeBadRankPrograms: a rank program that deadlocks or leaves a
+// request uncollected ends in a typed error at the facade, never a panic, a
+// hang or a silent nil, and without HIERSAN=1. A deadlock is a
+// *mpi.StallError naming both pending receives (and still unwrapping to
+// the engine's *des.DeadlockError); a rank body that returns holding a
+// request it never waited on is a *mpi.UncollectedError naming the rank.
+func TestFacadeBadRankPrograms(t *testing.T) {
 	t.Setenv("HIERSAN", "")
-	w, err := hierknem.NewWorld(hierknem.Parapluie(1), "bycore", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Sanitizer() != nil {
-		t.Fatal("sanitizer attached with HIERSAN unset")
-	}
-	err = w.Run(func(p *hierknem.Proc) {
-		c := w.WorldComm()
-		p.Recv(c, buffer.NewReal(make([]byte, 8)), 1-c.Rank(p), 5)
-	})
-	var se *mpi.StallError
-	if !errors.As(err, &se) {
-		t.Fatalf("error is %T, want *mpi.StallError: %v", err, err)
-	}
-	var dl *des.DeadlockError
-	if !errors.As(err, &dl) {
-		t.Error("StallError must unwrap to *des.DeadlockError")
-	}
-	for _, want := range []string{"rank0: recv pending", "src=rank1 tag=5", "rank1: recv pending", "src=rank0 tag=5"} {
-		if !strings.Contains(se.Report, want) {
-			t.Errorf("stall report lacks %q:\n%s", want, se.Report)
-		}
+	for _, tc := range []struct {
+		name  string
+		body  func(p *hierknem.Proc, c *hierknem.Comm)
+		check func(t *testing.T, err error)
+	}{
+		{"deadlock", func(p *hierknem.Proc, c *hierknem.Comm) {
+			p.Recv(c, buffer.NewReal(make([]byte, 8)), 1-c.Rank(p), 5)
+		}, func(t *testing.T, err error) {
+			var se *mpi.StallError
+			if !errors.As(err, &se) {
+				t.Fatalf("error is %T, want *mpi.StallError: %v", err, err)
+			}
+			var dl *des.DeadlockError
+			if !errors.As(err, &dl) {
+				t.Error("StallError must unwrap to *des.DeadlockError")
+			}
+			for _, want := range []string{"rank0: recv pending", "src=rank1 tag=5", "rank1: recv pending", "src=rank0 tag=5"} {
+				if !strings.Contains(se.Report, want) {
+					t.Errorf("stall report lacks %q:\n%s", want, se.Report)
+				}
+			}
+		}},
+		{"unmatched Irecv left uncollected", func(p *hierknem.Proc, c *hierknem.Comm) {
+			if c.Rank(p) == 0 {
+				p.Irecv(c, buffer.NewReal(make([]byte, 8)), 1, 5)
+			}
+		}, func(t *testing.T, err error) {
+			var ue *mpi.UncollectedError
+			if !errors.As(err, &ue) {
+				t.Fatalf("error is %T, want *mpi.UncollectedError: %v", err, err)
+			}
+			if len(ue.Open) != 1 || ue.Open[0] != 1 {
+				t.Errorf("Open = %v, want rank 0 holding 1 request", ue.Open)
+			}
+			if want := "rank0: recv pending ctx=0 src=rank1 tag=5"; !strings.Contains(ue.Report, want) {
+				t.Errorf("report lacks %q:\n%s", want, ue.Report)
+			}
+		}},
+		{"matched Isend never waited", func(p *hierknem.Proc, c *hierknem.Comm) {
+			buf := buffer.NewPhantom(1 << 20)
+			if c.Rank(p) == 0 {
+				p.Isend(c, buf, 1, 5)
+			} else {
+				p.Recv(c, buf, 0, 5)
+			}
+		}, func(t *testing.T, err error) {
+			var ue *mpi.UncollectedError
+			if !errors.As(err, &ue) {
+				t.Fatalf("error is %T, want *mpi.UncollectedError: %v", err, err)
+			}
+			if len(ue.Open) != 1 || ue.Open[0] != 1 || ue.Report != "" {
+				t.Errorf("Open = %v, Report = %q; want rank 0 holding 1 completed request", ue.Open, ue.Report)
+			}
+			if want := "rank0 (1)"; !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := hierknem.NewWorld(hierknem.Parapluie(1), "bycore", 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w.Sanitizer() != nil {
+				t.Fatal("sanitizer attached with HIERSAN unset")
+			}
+			tc.check(t, w.Run(func(p *hierknem.Proc) { tc.body(p, w.WorldComm()) }))
+		})
 	}
 }
 

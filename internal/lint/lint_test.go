@@ -40,7 +40,7 @@ func TestCleanFixture(t *testing.T) {
 
 // TestByName covers registry lookup.
 func TestByName(t *testing.T) {
-	for _, name := range []string{"requesthygiene", "errcheck", "runisolation"} {
+	for _, name := range []string{"errcheck", "runisolation"} {
 		if lint.ByName(name) == nil {
 			t.Errorf("ByName(%q) = nil, want analyzer", name)
 		}
@@ -174,17 +174,17 @@ func TestSortDiagnostics(t *testing.T) {
 	in := []lint.Diagnostic{
 		mk("b.go", 1, 1, "errcheck", "z"),
 		mk("a.go", 9, 2, "runisolation", "m"),
-		mk("a.go", 9, 1, "requesthygiene", "m"),
-		mk("a.go", 9, 2, "requesthygiene", "b"),
-		mk("a.go", 9, 2, "requesthygiene", "a"),
+		mk("a.go", 9, 1, "errcheck", "m"),
+		mk("a.go", 9, 2, "errcheck", "b"),
+		mk("a.go", 9, 2, "errcheck", "a"),
 		mk("a.go", 3, 7, "errcheck", "x"),
 	}
 	lint.SortDiagnostics(in)
 	want := []string{
 		"a.go:3:7: [errcheck] x",
-		"a.go:9:1: [requesthygiene] m",
-		"a.go:9:2: [requesthygiene] a",
-		"a.go:9:2: [requesthygiene] b",
+		"a.go:9:1: [errcheck] m",
+		"a.go:9:2: [errcheck] a",
+		"a.go:9:2: [errcheck] b",
 		"a.go:9:2: [runisolation] m",
 		"b.go:1:1: [errcheck] z",
 	}

@@ -1,22 +1,9 @@
 // Package clean is the hierlint golden fixture that must produce zero
-// diagnostics under every analyzer: hygienic request lifecycles, checked
-// errors, and deliberately suppressed violations exercising the
-// //lint:ignore directive.
+// diagnostics under every analyzer: checked errors, and deliberately
+// suppressed violations exercising the //lint:ignore directive.
 package clean
 
-import (
-	"hierknem/internal/buffer"
-	"hierknem/internal/des"
-	"hierknem/internal/mpi"
-)
-
-// exchange is a fully hygienic ping-pong: post both, wait both.
-func exchange(p *mpi.Proc, c *mpi.Comm, sb, rb *buffer.Buffer) {
-	r := p.Irecv(c, rb, 1, 0)
-	s := p.Isend(c, sb, 1, 0)
-	p.Wait(r)
-	p.Wait(s)
-}
+import "hierknem/internal/des"
 
 // run propagates the engine's error.
 func run(eng *des.Engine) error {

@@ -2,48 +2,8 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"strings"
 )
-
-// inspectStack walks the tree rooted at n, calling fn for every node with
-// the stack of enclosing nodes (outermost first, not including the node
-// itself). Returning false prunes the subtree.
-func inspectStack(n ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(n, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		ok := fn(n, stack)
-		stack = append(stack, n)
-		if !ok {
-			// Still pushed; Inspect will send the matching nil pop only if
-			// we return true, so pop eagerly and prune.
-			stack = stack[:len(stack)-1]
-		}
-		return ok
-	})
-}
-
-// funcBodies yields every function body in the file: declarations and,
-// through normal traversal inside them, any nested literals are part of the
-// same subtree (callers walk the whole body).
-func funcBodies(f *ast.File) []*ast.FuncDecl {
-	var out []*ast.FuncDecl
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-			out = append(out, fd)
-		}
-	}
-	return out
-}
-
-// within reports whether pos lies inside node's source range.
-func within(node ast.Node, pos ast.Node) bool {
-	return node.Pos() <= pos.Pos() && pos.End() <= node.End()
-}
 
 // ignoreDirective is the comment prefix that suppresses a finding.
 const ignoreDirective = "//lint:ignore"

@@ -32,11 +32,7 @@ func toySpec(nodes, sockets, cores int) topology.Spec {
 }
 
 func toyConf() Config {
-	return Config{
-		EagerThreshold:      8,
-		SendOverhead:        0.25,
-		RendezvousHandshake: 1,
-	}
+	return Config{SendOverhead: 0.25}
 }
 
 func newToyWorld(t *testing.T, nodes, sockets, cores, np int) *World {

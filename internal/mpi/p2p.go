@@ -18,14 +18,13 @@ const (
 
 // Request tracks a pending non-blocking operation. A Request is single-use:
 // it must not be waited on or read after Wait has returned for it (the
-// containing record is recycled).
+// containing record is recycled). Only the rank that issued it may wait on
+// it, and it must: World.Run reports a rank body that returns holding an
+// uncollected request (see UncollectedError).
 type Request struct {
 	done bool
-	// waiter is the single inline waiter slot — almost every request is
-	// waited on by exactly one process, and the inline slot keeps that
-	// common case allocation-free. waiters is the overflow.
-	waiter  *des.Proc
-	waiters []*des.Proc
+	// waiter is the issuing process while it is parked on the request.
+	waiter *des.Proc
 	// overhead is per-message protocol CPU charged to the waiter once,
 	// when it collects the completed request (LogGP's receiver "o").
 	overhead float64
@@ -35,8 +34,12 @@ type Request struct {
 	owner releaser
 }
 
-// releaser is a pooled record that counts outstanding references.
-type releaser interface{ release() }
+// releaser is a pooled record that counts outstanding references; issuer
+// is the rank whose Isend or Irecv minted it.
+type releaser interface {
+	release()
+	issuer() *Proc
+}
 
 // Done reports completion (for Test-style polling).
 func (r *Request) Done() bool { return r.done }
@@ -50,37 +53,30 @@ func (r *Request) complete() {
 		r.waiter.Wake()
 		r.waiter = nil
 	}
-	for _, w := range r.waiters {
-		w.Wake()
-	}
-	r.waiters = nil
 }
 
 // Wait blocks until the request completes, then absorbs any per-message
-// protocol CPU attached to it. The waiter registers once: a spurious wake
-// (a latched Wake for some other request) must not append a duplicate
-// entry, which would both leak memory and issue redundant wakes on
-// completion.
+// protocol CPU attached to it and collects it. It panics when p did not
+// issue r: a request has exactly one waiter, its issuer.
 func (p *Proc) Wait(r *Request) {
-	registered := false
+	o := r.owner
+	if o != nil && o.issuer() != p {
+		panic(fmt.Sprintf("mpi: %s waits on a request issued by %s", p.name, o.issuer().name))
+	}
 	for !r.done {
-		if !registered {
-			if r.waiter == nil {
-				r.waiter = p.dp
-			} else {
-				r.waiters = append(r.waiters, p.dp)
-			}
-			registered = true
-		}
+		// Re-registering after a spurious wake (a latched Wake for some
+		// other request) rewrites the same slot.
+		r.waiter = p.dp
 		p.dp.Park()
 	}
 	if r.overhead > 0 {
-		o := r.overhead
+		ov := r.overhead
 		r.overhead = 0
-		p.dp.Sleep(o)
+		p.dp.Sleep(ov)
 	}
-	if o := r.owner; o != nil {
+	if o != nil {
 		r.owner = nil
+		p.open--
 		o.release()
 	}
 }
@@ -163,6 +159,8 @@ func (p *Proc) allocEnv() *envelope {
 	return env
 }
 
+func (env *envelope) issuer() *Proc { return env.sender }
+
 // posting is a posted receive awaiting a match. Postings are refcounted and
 // recycled through the receiver's free list, like envelopes.
 type posting struct {
@@ -208,6 +206,8 @@ func (p *Proc) allocPosting() *posting {
 	return po
 }
 
+func (po *posting) issuer() *Proc { return po.receiver }
+
 func (env *envelope) matches(po *posting) bool {
 	return env.ctx == po.ctx &&
 		(po.srcWorld == AnySource || po.srcWorld == env.srcWorld) &&
@@ -219,12 +219,13 @@ func (p *Proc) Isend(c *Comm, buf *buffer.Buffer, dst, tag int) *Request {
 	dstWorld := c.WorldRank(dst)
 	target := p.world.procs[dstWorld]
 	env := p.allocEnv()
+	p.open++
 	env.srcWorld = p.rank
 	env.tag = tag
 	env.ctx = c.ctx
 	env.bufv = *buf
 	env.size = buf.Len()
-	env.eager = env.size < p.world.Conf.EagerThreshold
+	env.eager = env.size < p.world.eagerThreshold
 	env.sentAt = p.dp.Now()
 	if s := p.world.san; s != nil {
 		// The payload is read from Isend until the sender is free: end of
@@ -288,6 +289,7 @@ func (p *Proc) Irecv(c *Comm, buf *buffer.Buffer, src, tag int) *Request {
 		srcWorld = c.WorldRank(src)
 	}
 	po := p.allocPosting()
+	p.open++
 	po.srcWorld = srcWorld
 	po.tag = tag
 	po.ctx = c.ctx
@@ -402,7 +404,7 @@ func (w *World) startTransfer(env *envelope, po *posting) {
 	po.req.overhead = w.Conf.RendezvousCPU
 	delay := spec.NetLatency
 	if !env.preposted {
-		delay += w.Conf.RendezvousHandshake
+		delay += spec.NetLatency
 	}
 	w.Machine.Fab.StartAfterClassed("net", delay, float64(env.size), 0, w.netPath(env.sender, po.receiver), finish)
 }
@@ -441,9 +443,9 @@ func (w *World) eagerFlight(env *envelope, target *Proc, onArrive func()) {
 }
 
 // netPath is the resource chain of an inter-node transfer: source memory
-// bus, source NIC TX, optional backplane, destination NIC RX, destination
-// memory bus. Every resource on it is a property of the endpoints' sockets
-// (the bus) and nodes (the NICs), so paths are cached per (source socket,
+// bus, source NIC TX, destination NIC RX, destination memory bus. Every
+// resource on it is a property of the endpoints' sockets (the bus) and
+// nodes (the NICs), so paths are cached per (source socket,
 // destination socket) pair — O(sockets²) entries where a rank-pair key
 // would hold O(ranks²). The fabric only reads Flow.Path, so concurrent
 // flows can share one slice, and steady-state messaging allocates no path.
@@ -460,11 +462,7 @@ func (w *World) netPath(src, dst *Proc) []*fabric.Resource {
 	}
 	sn := w.Machine.Nodes[src.core.NodeID]
 	dn := w.Machine.Nodes[dst.core.NodeID]
-	path := []*fabric.Resource{src.core.Socket.MemBus, sn.NicTx}
-	if w.Machine.Backplane != nil {
-		path = append(path, w.Machine.Backplane)
-	}
-	path = append(path, dn.NicRx, dst.core.Socket.MemBus)
+	path := []*fabric.Resource{src.core.Socket.MemBus, sn.NicTx, dn.NicRx, dst.core.Socket.MemBus}
 	if w.netPaths == nil {
 		w.netPaths = make(map[uint64][]*fabric.Resource)
 	}

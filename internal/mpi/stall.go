@@ -9,9 +9,13 @@ package mpi
 // debugger session against recycled records. The report reads only the
 // matching indexes, which every run keeps, so it needs no sanitizer and
 // costs nothing on a run that completes.
+// The same report backs UncollectedError, Run's one-pass check of each
+// rank's count of issued but uncollected requests.
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,11 +36,54 @@ func (e *StallError) Error() string {
 
 func (e *StallError) Unwrap() error { return e.Deadlock }
 
+// UncollectedError reports a run that drained without a deadlock while some
+// rank body returned holding requests it never waited on. Such a request
+// silently drops its message (an Irecv that never matched) or keeps a pooled
+// record out of circulation (an Isend nobody collected), so World.Run treats
+// it as a bad rank program rather than a result.
+type UncollectedError struct {
+	// Open maps each offending world rank to its uncollected request count.
+	Open map[int]int
+	// Report lists the postings and envelopes still pending, in the
+	// StallError format; empty when every uncollected request completed.
+	Report string
+}
+
+func (e *UncollectedError) Error() string {
+	var b strings.Builder
+	b.WriteString("mpi: rank bodies returned holding uncollected requests:")
+	for _, r := range slices.Sorted(maps.Keys(e.Open)) {
+		fmt.Fprintf(&b, " rank%d (%d)", r, e.Open[r])
+	}
+	if e.Report != "" {
+		b.WriteString("\npending:\n" + e.Report)
+	}
+	return b.String()
+}
+
+// uncollected returns an *UncollectedError when a rank holds requests it
+// issued and never waited on, nil otherwise.
+func (w *World) uncollected() error {
+	var open map[int]int
+	for _, p := range w.procs {
+		if p.open > 0 {
+			if open == nil {
+				open = map[int]int{}
+			}
+			open[p.rank] = p.open
+		}
+	}
+	if open == nil {
+		return nil
+	}
+	return &UncollectedError{Open: open, Report: w.stallReport()}
+}
+
 // stallReport lists every rank's pending receives (posting order) and
-// unmatched sends (arrival order), with the virtual time each was issued.
+// unmatched sends (arrival order), with the virtual time each was issued;
+// it is empty when nothing is pending.
 func (w *World) stallReport() string {
 	var b strings.Builder
-	total := 0
 	for _, p := range w.procs {
 		for _, po := range p.posted.pending() {
 			src := "any"
@@ -49,16 +96,11 @@ func (w *World) stallReport() string {
 			}
 			fmt.Fprintf(&b, "  %s: recv pending ctx=%d src=%s tag=%s posted at t=%g\n",
 				p.name, po.ctx, src, tag, po.postedAt)
-			total++
 		}
 		for env := p.unexpected.head; env != nil; env = env.next {
 			fmt.Fprintf(&b, "  %s: unmatched send from rank%d ctx=%d tag=%d size=%d sent at t=%g\n",
 				p.name, env.srcWorld, env.ctx, env.tag, env.size, env.sentAt)
-			total++
 		}
-	}
-	if total == 0 {
-		b.WriteString("  no pending point-to-point operations (ranks parked outside p2p)\n")
 	}
 	return strings.TrimRight(b.String(), "\n")
 }

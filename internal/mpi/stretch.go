@@ -8,7 +8,7 @@ package mpi
 // member of c, so a stretch is small on all of its ranks or on none.
 func (p *Proc) SmallIntraNode(c *Comm, n int64) bool {
 	return c.IntraNode() && c.Size() > 1 &&
-		n < p.world.Conf.EagerThreshold && n < smallCopyCutoff
+		n < p.world.eagerThreshold && n < smallCopyCutoff
 }
 
 // BeginSmallStretch opens a small intra-node stretch (see SmallIntraNode):

@@ -14,7 +14,9 @@ import (
 // selector in isolation.
 func stretchWorld(t *testing.T, nodes, cores int, eager int64) *World {
 	t.Helper()
-	m, err := topology.Build(toySpec(nodes, 1, cores))
+	spec := toySpec(nodes, 1, cores)
+	spec.EagerThreshold = eager
+	m, err := topology.Build(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,9 +24,7 @@ func stretchWorld(t *testing.T, nodes, cores int, eager int64) *World {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conf := toyConf()
-	conf.EagerThreshold = eager
-	w, err := NewWorld(m, b, conf)
+	w, err := NewWorld(m, b, toyConf())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestSmallStretchCharges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 80 / w.Conf.ReduceBandwidth; !almost(inside, want) {
+	if want := 80 / spec.CoreCopyBandwidth; !almost(inside, want) {
 		t.Errorf("80-byte reduction inside a stretch took %g, want %g", inside, want)
 	}
 	if fills != 0 {

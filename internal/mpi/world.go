@@ -27,18 +27,9 @@ import (
 // Config tunes the software stack (as opposed to topology.Spec, which is
 // hardware). Zero values select defaults.
 type Config struct {
-	// EagerThreshold switches p2p from eager to rendezvous. Default: the
-	// machine spec's threshold, or 4 KiB.
-	EagerThreshold int64
 	// SendOverhead is the per-message sender CPU cost for inter-node
 	// messages (the "o" of LogGP). Default 1 µs.
 	SendOverhead float64
-	// ReduceBandwidth is the per-core streaming rate of reduction
-	// arithmetic. Default: the core copy bandwidth.
-	ReduceBandwidth float64
-	// RendezvousHandshake is the extra latency before a matched
-	// rendezvous transfer starts. Default: one network latency.
-	RendezvousHandshake float64
 	// RendezvousCPU is the per-message protocol-processing cost a
 	// rendezvous (large) inter-node message charges to each endpoint's
 	// core: RTS/CTS handling, registration, progress-engine work. It is
@@ -48,31 +39,16 @@ type Config struct {
 	RendezvousCPU float64
 }
 
-func (c Config) withDefaults(spec *topology.Spec) Config {
-	if c.EagerThreshold == 0 {
-		c.EagerThreshold = spec.EagerThreshold
-		if c.EagerThreshold == 0 {
-			c.EagerThreshold = 4096
-		}
-	}
-	if c.SendOverhead == 0 {
-		c.SendOverhead = 1e-6
-	}
-	if c.ReduceBandwidth == 0 {
-		c.ReduceBandwidth = spec.CoreCopyBandwidth
-	}
-	if c.RendezvousHandshake == 0 {
-		c.RendezvousHandshake = spec.NetLatency
-	}
-	return c
-}
-
 // World is one simulated MPI job.
 type World struct {
 	Machine *topology.Machine
 	Binding *topology.Binding
 	Conf    Config
 	Knem    []*knem.Device
+
+	// eagerThreshold switches p2p from eager to rendezvous: the spec's
+	// EagerThreshold, or 4 KiB when that is zero.
+	eagerThreshold int64
 
 	procs     []*Proc
 	nextCtx   int
@@ -116,6 +92,10 @@ type Proc struct {
 
 	envPool []*envelope // recycled send records (see envelope.refs)
 	poPool  []*posting  // recycled receive records (see posting.refs)
+
+	// open counts the requests this rank issued (Isend, Irecv) and has not
+	// yet collected (Wait); Run reports a body that returns with open > 0.
+	open int
 }
 
 // NewWorld creates a world over machine m with np = binding.NP() ranks.
@@ -123,12 +103,19 @@ func NewWorld(m *topology.Machine, b *topology.Binding, conf Config) (*World, er
 	if err := b.Validate(m); err != nil {
 		return nil, err
 	}
+	if conf.SendOverhead == 0 {
+		conf.SendOverhead = 1e-6
+	}
 	w := &World{
-		Machine: m,
-		Binding: b,
-		Conf:    conf.withDefaults(&m.Spec),
-		Knem:    knem.Devices(m),
-		empty:   buffer.NewPhantom(0),
+		Machine:        m,
+		Binding:        b,
+		Conf:           conf,
+		Knem:           knem.Devices(m),
+		eagerThreshold: m.Spec.EagerThreshold,
+		empty:          buffer.NewPhantom(0),
+	}
+	if w.eagerThreshold == 0 {
+		w.eagerThreshold = 4096
 	}
 	w.procs = make([]*Proc, b.NP())
 	for r := range w.procs {
@@ -188,6 +175,7 @@ func (w *World) Reset() {
 		p.dp = nil
 		p.posted.reset()
 		p.unexpected.reset()
+		p.open = 0
 	}
 	w.nextCtx = 0
 	w.worldComm = nil
@@ -199,7 +187,9 @@ func (w *World) Reset() {
 
 // Run executes body as an SPMD program on every rank and drives the engine
 // until completion. It may be called repeatedly on the same world (e.g. one
-// benchmark phase per call); virtual time keeps advancing.
+// benchmark phase per call); virtual time keeps advancing. A deadlock
+// returns a *StallError; a run that completes with some rank holding a
+// request it never waited on returns an *UncollectedError.
 func (w *World) Run(body func(p *Proc)) error {
 	for _, p := range w.procs {
 		p := p
@@ -213,7 +203,14 @@ func (w *World) Run(body func(p *Proc)) error {
 		// Stall autopsy: the queue drained with ranks still parked.
 		// Attach every pending point-to-point operation so the report
 		// names the missing message, not just the stuck ranks.
-		return &StallError{Deadlock: dl, Report: w.stallReport()}
+		report := w.stallReport()
+		if report == "" {
+			report = "  no pending point-to-point operations (ranks parked outside p2p)"
+		}
+		return &StallError{Deadlock: dl, Report: report}
+	}
+	if err == nil {
+		err = w.uncollected()
 	}
 	return err
 }
@@ -250,7 +247,7 @@ func (p *Proc) DES() *des.Proc { return p.dp }
 
 // ReduceLocal applies dst = op(dst, src), charging reduction arithmetic to
 // this rank's core: the flow reads two streams and writes one through the
-// local memory bus at the configured reduction bandwidth. Inside a small
+// local memory bus at the core copy bandwidth. Inside a small
 // stretch (BeginSmallStretch) it charges the unloaded reduction rate as a
 // plain sleep instead; a reduction at or above the fabric bypass cutoff
 // there panics, mirroring shm.Copy — the stretch was opened on a message
@@ -263,12 +260,12 @@ func (p *Proc) ReduceLocal(op buffer.Op, dtype buffer.Datatype, dst, src *buffer
 				panic(fmt.Sprintf("mpi: rank %d reduced %d bytes inside a small stretch; reductions there must stay under the fabric bypass cutoff (%d)",
 					p.rank, n, smallCopyCutoff))
 			}
-			p.dp.Sleep(float64(n) / p.world.Conf.ReduceBandwidth)
+			p.dp.Sleep(float64(n) / p.world.Machine.Spec.CoreCopyBandwidth)
 		} else {
 			w, s := p.world, p.core.Socket
 			path := w.reducePaths[s.NodeID*len(w.Machine.Nodes[0].Sockets)+s.ID][:]
 			des.Await(p.dp, func(done func()) {
-				w.Machine.Fab.StartAfterClassed("compute", 0, float64(n), w.Conf.ReduceBandwidth, path, done)
+				w.Machine.Fab.StartAfterClassed("compute", 0, float64(n), w.Machine.Spec.CoreCopyBandwidth, path, done)
 			})
 		}
 	}

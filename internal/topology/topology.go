@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 
 	"hierknem/internal/des"
 	"hierknem/internal/fabric"
@@ -26,22 +27,22 @@ type Spec struct {
 
 	// Intra-node memory system.
 	MemBandwidth      float64 // per-socket (NUMA) memory bus
-	CoreCopyBandwidth float64 // single-core copy engine ceiling
-	L3Bandwidth       float64 // per-core copy ceiling when the source is L3-resident
+	CoreCopyBandwidth float64 // single-core copy engine ceiling; also the reduction arithmetic rate
+	L3Bandwidth       float64 // per-core copy ceiling when the source is L3-resident (0: no L3 speedup)
 	L3TotalBandwidth  float64 // aggregate per-socket L3 read bandwidth (0: 3x MemBandwidth)
-	L3Size            int64   // per-socket last-level cache
+	L3Size            int64   // per-socket last-level cache (0: nothing is ever resident)
 	ShmLatency        float64 // per-operation intra-node latency
 
 	// Inter-node network.
 	NetBandwidth   float64 // per NIC per direction
-	NetLatency     float64 // one-way small-message latency
+	NetLatency     float64 // one-way small-message latency; also the rendezvous handshake
 	NetFullDuplex  bool    // false: TX and RX share one NIC resource
-	NetPerMsgCPU   float64 // per-message software/driver overhead on the sender core
-	BackplaneBW    float64 // optional switch backplane capacity; 0 = non-blocking
-	EagerThreshold int64   // p2p eager/rendezvous switch (bytes)
+	EagerThreshold int64   // p2p eager/rendezvous switch (bytes; 0: 4 KiB)
 }
 
-// Validate reports the first problem with the spec.
+// Validate reports the first problem with the spec: a non-positive count
+// or core-path bandwidth, or a NaN, infinite or negative value in any other
+// numeric field (zero keeps the meaning documented on the field).
 func (s *Spec) Validate() error {
 	switch {
 	case s.Nodes <= 0:
@@ -50,10 +51,25 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("topology: %s: SocketsPerNode = %d", s.Name, s.SocketsPerNode)
 	case s.CoresPerSocket <= 0:
 		return fmt.Errorf("topology: %s: CoresPerSocket = %d", s.Name, s.CoresPerSocket)
-	case s.MemBandwidth <= 0, s.CoreCopyBandwidth <= 0, s.NetBandwidth <= 0:
-		return fmt.Errorf("topology: %s: bandwidths must be positive", s.Name)
-	case s.NetLatency < 0 || s.ShmLatency < 0:
-		return fmt.Errorf("topology: %s: latencies must be non-negative", s.Name)
+	}
+	for _, f := range []struct {
+		name     string
+		v        float64
+		positive bool
+	}{
+		{"MemBandwidth", s.MemBandwidth, true},
+		{"CoreCopyBandwidth", s.CoreCopyBandwidth, true},
+		{"NetBandwidth", s.NetBandwidth, true},
+		{"L3Bandwidth", s.L3Bandwidth, false},
+		{"L3TotalBandwidth", s.L3TotalBandwidth, false},
+		{"L3Size", float64(s.L3Size), false},
+		{"ShmLatency", s.ShmLatency, false},
+		{"NetLatency", s.NetLatency, false},
+		{"EagerThreshold", float64(s.EagerThreshold), false},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 || f.positive && f.v == 0 {
+			return fmt.Errorf("topology: %s: %s = %g", s.Name, f.name, f.v)
+		}
 	}
 	return nil
 }
@@ -71,10 +87,6 @@ type Machine struct {
 	Eng   *des.Engine
 	Fab   *fabric.Net
 	Nodes []*Node
-
-	// Backplane is non-nil when Spec.BackplaneBW > 0; every inter-node
-	// flow crosses it, modeling an oversubscribed switch.
-	Backplane *fabric.Resource
 
 	cores []*Core // flat index by global core id
 }
@@ -117,9 +129,6 @@ func Build(spec Spec) (*Machine, error) {
 	eng := des.New()
 	fab := fabric.NewNet(eng)
 	m := &Machine{Spec: spec, Eng: eng, Fab: fab}
-	if spec.BackplaneBW > 0 {
-		m.Backplane = fab.NewResource(spec.Name+"/backplane", spec.BackplaneBW)
-	}
 	gid := 0
 	for ni := 0; ni < spec.Nodes; ni++ {
 		node := &Node{ID: ni}

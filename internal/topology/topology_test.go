@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -53,15 +55,49 @@ func TestBuildShape(t *testing.T) {
 	}
 }
 
+// TestBuildValidation: every bad numeric field is an error from Build, not
+// a panic deeper in the stack (a NaN latency in des, a NaN or infinite
+// bandwidth in fabric.NewResource) and not a silently accepted spec. Zero
+// keeps its documented meaning where a field has one.
 func TestBuildValidation(t *testing.T) {
-	bad := testSpec(0, 2, 3)
-	if _, err := Build(bad); err == nil {
-		t.Fatal("Build accepted zero nodes")
-	}
-	bad = testSpec(2, 2, 3)
-	bad.MemBandwidth = -1
-	if _, err := Build(bad); err == nil {
-		t.Fatal("Build accepted negative bandwidth")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		edit func(s *Spec)
+		want string // error substring; "" means accepted
+	}{
+		{"zero nodes", func(s *Spec) { s.Nodes = 0 }, "Nodes = 0"},
+		{"negative MemBandwidth", func(s *Spec) { s.MemBandwidth = -1 }, "MemBandwidth = -1"},
+		{"NaN NetLatency", func(s *Spec) { s.NetLatency = nan }, "NetLatency = NaN"},
+		{"NaN ShmLatency", func(s *Spec) { s.ShmLatency = nan }, "ShmLatency = NaN"},
+		{"NaN MemBandwidth", func(s *Spec) { s.MemBandwidth = nan }, "MemBandwidth = NaN"},
+		{"+Inf NetBandwidth", func(s *Spec) { s.NetBandwidth = inf }, "NetBandwidth = +Inf"},
+		{"-Inf CoreCopyBandwidth", func(s *Spec) { s.CoreCopyBandwidth = -inf }, "CoreCopyBandwidth = -Inf"},
+		{"+Inf L3Bandwidth", func(s *Spec) { s.L3Bandwidth = inf }, "L3Bandwidth = +Inf"},
+		{"zero NetBandwidth", func(s *Spec) { s.NetBandwidth = 0 }, "NetBandwidth = 0"},
+		{"negative NetLatency", func(s *Spec) { s.NetLatency = -1 }, "NetLatency = -1"},
+		{"negative L3TotalBandwidth", func(s *Spec) { s.L3TotalBandwidth = -1 }, "L3TotalBandwidth = -1"},
+		{"negative L3Bandwidth", func(s *Spec) { s.L3Bandwidth = -1 }, "L3Bandwidth = -1"},
+		{"negative L3Size", func(s *Spec) { s.L3Size = -1 }, "L3Size = -1"},
+		{"negative EagerThreshold", func(s *Spec) { s.EagerThreshold = -1 }, "EagerThreshold = -1"},
+		{"zero L3 and eager fields", func(s *Spec) {
+			s.L3Bandwidth, s.L3TotalBandwidth, s.L3Size, s.EagerThreshold = 0, 0, 0, 0
+		}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := testSpec(2, 2, 3)
+			tc.edit(&s)
+			_, err := Build(s)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Build rejected a valid spec: %v", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Build error = %v, want one holding %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -45,7 +45,7 @@ func Snapshot(m *topology.Machine) []ResourceStat {
 }
 
 // Totals aggregates bytes served by resource class, keyed by the suffix of
-// the resource name ("mem", "l3", "nic", "nic-tx", "nic-rx", "backplane").
+// the resource name ("mem", "l3", "nic", "nic-tx", "nic-rx").
 func Totals(m *topology.Machine) map[string]float64 {
 	totals := map[string]float64{}
 	for _, r := range m.Fab.Resources() {

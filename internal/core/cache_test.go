@@ -121,12 +121,17 @@ func TestCacheTopologyDiesWithComm(t *testing.T) {
 	spec.Nodes, spec.CoresPerSocket = 32, 12
 	w := newWorld(t, spec, "bycore", 768)
 	mod := New(Options{CacheTopology: true})
-	buf := buffer.NewPhantom(2048)
+	// One buffer per rank, as in an MPI program: a shared one would have
+	// every rank write what the others read, which hiersan reports.
+	bufs := make([]*buffer.Buffer, w.Size())
+	for i := range bufs {
+		bufs[i] = buffer.NewPhantom(2048)
+	}
 	var base uint64
 	for rep := 0; rep < 30; rep++ {
 		w.Reset()
 		err := w.Run(func(p *mpi.Proc) {
-			mod.Bcast(p, w.WorldComm(), buf, 0)
+			mod.Bcast(p, w.WorldComm(), bufs[p.Rank()], 0)
 		})
 		if err != nil {
 			t.Fatal(err)

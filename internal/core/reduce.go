@@ -192,8 +192,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 
 	case lrank == 1:
 		// --- 2nd leader ---
-		p.Compute(spec.ShmLatency) // cookie lookup
-		sh := lcomm.BBWait(p, key).(reduceShare)
+		sh := lcomm.BBWaitAfter(p, spec.ShmLatency, key).(reduceShare) // cookie lookup
 		fetch := coll.Like(sbuf, seg)
 		for i := int64(0); i < nseg; i++ {
 			off, n := mpi.SegmentBounds(sbuf.Len(), seg, i)

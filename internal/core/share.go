@@ -36,10 +36,10 @@ func (sh share) withdraw(p *mpi.Proc, lcomm *mpi.Comm, key mpi.BBKey) {
 	lcomm.BBClear(key)
 }
 
-// lookup waits for the share posted on lcomm under key.
+// lookup waits for the share posted on lcomm under key, after the cookie
+// lookup's kernel entry.
 func lookup(p *mpi.Proc, lcomm *mpi.Comm, key mpi.BBKey) share {
-	p.Compute(p.World().Machine.Spec.ShmLatency) // cookie lookup
-	return lcomm.BBWait(p, key).(share)
+	return lcomm.BBWaitAfter(p, p.World().Machine.Spec.ShmLatency, key).(share)
 }
 
 // get copies dst.Len() bytes from offset off of the shared buffer into dst.

@@ -17,6 +17,10 @@ type coroutine struct {
 	// references no process, body or engine, so dropped worlds stay
 	// collectable whatever the idle list holds.
 	p *Proc
+	// step is the Stepper of the process it hosts while that process is
+	// parked in Steps: the engine runs it at the process's resume events in
+	// place of switching in.
+	step Stepper
 }
 
 func newCoroutine() *coroutine {

@@ -21,13 +21,30 @@
 // events, so the order in which concurrently-unblocked processes resume is
 // deterministic.
 //
-// The event queue is two-tiered. Events scheduled at the current timestamp —
-// zero-sleeps, wakes, eager completions, the majority in collective inner
-// loops — go to a FIFO "now-bucket"; only events in the strict future pay
-// for the binary heap. Dispatch order is exactly (time, seq) either way: a
-// heap event at the current timestamp was necessarily scheduled before the
-// clock reached it, so its sequence number is smaller than that of any
-// bucket event, and the bucket itself is FIFO in sequence order.
+// The event queue has three sources, and pop takes the least (time, seq)
+// among their heads:
+//
+//   - the now-bucket, a FIFO of events scheduled at the current timestamp —
+//     zero-sleeps, wakes, eager completions, the majority in collective
+//     inner loops;
+//   - a few fixed-delay lanes, FIFOs of events scheduled the same delay d
+//     after the then-current time (Sleep, After): the pLogP overheads and
+//     latencies a simulation charges are a handful of constants, so nearly
+//     every future event joins a lane in O(1);
+//   - a 4-ary heap for the irregular deadlines (At, and a delay that finds
+//     no lane free), chiefly the fabric's flow completions.
+//
+// Dispatch order is exactly (time, seq) whatever the source. A bucket event
+// is younger than every heap or lane event at the current timestamp, since
+// those were scheduled before the clock reached it; the bucket is FIFO in
+// sequence order; and a lane is too, because the clock never goes back,
+// fl(now+d) is monotone in now and sequence numbers only grow.
+//
+// A process may also hand the engine a wait sequence (Steps): a Stepper
+// that runs on the process first and then, after each sleep or park it asks
+// for, in engine context at the process's resume event. The process is
+// switched into only when the sequence is over, so a rendezvous that costs
+// a few suspensions costs one hand-off.
 //
 // Event records are recycled through a free list on the engine, and resume
 // events carry their target process and park generation as typed fields
@@ -50,11 +67,13 @@ type Engine struct {
 	seq       uint64
 	processed uint64
 
-	queue      eventHeap // events in the strict future (at insertion time)
-	bucket     []*event  // FIFO of events at the current timestamp
-	bucketPos  int       // next bucket entry to dispatch
-	bucketLive int       // bucket entries not yet dispatched or cancelled
-	pool       []*event  // free list of recycled event records
+	queue      eventHeap      // irregular events in the strict future (at insertion time)
+	lanes      [numLanes]lane // fixed-delay FIFOs (see scheduleAfter)
+	laneLive   int            // events queued in the lanes
+	bucket     []*event       // FIFO of events at the current timestamp
+	bucketPos  int            // next bucket entry to dispatch
+	bucketLive int            // bucket entries not yet dispatched or cancelled
+	pool       []*event       // free list of recycled event records
 
 	// next is what a dispatch loop running on a process coroutine leaves
 	// for the driver before it yields: the process to switch into. Nil means
@@ -75,6 +94,10 @@ type Engine struct {
 	// hook site is nil-guarded so the disabled hot path pays one
 	// predictable branch and zero allocations.
 	san *san.Sanitizer
+
+	// handoffs counts the driver's switches into processes and heapPushes
+	// the events that entered the heap: host-side costs only tests read.
+	handoffs, heapPushes uint64
 }
 
 // New returns an empty engine with the virtual clock at zero.
@@ -103,11 +126,54 @@ type event struct {
 	fn      func()
 	proc    *Proc  // non-nil: resume proc if it is still parked at parkGen
 	parkGen uint64 // park generation the resume targets
-	idx     int    // heap position; bucketIdx in the bucket; -1 detached
+	idx     int    // heap position; bucketIdx in the bucket; laneIdx(i) in lane i; -1 detached
+	// prev and next link the event into its lane.
+	prev, next *event
 }
 
 // bucketIdx marks an event as living in the now-bucket rather than the heap.
 const bucketIdx = -2
+
+// laneIdx is the idx of an event queued in lane i; laneOf inverts it.
+func laneIdx(i int) int  { return -3 - i }
+func laneOf(idx int) int { return -3 - idx }
+
+// numLanes is how many distinct fixed delays can queue outside the heap at
+// once. Collective traffic is dominated by two (ShmLatency, NetLatency); the
+// others absorb a personality's send overhead and small-copy times.
+const numLanes = 4
+
+// lane is a FIFO of events scheduled the same delay d after the then-current
+// time. Appending keeps it in (time, seq) order without a comparison, so its
+// head is its least event. An empty lane takes the next delay with no lane.
+type lane struct {
+	d          float64
+	head, tail *event
+}
+
+func (l *lane) push(ev *event) {
+	ev.prev = l.tail
+	if l.tail == nil {
+		l.head = ev
+	} else {
+		l.tail.next = ev
+	}
+	l.tail = ev
+}
+
+func (l *lane) remove(ev *event) {
+	if ev.prev == nil {
+		l.head = ev.next
+	} else {
+		ev.prev.next = ev.next
+	}
+	if ev.next == nil {
+		l.tail = ev.prev
+	} else {
+		ev.next.prev = ev.prev
+	}
+	ev.prev, ev.next = nil, nil
+}
 
 // dead reports that the event was cancelled in place.
 func (ev *event) dead() bool { return ev.fn == nil && ev.proc == nil }
@@ -148,20 +214,64 @@ func (e *Engine) schedule(t float64) *event {
 		e.bucket = append(e.bucket, ev)
 		e.bucketLive++
 	} else {
+		e.heapPushes++
 		e.queue.push(ev)
 	}
 	return ev
 }
 
+// scheduleAfter allocates an event d after now and enqueues it: the
+// now-bucket when now+d rounds to now, else the lane that holds delay d, else
+// an empty lane (which takes d), else the heap.
+func (e *Engine) scheduleAfter(d float64) *event {
+	t := e.now + d
+	if t == e.now {
+		return e.schedule(t)
+	}
+	free := -1
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.head == nil {
+			if free < 0 {
+				free = i
+			}
+		} else if l.d == d {
+			return e.laneAppend(i, t)
+		}
+	}
+	if free < 0 {
+		return e.schedule(t)
+	}
+	e.lanes[free].d = d
+	return e.laneAppend(free, t)
+}
+
+func (e *Engine) laneAppend(i int, t float64) *event {
+	ev := e.alloc(t)
+	ev.idx = laneIdx(i)
+	e.lanes[i].push(ev)
+	e.laneLive++
+	return ev
+}
+
 // pop removes and returns the globally least (time, seq) event, or nil when
 // none remain. While the bucket holds events, the clock cannot advance; a
-// heap event at the current timestamp always precedes every bucket event
-// because it was scheduled before the clock reached now (smaller seq).
+// heap or lane event at the current timestamp always precedes every bucket
+// event because it was scheduled before the clock reached now (smaller seq).
 func (e *Engine) pop() *event {
-	if e.bucketPos < len(e.bucket) {
-		if len(e.queue) > 0 && e.queue[0].at <= e.now {
-			return e.queue.popMin()
+	var min *event
+	if len(e.queue) > 0 {
+		min = e.queue[0]
+	}
+	ln := -1
+	if e.laneLive > 0 {
+		for i := range e.lanes {
+			if h := e.lanes[i].head; h != nil && (min == nil || eventLess(h, min)) {
+				min, ln = h, i
+			}
 		}
+	}
+	if e.bucketPos < len(e.bucket) && (min == nil || min.at > e.now) {
 		ev := e.bucket[e.bucketPos]
 		e.bucket[e.bucketPos] = nil
 		e.bucketPos++
@@ -175,10 +285,31 @@ func (e *Engine) pop() *event {
 		ev.idx = -1
 		return ev
 	}
-	if len(e.queue) > 0 {
+	switch {
+	case min == nil:
+		return nil
+	case ln < 0:
 		return e.queue.popMin()
 	}
-	return nil
+	e.lanes[ln].remove(min)
+	e.laneLive--
+	min.idx = -1
+	return min
+}
+
+// idleThrough reports whether nothing is queued at or before t.
+func (e *Engine) idleThrough(t float64) bool {
+	if e.bucketPos < len(e.bucket) || len(e.queue) > 0 && e.queue[0].at <= t {
+		return false
+	}
+	if e.laneLive > 0 {
+		for i := range e.lanes {
+			if h := e.lanes[i].head; h != nil && h.at <= t {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Timer is a handle to a scheduled event that can be cancelled. Timers are
@@ -193,12 +324,12 @@ type Timer struct {
 
 // Cancel prevents the timer's callback from firing. Heap events are removed
 // immediately (O(log n)), so heavily rescheduled timers (the fabric re-arms
-// one completion timer per flow component) do not accumulate dead entries.
-// Bucket events are marked dead in place (O(1)); the bucket drains within
-// the current timestamp, so dead entries cannot pile up either. Cancelling
-// an already fired or cancelled timer is a no-op. Cancel also drops the
-// handle's references so a long-lived cancelled Timer does not pin the
-// engine or its queues.
+// one completion timer per flow component) do not accumulate dead entries,
+// and lane events are unlinked immediately (O(1)). Bucket events are marked
+// dead in place (O(1)); the bucket drains within the current timestamp, so
+// dead entries cannot pile up either. Cancelling an already fired or
+// cancelled timer is a no-op. Cancel also drops the handle's references so a
+// long-lived cancelled Timer does not pin the engine or its queues.
 func (t *Timer) Cancel() {
 	if t == nil || t.ev == nil {
 		return
@@ -217,6 +348,10 @@ func (t *Timer) Cancel() {
 		ev.fn = nil
 		ev.proc = nil
 		eng.bucketLive--
+	case ev.idx != -1:
+		eng.lanes[laneOf(ev.idx)].remove(ev)
+		eng.laneLive--
+		eng.release(ev)
 	}
 }
 
@@ -226,12 +361,7 @@ func (t *Timer) Stopped() bool { return t == nil || t.ev == nil || t.ev.gen != t
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: it would silently corrupt causality.
 func (e *Engine) At(t float64, fn func()) Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("des: scheduling event at %g before now %g", t, e.now))
-	}
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("des: scheduling event at non-finite time %g", t))
-	}
+	e.checkTime(t)
 	ev := e.schedule(t)
 	ev.fn = fn
 	return Timer{eng: e, ev: ev, gen: ev.gen}
@@ -242,7 +372,19 @@ func (e *Engine) After(d float64, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("des: negative delay %g", d))
 	}
-	return e.At(e.now+d, fn)
+	e.checkTime(e.now + d)
+	ev := e.scheduleAfter(d)
+	ev.fn = fn
+	return Timer{eng: e, ev: ev, gen: ev.gen}
+}
+
+func (e *Engine) checkTime(t float64) {
+	if t < e.now {
+		panic(fmt.Sprintf("des: scheduling event at %g before now %g", t, e.now))
+	}
+	if math.IsNaN(t) || math.IsInf(t, 0) {
+		panic(fmt.Sprintf("des: scheduling event at non-finite time %g", t))
+	}
 }
 
 // Proc is a simulated process: a body on a coroutine whose execution is
@@ -350,15 +492,12 @@ func (p *Proc) switchTo() {
 	}
 }
 
-// park yields control until a resume event targeting this park generation
-// fires. The parking process itself runs the engine's dispatch loop: if the
-// next dispatch is this process's own resume, it just keeps running and no
+// park yields control until the resume event suspend armed fires. The
+// parking process itself runs the engine's dispatch loop: if the next
+// dispatch is this process's own resume, it just keeps running and no
 // switch happens at all; otherwise dispatch left the hand-off target with
 // the driver and this coroutine yields to it.
-func (p *Proc) park(wakeable bool) {
-	p.parkGen++
-	p.parkedFlag = true
-	p.wakeable = wakeable
+func (p *Proc) park() {
 	if !p.eng.dispatch(p) {
 		p.co.yield(struct{}{})
 	}
@@ -375,49 +514,128 @@ func (e *Engine) resumeEventFor(p *Proc, gen uint64, t float64) {
 	ev.parkGen = gen
 }
 
-// Sleep suspends the process for d seconds of virtual time. A zero sleep is
-// still a scheduling point: events already queued at the current timestamp
-// run before the process resumes.
-//
-// Lone-runner fast path: when the now-bucket is drained and every heap event
-// lies strictly after now+d, the resume event this Sleep would schedule is
-// the unique minimum of the queue — the engine would dispatch it immediately
-// and transfer straight back to this process. In that case the event and the
-// two coroutine switches are elided, and only their observable effects are
-// replayed: one sequence number is consumed (tie-breaks downstream stay
-// identical), the processed counter advances (events/op stays comparable
-// across engine versions), and the clock moves to now+d. A pending MaxTime
-// violation falls through to the slow path so Run can surface the error.
-// No wake can target a running process (wakes on a running process only
-// latch pendingWake), so skipping the park cannot drop a resume.
-func (p *Proc) Sleep(d float64) {
+// Wait is a suspension a Stepper asks of its process: Done, Parked, or a
+// SleepFor, which is its sleep length.
+type Wait float64
+
+const (
+	// Done ends a stepped wait: the process runs on from Steps.
+	Done Wait = -1
+	// Parked suspends the process as Park does.
+	Parked Wait = -2
+)
+
+// SleepFor suspends the process as Sleep(d) does.
+func SleepFor(d float64) Wait {
 	if d < 0 {
 		panic(fmt.Sprintf("des: negative sleep %g", d))
 	}
-	e := p.eng
-	t := e.now + d
-	if e.bucketPos == len(e.bucket) &&
-		(len(e.queue) == 0 || e.queue[0].at > t) &&
-		!(e.MaxTime > 0 && t > e.MaxTime) {
-		e.seq++
-		e.processed++
-		e.now = t
-		return
+	return Wait(d)
+}
+
+// A Stepper is a wait sequence a process hands the engine (see Steps).
+type Stepper interface {
+	// Step advances the sequence and returns the suspension it needs next,
+	// or Done. It runs on p's behalf with p as the engine's current process,
+	// and must not block: no Sleep, Park, Await or Steps.
+	Step(p *Proc) Wait
+}
+
+// Steps runs the wait sequence s. Its first Step runs here, on the process;
+// every later one runs in engine context at the process's resume event after
+// the suspension the previous Step asked for, so the process is switched
+// into once, when a Step returns Done, however many suspensions the
+// sequence takes. Each suspension behaves exactly as the Sleep or Park it
+// stands for: same events, same fast path, same latched-wake rules.
+func (p *Proc) Steps(s Stepper) {
+	p.co.step = s
+	if !p.stepOn() {
+		p.park()
 	}
-	e.resumeEventFor(p, p.parkGen+1, t)
-	p.park(false)
+}
+
+// stepOn runs the process's Stepper — from Steps, on the process, and then
+// at each of its resume events, in engine context — until the Stepper
+// suspends it (false) or reports Done (true: the process itself runs next).
+func (p *Proc) stepOn() bool {
+	// What park and Park do once the process resumes; nothing at the start.
+	p.parkedFlag = false
+	if p.wakeable {
+		p.wakeable = false
+		p.pendingWake = false
+	}
+	s := p.co.step
+	for {
+		w := s.Step(p)
+		if w == Done {
+			p.co.step = nil
+			return true
+		}
+		if p.suspend(w) {
+			return false
+		}
+	}
+}
+
+// suspend arms the suspension w and reports true, or reports false when w
+// is over at once: a sleep the lone-runner fast path took, or a park a
+// latched Wake satisfied.
+//
+// Lone-runner fast path: when nothing is queued at or before now+d, the
+// resume event a sleep would schedule is the unique minimum of the queue —
+// the engine would dispatch it immediately and transfer straight back to
+// this process. In that case the event and the two coroutine switches are
+// elided, and only their observable effects are replayed: one sequence
+// number is consumed (tie-breaks downstream stay identical), the processed
+// counter advances (events/op stays comparable across engine versions), and
+// the clock moves to now+d. A pending MaxTime violation falls through to the
+// slow path so Run can surface the error. No wake can target a running
+// process (wakes on a running process only latch pendingWake), so skipping
+// the park cannot drop a resume, and a latched wake stays latched.
+func (p *Proc) suspend(w Wait) bool {
+	park := w == Parked
+	if park {
+		if p.pendingWake {
+			p.pendingWake = false
+			return false
+		}
+	} else {
+		e := p.eng
+		t := e.now + float64(w)
+		if e.idleThrough(t) && !(e.MaxTime > 0 && t > e.MaxTime) {
+			e.seq++
+			e.processed++
+			e.now = t
+			return false
+		}
+		ev := e.scheduleAfter(float64(w))
+		ev.proc = p
+		ev.parkGen = p.parkGen + 1
+	}
+	p.parkGen++
+	p.parkedFlag = true
+	p.wakeable = park
+	return true
+}
+
+// Sleep suspends the process for d seconds of virtual time. A zero sleep is
+// still a scheduling point: events already queued at the current timestamp
+// run before the process resumes. See suspend for the fast path that skips
+// the event when nothing else could run first.
+func (p *Proc) Sleep(d float64) {
+	if p.suspend(SleepFor(d)) {
+		p.park()
+	}
 }
 
 // Park suspends the process until another process or event calls Wake. If a
 // Wake was delivered since the last Park, Park consumes it and returns
 // immediately (there are no lost-wakeup races: execution is single-threaded).
 func (p *Proc) Park() {
-	if p.pendingWake {
+	if p.suspend(Parked) {
+		p.park()
 		p.pendingWake = false
-		return
 	}
-	p.park(true)
-	p.pendingWake = false
 }
 
 // Wake schedules the parked process to resume at the current virtual time.
@@ -494,6 +712,7 @@ func (e *Engine) drive() {
 	for e.next != nil {
 		p := e.next
 		e.next = nil
+		e.handoffs++
 		p.switchTo()
 	}
 }
@@ -529,6 +748,9 @@ func (e *Engine) dispatch(self *Proc) bool {
 			e.release(ev)
 			if !p.done && p.parkedFlag && p.parkGen == gen {
 				e.current = p
+				if c := p.co; c != nil && c.step != nil && !p.stepOn() {
+					continue
+				}
 				if p == self {
 					return true
 				}
@@ -589,11 +811,21 @@ func (e *Engine) drainPending() {
 	e.bucket = e.bucket[:0]
 	e.bucketPos = 0
 	e.bucketLive = 0
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		for l.head != nil {
+			ev := l.head
+			l.remove(ev)
+			e.release(ev)
+		}
+		*l = lane{}
+	}
+	e.laneLive = 0
 }
 
 // Pending returns the number of events currently scheduled. Cancelled timers
-// are removed (heap) or marked dead (bucket) eagerly and do not count.
-func (e *Engine) Pending() int { return len(e.queue) + e.bucketLive }
+// are removed (heap, lanes) or marked dead (bucket) eagerly and do not count.
+func (e *Engine) Pending() int { return len(e.queue) + e.laneLive + e.bucketLive }
 
 // Processed returns the number of events dispatched so far — the raw event
 // throughput measure the fabric benchmarks report as events/sec.

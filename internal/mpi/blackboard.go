@@ -57,23 +57,20 @@ func (c *Comm) BBPost(p *Proc, key BBKey, v any) {
 }
 
 // BBWait blocks until key is posted and returns its value.
-func (c *Comm) BBWait(p *Proc, key BBKey) any {
-	e := c.entry(key)
-	for !e.present {
-		if e.waiters == nil {
-			e.waiters = make([]*Proc, 0, c.Size()-1)
-		}
-		e.waiters = append(e.waiters, p)
-		p.dp.Park()
-	}
-	if s := c.world.san; s != nil && e.poster != nil {
-		// A blackboard read is a sync edge from the poster: the value
-		// (typically a KNEM cookie) publishes the buffer it names. The
-		// parked path is already covered by the poster's Wake; this also
-		// covers a BBWait that finds the key present.
-		s.SyncEdge(e.poster.dp.ID(), p.dp.ID())
-	}
-	return e.val
+func (c *Comm) BBWait(p *Proc, key BBKey) any { return c.bbWait(p, 1, 0, key) }
+
+// BBWaitAfter charges p d seconds — the cost of reaching the blackboard,
+// such as a KNEM cookie lookup's kernel entry — then does BBWait, as one
+// stepped wait: p is switched into once, when the value is there.
+func (c *Comm) BBWaitAfter(p *Proc, d float64, key BBKey) any { return c.bbWait(p, 0, d, key) }
+
+func (c *Comm) bbWait(p *Proc, phase uint8, d float64, key BBKey) any {
+	s := p.waitStep()
+	s.d, s.key = d, key
+	s.run(stepLookup, c, phase)
+	v := s.e.val
+	s.key, s.e = BBKey{}, nil
+	return v
 }
 
 // BBClear removes a key (typically by the last reader, after a barrier).

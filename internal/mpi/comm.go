@@ -296,48 +296,19 @@ func wakeAll(ws *[]*Proc) {
 // Barrier blocks until every member has entered. Intra-node communicators
 // use a flag-based shared-memory barrier costing one shm latency per
 // process; communicators spanning nodes use a dissemination barrier with
-// zero-byte messages.
+// zero-byte messages. Both run as stepped waits (see waitStep).
 func (c *Comm) Barrier(p *Proc) {
 	if c.Size() == 1 {
 		return
 	}
+	s := p.waitStep()
 	if c.IntraNode() {
-		p.dp.Sleep(c.world.Machine.Spec.ShmLatency)
-		b := &c.barrier
-		b.count++
-		if b.count == c.Size() {
-			b.count = 0
-			b.gen++
-			wakeAll(&b.waiters)
-			return
-		}
-		if b.waiters == nil {
-			b.waiters = make([]*Proc, 0, c.Size()-1)
-		}
-		myGen := b.gen
-		b.waiters = append(b.waiters, p)
-		for b.gen == myGen {
-			p.dp.Park()
-		}
+		s.run(stepFlag, c, 0)
 		return
 	}
-	c.disseminationBarrier(p)
+	s.me, s.round = int32(c.Rank(p)), 0
+	s.run(stepDissemination, c, 0)
 }
 
 // reserved internal tag space (user tags must be non-negative and modest).
 const internalTagBase = 1 << 24
-
-func (c *Comm) disseminationBarrier(p *Proc) {
-	me := c.Rank(p)
-	n := c.Size()
-	empty := c.world.empty
-	for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
-		to := (me + dist) % n
-		from := (me - dist + n) % n
-		tag := internalTagBase + round
-		r := p.Irecv(c, empty, from, tag)
-		s := p.Isend(c, empty, to, tag)
-		p.Wait(r)
-		p.Wait(s)
-	}
-}

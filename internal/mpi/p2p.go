@@ -59,26 +59,32 @@ func (r *Request) complete() {
 // protocol CPU attached to it and collects it. It panics when p did not
 // issue r: a request has exactly one waiter, its issuer.
 func (p *Proc) Wait(r *Request) {
-	o := r.owner
-	if o != nil && o.issuer() != p {
+	if o := r.owner; o != nil && o.issuer() != p {
 		panic(fmt.Sprintf("mpi: %s waits on a request issued by %s", p.name, o.issuer().name))
 	}
-	for !r.done {
+	p.dp.Steps(r)
+}
+
+// Step is Wait as a stepped wait (des.Stepper): park until r completes,
+// sleep off its protocol CPU, collect it.
+func (r *Request) Step(dp *des.Proc) des.Wait {
+	if !r.done {
 		// Re-registering after a spurious wake (a latched Wake for some
 		// other request) rewrites the same slot.
-		r.waiter = p.dp
-		p.dp.Park()
+		r.waiter = dp
+		return des.Parked
 	}
 	if r.overhead > 0 {
 		ov := r.overhead
 		r.overhead = 0
-		p.dp.Sleep(ov)
+		return des.SleepFor(ov)
 	}
-	if o != nil {
+	if o := r.owner; o != nil {
 		r.owner = nil
-		p.open--
+		o.issuer().open--
 		o.release()
 	}
+	return des.Done
 }
 
 // WaitAll blocks until every request completes.
@@ -128,11 +134,12 @@ func (env *envelope) release() {
 	}
 	p := env.sender
 	// sendReq.done is deliberately left set (callers may poll Done after
-	// WaitAll); allocEnv resets the request on reuse.
+	// WaitAll); allocEnv resets the request on reuse. A pooled record is in
+	// no arrival list, so next links the sender's free list.
 	env.bufv = buffer.Buffer{}
 	env.po = nil
-	env.prev, env.next = nil, nil
-	p.envPool = append(p.envPool, env)
+	env.prev, env.next = nil, p.envFree
+	p.envFree = env
 }
 
 // allocEnv pops a recycled envelope or mints one. The finish and arrival
@@ -140,11 +147,9 @@ func (env *envelope) release() {
 // between established partners allocates only the envelope itself — and not
 // even that once the pool is warm.
 func (p *Proc) allocEnv() *envelope {
-	var env *envelope
-	if k := len(p.envPool) - 1; k >= 0 {
-		env = p.envPool[k]
-		p.envPool[k] = nil
-		p.envPool = p.envPool[:k]
+	env := p.envFree
+	if env != nil {
+		p.envFree, env.next = env.next, nil
 		env.sendReq = Request{owner: env}
 		env.arrived = false
 		env.preposted = false
@@ -187,15 +192,16 @@ func (po *posting) release() {
 	}
 	p := po.receiver
 	po.bufv = buffer.Buffer{}
-	p.poPool = append(p.poPool, po)
+	// A pooled record is in no key-hash chain, so hnext links the
+	// receiver's free list.
+	po.hnext = p.poFree
+	p.poFree = po
 }
 
 func (p *Proc) allocPosting() *posting {
-	var po *posting
-	if k := len(p.poPool) - 1; k >= 0 {
-		po = p.poPool[k]
-		p.poPool[k] = nil
-		p.poPool = p.poPool[:k]
+	po := p.poFree
+	if po != nil {
+		p.poFree, po.hnext = po.hnext, nil
 		po.req = Request{owner: po}
 	} else {
 		po = &posting{receiver: p}
@@ -216,8 +222,20 @@ func (env *envelope) matches(po *posting) bool {
 
 // Isend starts a non-blocking send of buf to dst (a rank of c) with tag.
 func (p *Proc) Isend(c *Comm, buf *buffer.Buffer, dst, tag int) *Request {
-	dstWorld := c.WorldRank(dst)
-	target := p.world.procs[dstWorld]
+	env, target := p.isendHead(c, buf, dst, tag)
+	if d, ok := p.sendSleep(env, target); ok {
+		p.dp.Sleep(d)
+	} else if env.eager {
+		// A copy-in at or above the bypass cutoff is a fabric flow.
+		p.shmCopy(p.core, p.core.Socket, p.core.Socket, env.size, env.bufv.ID())
+	}
+	return p.isendTail(env, target)
+}
+
+// isendHead is Isend up to the sender-side charge: it fills the envelope of
+// a send to dst and returns it with the destination rank.
+func (p *Proc) isendHead(c *Comm, buf *buffer.Buffer, dst, tag int) (*envelope, *Proc) {
+	target := p.world.procs[c.WorldRank(dst)]
 	env := p.allocEnv()
 	p.open++
 	env.srcWorld = p.rank
@@ -232,24 +250,38 @@ func (p *Proc) Isend(c *Comm, buf *buffer.Buffer, dst, tag int) *Request {
 		// Isend for eager (buffered), transfer completion for rendezvous.
 		env.sanRead = s.BeginAccess(p.dp.ID(), p.name, buf.ID(), buf.Off(), env.size, false)
 	}
+	return env, target
+}
 
-	interNode := p.core.NodeID != target.core.NodeID
-	if interNode {
-		// Sender-side per-message CPU overhead (LogGP "o"); rendezvous
-		// messages additionally pay protocol processing.
+// sendSleep returns the sender-side charge of env, the CPU its Isend costs
+// the sender before the message is handed on, when that charge is a plain
+// sleep: the per-message overhead over the network (LogGP "o", plus protocol
+// processing for rendezvous), or an eager copy-in to the shared segment
+// below the bypass cutoff. It reports false for a single-copy intra-node
+// rendezvous, which charges nothing, and for an eager copy-in at or above
+// the cutoff, which is a fabric flow.
+func (p *Proc) sendSleep(env *envelope, target *Proc) (float64, bool) {
+	if p.core.NodeID != target.core.NodeID {
 		o := p.world.Conf.SendOverhead
 		if !env.eager {
 			o += p.world.Conf.RendezvousCPU
 		}
-		p.dp.Sleep(o)
+		return o, true
+	}
+	if !env.eager || env.size >= smallCopyCutoff {
+		return 0, false
+	}
+	return p.copySleep(p.core, p.core.Socket, env.size, env.bufv.ID()), true
+}
+
+// isendTail is Isend after the sender-side charge: it hands env on to
+// target and returns the send's request.
+func (p *Proc) isendTail(env *envelope, target *Proc) *Request {
+	interNode := p.core.NodeID != target.core.NodeID
+	if interNode {
 		p.world.BytesCross += env.size
 	}
-
 	if env.eager {
-		if !interNode {
-			// copy-in to the shared segment by the sender core.
-			p.shmCopy(p.core, p.core.Socket, p.core.Socket, env.size, env.bufv.ID())
-		}
 		if s := p.world.san; s != nil && env.sanRead >= 0 {
 			s.EndAccess(env.sanRead) // buffered: the payload is captured
 			env.sanRead = -1
@@ -329,19 +361,26 @@ const smallCopyCutoff = shm.SmallCopyCutoff
 // shmCopy charges one intra-node memory copy to core (blocking p) without
 // moving payload bytes; callers move data separately.
 func (p *Proc) shmCopy(core *topology.Core, srcSock, dstSock *topology.Socket, n int64, srcID uint64) {
-	spec := &p.world.Machine.Spec
-	if n <= 0 {
-		p.dp.Sleep(spec.ShmLatency)
-		return
-	}
-	srcRes, rate := srcSock.ReadSide(spec, srcID, n, core.Socket == srcSock)
 	if n < smallCopyCutoff {
-		p.dp.Sleep(spec.ShmLatency + float64(n)/rate)
+		p.dp.Sleep(p.copySleep(core, srcSock, n, srcID))
 		return
 	}
+	spec := &p.world.Machine.Spec
+	srcRes, rate := srcSock.ReadSide(spec, srcID, n, core.Socket == srcSock)
 	done := des.AwaitBegin(p.dp, 1)
 	p.world.Machine.Fab.StartAfterPath2("copy", spec.ShmLatency, float64(n), rate, srcRes, dstSock.MemBus, done)
 	des.AwaitEnd(p.dp)
+}
+
+// copySleep is the time core takes for an intra-node copy of n bytes from
+// srcSock below the bypass cutoff, charged as a plain sleep.
+func (p *Proc) copySleep(core *topology.Core, srcSock *topology.Socket, n int64, srcID uint64) float64 {
+	spec := &p.world.Machine.Spec
+	if n <= 0 {
+		return spec.ShmLatency
+	}
+	_, rate := srcSock.ReadSide(spec, srcID, n, core.Socket == srcSock)
+	return spec.ShmLatency + float64(n)/rate
 }
 
 // startTransfer moves the payload for a matched (envelope, posting) pair and

@@ -69,6 +69,10 @@ type World struct {
 	// package-level so concurrently running worlds share no pointers.
 	empty *buffer.Buffer
 
+	// steps holds each rank's stepped-wait record, by world rank; nil
+	// until the first stepped wait (see Proc.waitStep).
+	steps []waitStep
+
 	// BytesCross counts payload bytes sent over inter-node links, a
 	// cheap cross-check for algorithm traffic volume.
 	BytesCross int64
@@ -90,8 +94,8 @@ type Proc struct {
 	posted     postIndex // posted receives, indexed, posting order preserved
 	unexpected envIndex  // unexpected envelopes, indexed, arrival order preserved
 
-	envPool []*envelope // recycled send records (see envelope.refs)
-	poPool  []*posting  // recycled receive records (see posting.refs)
+	envFree *envelope // recycled send records, linked through next (see envelope.refs)
+	poFree  *posting  // recycled receive records, linked through hnext (see posting.refs)
 
 	// open counts the requests this rank issued (Isend, Irecv) and has not
 	// yet collected (Wait); Run reports a body that returns with open > 0.

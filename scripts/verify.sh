@@ -15,9 +15,11 @@
 #   race      the race detector, only over code that starts goroutines:
 #             the sweep pool, the coroutine pool, hierbench's sweeps and
 #             bench's RSS poller (-short), and the root isolation tests
-#   san       the conformance/isolation suites under HIERSAN=1 (the hiersan
-#             dynamic sanitizer: virtual-time buffer conflicts between
-#             ranks)
+#   san       every package under internal/, and the root's conformance
+#             and isolation suites, under HIERSAN=1 (the hiersan dynamic
+#             sanitizer: virtual-time buffer conflicts between ranks,
+#             ordered by the sync edges of rank bodies and of the waits
+#             the engine steps for them)
 #   fuzz      10s FuzzMatch smoke over the p2p matching machinery
 #   benchsmoke  the repository benchmark's own gate (bench/ci.sh, called as
 #             it stands): vet, hierlint and tests of ./bench, then a -quick
@@ -66,8 +68,9 @@ echo "==> go test -race (packages that start goroutines)"
 go test -race -short ./internal/sweep ./internal/des ./cmd/hierbench ./bench
 go test -race -short . -run 'Isolation|Parallel'
 
-echo "==> san (HIERSAN=1 conformance)"
-HIERSAN=1 go test ./... -run 'Conformance|Isolation'
+echo "==> san (HIERSAN=1: internal/..., root conformance and isolation)"
+HIERSAN=1 go test ./internal/...
+HIERSAN=1 go test . -run 'Conformance|Isolation'
 
 echo "==> fuzz smoke (FuzzMatch, 10s)"
 go test ./internal/mpi -run '^$' -fuzz '^FuzzMatch$' -fuzztime 10s

@@ -20,7 +20,9 @@
 //
 // This package is a facade over the implementation packages; see
 // cmd/hierbench for the drivers that regenerate every figure and table of
-// the paper, and the examples/ directory for runnable walkthroughs.
+// the paper, and the package examples (Example_quickstart, Example_adaptive,
+// Example_placement, Example_scaling, Example_asp) for runnable
+// walkthroughs whose output go test checks.
 package hierknem
 
 import (

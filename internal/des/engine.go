@@ -21,24 +21,26 @@
 // events, so the order in which concurrently-unblocked processes resume is
 // deterministic.
 //
-// The event queue has three sources, and pop takes the least (time, seq)
+// The event queue has two sources, and pop takes the least (time, seq)
 // among their heads:
 //
-//   - the now-bucket, a FIFO of events scheduled at the current timestamp —
-//     zero-sleeps, wakes, eager completions, the majority in collective
-//     inner loops;
-//   - a few fixed-delay lanes, FIFOs of events scheduled the same delay d
-//     after the then-current time (Sleep, After): the pLogP overheads and
-//     latencies a simulation charges are a handful of constants, so nearly
-//     every future event joins a lane in O(1);
-//   - a 4-ary heap for the irregular deadlines (At, and a delay that finds
-//     no lane free), chiefly the fabric's flow completions.
+//   - a few lanes, FIFOs of events scheduled the same delay d after the
+//     then-current time: lanes[0] holds delay zero — zero-sleeps, wakes,
+//     eager completions, the majority in collective inner loops — and the
+//     rest the pLogP overheads and latencies a simulation charges (Sleep,
+//     After), a handful of constants, so nearly every event joins a lane
+//     in O(1);
+//   - a 4-ary heap for the irregular deadlines (At in the future, and a
+//     delay that finds no lane free), chiefly the fabric's flow completions.
 //
-// Dispatch order is exactly (time, seq) whatever the source. A bucket event
-// is younger than every heap or lane event at the current timestamp, since
-// those were scheduled before the clock reached it; the bucket is FIFO in
-// sequence order; and a lane is too, because the clock never goes back,
-// fl(now+d) is monotone in now and sequence numbers only grow.
+// Dispatch order is exactly (time, seq) whatever the source: a lane is FIFO
+// in that order, because the clock never goes back, fl(now+d) is monotone in
+// now and sequence numbers only grow.
+//
+// Every suspension is an event: a Sleep schedules its resume even when
+// nothing else could run first, at the cost of one lane append and pop
+// (DESIGN.md §5.2 has the benchmark pairs that retired the shortcut which
+// skipped it).
 //
 // A process may also hand the engine a wait sequence (Steps): a Stepper
 // that runs on the process first and then, after each sleep or park it asks
@@ -56,8 +58,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"hierknem/internal/san"
 )
 
 // Engine is a discrete-event simulation engine. The zero value is not usable;
@@ -67,13 +67,10 @@ type Engine struct {
 	seq       uint64
 	processed uint64
 
-	queue      eventHeap      // irregular events in the strict future (at insertion time)
-	lanes      [numLanes]lane // fixed-delay FIFOs (see scheduleAfter)
-	laneLive   int            // events queued in the lanes
-	bucket     []*event       // FIFO of events at the current timestamp
-	bucketPos  int            // next bucket entry to dispatch
-	bucketLive int            // bucket entries not yet dispatched or cancelled
-	pool       []*event       // free list of recycled event records
+	queue    eventHeap          // irregular events in the strict future (at insertion time)
+	lanes    [1 + numLanes]lane // fixed-delay FIFOs, lanes[0] for delay zero (see scheduleAfter)
+	laneLive int                // events queued in the lanes
+	pool     []*event           // free list of recycled event records
 
 	// next is what a dispatch loop running on a process coroutine leaves
 	// for the driver before it yields: the process to switch into. Nil means
@@ -83,17 +80,11 @@ type Engine struct {
 
 	procs   []*Proc
 	alive   int
-	current *Proc
 	running bool
 
 	// MaxTime aborts Run once the virtual clock passes this horizon.
 	// Zero means no horizon.
 	MaxTime float64
-
-	// san, when non-nil, receives Wake's sync-edge hook (hiersan). The
-	// hook site is nil-guarded so the disabled hot path pays one
-	// predictable branch and zero allocations.
-	san *san.Sanitizer
 
 	// handoffs counts the driver's switches into processes and heapPushes
 	// the events that entered the heap: host-side costs only tests read.
@@ -108,11 +99,6 @@ func New() *Engine {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
 
-// SetSanitizer attaches (or, with nil, detaches) a hiersan runtime. The
-// sanitizer observes Wake synchronization edges; it schedules nothing, so an
-// instrumented run stays event-for-event identical to a bare one.
-func (e *Engine) SetSanitizer(s *san.Sanitizer) { e.san = s }
-
 // event is one scheduled occurrence. Exactly one of fn (callback event) and
 // proc (typed resume event) is set while queued; both are nil once the event
 // fired, was cancelled, or sits in the free list.
@@ -126,19 +112,16 @@ type event struct {
 	fn      func()
 	proc    *Proc  // non-nil: resume proc if it is still parked at parkGen
 	parkGen uint64 // park generation the resume targets
-	idx     int    // heap position; bucketIdx in the bucket; laneIdx(i) in lane i; -1 detached
+	idx     int    // heap position; laneIdx(i) in lane i; -1 detached
 	// prev and next link the event into its lane.
 	prev, next *event
 }
 
-// bucketIdx marks an event as living in the now-bucket rather than the heap.
-const bucketIdx = -2
-
 // laneIdx is the idx of an event queued in lane i; laneOf inverts it.
-func laneIdx(i int) int  { return -3 - i }
-func laneOf(idx int) int { return -3 - idx }
+func laneIdx(i int) int  { return -2 - i }
+func laneOf(idx int) int { return -2 - idx }
 
-// numLanes is how many distinct fixed delays can queue outside the heap at
+// numLanes is how many distinct non-zero delays can queue outside the heap at
 // once. Collective traffic is dominated by two (ShmLatency, NetLatency); the
 // others absorb a personality's send overhead and small-copy times.
 const numLanes = 4
@@ -175,9 +158,6 @@ func (l *lane) remove(ev *event) {
 	ev.prev, ev.next = nil, nil
 }
 
-// dead reports that the event was cancelled in place.
-func (ev *event) dead() bool { return ev.fn == nil && ev.proc == nil }
-
 // alloc takes an event record from the free list (or allocates one) and
 // stamps it with the next sequence number.
 func (e *Engine) alloc(at float64) *event {
@@ -206,30 +186,27 @@ func (e *Engine) release(ev *event) {
 }
 
 // schedule allocates an event at absolute time t and enqueues it: the
-// now-bucket for the current timestamp, the heap for the future.
+// zero-delay lane for the current timestamp, the heap for the future.
 func (e *Engine) schedule(t float64) *event {
-	ev := e.alloc(t)
 	if t == e.now {
-		ev.idx = bucketIdx
-		e.bucket = append(e.bucket, ev)
-		e.bucketLive++
-	} else {
-		e.heapPushes++
-		e.queue.push(ev)
+		return e.laneAppend(0, t)
 	}
+	ev := e.alloc(t)
+	e.heapPushes++
+	e.queue.push(ev)
 	return ev
 }
 
 // scheduleAfter allocates an event d after now and enqueues it: the
-// now-bucket when now+d rounds to now, else the lane that holds delay d, else
-// an empty lane (which takes d), else the heap.
+// zero-delay lane when now+d rounds to now, else the lane that holds delay d,
+// else an empty lane (which takes d), else the heap.
 func (e *Engine) scheduleAfter(d float64) *event {
 	t := e.now + d
 	if t == e.now {
-		return e.schedule(t)
+		return e.laneAppend(0, t)
 	}
 	free := -1
-	for i := range e.lanes {
+	for i := 1; i < len(e.lanes); i++ {
 		l := &e.lanes[i]
 		if l.head == nil {
 			if free < 0 {
@@ -255,9 +232,7 @@ func (e *Engine) laneAppend(i int, t float64) *event {
 }
 
 // pop removes and returns the globally least (time, seq) event, or nil when
-// none remain. While the bucket holds events, the clock cannot advance; a
-// heap or lane event at the current timestamp always precedes every bucket
-// event because it was scheduled before the clock reached now (smaller seq).
+// none remain.
 func (e *Engine) pop() *event {
 	var min *event
 	if len(e.queue) > 0 {
@@ -271,20 +246,6 @@ func (e *Engine) pop() *event {
 			}
 		}
 	}
-	if e.bucketPos < len(e.bucket) && (min == nil || min.at > e.now) {
-		ev := e.bucket[e.bucketPos]
-		e.bucket[e.bucketPos] = nil
-		e.bucketPos++
-		if e.bucketPos == len(e.bucket) {
-			e.bucket = e.bucket[:0]
-			e.bucketPos = 0
-		}
-		if !ev.dead() {
-			e.bucketLive--
-		}
-		ev.idx = -1
-		return ev
-	}
 	switch {
 	case min == nil:
 		return nil
@@ -297,21 +258,6 @@ func (e *Engine) pop() *event {
 	return min
 }
 
-// idleThrough reports whether nothing is queued at or before t.
-func (e *Engine) idleThrough(t float64) bool {
-	if e.bucketPos < len(e.bucket) || len(e.queue) > 0 && e.queue[0].at <= t {
-		return false
-	}
-	if e.laneLive > 0 {
-		for i := range e.lanes {
-			if h := e.lanes[i].head; h != nil && h.at <= t {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // Timer is a handle to a scheduled event that can be cancelled. Timers are
 // plain values; the zero Timer is stopped. A Timer holds a generation
 // snapshot, so handles to fired events are inert — they can never cancel
@@ -322,14 +268,13 @@ type Timer struct {
 	gen uint64
 }
 
-// Cancel prevents the timer's callback from firing. Heap events are removed
-// immediately (O(log n)), so heavily rescheduled timers (the fabric re-arms
-// one completion timer per flow component) do not accumulate dead entries,
-// and lane events are unlinked immediately (O(1)). Bucket events are marked
-// dead in place (O(1)); the bucket drains within the current timestamp, so
-// dead entries cannot pile up either. Cancelling an already fired or
-// cancelled timer is a no-op. Cancel also drops the handle's references so a
-// long-lived cancelled Timer does not pin the engine or its queues.
+// Cancel prevents the timer's callback from firing. The event leaves its
+// queue at once — unlinked from its lane in O(1), removed from the heap in
+// O(log n) — so heavily rescheduled timers (the fabric re-arms one
+// completion timer per flow component) leave no dead entries behind.
+// Cancelling an already fired or cancelled timer is a no-op. Cancel also
+// drops the handle's references so a long-lived cancelled Timer does not pin
+// the engine or its queues.
 func (t *Timer) Cancel() {
 	if t == nil || t.ev == nil {
 		return
@@ -343,16 +288,13 @@ func (t *Timer) Cancel() {
 	switch {
 	case ev.idx >= 0:
 		eng.queue.removeAt(ev.idx)
-		eng.release(ev)
-	case ev.idx == bucketIdx:
-		ev.fn = nil
-		ev.proc = nil
-		eng.bucketLive--
 	case ev.idx != -1:
 		eng.lanes[laneOf(ev.idx)].remove(ev)
 		eng.laneLive--
-		eng.release(ev)
+	default:
+		return
 	}
+	eng.release(ev)
 }
 
 // Stopped reports whether the timer was cancelled or already fired.
@@ -411,11 +353,11 @@ type Proc struct {
 	// bypass is a mark the engine never reads (see SetBypass).
 	bypass bool
 
-	// awaitRemaining and awaitDone back Await/AwaitAll without a fresh
-	// counter and closure per call: a process runs at most one await at a
-	// time (it is parked for the duration), so one cached pair suffices.
-	awaitRemaining int
-	awaitDone      func()
+	// awaiting is set from AwaitBegin until the completion fires, and
+	// awaitDone is that completion: made at the first await, then reused,
+	// since a process awaits one completion at a time.
+	awaiting  bool
+	awaitDone func()
 }
 
 // ID returns the process's spawn index, unique within its engine.
@@ -444,12 +386,6 @@ func (p *Proc) Bypass() bool { return p.bypass }
 // scheduler; when body returns the process terminates.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
 	p := &Proc{eng: e, id: len(e.procs), name: name, body: body}
-	p.awaitDone = func() {
-		p.awaitRemaining--
-		if p.awaitRemaining == 0 {
-			p.Wake()
-		}
-	}
 	// A spawned process starts parked at generation 0; its start is an
 	// ordinary typed resume event at the current time.
 	p.parkedFlag = true
@@ -536,8 +472,8 @@ func SleepFor(d float64) Wait {
 // A Stepper is a wait sequence a process hands the engine (see Steps).
 type Stepper interface {
 	// Step advances the sequence and returns the suspension it needs next,
-	// or Done. It runs on p's behalf with p as the engine's current process,
-	// and must not block: no Sleep, Park, Await or Steps.
+	// or Done. It runs on p's behalf, on p or in engine context, and must
+	// not block: no Sleep, Park, AwaitEnd or Steps.
 	Step(p *Proc) Wait
 }
 
@@ -546,7 +482,7 @@ type Stepper interface {
 // the suspension the previous Step asked for, so the process is switched
 // into once, when a Step returns Done, however many suspensions the
 // sequence takes. Each suspension behaves exactly as the Sleep or Park it
-// stands for: same events, same fast path, same latched-wake rules.
+// stands for: same events, same latched-wake rules.
 func (p *Proc) Steps(s Stepper) {
 	p.co.step = s
 	if !p.stepOn() {
@@ -578,20 +514,7 @@ func (p *Proc) stepOn() bool {
 }
 
 // suspend arms the suspension w and reports true, or reports false when w
-// is over at once: a sleep the lone-runner fast path took, or a park a
-// latched Wake satisfied.
-//
-// Lone-runner fast path: when nothing is queued at or before now+d, the
-// resume event a sleep would schedule is the unique minimum of the queue —
-// the engine would dispatch it immediately and transfer straight back to
-// this process. In that case the event and the two coroutine switches are
-// elided, and only their observable effects are replayed: one sequence
-// number is consumed (tie-breaks downstream stay identical), the processed
-// counter advances (events/op stays comparable across engine versions), and
-// the clock moves to now+d. A pending MaxTime violation falls through to the
-// slow path so Run can surface the error. No wake can target a running
-// process (wakes on a running process only latch pendingWake), so skipping
-// the park cannot drop a resume, and a latched wake stays latched.
+// is over at once: a park a latched Wake satisfied.
 func (p *Proc) suspend(w Wait) bool {
 	park := w == Parked
 	if park {
@@ -600,15 +523,7 @@ func (p *Proc) suspend(w Wait) bool {
 			return false
 		}
 	} else {
-		e := p.eng
-		t := e.now + float64(w)
-		if e.idleThrough(t) && !(e.MaxTime > 0 && t > e.MaxTime) {
-			e.seq++
-			e.processed++
-			e.now = t
-			return false
-		}
-		ev := e.scheduleAfter(float64(w))
+		ev := p.eng.scheduleAfter(float64(w))
 		ev.proc = p
 		ev.parkGen = p.parkGen + 1
 	}
@@ -620,8 +535,7 @@ func (p *Proc) suspend(w Wait) bool {
 
 // Sleep suspends the process for d seconds of virtual time. A zero sleep is
 // still a scheduling point: events already queued at the current timestamp
-// run before the process resumes. See suspend for the fast path that skips
-// the event when nothing else could run first.
+// run before the process resumes.
 func (p *Proc) Sleep(d float64) {
 	if p.suspend(SleepFor(d)) {
 		p.park()
@@ -645,16 +559,6 @@ func (p *Proc) Park() {
 func (p *Proc) Wake() {
 	if p.done || p.pendingWake {
 		return
-	}
-	if s := p.eng.san; s != nil {
-		// A direct wake from a running process is a virtual-time
-		// synchronization edge: the wakee resumes causally after the
-		// waker's instant. Wakes issued from event callbacks (current is
-		// nil there) are covered by the precise edges the mpi layer
-		// records at transfer completion.
-		if cur := p.eng.current; cur != nil && cur != p {
-			s.SyncEdge(cur.id, p.id)
-		}
 	}
 	p.pendingWake = true
 	if p.parkedFlag && p.wakeable {
@@ -729,10 +633,6 @@ func (e *Engine) dispatch(self *Proc) bool {
 		if ev == nil {
 			return false
 		}
-		if ev.dead() {
-			e.release(ev) // cancelled in the bucket
-			continue
-		}
 		if ev.at < e.now {
 			panic("des: time went backwards")
 		}
@@ -747,7 +647,6 @@ func (e *Engine) dispatch(self *Proc) bool {
 			gen := ev.parkGen
 			e.release(ev)
 			if !p.done && p.parkedFlag && p.parkGen == gen {
-				e.current = p
 				if c := p.co; c != nil && c.step != nil && !p.stepOn() {
 					continue
 				}
@@ -761,10 +660,6 @@ func (e *Engine) dispatch(self *Proc) bool {
 		}
 		fn := ev.fn
 		e.release(ev)
-		// No process is executing during a callback; clear current so
-		// Wake's sanitizer edge cannot attribute the wake to whichever
-		// process happened to run last.
-		e.current = nil
 		fn()
 	}
 }
@@ -789,28 +684,18 @@ func (e *Engine) Reset() {
 	e.seq = 0
 	e.processed = 0
 	e.procs = e.procs[:0]
-	e.current = nil
 	e.runErr = nil
 }
 
-// drainPending routes every still-queued event — leftovers after a MaxTime
-// abort, plus bucket entries cancelled in place — through release. Going
-// through release (never raw pool appends) bumps each record's generation,
-// so a Timer handle held across the abort cannot cancel the record's next
-// life.
+// drainPending routes every event still queued after a MaxTime abort
+// through release. Going through release (never raw pool appends) bumps each
+// record's generation, so a Timer handle held across the abort cannot cancel
+// the record's next life.
 func (e *Engine) drainPending() {
 	for _, ev := range e.queue {
 		e.release(ev)
 	}
 	e.queue = e.queue[:0]
-	for _, ev := range e.bucket[e.bucketPos:] {
-		if ev != nil {
-			e.release(ev) // cancelled-in-place entries are only recycled here
-		}
-	}
-	e.bucket = e.bucket[:0]
-	e.bucketPos = 0
-	e.bucketLive = 0
 	for i := range e.lanes {
 		l := &e.lanes[i]
 		for l.head != nil {
@@ -824,8 +709,8 @@ func (e *Engine) drainPending() {
 }
 
 // Pending returns the number of events currently scheduled. Cancelled timers
-// are removed (heap, lanes) or marked dead (bucket) eagerly and do not count.
-func (e *Engine) Pending() int { return len(e.queue) + e.laneLive + e.bucketLive }
+// leave their queue at once and do not count.
+func (e *Engine) Pending() int { return len(e.queue) + e.laneLive }
 
 // Processed returns the number of events dispatched so far — the raw event
 // throughput measure the fabric benchmarks report as events/sec.

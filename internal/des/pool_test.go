@@ -6,8 +6,8 @@ import (
 )
 
 // The tests in this file pin the engine's hot-path machinery: the event
-// free list, the now-bucket's dispatch-order invariant, and the Sleep
-// lone-runner fast path's observable bookkeeping.
+// free list and its generation guard, and the dispatch order of events at
+// the current timestamp.
 
 func TestEventPoolRecyclesEvents(t *testing.T) {
 	e := New()
@@ -52,11 +52,11 @@ func TestCancelReturnsEventToPool(t *testing.T) {
 	}
 }
 
-// TestNowBucketDispatchOrder checks the two-tier queue's ordering contract:
-// an event scheduled At(now) from inside a callback lands in the FIFO
-// now-bucket, while events already in the heap for that same timestamp carry
-// older sequence numbers — so the heap drains first and overall (time, seq)
-// order is preserved exactly.
+// TestNowBucketDispatchOrder checks the ordering contract for events at the
+// current timestamp: an event scheduled At(now) from inside a callback joins
+// the FIFO zero-delay lane, while events already in the heap for that same
+// timestamp carry older sequence numbers — so the heap drains first and
+// overall (time, seq) order is preserved exactly.
 func TestNowBucketDispatchOrder(t *testing.T) {
 	e := New()
 	var got []string
@@ -65,10 +65,10 @@ func TestNowBucketDispatchOrder(t *testing.T) {
 	}
 	e.At(1, func() {
 		got = append(got, "A")
-		// Bucketed: same timestamp, scheduled during dispatch.
+		// Zero-delay lane: same timestamp, scheduled during dispatch.
 		e.At(1, func() {
 			got = append(got, "C")
-			e.At(1, rec("D")) // bucket feeding itself stays FIFO
+			e.At(1, rec("D")) // the lane feeding itself stays FIFO
 		})
 	})
 	e.At(1, rec("B")) // heap resident: older seq than C and D
@@ -79,67 +79,6 @@ func TestNowBucketDispatchOrder(t *testing.T) {
 	want := "A B C D E"
 	if s := fmt.Sprintf("%s %s %s %s %s", got[0], got[1], got[2], got[3], got[4]); s != want {
 		t.Fatalf("dispatch order %q, want %q", s, want)
-	}
-}
-
-// TestSleepFastPathBookkeeping: a lone sleeping process takes the elided
-// resume path (no event, no handoff), but the observable counters — virtual
-// time, processed events — must be indistinguishable from the slow path.
-func TestSleepFastPathBookkeeping(t *testing.T) {
-	e := New()
-	const n = 50
-	e.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			p.Sleep(0.5)
-		}
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.Now() != n*0.5 {
-		t.Fatalf("Now() = %g, want %g", e.Now(), n*0.5)
-	}
-	// One spawn event + one replayed event per sleep: the fast path must
-	// keep Processed() identical to what a real resume event would record,
-	// since events/op is the determinism canary in the benchmarks.
-	if want := uint64(n + 1); e.Processed() != want {
-		t.Fatalf("Processed() = %d, want %d", e.Processed(), want)
-	}
-}
-
-// TestSleepSlowPathMatchesFastPath runs the same two-proc workload twice —
-// once with a competing timer forcing the slow path, once without — and
-// checks the time/ordering the sleeping proc observes is unaffected by which
-// path fired.
-func TestSleepSlowPathMatchesFastPath(t *testing.T) {
-	run := func(withTimer bool) (times []float64, processed uint64) {
-		e := New()
-		if withTimer {
-			// A far-future timer keeps the heap non-empty so Sleep cannot
-			// elide its resume events.
-			e.At(1e9, func() {})
-		}
-		e.Spawn("p", func(p *Proc) {
-			for i := 0; i < 10; i++ {
-				p.Sleep(1)
-				times = append(times, p.Now())
-			}
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return times, e.Processed()
-	}
-	fast, fastN := run(false)
-	slow, slowN := run(true)
-	for i := range fast {
-		if fast[i] != slow[i] {
-			t.Fatalf("step %d: fast path woke at %g, slow path at %g", i, fast[i], slow[i])
-		}
-	}
-	// The slow run processes exactly one extra event: the far-future timer.
-	if slowN != fastN+1 {
-		t.Fatalf("Processed(): slow %d, fast %d, want slow = fast+1", slowN, fastN)
 	}
 }
 
@@ -160,5 +99,60 @@ func TestVacatedQueueSlotsAreNil(t *testing.T) {
 		if full[i] != nil {
 			t.Fatalf("vacated backing slot %d not nilled", i)
 		}
+	}
+}
+
+// TestMaxTimeAbortDrainReleasesLeftovers pins the drain-after-abort path:
+// after a horizon abort, Reset must route every leftover event through
+// release, whose generation bump disarms the Timer handles still pointing
+// at the records. If it fed the pool with raw appends instead, the next
+// wave would reuse the records under their old generation, and cancelling
+// through a stale handle would cancel a new event.
+func TestMaxTimeAbortDrainReleasesLeftovers(t *testing.T) {
+	e := New()
+	e.MaxTime = 2
+	e.After(1, func() {})
+	stale := []Timer{
+		e.After(5, func() { t.Error("event beyond the horizon fired") }),
+		e.After(9, func() { t.Error("event beyond the horizon fired") }),
+	}
+	if err := e.Run(); err == nil {
+		t.Fatal("expected a horizon error from Run")
+	}
+	if e.Pending() == 0 {
+		t.Fatal("expected leftover events after the abort")
+	}
+	e.Reset()
+	if e.Pending() != 0 {
+		t.Fatalf("Pending() = %d after Reset, want 0", e.Pending())
+	}
+	// Reuse the drained records, then cancel through the stale handles.
+	fired := 0
+	e.After(1, func() { fired++ })
+	e.After(2, func() { fired++ })
+	for i := range stale {
+		stale[i].Cancel()
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 2 {
+		t.Fatalf("%d of 2 new events fired: a stale handle cancelled a reused record", fired)
+	}
+}
+
+// TestScheduleCancelAllocatesNothing: a warm schedule/cancel cycle performs
+// zero heap allocations.
+func TestScheduleCancelAllocatesNothing(t *testing.T) {
+	e := New()
+	e.After(1, func() {})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		tm := e.At(e.Now()+5, func() {})
+		tm.Cancel()
+	}); n != 0 {
+		t.Fatalf("schedule/cancel allocates %v per op, want 0", n)
 	}
 }

@@ -1,10 +1,6 @@
 package des
 
-import (
-	"testing"
-
-	"hierknem/internal/san"
-)
+import "testing"
 
 // waitsThen is a Stepper that takes the given suspensions, then runs then
 // (in whatever context the last resume left it) and reports Done.
@@ -48,36 +44,5 @@ func TestSteppedParkConsumesItsWake(t *testing.T) {
 	}
 	if steps != 1 || park != 2 {
 		t.Fatalf("stepped park ended at %g and the next Park at %g, want 1 and 2", steps, park)
-	}
-}
-
-// TestSteppedWakeIsASyncEdge: a Step run in engine context runs with its
-// process as the engine's current process, so a Wake it issues records
-// hiersan's sync edge from that process, as a Wake from its body would.
-// Without the edge, b's write at t=1 conflicts with a's read closed at t=1.
-func TestSteppedWakeIsASyncEdge(t *testing.T) {
-	e := New()
-	s := san.New(e.Now)
-	var violations []string
-	s.SetOnViolation(func(msg string) { violations = append(violations, msg) })
-	e.SetSanitizer(s)
-	b := e.Spawn("b", func(p *Proc) {
-		p.Park()
-		s.EndAccess(s.BeginAccess(p.ID(), "b", 1, 0, 8, true))
-	})
-	e.Spawn("a", func(p *Proc) {
-		p.Steps(&waitsThen{waits: []Wait{SleepFor(1)}, then: func() {
-			s.EndAccess(s.BeginAccess(p.ID(), "a", 1, 0, 8, false))
-			b.Wake()
-		}})
-	})
-	// An earlier event keeps a's sleep off the lone-runner fast path, so
-	// the Step after it runs in engine context.
-	e.At(0.5, func() {})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(violations) > 0 {
-		t.Fatalf("a wake from an engine-context step recorded no sync edge: %s", violations[0])
 	}
 }

@@ -1,38 +1,24 @@
 package des
 
-// Await runs start, which kicks off an asynchronous activity and receives a
-// completion callback, then parks p until that callback fires. The callback
-// may fire before start returns (zero-duration activities); Await handles
-// that via the engine's latched-wake semantics. The callback must be invoked
-// from engine context (an event or another process), and exactly once.
-func Await(p *Proc, start func(done func())) {
-	AwaitAll(p, 1, start)
-}
-
-// AwaitAll parks p until all n completion callbacks handed to start have
-// fired. start receives a single done function that must be called exactly n
-// times (from engine context).
-//
-// The done function and its counter live on the process, not on the call: a
-// process is parked for the duration of an await, so it can never have two in
-// flight, and the steady-state await path allocates nothing.
-func AwaitAll(p *Proc, n int, start func(done func())) {
-	start(AwaitBegin(p, n))
-	AwaitEnd(p)
-}
-
-// AwaitBegin arms an await of n completions and returns the done callback to
-// hand to the asynchronous activity; the caller starts the activity itself
-// and then calls AwaitEnd. This split form exists for hot paths where the
-// start closure passed to Await/AwaitAll would be a per-call allocation.
-func AwaitBegin(p *Proc, n int) func() {
-	p.awaitRemaining = n
+// AwaitBegin arms an await of one completion and returns the done callback
+// to hand to the asynchronous activity; the caller starts the activity and
+// then calls AwaitEnd. done must be called exactly once, from engine context
+// (an event or another process); it may fire before AwaitEnd, since a Wake
+// on a running process is latched.
+func AwaitBegin(p *Proc) func() {
+	if p.awaitDone == nil {
+		p.awaitDone = func() {
+			p.awaiting = false
+			p.Wake()
+		}
+	}
+	p.awaiting = true
 	return p.awaitDone
 }
 
-// AwaitEnd parks p until every completion armed by AwaitBegin has fired.
+// AwaitEnd parks p until the completion armed by AwaitBegin has fired.
 func AwaitEnd(p *Proc) {
-	for p.awaitRemaining > 0 {
+	for p.awaiting {
 		p.Park()
 	}
 }

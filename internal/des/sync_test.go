@@ -8,9 +8,8 @@ func TestAwaitCompletesAfterCallback(t *testing.T) {
 	e := New()
 	var resumedAt float64 = -1
 	e.Spawn("w", func(p *Proc) {
-		Await(p, func(done func()) {
-			e.After(3, done)
-		})
+		e.After(3, AwaitBegin(p))
+		AwaitEnd(p)
 		resumedAt = p.Now()
 	})
 	if err := e.Run(); err != nil {
@@ -22,39 +21,39 @@ func TestAwaitCompletesAfterCallback(t *testing.T) {
 }
 
 func TestAwaitImmediateCompletion(t *testing.T) {
-	// The callback may fire before start returns (zero-duration activity).
+	// The callback may fire before AwaitEnd (zero-duration activity).
 	e := New()
 	finished := false
 	e.Spawn("w", func(p *Proc) {
-		Await(p, func(done func()) {
-			done() // immediate, from engine context via the latched wake
-		})
+		done := AwaitBegin(p)
+		done() // immediate: the wake is latched
+		AwaitEnd(p)
 		finished = true
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if !finished {
-		t.Fatal("Await never returned")
+		t.Fatal("AwaitEnd never returned")
 	}
 }
 
-func TestAwaitAllWaitsForEveryCallback(t *testing.T) {
+// TestAwaitOutlastsOtherWakes: a Wake that is not the awaited completion
+// resumes the process, but AwaitEnd parks it again until the completion.
+func TestAwaitOutlastsOtherWakes(t *testing.T) {
 	e := New()
 	var resumedAt float64 = -1
-	e.Spawn("w", func(p *Proc) {
-		AwaitAll(p, 3, func(done func()) {
-			e.After(1, done)
-			e.After(5, done)
-			e.After(2, done)
-		})
+	w := e.Spawn("w", func(p *Proc) {
+		e.After(5, AwaitBegin(p))
+		AwaitEnd(p)
 		resumedAt = p.Now()
 	})
+	e.At(2, w.Wake)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if resumedAt != 5 {
-		t.Fatalf("resumed at %g, want 5 (the slowest callback)", resumedAt)
+		t.Fatalf("resumed at %g, want 5 (the completion, not the stray wake)", resumedAt)
 	}
 }
 
@@ -63,7 +62,8 @@ func TestAwaitSequentialActivities(t *testing.T) {
 	var marks []float64
 	e.Spawn("w", func(p *Proc) {
 		for i := 0; i < 3; i++ {
-			Await(p, func(done func()) { e.After(2, done) })
+			e.After(2, AwaitBegin(p))
+			AwaitEnd(p)
 			marks = append(marks, p.Now())
 		}
 	})

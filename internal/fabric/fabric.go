@@ -297,9 +297,6 @@ func (n *Net) Stats() RecomputeStats {
 	return s
 }
 
-// Components returns the number of currently active flow components.
-func (n *Net) Components() int { return len(n.comps) }
-
 // Reset returns the fabric to its pristine post-NewNet state while keeping
 // the expensive arenas warm: the resource set itself, the flow, component and
 // bundle free lists, the completion scratch and the interned class names survive,

@@ -97,11 +97,12 @@ func (o Opts) newBuf(n int64) *buffer.Buffer {
 }
 
 // timeOp runs the op loop and reduces per-iteration times (max over ranks).
-func timeOp(w *mpi.World, opts Opts, body func(p *mpi.Proc, c *mpi.Comm, iter int)) (avg, min, max float64, iters int) {
+// It returns World.Run's error, such as a *mpi.StallError, as it is.
+func timeOp(w *mpi.World, opts Opts, body func(p *mpi.Proc, c *mpi.Comm, iter int)) (avg, min, max float64, iters int, err error) {
 	opts = opts.withDefaults()
 	total := opts.Warmup + opts.Iterations
 	perIter := make([]float64, total) // max across ranks
-	err := w.Run(func(p *mpi.Proc) {
+	err = w.Run(func(p *mpi.Proc) {
 		c := w.WorldComm()
 		for it := 0; it < total; it++ {
 			c.Barrier(p)
@@ -114,7 +115,7 @@ func timeOp(w *mpi.World, opts Opts, body func(p *mpi.Proc, c *mpi.Comm, iter in
 		}
 	})
 	if err != nil {
-		panic(fmt.Sprintf("imb: benchmark run failed: %v", err))
+		return 0, 0, 0, 0, err
 	}
 	timed := perIter[opts.Warmup:]
 	min, max = timed[0], timed[0]
@@ -128,13 +129,15 @@ func timeOp(w *mpi.World, opts Opts, body func(p *mpi.Proc, c *mpi.Comm, iter in
 			max = t
 		}
 	}
-	return sum / float64(len(timed)), min, max, len(timed)
+	return sum / float64(len(timed)), min, max, len(timed), nil
 }
 
 // RunOp benchmarks the named collective — one sweep data point — on w:
 // bytes is the message size, or the per-rank block for allgather, scatter
 // and gather. It reports an error for an unknown operation, a negative size
-// or a negative iteration count. Reductions sum float64s.
+// or a negative iteration count, and wraps the error of a run that fails,
+// such as a *mpi.StallError when the module deadlocks. Reductions sum
+// float64s.
 func RunOp(w *mpi.World, mod modules.Module, op string, bytes int64, opts Opts) (Result, error) {
 	switch {
 	case !KnownOp(op):
@@ -167,7 +170,7 @@ func RunOp(w *mpi.World, mod modules.Module, op string, bytes int64, opts Opts) 
 		}
 	}
 	a := coll.ReduceArgs{Op: buffer.OpSum, Dtype: buffer.Float64}
-	avg, min, max, iters := timeOp(w, opts, func(p *mpi.Proc, c *mpi.Comm, it int) {
+	avg, min, max, iters, err := timeOp(w, opts, func(p *mpi.Proc, c *mpi.Comm, it int) {
 		root := 0
 		if opts.RotateRoot {
 			root = it % np
@@ -188,6 +191,9 @@ func RunOp(w *mpi.World, mod modules.Module, op string, bytes int64, opts Opts) 
 			mod.Gather(p, c, sbufs[me], rbufs[me], root)
 		}
 	})
+	if err != nil {
+		return Result{}, fmt.Errorf("imb: %s benchmark run failed: %w", op, err)
+	}
 	return Result{
 		Op: op, Module: mod.Name(), Bytes: bytes, Iterations: iters,
 		AvgTime: avg, MinTime: min, MaxTime: max,

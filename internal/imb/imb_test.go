@@ -1,10 +1,12 @@
 package imb
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 
+	"hierknem/internal/buffer"
 	"hierknem/internal/core"
 	"hierknem/internal/modules"
 	"hierknem/internal/mpi"
@@ -84,6 +86,30 @@ func TestRunOpRejectsBadInput(t *testing.T) {
 			t.Errorf("RunOp(%q, %d, %+v) = %+v, want an error", tc.op, tc.bytes, tc.opts, r)
 		}
 	}
+}
+
+// stalledBcast is a module whose Bcast receives from nobody.
+type stalledBcast struct{ modules.Module }
+
+func (stalledBcast) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
+	p.Recv(c, buf, (c.Rank(p)+1)%c.Size(), 99)
+}
+
+// TestRunOpReturnsStall: a module that deadlocks makes RunOp return an error
+// that unwraps to the *mpi.StallError, and imb.Bcast panics with that value.
+func TestRunOpReturnsStall(t *testing.T) {
+	mod := stalledBcast{core.New(core.Options{})}
+	_, err := RunOp(testWorld(t, 1, 2, 2), mod, "bcast", 1024, Opts{})
+	var se *mpi.StallError
+	if !errors.As(err, &se) {
+		t.Fatalf("RunOp error %v (%T), want one wrapping *mpi.StallError", err, err)
+	}
+	defer func() {
+		if got, ok := recover().(error); !ok || !errors.As(got, &se) {
+			t.Fatalf("Bcast panicked with %v, want the RunOp error", got)
+		}
+	}()
+	Bcast(testWorld(t, 1, 2, 2), mod, 1024, Opts{})
 }
 
 func TestAggregateBWFormulas(t *testing.T) {

@@ -29,7 +29,7 @@ type BBKey struct {
 type bbEntry struct {
 	val     any
 	present bool
-	poster  *Proc // last poster, for the sanitizer's sync edge
+	poster  *Proc // last poster, the source of a reader's sync edge
 	waiters []*Proc
 }
 
@@ -53,7 +53,7 @@ func (c *Comm) BBPost(p *Proc, key BBKey, v any) {
 	e.val = v
 	e.present = true
 	e.poster = p
-	wakeAll(&e.waiters)
+	wakeAll(p, &e.waiters)
 }
 
 // BBWait blocks until key is posted and returns its value.

@@ -7,7 +7,6 @@ import (
 	"hierknem/internal/des"
 	"hierknem/internal/fabric"
 	"hierknem/internal/shm"
-	"hierknem/internal/topology"
 )
 
 // Wildcards for Recv matching.
@@ -226,8 +225,10 @@ func (p *Proc) Isend(c *Comm, buf *buffer.Buffer, dst, tag int) *Request {
 	if d, ok := p.sendSleep(env, target); ok {
 		p.dp.Sleep(d)
 	} else if env.eager {
-		// A copy-in at or above the bypass cutoff is a fabric flow.
-		p.shmCopy(p.core, p.core.Socket, p.core.Socket, env.size, env.bufv.ID())
+		// A copy-in at or above the bypass cutoff is a fabric flow, in a
+		// small stretch too: the stretch bounds the collective's own
+		// copies, not the transport's (see SmallIntraNode).
+		shm.CopyFlow(p.dp, p.world.Machine, p.core, p.core.Socket, p.core.Socket, env.size, env.bufv.ID())
 	}
 	return p.isendTail(env, target)
 }
@@ -271,7 +272,7 @@ func (p *Proc) sendSleep(env *envelope, target *Proc) (float64, bool) {
 	if !env.eager || env.size >= smallCopyCutoff {
 		return 0, false
 	}
-	return p.copySleep(p.core, p.core.Socket, env.size, env.bufv.ID()), true
+	return shm.CopyTime(p.world.Machine, p.core, p.core.Socket, env.size, env.bufv.ID()), true
 }
 
 // isendTail is Isend after the sender-side charge: it hands env on to
@@ -357,31 +358,6 @@ func (p *Proc) SendRecv(c *Comm, sendBuf *buffer.Buffer, dst, sendTag int, recvB
 // canonical constant lives in shm so the transports and the SmallIntraNode
 // selector agree.
 const smallCopyCutoff = shm.SmallCopyCutoff
-
-// shmCopy charges one intra-node memory copy to core (blocking p) without
-// moving payload bytes; callers move data separately.
-func (p *Proc) shmCopy(core *topology.Core, srcSock, dstSock *topology.Socket, n int64, srcID uint64) {
-	if n < smallCopyCutoff {
-		p.dp.Sleep(p.copySleep(core, srcSock, n, srcID))
-		return
-	}
-	spec := &p.world.Machine.Spec
-	srcRes, rate := srcSock.ReadSide(spec, srcID, n, core.Socket == srcSock)
-	done := des.AwaitBegin(p.dp, 1)
-	p.world.Machine.Fab.StartAfterPath2("copy", spec.ShmLatency, float64(n), rate, srcRes, dstSock.MemBus, done)
-	des.AwaitEnd(p.dp)
-}
-
-// copySleep is the time core takes for an intra-node copy of n bytes from
-// srcSock below the bypass cutoff, charged as a plain sleep.
-func (p *Proc) copySleep(core *topology.Core, srcSock *topology.Socket, n int64, srcID uint64) float64 {
-	spec := &p.world.Machine.Spec
-	if n <= 0 {
-		return spec.ShmLatency
-	}
-	_, rate := srcSock.ReadSide(spec, srcID, n, core.Socket == srcSock)
-	return spec.ShmLatency + float64(n)/rate
-}
 
 // startTransfer moves the payload for a matched (envelope, posting) pair and
 // completes the requests. Runs in engine context.

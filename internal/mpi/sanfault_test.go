@@ -2,8 +2,10 @@ package mpi
 
 // Seeded-fault fixtures for hiersan at the MPI layer: an unsynchronized
 // overlapping single-copy must trip the virtual-time conflict checker with
-// rank/vtime detail, and a drained queue with outstanding operations must
-// produce a stall autopsy naming the pending receive and the unmatched send.
+// rank/vtime detail, a release from process context must record the sync
+// edge that orders same-instant accesses, and a drained queue with
+// outstanding operations must produce a stall autopsy naming the pending
+// receive and the unmatched send.
 
 import (
 	"errors"
@@ -14,6 +16,7 @@ import (
 	"hierknem/internal/buffer"
 	"hierknem/internal/des"
 	"hierknem/internal/knem"
+	"hierknem/internal/topology"
 )
 
 func collectViolations(w *World) *[]string {
@@ -132,5 +135,75 @@ func TestStallAutopsyEmptyCase(t *testing.T) {
 	}
 	if !strings.Contains(se.Report, "no pending point-to-point operations") {
 		t.Errorf("empty-case report = %q", se.Report)
+	}
+}
+
+// TestReleaseEdgesOrderSameInstantAccesses: where one rank releases others
+// from process context — the last arriver at a flag barrier, BBPost, the
+// last arriver at Split — the release is a sync edge. The releaser closes a
+// write window at the release instant and the released rank opens a read
+// window on the same bytes at that same instant; only the edge orders them.
+// ShmLatency is zero so that the flag barrier's last arrival charges no time
+// between the write and the release.
+func TestReleaseEdgesOrderSameInstantAccesses(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		release func(c *Comm, p *Proc) // the releaser's half
+		wait    func(c *Comm, p *Proc) // the released rank's half
+	}{
+		{"flag barrier", (*Comm).Barrier, (*Comm).Barrier},
+		{"blackboard",
+			func(c *Comm, p *Proc) { c.BBPost(p, BBKey{Op: "edge"}, 1) },
+			func(c *Comm, p *Proc) { c.BBWait(p, BBKey{Op: "edge"}) }},
+		{"split",
+			func(c *Comm, p *Proc) { c.Split(p, 0, 0) },
+			func(c *Comm, p *Proc) { c.Split(p, 0, 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := toySpec(1, 1, 2)
+			spec.ShmLatency = 0
+			m, err := topology.Build(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := ByCoreBinding(m, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := NewWorld(m, b, toyConf())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := collectViolations(w)
+			s := w.Sanitizer()
+			data := buffer.NewReal(make([]byte, 64))
+			access := func(p *Proc, write bool) int {
+				return s.BeginAccess(p.DES().ID(), p.name, data.ID(), data.Off(), data.Len(), write)
+			}
+			var wrote, read float64
+			err = w.Run(func(p *Proc) {
+				c := w.WorldComm()
+				if p.Rank() == 0 {
+					tc.wait(c, p) // parks: rank 1 arrives a second later
+					read = p.Now()
+					s.EndAccess(access(p, false))
+					return
+				}
+				h := access(p, true)
+				p.Compute(1)
+				s.EndAccess(h)
+				wrote = p.Now()
+				tc.release(c, p)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if read != wrote {
+				t.Fatalf("released rank read at t=%g, the write closed at t=%g: the accesses are not at one instant", read, wrote)
+			}
+			if len(*got) > 0 {
+				t.Fatalf("a %s release recorded no sync edge: %s", tc.name, (*got)[0])
+			}
+		})
 	}
 }

@@ -124,7 +124,7 @@ func (s *waitStep) flag() des.Wait {
 		if b.count == s.c.Size() {
 			b.count = 0
 			b.gen++
-			wakeAll(&b.waiters)
+			wakeAll(s.p, &b.waiters)
 			return des.Done
 		}
 		if b.waiters == nil {
@@ -151,6 +151,13 @@ func (s *waitStep) lookup() des.Wait {
 	case 1:
 		s.e = s.c.entry(s.key)
 		s.phase = 2
+		if s.e.present {
+			// A blackboard read is a sync edge from the poster: the value
+			// (typically a KNEM cookie) publishes the buffer it names. A
+			// reader that parks gets the edge from BBPost's release.
+			s.c.world.syncEdge(s.e.poster, s.p)
+			return des.Done
+		}
 	}
 	e := s.e
 	if !e.present {
@@ -159,13 +166,6 @@ func (s *waitStep) lookup() des.Wait {
 		}
 		e.waiters = append(e.waiters, s.p)
 		return des.Parked
-	}
-	if sn := s.c.world.san; sn != nil && e.poster != nil {
-		// A blackboard read is a sync edge from the poster: the value
-		// (typically a KNEM cookie) publishes the buffer it names. The
-		// parked path is already covered by the poster's Wake; this also
-		// covers a wait that finds the key present.
-		sn.SyncEdge(e.poster.dp.ID(), s.p.dp.ID())
 	}
 	return des.Done
 }

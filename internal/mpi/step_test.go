@@ -27,7 +27,7 @@ func processBarrier(c *Comm, p *Proc) {
 		if b.count == c.Size() {
 			b.count = 0
 			b.gen++
-			wakeAll(&b.waiters)
+			wakeAll(p, &b.waiters)
 			return
 		}
 		if b.waiters == nil {
@@ -61,15 +61,15 @@ func processDisseminationBarrier(c *Comm, p *Proc) {
 // processBBWait is BBWait, process-style.
 func processBBWait(c *Comm, p *Proc, key BBKey) any {
 	e := c.entry(key)
+	if e.present {
+		c.world.syncEdge(e.poster, p)
+	}
 	for !e.present {
 		if e.waiters == nil {
 			e.waiters = make([]*Proc, 0, c.Size()-1)
 		}
 		e.waiters = append(e.waiters, p)
 		p.dp.Park()
-	}
-	if s := c.world.san; s != nil && e.poster != nil {
-		s.SyncEdge(e.poster.dp.ID(), p.dp.ID())
 	}
 	return e.val
 }

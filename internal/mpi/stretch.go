@@ -14,7 +14,8 @@ func (p *Proc) SmallIntraNode(c *Comm, n int64) bool {
 // BeginSmallStretch opens a small intra-node stretch (see SmallIntraNode):
 // until EndSmallStretch, this rank's shm copies and local reductions are
 // charged at the unloaded rate as a plain sleep instead of a fabric flow —
-// the same shortcut shmCopy always takes below smallCopyCutoff.
+// the same charge an eager send's copy-in always takes below
+// smallCopyCutoff.
 func (p *Proc) BeginSmallStretch() { p.dp.SetBypass(true) }
 
 // EndSmallStretch closes the stretch and charges one network latency of

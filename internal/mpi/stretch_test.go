@@ -105,7 +105,9 @@ func TestSmallIntraNodeBounds(t *testing.T) {
 // model, which every recorded figure below the cutoff depends on: inside
 // one, a local reduction is a plain sleep at the unloaded rate and installs
 // no fabric flow; closing it costs one network latency; and a reduction at
-// the cutoff inside one panics.
+// the cutoff inside one panics. An eager send's copy-in at the cutoff (eager
+// messages that large exist only with an eager threshold above 4 KiB) is
+// the transport's, not the stretch's: it stays a fabric flow there.
 func TestSmallStretchCharges(t *testing.T) {
 	w := stretchWorld(t, 1, 2, 8192)
 	spec := w.Machine.Spec
@@ -113,10 +115,13 @@ func TestSmallStretchCharges(t *testing.T) {
 		p.ReduceLocal(buffer.OpSum, buffer.Int64, buffer.NewPhantom(int64(n)), buffer.NewPhantom(int64(n)))
 	}
 	var inside, closing float64
-	var fills uint64
-	var recovered any
+	var fills, copyInFills uint64
+	var recovered, sendPanic any
 	err := w.Run(func(p *Proc) {
+		c := w.WorldComm()
 		if p.Rank() != 0 {
+			p.Compute(1000) // the send's copy-in is over before this receive
+			p.Recv(c, buffer.NewPhantom(smallCopyCutoff), 0, 5)
 			return
 		}
 		p.BeginSmallStretch()
@@ -127,6 +132,12 @@ func TestSmallStretchCharges(t *testing.T) {
 		func() {
 			defer func() { recovered = recover() }()
 			reduce(p, smallCopyCutoff)
+		}()
+		func() {
+			defer func() { sendPanic = recover() }()
+			before := w.Machine.Fab.Stats().Fills
+			p.Wait(p.Isend(c, buffer.NewPhantom(smallCopyCutoff), 1, 5))
+			copyInFills = w.Machine.Fab.Stats().Fills - before
 		}()
 		t0 = p.Now()
 		p.EndSmallStretch()
@@ -144,6 +155,11 @@ func TestSmallStretchCharges(t *testing.T) {
 	}
 	if recovered == nil {
 		t.Error("a reduction at the cutoff inside a stretch did not panic")
+	}
+	if sendPanic != nil {
+		t.Errorf("an eager send at the cutoff inside a stretch panicked: %v", sendPanic)
+	} else if copyInFills == 0 {
+		t.Error("an eager copy-in at the cutoff inside a stretch installed no fabric flow")
 	}
 	if !almost(closing, spec.NetLatency) {
 		t.Errorf("EndSmallStretch charged %g, want one network latency %g", closing, spec.NetLatency)

@@ -137,20 +137,19 @@ func NewWorld(m *topology.Machine, b *topology.Binding, conf Config) (*World, er
 	return w, nil
 }
 
-// EnableSanitizer attaches a hiersan runtime to the world and every layer
-// under it (engine, KNEM devices), returning it so tests can install
-// a violation collector. Idempotent. NewWorld calls it automatically when
-// HIERSAN=1 is set in the environment. The sanitizer schedules no events
-// and never advances the clock, so an instrumented run is event-for-event
-// identical to a bare one; it only turns unsynchronized overlapping buffer
-// accesses into immediate, diagnosable violations.
+// EnableSanitizer attaches a hiersan runtime to the world and its KNEM
+// devices, returning it so tests can install a violation collector.
+// Idempotent. NewWorld calls it automatically when HIERSAN=1 is set in the
+// environment. The sanitizer schedules no events and never advances the
+// clock, so an instrumented run is event-for-event identical to a bare one;
+// it only turns unsynchronized overlapping buffer accesses into immediate,
+// diagnosable violations.
 func (w *World) EnableSanitizer() *san.Sanitizer {
 	if w.san != nil {
 		return w.san
 	}
 	s := san.New(w.Machine.Eng.Now)
 	w.san = s
-	w.Machine.Eng.SetSanitizer(s)
 	for _, d := range w.Knem {
 		d.SetSanitizer(s)
 	}
@@ -159,6 +158,16 @@ func (w *World) EnableSanitizer() *san.Sanitizer {
 
 // Sanitizer returns the attached hiersan runtime, or nil when disabled.
 func (w *World) Sanitizer() *san.Sanitizer { return w.san }
+
+// syncEdge tells the sanitizer, when one is attached, that from released to
+// at this instant: accesses from closed now are ordered before those to
+// begins now. The sites that release a parked rank from process context
+// (wakeAll, Split) record it where they wake.
+func (w *World) syncEdge(from, to *Proc) {
+	if w.san != nil {
+		w.san.SyncEdge(from.dp.ID(), to.dp.ID())
+	}
+}
 
 // Reset returns the world to its pristine post-NewWorld state so a
 // consecutive same-spec run can reuse the whole arena: the machine (engine
@@ -268,9 +277,9 @@ func (p *Proc) ReduceLocal(op buffer.Op, dtype buffer.Datatype, dst, src *buffer
 		} else {
 			w, s := p.world, p.core.Socket
 			path := w.reducePaths[s.NodeID*len(w.Machine.Nodes[0].Sockets)+s.ID][:]
-			des.Await(p.dp, func(done func()) {
-				w.Machine.Fab.StartAfterClassed("compute", 0, float64(n), w.Machine.Spec.CoreCopyBandwidth, path, done)
-			})
+			done := des.AwaitBegin(p.dp)
+			w.Machine.Fab.StartAfterClassed("compute", 0, float64(n), w.Machine.Spec.CoreCopyBandwidth, path, done)
+			des.AwaitEnd(p.dp)
 		}
 	}
 	buffer.Reduce(op, dtype, dst, src)

@@ -46,19 +46,32 @@ const SmallCopyCutoff = 4096
 // SmallCopyCutoff panics: the stretch was opened on a message the selector
 // would have refused.
 func Copy(p *des.Proc, m *topology.Machine, core *topology.Core, srcSock, dstSock *topology.Socket, n int64, srcBufID uint64) {
+	if n > 0 && !p.Bypass() {
+		CopyFlow(p, m, core, srcSock, dstSock, n, srcBufID)
+		return
+	}
+	if n >= SmallCopyCutoff {
+		panic(fmt.Sprintf("shm: %d-byte copy inside a small stretch; copies there must stay under the fabric bypass cutoff (%d)", n, SmallCopyCutoff))
+	}
+	p.Sleep(CopyTime(m, core, srcSock, n, srcBufID))
+}
+
+// CopyTime is how long Copy takes when it installs no fabric flow: the
+// machine's ShmLatency, then n bytes at the unloaded rate of core reading
+// srcSock memory.
+func CopyTime(m *topology.Machine, core *topology.Core, srcSock *topology.Socket, n int64, srcBufID uint64) float64 {
 	if n <= 0 {
-		p.Sleep(m.Spec.ShmLatency)
-		return
+		return m.Spec.ShmLatency
 	}
+	_, rate := srcSock.ReadSide(&m.Spec, srcBufID, n, core.Socket == srcSock)
+	return m.Spec.ShmLatency + float64(n)/rate
+}
+
+// CopyFlow is Copy of n > 0 bytes as a fabric flow, whatever p's bypass
+// mark: it blocks p until the flow completes.
+func CopyFlow(p *des.Proc, m *topology.Machine, core *topology.Core, srcSock, dstSock *topology.Socket, n int64, srcBufID uint64) {
 	srcRes, rate := srcSock.ReadSide(&m.Spec, srcBufID, n, core.Socket == srcSock)
-	if p.Bypass() {
-		if n >= SmallCopyCutoff {
-			panic(fmt.Sprintf("shm: %d-byte copy inside a small stretch; copies there must stay under the fabric bypass cutoff (%d)", n, SmallCopyCutoff))
-		}
-		p.Sleep(m.Spec.ShmLatency + float64(n)/rate)
-		return
-	}
-	done := des.AwaitBegin(p, 1)
+	done := des.AwaitBegin(p)
 	m.Fab.StartAfterPath2("copy", m.Spec.ShmLatency, float64(n), rate, srcRes, dstSock.MemBus, done)
 	des.AwaitEnd(p)
 }

@@ -103,9 +103,6 @@ func (f *Future[T]) Get() T {
 // Jobs returns the number of submitted jobs.
 func (s *Sweep) Jobs() int { return len(s.jobs) }
 
-// Parallel returns the effective worker count.
-func (s *Sweep) Parallel() int { return s.parallel }
-
 // Run executes every submitted job and blocks until all complete. Each
 // worker owns a private Ctx (world cache); jobs are handed out through a
 // shared cursor, so the job-to-worker assignment is load-balanced and

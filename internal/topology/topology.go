@@ -192,28 +192,6 @@ func (m *Machine) Core(gid int) *Core {
 	return m.cores[gid]
 }
 
-// Distance levels between two cores, ordered by increasing cost.
-const (
-	DistSameCore   = 0
-	DistSameSocket = 1
-	DistSameNode   = 2
-	DistRemote     = 3
-)
-
-// Distance returns the physical distance level between two cores.
-func Distance(a, b *Core) int {
-	switch {
-	case a == b:
-		return DistSameCore
-	case a.Socket == b.Socket:
-		return DistSameSocket
-	case a.NodeID == b.NodeID:
-		return DistSameNode
-	default:
-		return DistRemote
-	}
-}
-
 // cacheState tracks which buffers are L3-resident on a socket, with a
 // trivial capacity-bounded FIFO eviction. It exists to reproduce the IMB
 // root-rotation cache effect in the paper's Figure 6(a).
@@ -271,15 +249,6 @@ func (s *Socket) Resident(id uint64) bool {
 // ResidentSpan returns the resident footprint recorded for buffer id, or 0.
 func (s *Socket) ResidentSpan(id uint64) int64 {
 	return s.l3.resident[id]
-}
-
-// ReadBandwidth returns the copy-source bandwidth ceiling for a core reading
-// buffer id: L3 bandwidth when resident, the core copy ceiling otherwise.
-func (s *Socket) ReadBandwidth(spec *Spec, id uint64) float64 {
-	if s.Resident(id) && spec.L3Bandwidth > spec.CoreCopyBandwidth {
-		return spec.L3Bandwidth
-	}
-	return spec.CoreCopyBandwidth
 }
 
 // ReadSide resolves where a read of n bytes of buffer id on this socket is

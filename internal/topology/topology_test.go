@@ -115,24 +115,6 @@ func TestHalfVsFullDuplexNIC(t *testing.T) {
 	}
 }
 
-func TestDistanceLevels(t *testing.T) {
-	m := mustBuild(t, testSpec(2, 2, 2))
-	// node0: socket0 {0,1} socket1 {2,3}; node1: {4,5},{6,7}
-	cases := []struct{ a, b, want int }{
-		{0, 0, DistSameCore},
-		{0, 1, DistSameSocket},
-		{0, 2, DistSameNode},
-		{0, 3, DistSameNode},
-		{0, 4, DistRemote},
-		{3, 7, DistRemote},
-	}
-	for _, c := range cases {
-		if got := Distance(m.Core(c.a), m.Core(c.b)); got != c.want {
-			t.Errorf("Distance(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestByCoreBinding(t *testing.T) {
 	m := mustBuild(t, testSpec(2, 1, 4))
 	b, err := ByCore(m, 6)
@@ -299,16 +281,19 @@ func TestCacheTouchAndResidency(t *testing.T) {
 	}
 }
 
+// TestReadBandwidthUsesL3WhenResident: ReadSide serves a same-socket read of
+// a resident buffer from the L3 port at L3 bandwidth, and a cold one from
+// the memory bus at the core copy ceiling.
 func TestReadBandwidthUsesL3WhenResident(t *testing.T) {
 	m := mustBuild(t, testSpec(1, 1, 2))
 	s := m.Nodes[0].Sockets[0]
 	spec := &m.Spec
-	if got := s.ReadBandwidth(spec, 7); got != spec.CoreCopyBandwidth {
-		t.Fatalf("cold read bw = %g, want core ceiling %g", got, spec.CoreCopyBandwidth)
+	if res, got := s.ReadSide(spec, 7, 1<<20, true); res != s.MemBus || got != spec.CoreCopyBandwidth {
+		t.Fatalf("cold read from %s at %g, want the memory bus at the core ceiling %g", res.Name, got, spec.CoreCopyBandwidth)
 	}
 	s.Touch(7, 1<<20)
-	if got := s.ReadBandwidth(spec, 7); got != spec.L3Bandwidth {
-		t.Fatalf("warm read bw = %g, want L3 %g", got, spec.L3Bandwidth)
+	if res, got := s.ReadSide(spec, 7, 1<<20, true); res != s.L3Bus || got != spec.L3Bandwidth {
+		t.Fatalf("warm read from %s at %g, want the L3 port at %g", res.Name, got, spec.L3Bandwidth)
 	}
 }
 

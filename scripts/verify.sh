@@ -18,8 +18,8 @@
 #   san       every package under internal/, and the root's conformance
 #             and isolation suites, under HIERSAN=1 (the hiersan dynamic
 #             sanitizer: virtual-time buffer conflicts between ranks,
-#             ordered by the sync edges of rank bodies and of the waits
-#             the engine steps for them)
+#             ordered by the sync edges mpi records where it completes a
+#             message or releases parked ranks; des knows no sanitizer)
 #   fuzz      10s FuzzMatch smoke over the p2p matching machinery
 #   benchsmoke  the repository benchmark's own gate (bench/ci.sh, called as
 #             it stands): vet, hierlint and tests of ./bench, then a -quick

@@ -85,15 +85,7 @@ func NewWorld(spec Spec, binding string, np int) (*World, error) {
 
 // NewWorldPPN builds a job with exactly ppn ranks on each node.
 func NewWorldPPN(spec Spec, ppn int) (*World, error) {
-	m, err := topology.Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	b, err := topology.ByCorePPN(m, ppn*spec.Nodes, ppn)
-	if err != nil {
-		return nil, err
-	}
-	return mpi.NewWorld(m, b, clusters.Config(&spec))
+	return clusters.NewWorldPPN(spec, ppn)
 }
 
 // New creates the HierKNEM collective module.

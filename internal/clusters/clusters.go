@@ -128,3 +128,17 @@ func NewWorld(spec topology.Spec, binding string, np int) (*mpi.World, error) {
 	}
 	return mpi.NewWorld(m, b, Config(&spec))
 }
+
+// NewWorldPPN builds a machine + world for a spec with exactly ppn ranks on
+// each node.
+func NewWorldPPN(spec topology.Spec, ppn int) (*mpi.World, error) {
+	m, err := topology.Build(spec)
+	if err != nil {
+		return nil, err
+	}
+	b, err := topology.ByCorePPN(m, ppn*spec.Nodes, ppn)
+	if err != nil {
+		return nil, err
+	}
+	return mpi.NewWorld(m, b, Config(&spec))
+}

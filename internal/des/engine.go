@@ -74,17 +74,12 @@ type Engine struct {
 
 	// next is what a dispatch loop running on a process coroutine leaves
 	// for the driver before it yields: the process to switch into. Nil means
-	// the run is over (queue drained or MaxTime tripped).
-	next   *Proc
-	runErr error
+	// the run is over: the queue drained.
+	next *Proc
 
 	procs   []*Proc
 	alive   int
 	running bool
-
-	// MaxTime aborts Run once the virtual clock passes this horizon.
-	// Zero means no horizon.
-	MaxTime float64
 
 	// handoffs counts the driver's switches into processes and heapPushes
 	// the events that entered the heap: host-side costs only tests read.
@@ -579,20 +574,16 @@ func (d *DeadlockError) Error() string {
 }
 
 // Run executes events until none remain. It returns a *DeadlockError if
-// processes are still alive when the queue drains, and an error if MaxTime is
-// exceeded; otherwise nil. A panic in a process body or event callback
-// surfaces on the goroutine that called Run.
+// processes are still alive when the queue drains, otherwise nil. A panic in
+// a process body or event callback surfaces on the goroutine that called
+// Run.
 func (e *Engine) Run() error {
 	if e.running {
 		panic("des: Run called reentrantly")
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	e.runErr = nil
 	e.drive()
-	if e.runErr != nil {
-		return e.runErr
-	}
 	if e.alive > 0 {
 		var names []string
 		for _, p := range e.procs {
@@ -637,11 +628,6 @@ func (e *Engine) dispatch(self *Proc) bool {
 			panic("des: time went backwards")
 		}
 		e.now = ev.at
-		if e.MaxTime > 0 && e.now > e.MaxTime {
-			e.release(ev)
-			e.runErr = fmt.Errorf("des: exceeded time horizon %g (now %g)", e.MaxTime, e.now)
-			return false
-		}
 		e.processed++
 		if p := ev.proc; p != nil {
 			gen := ev.parkGen
@@ -666,12 +652,13 @@ func (e *Engine) dispatch(self *Proc) bool {
 
 // Reset returns the engine to its pristine post-New state while keeping the
 // event free list warm. All simulation state — clock, sequence counter,
-// processed count, queues, process table, run error — is cleared, so a fresh
-// set of Spawns followed by Run replays bit-identically to a run on a brand
-// new engine: alloc fully re-stamps recycled records, and with seq back at
-// zero every (time, seq) tie-break is reproduced exactly. Reset panics if
-// called mid-Run or while spawned processes are still alive (their
-// coroutines would outlive the state they reference).
+// processed count, process table — is cleared, so a fresh set of Spawns
+// followed by Run replays bit-identically to a run on a brand new engine:
+// alloc fully re-stamps recycled records, and with seq back at zero every
+// (time, seq) tie-break is reproduced exactly. Reset panics if called
+// mid-Run, while spawned processes are still alive (their coroutines would
+// outlive the state they reference) or while events are still queued, which
+// a Run that returned never leaves behind.
 func (e *Engine) Reset() {
 	if e.running {
 		panic("des: Reset called during Run")
@@ -679,33 +666,13 @@ func (e *Engine) Reset() {
 	if e.alive > 0 {
 		panic(fmt.Sprintf("des: Reset with %d live process(es)", e.alive))
 	}
-	e.drainPending()
+	if n := e.Pending(); n > 0 {
+		panic(fmt.Sprintf("des: Reset with %d event(s) queued", n))
+	}
 	e.now = 0
 	e.seq = 0
 	e.processed = 0
 	e.procs = e.procs[:0]
-	e.runErr = nil
-}
-
-// drainPending routes every event still queued after a MaxTime abort
-// through release. Going through release (never raw pool appends) bumps each
-// record's generation, so a Timer handle held across the abort cannot cancel
-// the record's next life.
-func (e *Engine) drainPending() {
-	for _, ev := range e.queue {
-		e.release(ev)
-	}
-	e.queue = e.queue[:0]
-	for i := range e.lanes {
-		l := &e.lanes[i]
-		for l.head != nil {
-			ev := l.head
-			l.remove(ev)
-			e.release(ev)
-		}
-		*l = lane{}
-	}
-	e.laneLive = 0
 }
 
 // Pending returns the number of events currently scheduled. Cancelled timers

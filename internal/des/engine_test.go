@@ -262,19 +262,6 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-func TestMaxTimeHorizon(t *testing.T) {
-	e := New()
-	e.MaxTime = 5
-	e.Spawn("runaway", func(p *Proc) {
-		for {
-			p.Sleep(1)
-		}
-	})
-	if err := e.Run(); err == nil {
-		t.Fatal("expected horizon error")
-	}
-}
-
 func TestManyProcsAllComplete(t *testing.T) {
 	e := New()
 	const n = 500

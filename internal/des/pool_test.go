@@ -102,32 +102,34 @@ func TestVacatedQueueSlotsAreNil(t *testing.T) {
 	}
 }
 
-// TestMaxTimeAbortDrainReleasesLeftovers pins the drain-after-abort path:
-// after a horizon abort, Reset must route every leftover event through
-// release, whose generation bump disarms the Timer handles still pointing
-// at the records. If it fed the pool with raw appends instead, the next
-// wave would reuse the records under their old generation, and cancelling
-// through a stale handle would cancel a new event.
-func TestMaxTimeAbortDrainReleasesLeftovers(t *testing.T) {
+// TestResetPanicsWithQueuedEvents: a Run that returned leaves no event
+// queued, so Reset refuses an engine that still holds one (scheduled and
+// never run) instead of dropping it. After the Run that drains it, Reset
+// succeeds, and the Timer handles of the fired events cannot cancel the
+// records' next lives.
+func TestResetPanicsWithQueuedEvents(t *testing.T) {
 	e := New()
-	e.MaxTime = 2
-	e.After(1, func() {})
+	fired := 0
 	stale := []Timer{
-		e.After(5, func() { t.Error("event beyond the horizon fired") }),
-		e.After(9, func() { t.Error("event beyond the horizon fired") }),
+		e.After(1, func() { fired++ }),
+		e.After(9, func() { fired++ }),
 	}
-	if err := e.Run(); err == nil {
-		t.Fatal("expected a horizon error from Run")
+	msg := func() (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		e.Reset()
+		return ""
+	}()
+	if msg != "des: Reset with 2 event(s) queued" {
+		t.Fatalf("Reset with two events queued: panic %q", msg)
 	}
-	if e.Pending() == 0 {
-		t.Fatal("expected leftover events after the abort")
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
 	e.Reset()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after Reset, want 0", e.Pending())
+	if e.Pending() != 0 || e.Now() != 0 || fired != 2 {
+		t.Fatalf("after Run and Reset: %d pending, now %g, %d of 2 fired", e.Pending(), e.Now(), fired)
 	}
-	// Reuse the drained records, then cancel through the stale handles.
-	fired := 0
+	// Reuse the records, then cancel through the stale handles.
 	e.After(1, func() { fired++ })
 	e.After(2, func() { fired++ })
 	for i := range stale {
@@ -136,8 +138,8 @@ func TestMaxTimeAbortDrainReleasesLeftovers(t *testing.T) {
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 2 {
-		t.Fatalf("%d of 2 new events fired: a stale handle cancelled a reused record", fired)
+	if fired != 4 {
+		t.Fatalf("%d of 2 new events fired: a stale handle cancelled a reused record", fired-2)
 	}
 }
 

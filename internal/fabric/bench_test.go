@@ -14,7 +14,7 @@ func BenchmarkManyFlowsOneLink(b *testing.B) {
 		n := NewNet(e)
 		link := n.NewResource("link", 1e9)
 		for f := 0; f < 256; f++ {
-			n.StartAfter(float64(f)*1e-6, 1e6, 0, []*Resource{link}, nil)
+			n.StartAfter("", float64(f)*1e-6, 1e6, 0, []*Resource{link}, nil)
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)
@@ -38,7 +38,7 @@ func BenchmarkCrossTrafficMesh(b *testing.B) {
 		for f := 0; f < 512; f++ {
 			src, dst := f%nodes, (f+7)%nodes
 			path := []*Resource{buses[src], nics[src], nics[dst], buses[dst]}
-			n.StartAfter(float64(f%16)*1e-6, 5e5, 3e9, path, nil)
+			n.StartAfter("", float64(f%16)*1e-6, 5e5, 3e9, path, nil)
 		}
 		if err := e.Run(); err != nil {
 			b.Fatal(err)

@@ -43,7 +43,7 @@ type component struct {
 // path[0], which belongs to exactly one component, and the bundle is listed
 // in path[0].heads.
 type bundle struct {
-	// path is the bundle's own copy of its members' path: a pooled flow's
+	// path is the bundle's own copy of its members' path: a flow's
 	// pathBuf is reused for another path once that flow completes, while
 	// its twins may still be in flight. pathBuf backs it for every path the
 	// MPI layer builds (five resources at most), so a bundle record is one

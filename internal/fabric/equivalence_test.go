@@ -195,11 +195,11 @@ func treeBcast(nsegs int, segSize float64) func(c *testCluster, rec recorder) {
 			}
 			s := lk.next
 			lk.busy = true
-			c.net.StartClassed("net", segSize, 0, c.netPath(p, ch), func() {
+			c.net.StartAfter("net", 0, segSize, 0, c.netPath(p, ch), func() {
 				lk.busy = false
 				lk.next++
 				rec("net %d->%d seg=%d t=%s", p, ch, s, ts(c.eng.Now()))
-				c.net.StartClassed("copy", segSize, 0, []*Resource{c.mem[ch]}, func() {
+				c.net.StartAfter("copy", 0, segSize, 0, []*Resource{c.mem[ch]}, func() {
 					rec("copy node=%d seg=%d t=%s", ch, s, ts(c.eng.Now()))
 					have[ch]++
 					for _, g := range binomialChildren(ch, n) {
@@ -232,10 +232,10 @@ func ringPipeline(nsegs int, segSize float64) func(c *testCluster, rec recorder)
 			s := sent[i]
 			sending[i] = true
 			sent[i]++
-			c.net.StartClassed("net", segSize, 0, c.netPath(i, i+1), func() {
+			c.net.StartAfter("net", 0, segSize, 0, c.netPath(i, i+1), func() {
 				rec("net %d->%d seg=%d t=%s", i, i+1, s, ts(c.eng.Now()))
 				sending[i] = false
-				c.net.StartClassed("copy", segSize, 0, []*Resource{c.mem[i+1]}, func() {
+				c.net.StartAfter("copy", 0, segSize, 0, []*Resource{c.mem[i+1]}, func() {
 					rec("copy node=%d seg=%d t=%s", i+1, s, ts(c.eng.Now()))
 					have[i+1]++
 					pump(i + 1)
@@ -248,7 +248,9 @@ func ringPipeline(nsegs int, segSize float64) func(c *testCluster, rec recorder)
 }
 
 // randomChurn is the Table II shape: an application-like mix of intra-node
-// copies and inter-node transfers with staggered starts and a few aborts.
+// copies and inter-node transfers with staggered starts. A few flows start a
+// follow-on on the same path when they complete, after a short gap and at a
+// quarter of their size, so completions keep starting flows mid-churn.
 func randomChurn(seed int64, flows int) func(c *testCluster, rec recorder) {
 	return func(c *testCluster, rec recorder) {
 		rng := rand.New(rand.NewSource(seed))
@@ -270,17 +272,16 @@ func randomChurn(seed int64, flows int) func(c *testCluster, rec recorder) {
 				}
 				path = c.netPath(i, j)
 			}
-			abort := k%17 == 0
+			chain := k%17 == 0
 			c.eng.At(at, func() {
-				f := c.net.StartClassed(class, size, 0, path, func() {
+				c.net.StartAfter(class, 0, size, 0, path, func() {
 					rec("done k=%d t=%s", k, ts(c.eng.Now()))
+					if chain {
+						c.net.StartAfter(class, 0.0004, size/4, 0, path, func() {
+							rec("follow-on k=%d t=%s", k, ts(c.eng.Now()))
+						})
+					}
 				})
-				if abort {
-					c.eng.After(0.0004, func() {
-						f.Abort()
-						rec("abort k=%d done=%s t=%s", k, ts(f.Done()), ts(c.eng.Now()))
-					})
-				}
 			})
 		}
 	}
@@ -288,10 +289,11 @@ func randomChurn(seed int64, flows int) func(c *testCluster, rec recorder) {
 
 // bundleChurn draws its flows from a few paths and caps, so bundles of many
 // twins are the rule, as when many cores copy over one bus pair at one
-// per-core cap. It mixes in mid-flight aborts, a path that lists one
-// resource twice, pathless capped flows, zero-size flows, and pooled
-// two-resource flows whose path buffers are reused while their twins are
-// still in flight. peak receives the largest bundle seen at any start.
+// per-core cap. It mixes in follow-on flows started by completions after a
+// short gap, a path that lists one resource twice, pathless capped flows,
+// zero-size flows, and two-resource flows whose path buffers are reused
+// while their twins are still in flight. peak receives the largest bundle
+// seen at any start.
 func bundleChurn(seed int64, flows int, peak *int) func(c *testCluster, rec recorder) {
 	return func(c *testCluster, rec recorder) {
 		rng := rand.New(rand.NewSource(seed))
@@ -308,26 +310,32 @@ func bundleChurn(seed int64, flows int, peak *int) func(c *testCluster, rec reco
 			rc := caps[rng.Intn(len(caps))]
 			kind := rng.Intn(10)
 			pick := rng.Int()
-			abort := rng.Intn(8) == 0
+			chain := rng.Intn(8) == 0
 			c.eng.At(at, func() {
-				done := func() { rec("done k=%d t=%s", k, ts(c.eng.Now())) }
-				var f *Flow
+				var start func(delay float64, done func())
 				switch {
 				case kind == 0:
-					f = c.net.StartClassed("compute", size, 1e8+rc, nil, done)
+					start = func(delay float64, done func()) {
+						c.net.StartAfter("compute", delay, size, 1e8+rc, nil, done)
+					}
 				case kind <= 4:
 					p := copies[pick%len(copies)]
-					c.net.StartAfterPath2("copy", 0, size, rc, p[0], p[1], done)
+					start = func(delay float64, done func()) {
+						c.net.StartAfterPath2("copy", delay, size, rc, p[0], p[1], done)
+					}
 				default:
-					f = c.net.StartClassed("net", size, rc, netPaths[pick%len(netPaths)], done)
+					path := netPaths[pick%len(netPaths)]
+					start = func(delay float64, done func()) {
+						c.net.StartAfter("net", delay, size, rc, path, done)
+					}
 				}
+				start(0, func() {
+					rec("done k=%d t=%s", k, ts(c.eng.Now()))
+					if chain {
+						start(2e-4, func() { rec("follow-on k=%d t=%s", k, ts(c.eng.Now())) })
+					}
+				})
 				*peak = max(*peak, MaxBundle(c.net))
-				if f != nil && abort {
-					c.eng.After(2e-4, func() {
-						f.Abort()
-						rec("abort k=%d done=%s t=%s", k, ts(f.Done()), ts(c.eng.Now()))
-					})
-				}
 			})
 		}
 	}
@@ -399,10 +407,9 @@ func TestShadowCatchesCorruption(t *testing.T) {
 	net.enableShadow(func(format string, args ...any) { caught++ })
 	r := net.NewResource("wire", 1e9)
 	other := net.NewResource("other-wire", 1e9)
-	var f *Flow
-	f = net.Start(1e6, 0, []*Resource{r}, nil)
+	net.Start(1e6, 0, []*Resource{r}, nil)
 	eng.After(1e-4, func() {
-		f.rate *= 2 // simulated missed-dirty bug
+		r.comp.flows[0].rate *= 2 // simulated missed-dirty bug
 		// Trigger the next sync from a disjoint component, so nothing
 		// legitimately refills (and thereby repairs) the corrupted one.
 		net.Start(1e6, 0, []*Resource{other}, nil)

@@ -22,7 +22,7 @@
 // components, and the unique max-min allocation of the whole fabric is the
 // union of the per-component allocations. The Net maintains that partition
 // incrementally: starting a flow merges the components its path touches,
-// finishing or aborting one marks its component for a local re-partition,
+// finishing one marks its component for a local re-partition,
 // and each event re-runs progressive filling only over the affected
 // component(s). Untouched components keep their rates and their already
 // armed completion timers.
@@ -72,10 +72,13 @@
 // per collective, so the steady state allocates nothing. Three things are
 // reused instead of rebuilt:
 //
-//   - Component shells and bundles. A component record, its flows/bundles/res
-//     backing arrays and its completion-timer closure are recycled through a
-//     Net-owned free list (allocComponent/recycleComponent), like pooled Flow
-//     records; bundle records, with their path copies, have a free list too.
+//   - Flows, component shells and bundles. Every flow record, with its
+//     delayed-install closure, returns to a Net-owned free list at
+//     completion: no entry point hands a caller a reference to it. A
+//     component record, its flows/bundles/res backing arrays and its
+//     completion-timer closure are recycled the same way
+//     (allocComponent/recycleComponent); bundle records, with their path
+//     copies, have a free list too.
 //   - Recompute scratch. Progressive filling and the union-find of a split
 //     keep their per-resource state (resid, wsum, uf) on the Resource itself;
 //     a split maps roots to parts through one Net-owned index slice and
@@ -156,7 +159,8 @@ func (r *Resource) integrate(now float64) {
 	r.since = now
 }
 
-// Flow is an in-flight transfer.
+// Flow is an in-flight transfer: a record of the Net's free list, in service
+// from its install to its completion.
 type Flow struct {
 	ID      uint64
 	Size    float64 // bytes
@@ -164,12 +168,11 @@ type Flow struct {
 	Path    []*Resource
 	// Class labels the traffic kind ("net", "copy", "compute", ...) for
 	// the overlap accounting; empty means unclassified. It is fixed at
-	// Start time (use StartClassed): the Net keeps per-class counts.
+	// start: the Net keeps per-class counts.
 	Class string
 
 	OnComplete func()
 
-	owner  *Net
 	comp   *component // owning component; nil when detached
 	cidx   int        // position in comp.flows
 	bundle *bundle    // the (Path, RateCap) group in comp; nil when detached
@@ -184,15 +187,8 @@ type Flow struct {
 	rate     float64
 	deadline float64
 
-	completed bool
-	aborted   bool
-
-	// pooled marks records created by the void-returning StartAfter entry
-	// points: no caller can retain a handle to them, so the record returns
-	// to the Net's free list at completion. installFn is built once per
-	// record lifetime and survives recycling, so steady-state flow startup
-	// allocates nothing.
-	pooled    bool
+	// installFn is built once per record lifetime and survives recycling,
+	// so steady-state flow startup allocates nothing.
 	installFn func()
 
 	// pathBuf backs Path for StartAfterPath2 flows, so the ubiquitous
@@ -203,17 +199,7 @@ type Flow struct {
 	pathBuf [2]*Resource
 }
 
-// Rate returns the flow's current allocated rate in bytes/s.
-func (f *Flow) Rate() float64 { return f.rate }
-
-// Done returns the bytes transferred so far.
-func (f *Flow) Done() float64 {
-	if f.owner == nil || f.comp == nil {
-		return f.done0
-	}
-	return f.doneAt(f.owner.eng.Now())
-}
-
+// doneAt returns the bytes transferred by time now.
 func (f *Flow) doneAt(now float64) float64 {
 	d := f.done0 + f.rate*(now-f.since)
 	if d > f.Size {
@@ -221,9 +207,6 @@ func (f *Flow) doneAt(now float64) float64 {
 	}
 	return d
 }
-
-// Completed reports whether the flow finished normally.
-func (f *Flow) Completed() bool { return f.completed }
 
 // Net owns a set of resources and active flows on one des.Engine.
 type Net struct {
@@ -246,9 +229,8 @@ type Net struct {
 	refillAll bool
 	afterSync func()
 
-	// flowPool is the recycled pooled-record free list (see Flow.pooled).
-	// Which dead record a StartAfter reuses never shows in the event log:
-	// flow IDs are assigned at install.
+	// flowPool is the flow-record free list. Which dead record a start
+	// reuses never shows in the event log: flow IDs are assigned at install.
 	flowPool []*Flow
 	finScr   []*Flow // onCompletionTimer scratch, reused across firings
 
@@ -304,22 +286,15 @@ func (n *Net) Stats() RecomputeStats {
 // restart at zero — flow IDs only ever feed the (ID-ordered) progressive-
 // filling tie-breaks within one run, so restarting them reproduces a fresh
 // fabric's allocation decisions exactly. Reset panics if flows are still in
-// flight; callers reset the owning engine first, so no sync or completion
-// event can be pending either.
+// flight or a component awaits its sweep: the engine's Run returns only with
+// every sync dispatched.
 func (n *Net) Reset() {
-	if n.nFlows > 0 {
-		panic(fmt.Sprintf("fabric: Reset with %d flow(s) in flight", n.nFlows))
+	if n.nFlows > 0 || len(n.comps) > 0 {
+		panic(fmt.Sprintf("fabric: Reset with %d flow(s) in flight and %d component(s) live", n.nFlows, len(n.comps)))
 	}
-	// Components emptied by the last completions but not yet swept by the
-	// sync the engine reset discarded.
-	for len(n.comps) > 0 {
-		n.destroyComponent(n.comps[len(n.comps)-1])
-	}
-	n.dirty = n.dirty[:0]
 	n.recycleRetired()
 	n.nextID = 0
 	n.nextCompID = 0
-	n.syncScheduled = false
 	n.stats = RecomputeStats{}
 	for _, r := range n.resources {
 		r.load = 0
@@ -408,34 +383,9 @@ func (n *Net) NewResource(name string, capacity float64) *Resource {
 
 const byteEps = 1e-6 // bytes: a flow within this of its size is complete
 
-// Start installs a flow of size bytes over path and returns it. onComplete
-// fires (as an engine event) when the last byte arrives. A rate cap is 0
-// (unlimited) or positive and finite, and a flow must have a non-empty path
-// or a positive rate cap; otherwise its rate would be unbounded. Start
-// panics on any other argument. Zero-size flows complete at the current
-// time.
-func (n *Net) Start(size float64, rateCap float64, path []*Resource, onComplete func()) *Flow {
-	return n.start("", size, rateCap, path, onComplete)
-}
-
-// StartClassed is Start with a traffic-class label for overlap accounting.
-func (n *Net) StartClassed(class string, size, rateCap float64, path []*Resource, onComplete func()) *Flow {
-	return n.start(class, size, rateCap, path, onComplete)
-}
-
-func (n *Net) start(class string, size, rateCap float64, path []*Resource, onComplete func()) *Flow {
-	checkFlowArgs(size, rateCap, len(path))
-	f := &Flow{
-		Size:       size,
-		RateCap:    rateCap,
-		Path:       path,
-		Class:      class,
-		OnComplete: onComplete,
-		owner:      n,
-		cidx:       -1,
-	}
-	n.install(f)
-	return f
+// Start is StartAfter with no delay and no traffic class.
+func (n *Net) Start(size, rateCap float64, path []*Resource, onComplete func()) {
+	n.StartAfter("", 0, size, rateCap, path, onComplete)
 }
 
 // checkFlowArgs validates a flow before any record is taken for it. A rate
@@ -461,12 +411,8 @@ func (n *Net) install(f *Flow) {
 	f.ID = n.nextID
 	n.nextID++
 	if f.Size <= byteEps {
-		f.done0 = f.Size
-		f.completed = true
 		cb := f.OnComplete
-		if f.pooled {
-			n.recycleFlow(f)
-		}
+		n.recycleFlow(f)
 		if cb != nil {
 			n.eng.At(n.eng.Now(), cb)
 		}
@@ -476,9 +422,7 @@ func (n *Net) install(f *Flow) {
 	n.requestSync()
 }
 
-// allocFlow pops a recycled record or mints a pooled one. Pooled records are
-// only reachable through the void-returning StartAfter entry points, so no
-// caller can hold a reference past completion.
+// allocFlow pops a recycled record or mints one.
 func (n *Net) allocFlow() *Flow {
 	var f *Flow
 	if k := len(n.flowPool) - 1; k >= 0 {
@@ -486,14 +430,14 @@ func (n *Net) allocFlow() *Flow {
 		n.flowPool[k] = nil
 		n.flowPool = n.flowPool[:k]
 	} else {
-		f = &Flow{owner: n, cidx: -1, pooled: true}
+		f = &Flow{cidx: -1}
 		f.installFn = func() { n.install(f) }
 	}
 	return f
 }
 
-// recycleFlow returns a pooled record to the free list, clearing references
-// so recycled flows do not pin paths or callbacks.
+// recycleFlow returns a record to the free list, clearing references so
+// recycled flows do not pin paths or callbacks.
 func (n *Net) recycleFlow(f *Flow) {
 	f.Path = nil
 	f.pathBuf = [2]*Resource{}
@@ -505,46 +449,39 @@ func (n *Net) recycleFlow(f *Flow) {
 	f.since = 0
 	f.rate = 0
 	f.deadline = 0
-	f.completed = false
-	f.aborted = false
 	n.flowPool = append(n.flowPool, f)
 }
 
-// StartAfter installs the flow after a fixed latency (e.g. a message's wire
-// or rendezvous latency).
-func (n *Net) StartAfter(delay, size, rateCap float64, path []*Resource, onComplete func()) {
-	n.StartAfterClassed("", delay, size, rateCap, path, onComplete)
-}
-
-// StartAfterClassed is StartAfter with a traffic-class label. Unlike Start,
-// it does not return the flow — which is what lets it recycle the record
-// (and its delayed-install closure) through the Net's free list.
-func (n *Net) StartAfterClassed(class string, delay, size, rateCap float64, path []*Resource, onComplete func()) {
+// StartAfter installs a flow of size bytes over path after a fixed latency
+// (e.g. a message's wire or rendezvous latency; 0 installs it at once).
+// onComplete fires (as an engine event) when the last byte arrives; class
+// labels the flow for the overlap accounting. A rate cap is 0 (unlimited) or
+// positive and finite, and a flow must have a non-empty path or a positive
+// rate cap; otherwise its rate would be unbounded. StartAfter panics on any
+// other argument. Zero-size flows complete at their install time.
+func (n *Net) StartAfter(class string, delay, size, rateCap float64, path []*Resource, onComplete func()) {
 	checkFlowArgs(size, rateCap, len(path))
 	f := n.allocFlow()
-	f.Size = size
-	f.RateCap = rateCap
 	f.Path = path
-	f.Class = class
-	f.OnComplete = onComplete
-	if delay <= 0 {
-		n.install(f)
-		return
-	}
-	n.eng.After(delay, f.installFn)
+	n.schedule(f, class, delay, size, rateCap, onComplete)
 }
 
-// StartAfterPath2 is StartAfterClassed specialized to the two-resource path
-// every intra-node copy reduces to (a read side and a write side). The pooled
-// record's own backing array holds the pair, so starting such a flow
-// allocates nothing in steady state.
+// StartAfterPath2 is StartAfter specialized to the two-resource path every
+// intra-node copy reduces to (a read side and a write side). The record's own
+// backing array holds the pair, so starting such a flow allocates nothing in
+// steady state.
 func (n *Net) StartAfterPath2(class string, delay, size, rateCap float64, r1, r2 *Resource, onComplete func()) {
 	checkFlowArgs(size, rateCap, 2)
 	f := n.allocFlow()
 	f.pathBuf[0], f.pathBuf[1] = r1, r2
+	f.Path = f.pathBuf[:2]
+	n.schedule(f, class, delay, size, rateCap, onComplete)
+}
+
+// schedule fills in a started flow and installs it now or after delay.
+func (n *Net) schedule(f *Flow, class string, delay, size, rateCap float64, onComplete func()) {
 	f.Size = size
 	f.RateCap = rateCap
-	f.Path = f.pathBuf[:2]
 	f.Class = class
 	f.OnComplete = onComplete
 	if delay <= 0 {
@@ -553,23 +490,6 @@ func (n *Net) StartAfterPath2(class string, delay, size, rateCap float64, r1, r2
 	}
 	n.eng.After(delay, f.installFn)
 }
-
-// Abort removes an in-flight flow without firing OnComplete.
-func (f *Flow) Abort() {
-	if f.completed || f.aborted || f.comp == nil {
-		return
-	}
-	f.aborted = true
-	n := f.owner
-	now := n.eng.Now()
-	f.done0 = f.doneAt(now)
-	f.since = now
-	n.detach(f)
-	n.requestSync()
-}
-
-// ActiveFlows returns the number of in-flight flows.
-func (n *Net) ActiveFlows() int { return n.nFlows }
 
 // advanceClasses integrates class-activity time up to engine-now at the
 // current per-class counts. Called before any count changes. Every integral
@@ -656,20 +576,15 @@ func (n *Net) onCompletionTimer(c *component) {
 	// Deterministic callback order.
 	sortFlows(finished)
 	for _, f := range finished {
-		f.done0 = f.Size
-		f.since = now
 		n.detach(f)
-		f.completed = true
 	}
 	n.stats.Completions += uint64(len(finished))
 	// Recycle before firing the callback: a callback that starts a new
-	// pooled flow may reuse this very record, which is safe because the
-	// flow is already detached and its callback extracted.
+	// flow may reuse this very record, which is safe because the flow is
+	// already detached and its callback extracted.
 	for i, f := range finished {
 		cb := f.OnComplete
-		if f.pooled {
-			n.recycleFlow(f)
-		}
+		n.recycleFlow(f)
 		finished[i] = nil
 		if cb != nil {
 			cb()

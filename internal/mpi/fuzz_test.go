@@ -2,8 +2,6 @@ package mpi
 
 import (
 	"bytes"
-	"fmt"
-	"sort"
 	"testing"
 
 	"hierknem/internal/buffer"
@@ -11,29 +9,27 @@ import (
 )
 
 // FuzzMatch drives randomized Isend/Irecv/WaitAll schedules through the
-// point-to-point matching machinery — eager and rendezvous, preposted and
-// unexpected arrivals, specific and wildcard receives — and asserts the
-// runtime's hard invariants on every schedule:
+// point-to-point matching machinery — exact-key matching, eager and
+// rendezvous, preposted and unexpected arrivals — and asserts the runtime's
+// hard invariants on every schedule:
 //
-//   - no deadlock and no time-horizon blowup;
-//   - every request completes;
-//   - no message is lost or duplicated (payload bytes are verified);
+//   - no deadlock;
+//   - no message is lost, duplicated or delivered to the wrong receive
+//     (payload bytes are verified);
 //   - request hygiene: the posted-receive and unexpected-message queues of
 //     every rank drain to empty.
 //
 // The input bytes are decoded into a *matched* plan (every send has exactly
 // one matching receive), so any hang the fuzzer finds is a runtime bug, not
-// an ill-formed program. Two global modes keep matching unambiguous:
-// mode A uses a unique tag and size per pair (received bytes are compared
-// against the exact sender pattern); mode B posts fully wildcard receives,
-// where arrival order is schedule-dependent, so all payloads share one size
-// (the transfer layer rejects size mismatches) and the received payloads
-// are compared as a multiset.
+// an ill-formed program. Two global modes: mode A gives every pair its own
+// tag and size, so each receive has exactly one candidate send; mode B gives
+// all pairs between one (src, dst) one tag and one size, so a receive may
+// match any of them, and the receiver must see their payloads in send order
+// (MPI's non-overtaking rule, which the matching chains alone carry).
 
 const (
 	fuzzNP       = 4
 	fuzzMaxPairs = 48
-	wildSize     = 64
 )
 
 func fuzzWorld(t testing.TB) *World {
@@ -63,8 +59,6 @@ func fuzzWorld(t testing.TB) *World {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A matched plan must terminate; a runaway virtual clock is a livelock.
-	w.Machine.Eng.MaxTime = 1e6
 	return w
 }
 
@@ -77,13 +71,15 @@ type fuzzPair struct {
 }
 
 // decodePlan turns fuzz bytes into a matched plan. Byte 0 selects the mode;
-// each subsequent 3-byte group describes one pair.
-func decodePlan(data []byte) (wild bool, pairs []fuzzPair) {
+// each subsequent 3-byte group describes one pair. In mode B every
+// pair between one (src, dst) takes the tag and size of the first.
+func decodePlan(data []byte) (pairs []fuzzPair) {
 	if len(data) == 0 {
-		return false, nil
+		return nil
 	}
-	wild = data[0]&1 == 1
+	sameKey := data[0]&1 == 1
 	data = data[1:]
+	first := map[[2]int]fuzzPair{}
 	for i := 0; i+2 < len(data) && len(pairs) < fuzzMaxPairs; i += 3 {
 		src := int(data[i]) % fuzzNP
 		dst := int(data[i+1]) % fuzzNP
@@ -98,12 +94,17 @@ func decodePlan(data []byte) (wild bool, pairs []fuzzPair) {
 			// Sizes straddle the 4096B eager threshold: both protocols.
 			size: int64(data[i+2])*37 + 1,
 		}
-		if wild {
-			p.size = wildSize
+		if sameKey {
+			key := [2]int{src, dst}
+			if f, ok := first[key]; ok {
+				p.tag, p.size = f.tag, f.size
+			} else {
+				first[key] = p
+			}
 		}
 		pairs = append(pairs, p)
 	}
-	return wild, pairs
+	return pairs
 }
 
 // fuzzPattern is the payload for pair k: a function of the pair, never of
@@ -119,94 +120,71 @@ func fuzzPattern(k int, size int64) []byte {
 func FuzzMatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("0ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghij")) // mode A, small sizes
-	f.Add([]byte("1zyxwvutsrqponmlkjihgfedcba9876543210")) // mode B, wildcards
+	f.Add([]byte("1zyxwvutsrqponmlkjihgfedcba9876543210")) // mode B
 	f.Add([]byte{0, 1, 2, 0xff, 3, 0, 0xfe, 1, 3, 0xfd})   // mode A, rendezvous sizes
 	f.Add([]byte{1, 0, 1, 3, 1, 2, 3, 2, 3, 1, 3, 0, 2})   // mode B, fan-in to one rank
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		wild, pairs := decodePlan(data)
+		pairs := decodePlan(data)
 		w := fuzzWorld(t)
 
-		var reqs [][]*Request // per rank, under the cooperative scheduler
-		reqs = make([][]*Request, fuzzNP)
-		recvBufs := make([]*buffer.Buffer, len(pairs))
+		// got[k] is the buffer of the receive that pair k's send must land
+		// in: the i-th receive a rank posts for a (src, tag) key takes the
+		// i-th send of that key.
+		got := make([]*buffer.Buffer, len(pairs))
+		type key struct{ src, dst, tag int }
+		sent := map[key][]int{} // sends of each key, in send order
+		for k, pair := range pairs {
+			kk := key{pair.src, pair.dst, pair.tag}
+			sent[kk] = append(sent[kk], k)
+		}
 		err := w.Run(func(p *Proc) {
 			c := w.WorldComm()
 			me := c.Rank(p)
-			post := func(k int, pair fuzzPair) {
+			var reqs []*Request
+			posted := map[key]int{}
+			post := func(pair fuzzPair) {
 				buf := buffer.NewReal(make([]byte, pair.size))
-				recvBufs[k] = buf
-				if wild {
-					reqs[me] = append(reqs[me], p.Irecv(c, buf, AnySource, AnyTag))
-				} else {
-					reqs[me] = append(reqs[me], p.Irecv(c, buf, pair.src, pair.tag))
-				}
+				kk := key{pair.src, me, pair.tag}
+				got[sent[kk][posted[kk]]] = buf
+				posted[kk]++
+				reqs = append(reqs, p.Irecv(c, buf, pair.src, pair.tag))
 			}
 			var deferred []int
 			for k, pair := range pairs {
 				if pair.dst == me && !pair.deferRecv {
-					post(k, pair)
+					post(pair)
 				}
 				if pair.src == me {
 					sbuf := buffer.NewReal(fuzzPattern(k, pair.size))
-					reqs[me] = append(reqs[me], p.Isend(c, sbuf, pair.dst, pair.tag))
+					reqs = append(reqs, p.Isend(c, sbuf, pair.dst, pair.tag))
 				}
 				if pair.dst == me && pair.deferRecv {
 					deferred = append(deferred, k)
 				}
 			}
 			for _, k := range deferred {
-				post(k, pairs[k])
+				post(pairs[k])
 			}
-			p.WaitAll(reqs[me]...)
+			p.WaitAll(reqs...)
 		})
 		if err != nil {
 			t.Fatalf("runtime stalled on a matched plan: %v", err)
 		}
 
-		for rank, rs := range reqs {
-			for _, r := range rs {
-				if !r.Done() {
-					t.Fatalf("rank %d: WaitAll returned with an incomplete request", rank)
-				}
-			}
-		}
 		for rank := 0; rank < fuzzNP; rank++ {
 			p := w.Proc(rank)
 			if p.posted.count != 0 {
 				t.Fatalf("rank %d: %d posted receives leaked", rank, p.posted.count)
 			}
-			if len(p.posted.wild) != 0 {
-				t.Fatalf("rank %d: %d wildcard postings leaked", rank, len(p.posted.wild))
-			}
 			if p.unexpected.count != 0 {
 				t.Fatalf("rank %d: %d unexpected messages leaked", rank, p.unexpected.count)
 			}
-			if p.unexpected.head != nil || p.unexpected.tail != nil {
-				t.Fatalf("rank %d: unexpected arrival list retains entries after drain", rank)
-			}
 		}
-
-		if wild {
-			// Arrival order is schedule-dependent: verify the multiset.
-			var got, want []string
-			for k, pair := range pairs {
-				got = append(got, fmt.Sprintf("%d:%x", pair.dst, recvBufs[k].Data()))
-				want = append(want, fmt.Sprintf("%d:%x", pair.dst, fuzzPattern(k, pair.size)))
-			}
-			sort.Strings(got)
-			sort.Strings(want)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("wildcard delivery lost or corrupted a payload (entry %d)", i)
-				}
-			}
-		} else {
-			for k, pair := range pairs {
-				if !bytes.Equal(recvBufs[k].Data(), fuzzPattern(k, pair.size)) {
-					t.Fatalf("pair %d (%d->%d, tag %d, %dB): payload corrupted",
-						k, pair.src, pair.dst, pair.tag, pair.size)
-				}
+		for k, pair := range pairs {
+			if !bytes.Equal(got[k].Data(), fuzzPattern(k, pair.size)) {
+				t.Fatalf("pair %d (%d->%d, tag %d, %dB): payload lost, corrupted or overtaken",
+					k, pair.src, pair.dst, pair.tag, pair.size)
 			}
 		}
 	})

@@ -6,29 +6,20 @@ package mpi
 // seed implementation kept one flat slice per side and scanned it linearly,
 // which is quadratic under fan-in (hundreds of senders targeting one rank).
 //
-// Both sides are indexed by the fully-specific matching key (ctx, src, tag)
-// in a small chained hash whose chains are threaded through the records
-// themselves (posting.hnext, envelope.hnext):
-//
-//   - posted receives hang off their key's bucket when fully specific, plus
-//     a posting-order wildcard list for receives using AnySource/AnyTag. An
-//     envelope (always concrete) can match at most one specific key, so
-//     matching compares the first equal-key record of that bucket's chain
-//     with the first matching wildcard and takes the older posting — exact
-//     posting order at O(chain) + O(wildcards).
-//
-//   - unexpected envelopes hang off their key's bucket and are also linked
-//     into an intrusive arrival-order list. A fully specific receive takes
-//     the first equal-key record of one chain; a wildcard receive walks the
-//     arrival list, and the envelope it finds is by construction also the
-//     first of its key in its chain, so both structures stay consistent
-//     without lazy deletion.
+// Every receive names its source and tag (Irecv rejects anything else), so
+// a record satisfies exactly the records of its own matching key (ctx, src,
+// tag). Both sides are indexed by that key in a small chained hash whose
+// chains are threaded through the records themselves (posting.hnext,
+// envelope.hnext), and matching removes the first equal-key record of one
+// chain.
 //
 // Order: add appends at the chain's tail, so a chain lists its records in
 // posting (resp. arrival) order and the first equal-key record is the oldest
-// of its key. Doubling keeps that: bucket counts are powers of two, so every
-// new chain draws from exactly one old chain, and grow re-links each old
-// chain front to back — a new chain is a subsequence of an old one.
+// of its key — which is also MPI's non-overtaking rule for messages between
+// one pair of ranks on one tag. Doubling keeps that: bucket counts are
+// powers of two, so every new chain draws from exactly one old chain, and
+// grow re-links each old chain front to back — a new chain is a subsequence
+// of an old one.
 //
 // Size: the bucket array doubles when the live entries fill it and never
 // shrinks, so an index is bounded by the peak number of entries pending at
@@ -43,9 +34,9 @@ package mpi
 
 const minBuckets = 8
 
-// bucketOf mixes a fully-specific matching key down to a slot of an n-bucket
-// array, n a power of two. Slots are the low bits, so the final fold brings
-// the high product bits down.
+// bucketOf mixes a matching key down to a slot of an n-bucket array, n a
+// power of two. Slots are the low bits, so the final fold brings the high
+// product bits down.
 func bucketOf(ctx, src, tag, n int) int {
 	h := uint64(ctx)*0x9E3779B97F4A7C15 + uint64(src)*0xC2B2AE3D27D4EB4F + uint64(tag)*0x165667B19E3779F9
 	h ^= h >> 32
@@ -58,25 +49,15 @@ type postChain struct{ head, tail *posting }
 
 // postIndex holds one rank's posted receives awaiting a match.
 type postIndex struct {
-	buckets []postChain // fully-specific receives, chained by key hash; len is 0 or a power of two
-	live    int         // records linked into buckets
-	wild    []*posting  // receives with AnySource and/or AnyTag, posting order
-	nextSeq uint64      // global posting order, compared across the two tiers
-	count   int
+	buckets []postChain // chained by key hash; len is 0 or a power of two
+	count   int         // records linked into buckets
 }
 
 func (ix *postIndex) add(po *posting) {
-	po.seq = ix.nextSeq
-	ix.nextSeq++
-	ix.count++
-	if po.srcWorld == AnySource || po.tag == AnyTag {
-		ix.wild = append(ix.wild, po)
-		return
-	}
-	if ix.live == len(ix.buckets) {
+	if ix.count == len(ix.buckets) {
 		ix.grow()
 	}
-	ix.live++
+	ix.count++
 	ix.link(po)
 }
 
@@ -105,103 +86,65 @@ func (ix *postIndex) grow() {
 	}
 }
 
-// reset clears the index for world reuse. The bucket array stays (warm for
-// the next run) and the posting-order counter restarts at zero, so a reused
-// index assigns the same seq values — hence the same specific-vs-wildcard
-// tie-breaks — as a fresh one. Receives still posted are dropped to the
-// garbage collector, unlinked so they do not chain to each other.
+// reset clears the index for world reuse, keeping the bucket array warm.
+// Receives still posted are dropped to the garbage collector, unlinked so
+// they do not chain to each other.
 func (ix *postIndex) reset() {
-	if ix.live > 0 {
-		for _, c := range ix.buckets {
-			for po := c.head; po != nil; {
-				next := po.hnext
-				po.hnext = nil
-				po = next
-			}
-		}
-		clear(ix.buckets)
-		ix.live = 0
+	if ix.count == 0 {
+		return
 	}
-	clear(ix.wild)
-	ix.wild = ix.wild[:0]
-	ix.nextSeq = 0
+	for _, c := range ix.buckets {
+		for po := c.head; po != nil; {
+			next := po.hnext
+			po.hnext = nil
+			po = next
+		}
+	}
+	clear(ix.buckets)
 	ix.count = 0
 }
 
-// match removes and returns the oldest posted receive env satisfies, or nil.
+// match removes and returns the oldest posted receive of env's key, or nil.
 func (ix *postIndex) match(env *envelope) *posting {
 	if ix.count == 0 {
 		return nil
 	}
-	var c *postChain
-	var sp, before *posting // the oldest equal-key specific receive and its chain predecessor
-	if ix.live > 0 {
-		c = &ix.buckets[bucketOf(env.ctx, env.srcWorld, env.tag, len(ix.buckets))]
-		for sp = c.head; sp != nil; before, sp = sp, sp.hnext {
-			if sp.tag == env.tag && sp.srcWorld == env.srcWorld && sp.ctx == env.ctx {
-				break
+	c := &ix.buckets[bucketOf(env.ctx, env.srcWorld, env.tag, len(ix.buckets))]
+	var before *posting
+	for po := c.head; po != nil; before, po = po, po.hnext {
+		if po.tag == env.tag && po.srcWorld == env.srcWorld && po.ctx == env.ctx {
+			if before != nil {
+				before.hnext = po.hnext
+			} else {
+				c.head = po.hnext
 			}
+			if c.tail == po {
+				c.tail = before
+			}
+			po.hnext = nil
+			ix.count--
+			return po
 		}
 	}
-	wi := -1
-	for i, po := range ix.wild {
-		if env.matches(po) {
-			wi = i
-			break
-		}
-	}
-	switch {
-	case sp == nil && wi < 0:
-		return nil
-	case sp != nil && (wi < 0 || sp.seq < ix.wild[wi].seq):
-		if before != nil {
-			before.hnext = sp.hnext
-		} else {
-			c.head = sp.hnext
-		}
-		if c.tail == sp {
-			c.tail = before
-		}
-		sp.hnext = nil
-		ix.live--
-		ix.count--
-		return sp
-	default:
-		po := ix.wild[wi]
-		copy(ix.wild[wi:], ix.wild[wi+1:])
-		ix.wild[len(ix.wild)-1] = nil // no stale tail pointer
-		ix.wild = ix.wild[:len(ix.wild)-1]
-		ix.count--
-		return po
-	}
+	return nil
 }
 
 // envChain is one bucket of an envIndex: its records in arrival order.
 type envChain struct{ head, tail *envelope }
 
 // envIndex holds one rank's unexpected envelopes (arrived or announced
-// before a matching receive was posted). Every envelope is fully specific,
-// so count is also the number of records linked into buckets.
+// before a matching receive was posted).
 type envIndex struct {
-	buckets    []envChain // chained by key hash; len is 0 or a power of two
-	head, tail *envelope  // intrusive arrival-order list
-	count      int
+	buckets []envChain // chained by key hash; len is 0 or a power of two
+	count   int        // records linked into buckets
 }
 
 func (ix *envIndex) add(env *envelope) {
 	if ix.count == len(ix.buckets) {
 		ix.grow()
 	}
-	ix.link(env)
-	env.prev = ix.tail
-	env.next = nil
-	if ix.tail != nil {
-		ix.tail.next = env
-	} else {
-		ix.head = env
-	}
-	ix.tail = env
 	ix.count++
+	ix.link(env)
 }
 
 // link appends env to its bucket's chain.
@@ -232,83 +175,45 @@ func (ix *envIndex) grow() {
 // reset clears the index for world reuse, keeping the bucket array warm.
 // Entries still linked (sends never received) are dropped; their records
 // are surrendered to the garbage collector rather than a pool, as a reset
-// between runs is far off any hot path.
+// between runs is far off any hot path. They are unlinked so they do not
+// chain to each other (the link is reused when a record is pooled).
 func (ix *envIndex) reset() {
 	if ix.count == 0 {
 		return
 	}
-	// Unlink both lists so dropped envelopes do not chain to each other
-	// (the links are reused when a record is pooled).
-	for env := ix.head; env != nil; {
-		next := env.next
-		env.prev, env.next, env.hnext = nil, nil, nil
-		env = next
+	for _, c := range ix.buckets {
+		for env := c.head; env != nil; {
+			next := env.hnext
+			env.hnext = nil
+			env = next
+		}
 	}
 	clear(ix.buckets)
-	ix.head, ix.tail = nil, nil
 	ix.count = 0
 }
 
-// match removes and returns the oldest unexpected envelope po satisfies, or
+// match removes and returns the oldest unexpected envelope of po's key, or
 // nil.
 func (ix *envIndex) match(po *posting) *envelope {
 	if ix.count == 0 {
 		return nil
 	}
-	if po.srcWorld != AnySource && po.tag != AnyTag {
-		c, env, before := ix.oldest(po.ctx, po.srcWorld, po.tag)
-		if env != nil {
-			ix.remove(c, env, before)
-		}
-		return env
-	}
-	for env := ix.head; env != nil; env = env.next {
-		if env.matches(po) {
-			c, first, before := ix.oldest(env.ctx, env.srcWorld, env.tag)
-			if first != env {
-				panic("mpi: matching index out of sync: arrival-list envelope is not the oldest of its key")
+	c := &ix.buckets[bucketOf(po.ctx, po.srcWorld, po.tag, len(ix.buckets))]
+	var before *envelope
+	for env := c.head; env != nil; before, env = env, env.hnext {
+		if env.tag == po.tag && env.srcWorld == po.srcWorld && env.ctx == po.ctx {
+			if before != nil {
+				before.hnext = env.hnext
+			} else {
+				c.head = env.hnext
 			}
-			ix.remove(c, env, before)
+			if c.tail == env {
+				c.tail = before
+			}
+			env.hnext = nil
+			ix.count--
 			return env
 		}
 	}
 	return nil
-}
-
-// oldest finds the first record with the given key in its bucket's chain,
-// returning the chain, the record (nil when the key has none) and the
-// record's chain predecessor.
-func (ix *envIndex) oldest(ctx, src, tag int) (c *envChain, env, before *envelope) {
-	c = &ix.buckets[bucketOf(ctx, src, tag, len(ix.buckets))]
-	for env = c.head; env != nil; before, env = env, env.hnext {
-		if env.tag == tag && env.srcWorld == src && env.ctx == ctx {
-			break
-		}
-	}
-	return c, env, before
-}
-
-// remove unlinks env — whose predecessor in chain c is before — from both
-// structures.
-func (ix *envIndex) remove(c *envChain, env, before *envelope) {
-	if before != nil {
-		before.hnext = env.hnext
-	} else {
-		c.head = env.hnext
-	}
-	if c.tail == env {
-		c.tail = before
-	}
-	if env.prev != nil {
-		env.prev.next = env.next
-	} else {
-		ix.head = env.next
-	}
-	if env.next != nil {
-		env.next.prev = env.prev
-	} else {
-		ix.tail = env.prev
-	}
-	env.prev, env.next, env.hnext = nil, nil, nil
-	ix.count--
 }

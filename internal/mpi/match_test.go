@@ -17,9 +17,14 @@ type matchOracle struct {
 	unexp  []*envelope
 }
 
+// sameKey reports whether a send and a receive carry one matching key.
+func sameKey(env *envelope, po *posting) bool {
+	return env.ctx == po.ctx && env.srcWorld == po.srcWorld && env.tag == po.tag
+}
+
 func (o *matchOracle) matchPosted(env *envelope) *posting {
 	for i, po := range o.posted {
-		if env.matches(po) {
+		if sameKey(env, po) {
 			o.posted = slices.Delete(o.posted, i, i+1)
 			return po
 		}
@@ -29,7 +34,7 @@ func (o *matchOracle) matchPosted(env *envelope) *posting {
 
 func (o *matchOracle) matchUnexpected(po *posting) *envelope {
 	for i, env := range o.unexp {
-		if env.matches(po) {
+		if sameKey(env, po) {
 			o.unexp = slices.Delete(o.unexp, i, i+1)
 			return env
 		}
@@ -57,8 +62,8 @@ type matchStream struct {
 	poFree     []*posting
 	envFree    []*envelope
 	ordinal    float64
-	trace      []float64 // per op: the matched record's ordinal or -1, then the seq assigned or -1
-	peakPosted int       // peak fully-specific postings linked at once
+	trace      []float64 // per op: the matched record's ordinal or -1
+	peakPosted int       // peak postings linked at once
 	peakUnexp  int
 }
 
@@ -75,18 +80,18 @@ func (s *matchStream) send(ctx, src, tag int) {
 	s.ordinal++
 	got, want := s.posted.match(env), s.oracle.matchPosted(env)
 	if got != want {
-		s.t.Fatalf("op %d: send (%d,%d,%d) matched posting %v, oracle %v", len(s.trace)/2, ctx, src, tag, got, want)
+		s.t.Fatalf("op %d: send (%d,%d,%d) matched posting %v, oracle %v", len(s.trace), ctx, src, tag, got, want)
 	}
 	if got == nil {
 		s.unexp.add(env)
 		s.oracle.unexp = append(s.oracle.unexp, env)
 		s.peakUnexp = max(s.peakUnexp, s.unexp.count)
-		s.trace = append(s.trace, -1, -1)
+		s.trace = append(s.trace, -1)
 	} else {
 		if got.hnext != nil {
-			s.t.Fatalf("op %d: matched posting still carries a chain link", len(s.trace)/2)
+			s.t.Fatalf("op %d: matched posting still carries a chain link", len(s.trace))
 		}
-		s.trace = append(s.trace, got.postedAt, -1)
+		s.trace = append(s.trace, got.postedAt)
 		s.poFree = append(s.poFree, got)
 		s.envFree = append(s.envFree, env)
 	}
@@ -102,18 +107,18 @@ func (s *matchStream) recv(ctx, src, tag int) {
 	s.ordinal++
 	got, want := s.unexp.match(po), s.oracle.matchUnexpected(po)
 	if got != want {
-		s.t.Fatalf("op %d: recv (%d,%d,%d) matched envelope %v, oracle %v", len(s.trace)/2, ctx, src, tag, got, want)
+		s.t.Fatalf("op %d: recv (%d,%d,%d) matched envelope %v, oracle %v", len(s.trace), ctx, src, tag, got, want)
 	}
 	if got == nil {
 		s.posted.add(po)
 		s.oracle.posted = append(s.oracle.posted, po)
-		s.peakPosted = max(s.peakPosted, s.posted.live)
-		s.trace = append(s.trace, -1, float64(po.seq))
+		s.peakPosted = max(s.peakPosted, s.posted.count)
+		s.trace = append(s.trace, -1)
 	} else {
-		if got.hnext != nil || got.prev != nil || got.next != nil {
-			s.t.Fatalf("op %d: matched envelope still carries a link", len(s.trace)/2)
+		if got.hnext != nil {
+			s.t.Fatalf("op %d: matched envelope still carries a chain link", len(s.trace))
 		}
-		s.trace = append(s.trace, got.sentAt, -1)
+		s.trace = append(s.trace, got.sentAt)
 		s.envFree = append(s.envFree, got)
 		s.poFree = append(s.poFree, po)
 	}
@@ -122,29 +127,21 @@ func (s *matchStream) recv(ctx, src, tag int) {
 
 func (s *matchStream) check() {
 	if s.posted.count != len(s.oracle.posted) || s.unexp.count != len(s.oracle.unexp) {
-		s.t.Fatalf("op %d: counts posted=%d unexpected=%d, oracle %d and %d", len(s.trace)/2,
+		s.t.Fatalf("op %d: counts posted=%d unexpected=%d, oracle %d and %d", len(s.trace),
 			s.posted.count, s.unexp.count, len(s.oracle.posted), len(s.oracle.unexp))
 	}
 }
 
 // run issues ops random operations. sendBias is the probability that an
-// operation is a send; a quarter of the receives carry a wildcard.
+// operation is a send.
 func (s *matchStream) run(ops int, sendBias float64) {
 	for i := 0; i < ops; i++ {
 		ctx, src, tag := s.rng.Intn(s.u.ctxs), s.rng.Intn(s.u.srcs), s.rng.Intn(s.u.tags)
 		if s.rng.Float64() < sendBias {
 			s.send(ctx, src, tag)
-			continue
+		} else {
+			s.recv(ctx, src, tag)
 		}
-		switch s.rng.Intn(12) {
-		case 0:
-			src = AnySource
-		case 1:
-			tag = AnyTag
-		case 2:
-			src, tag = AnySource, AnyTag
-		}
-		s.recv(ctx, src, tag)
 	}
 }
 
@@ -156,24 +153,24 @@ func (s *matchStream) drain() {
 	}
 	for len(s.oracle.posted) > 0 {
 		po := s.oracle.posted[0]
-		s.send(po.ctx, max(po.srcWorld, 0), max(po.tag, 0))
+		s.send(po.ctx, po.srcWorld, po.tag)
 	}
 }
 
-// checkEmpty asserts a drained or reset pair of indexes holds nothing: every
-// chain nil, no arrival list, no wildcard.
+// checkEmpty asserts a drained or reset pair of indexes holds nothing: no
+// count, every chain nil.
 func checkEmpty(t *testing.T, posted *postIndex, unexp *envIndex) {
 	t.Helper()
-	if posted.count != 0 || posted.live != 0 || len(posted.wild) != 0 {
-		t.Errorf("posted index not empty: count=%d live=%d wild=%d", posted.count, posted.live, len(posted.wild))
+	if posted.count != 0 {
+		t.Errorf("posted index not empty: count=%d", posted.count)
 	}
 	for i, c := range posted.buckets {
 		if c != (postChain{}) {
 			t.Errorf("posted bucket %d still holds a chain", i)
 		}
 	}
-	if unexp.count != 0 || unexp.head != nil || unexp.tail != nil {
-		t.Errorf("unexpected index not empty: count=%d head=%v tail=%v", unexp.count, unexp.head, unexp.tail)
+	if unexp.count != 0 {
+		t.Errorf("unexpected index not empty: count=%d", unexp.count)
 	}
 	for i, c := range unexp.buckets {
 		if c != (envChain{}) {
@@ -228,14 +225,14 @@ func TestMatchIndexAgainstOracle(t *testing.T) {
 
 // TestMatchIndexResetReplays: a reset with receives and sends still pending
 // leaves no record linked, and the reused index then makes the same choices
-// and assigns the same seq values as a fresh one.
+// as a fresh one.
 func TestMatchIndexResetReplays(t *testing.T) {
 	u := keyUniverse{ctxs: 2, srcs: 8, tags: 8}
 	var posted postIndex
 	var unexp envIndex
 	first := newMatchStream(t, 7, u, &posted, &unexp)
 	first.run(500, 0.5)
-	if len(first.oracle.posted) == 0 || len(first.oracle.unexp) == 0 || len(posted.wild) == 0 {
+	if len(first.oracle.posted) == 0 || len(first.oracle.unexp) == 0 {
 		t.Fatal("the stream left nothing pending on one side; the reset would be trivial")
 	}
 	posted.reset()
@@ -247,8 +244,8 @@ func TestMatchIndexResetReplays(t *testing.T) {
 		}
 	}
 	for _, env := range first.oracle.unexp {
-		if env.hnext != nil || env.prev != nil || env.next != nil {
-			t.Fatal("a dropped envelope still carries a link")
+		if env.hnext != nil {
+			t.Fatal("a dropped envelope still carries a chain link")
 		}
 	}
 
@@ -289,7 +286,7 @@ func TestMatchIndexRetention(t *testing.T) {
 		in, out := buffer.NewPhantom(4), buffer.NewPhantom(4)
 		for step := 0; step < np-1; step++ {
 			r := p.Irecv(c, in, left, base+step)
-			peakPosted[p.rank] = max(peakPosted[p.rank], p.posted.live)
+			peakPosted[p.rank] = max(peakPosted[p.rank], p.posted.count)
 			s := p.Isend(c, out, right, base+step)
 			to := c.Proc(right)
 			peakUnexp[to.rank] = max(peakUnexp[to.rank], to.unexpected.count)

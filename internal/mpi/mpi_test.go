@@ -191,7 +191,7 @@ func TestTagAndSourceMatching(t *testing.T) {
 			p.Recv(c, b2, 1, 2) // match on (src=1, tag=2) first
 			first = b2.Data()[0]
 			b1 := buffer.NewReal(make([]byte, 1))
-			p.Recv(c, b1, AnySource, AnyTag)
+			p.Recv(c, b1, 0, 1)
 			second = b1.Data()[0]
 		}
 	})
@@ -665,7 +665,7 @@ func TestBigFanInDoesNotDeadlock(t *testing.T) {
 		c := w.WorldComm()
 		if p.Rank() == 0 {
 			for i := 1; i < c.Size(); i++ {
-				p.Recv(c, buffer.NewPhantom(16), AnySource, 0)
+				p.Recv(c, buffer.NewPhantom(16), i, 0)
 			}
 		} else {
 			p.Send(c, buffer.NewPhantom(16), 0, 0)

@@ -1,20 +1,21 @@
 package mpi
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"hierknem/internal/buffer"
 )
 
 // These tables pin the MPI matching-order semantics the indexed queues must
-// preserve: among all satisfying candidates, the OLDEST posting (for an
-// arriving send) or the OLDEST arrival (for a new receive) wins — regardless
-// of whether the candidate sits in a specific per-(ctx,src,tag) queue or on
-// the wildcard list. Every case uses equal-size eager messages so a wildcard
-// may legally match any send, and payload bytes identify which send landed
-// in which posting.
+// preserve: a send matches the OLDEST posting of its (ctx, src, tag) key and
+// a receive the OLDEST arrival of its key, while distinct keys — another tag
+// or another source — never wait on each other. Every case uses equal-size
+// eager messages, and payload bytes identify which send landed in which
+// posting.
 
-// orderRecv is one posted receive: src/tag may be AnySource/AnyTag.
+// orderRecv is one posted receive.
 type orderRecv struct {
 	src, tag int
 }
@@ -22,6 +23,15 @@ type orderRecv struct {
 // orderSend is one send issued by rank `from`, in table order.
 type orderSend struct {
 	from, tag int
+}
+
+// orderCase is one scenario. want[i] is the send index whose payload
+// posting i must receive.
+type orderCase struct {
+	name  string
+	recvs []orderRecv
+	sends []orderSend
+	want  []int
 }
 
 const orderMsgSize = 64 // eager everywhere; all sends the same size
@@ -37,29 +47,29 @@ func orderPayload(id int) []byte {
 // runOrderCase executes the scenario on a fresh fuzz world. When preposted
 // is true rank 0 posts all receives before any send is issued; otherwise
 // every send is parked in the unexpected queue before the first post.
-// want[i] is the send index whose payload posting i must receive.
-func runOrderCase(t *testing.T, preposted bool, recvs []orderRecv, sends []orderSend, want []int) {
+func runOrderCase(t *testing.T, preposted bool, tc orderCase) {
 	t.Helper()
-	if len(want) != len(recvs) {
-		t.Fatalf("bad table: %d recvs but %d expectations", len(recvs), len(want))
+	if len(tc.want) != len(tc.recvs) {
+		t.Fatalf("bad table: %d recvs but %d expectations", len(tc.recvs), len(tc.want))
 	}
 	w := fuzzWorld(t)
-	bufs := make([]*buffer.Buffer, len(recvs))
+	bufs := make([]*buffer.Buffer, len(tc.recvs))
 	err := w.Run(func(p *Proc) {
 		c := w.WorldComm()
 		me := c.Rank(p)
 		post := func() {
-			reqs := make([]*Request, len(recvs))
-			for i, r := range recvs {
+			reqs := make([]*Request, len(tc.recvs))
+			for i, r := range tc.recvs {
 				bufs[i] = buffer.NewReal(make([]byte, orderMsgSize))
 				reqs[i] = p.Irecv(c, bufs[i], r.src, r.tag)
 			}
 			p.WaitAll(reqs...)
 		}
 		send := func() {
-			// Sends stagger by table order so multi-sender arrival order
-			// is fixed by the table, not by scheduler happenstance.
-			for k, s := range sends {
+			// Sends stagger by table order so multi-sender arrival
+			// order is fixed by the table, not by scheduler
+			// happenstance.
+			for k, s := range tc.sends {
 				if s.from != me {
 					continue
 				}
@@ -86,7 +96,7 @@ func runOrderCase(t *testing.T, preposted bool, recvs []orderRecv, sends []order
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, k := range want {
+	for i, k := range tc.want {
 		got := bufs[i].Data()[0]
 		if got != byte(k) {
 			t.Errorf("posting %d received payload %d, want send %d", i, got, k)
@@ -95,43 +105,13 @@ func runOrderCase(t *testing.T, preposted bool, recvs []orderRecv, sends []order
 }
 
 func TestMatchingOrder(t *testing.T) {
-	cases := []struct {
-		name  string
-		recvs []orderRecv
-		sends []orderSend
-		want  []int
-	}{
+	cases := []orderCase{
 		{
-			// The specific posting is older: an arriving send it satisfies
-			// must pick it over the younger wildcard.
-			name:  "specific_before_wildcard",
-			recvs: []orderRecv{{1, 5}, {AnySource, AnyTag}},
-			sends: []orderSend{{1, 5}, {1, 9}},
-			want:  []int{0, 1},
-		},
-		{
-			// The wildcard is older: it wins even though a specific posting
-			// for exactly (src,tag) exists.
-			name:  "wildcard_before_specific",
-			recvs: []orderRecv{{AnySource, AnyTag}, {1, 5}},
+			// Two postings of one key drain its sends in posting order.
+			name:  "same_key_fifo",
+			recvs: []orderRecv{{1, 5}, {1, 5}},
 			sends: []orderSend{{1, 5}, {1, 5}},
 			want:  []int{0, 1},
-		},
-		{
-			// Two wildcards drain sends in posting order.
-			name:  "wildcards_fifo",
-			recvs: []orderRecv{{AnySource, AnyTag}, {AnySource, AnyTag}},
-			sends: []orderSend{{1, 3}, {1, 7}},
-			want:  []int{0, 1},
-		},
-		{
-			// Half-wild postings (AnySource with a tag, a source with
-			// AnyTag) live on the wildcard list too; seniority still
-			// decides against a fully specific posting.
-			name:  "half_wild_seniority",
-			recvs: []orderRecv{{AnySource, 5}, {1, AnyTag}, {1, 5}},
-			sends: []orderSend{{1, 5}, {1, 5}, {1, 5}},
-			want:  []int{0, 1, 2},
 		},
 		{
 			// Specific postings for distinct tags are independent queues;
@@ -142,34 +122,27 @@ func TestMatchingOrder(t *testing.T) {
 			want:  []int{1, 0},
 		},
 		{
-			// AnySource race: two senders staggered in time; each wildcard
-			// takes the oldest arrival.
-			name:  "anysource_race",
-			recvs: []orderRecv{{AnySource, AnyTag}, {AnySource, AnyTag}},
+			// Two senders staggered in time, posted for in the opposite
+			// order: each posting takes the send of the source it names.
+			name:  "two_sources_by_name",
+			recvs: []orderRecv{{2, 1}, {1, 0}},
 			sends: []orderSend{{1, 0}, {2, 1}},
-			want:  []int{0, 1},
+			want:  []int{1, 0},
 		},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name+"/preposted", func(t *testing.T) {
-			runOrderCase(t, true, tc.recvs, tc.sends, tc.want)
+			runOrderCase(t, true, tc)
 		})
 	}
 
-	// The unexpected-queue mirror: sends arrive first, postings then drain
-	// the arrival-ordered queue. A wildcard posting takes the oldest
-	// arrival; a specific posting takes the oldest arrival of its key.
-	unexpected := []struct {
-		name  string
-		recvs []orderRecv
-		sends []orderSend
-		want  []int
-	}{
+	// The unexpected-queue mirror: sends arrive first, and each posting then
+	// takes the oldest arrival of its key.
+	unexpected := []orderCase{
 		{
-			name:  "wildcard_takes_oldest_arrival",
-			recvs: []orderRecv{{AnySource, AnyTag}, {AnySource, AnyTag}},
-			sends: []orderSend{{1, 4}, {1, 6}},
+			name:  "same_key_takes_oldest_arrival",
+			recvs: []orderRecv{{1, 4}, {1, 4}},
+			sends: []orderSend{{1, 4}, {1, 4}},
 			want:  []int{0, 1},
 		},
 		{
@@ -179,22 +152,99 @@ func TestMatchingOrder(t *testing.T) {
 			want:  []int{1, 0},
 		},
 		{
-			name:  "wildcard_then_specific_drain",
-			recvs: []orderRecv{{AnySource, AnyTag}, {1, 4}},
-			sends: []orderSend{{1, 4}, {1, 4}},
-			want:  []int{0, 1},
-		},
-		{
-			name:  "anysource_arrival_race",
-			recvs: []orderRecv{{AnySource, AnyTag}, {AnySource, AnyTag}},
+			name:  "two_sources_by_name",
+			recvs: []orderRecv{{2, 0}, {1, 0}},
 			sends: []orderSend{{1, 0}, {2, 0}},
-			want:  []int{0, 1},
+			want:  []int{1, 0},
 		},
 	}
 	for _, tc := range unexpected {
-		tc := tc
 		t.Run(tc.name+"/unexpected", func(t *testing.T) {
-			runOrderCase(t, false, tc.recvs, tc.sends, tc.want)
+			runOrderCase(t, false, tc)
+		})
+	}
+
+	// The wildcard scenarios this table ran before receives lost AnySource
+	// and AnyTag keep their names: each checks that Irecv refuses the
+	// scenario's first -1 receive.
+	for _, tc := range []struct {
+		name     string
+		src, tag int
+	}{
+		{"specific_before_wildcard/preposted", -1, -1},
+		{"wildcard_before_specific/preposted", -1, -1},
+		{"wildcards_fifo/preposted", -1, -1},
+		{"half_wild_seniority/preposted", -1, 5},
+		{"anysource_race/preposted", -1, -1},
+		{"wildcard_takes_oldest_arrival/unexpected", -1, -1},
+		{"wildcard_then_specific_drain/unexpected", -1, -1},
+		{"anysource_arrival_race/unexpected", -1, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantRefused(t, func(p *Proc, c *Comm) {
+				p.Irecv(c, buffer.NewPhantom(8), tc.src, tc.tag)
+			}, fmt.Sprintf("rank0 Irecv from source %d with tag %d", tc.src, tc.tag))
+		})
+	}
+}
+
+// wantRefused runs op on rank 0 of a two-rank world and checks that it
+// panics with a message naming want and the communicator's size.
+func wantRefused(t *testing.T, op func(p *Proc, c *Comm), want string) {
+	t.Helper()
+	w := newToyWorld(t, 1, 1, 2, 2)
+	var got string
+	func() {
+		defer func() { got = fmt.Sprint(recover()) }()
+		_ = w.Run(func(p *Proc) {
+			if p.Rank() == 0 {
+				op(p, w.WorldComm())
+			}
+		})
+	}()
+	if !strings.Contains(got, want) || !strings.Contains(got, "2-rank communicator") {
+		t.Fatalf("panicked with %q, want it to name %q and the communicator size", got, want)
+	}
+}
+
+// TestIrecvChecksSourceAndTag: a receive names a rank of its communicator
+// and a non-negative tag. Anything else panics in Irecv with a message
+// naming the rank, the source, the tag and the communicator's size, instead
+// of posting a receive no send can match.
+func TestIrecvChecksSourceAndTag(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		src, tag int
+	}{
+		{"source past the end", 2, 3},
+		{"negative source", -5, 0},
+		{"negative tag", 1, -2},
+		{"any source", -1, 0},
+		{"any tag", 1, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantRefused(t, func(p *Proc, c *Comm) {
+				p.Recv(c, buffer.NewPhantom(8), tc.src, tc.tag)
+			}, fmt.Sprintf("rank0 Irecv from source %d with tag %d", tc.src, tc.tag))
+		})
+	}
+}
+
+// TestIsendChecksDestinationAndTag is the send-side mirror: a send no
+// receive could match panics in Isend, not as a deadlock far from the call.
+func TestIsendChecksDestinationAndTag(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		dst, tag int
+	}{
+		{"destination past the end", 2, 3},
+		{"negative destination", -1, 0},
+		{"negative tag", 1, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantRefused(t, func(p *Proc, c *Comm) {
+				p.Isend(c, buffer.NewPhantom(8), tc.dst, tc.tag)
+			}, fmt.Sprintf("rank0 Isend to destination %d with tag %d", tc.dst, tc.tag))
 		})
 	}
 }

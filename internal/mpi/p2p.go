@@ -9,12 +9,6 @@ import (
 	"hierknem/internal/shm"
 )
 
-// Wildcards for Recv matching.
-const (
-	AnySource = -1
-	AnyTag    = -1
-)
-
 // Request tracks a pending non-blocking operation. A Request is single-use:
 // it must not be waited on or read after Wait has returned for it (the
 // containing record is recycled). Only the rank that issued it may wait on
@@ -39,9 +33,6 @@ type releaser interface {
 	release()
 	issuer() *Proc
 }
-
-// Done reports completion (for Test-style polling).
-func (r *Request) Done() bool { return r.done }
 
 func (r *Request) complete() {
 	if r.done {
@@ -122,9 +113,9 @@ type envelope struct {
 	sentAt  float64
 	sanRead int
 
-	// intrusive links in the destination's unexpected arrival-order list
-	// and key-hash chain (see envIndex).
-	prev, next, hnext *envelope
+	// hnext is the intrusive link in the destination's key-hash chain (see
+	// envIndex) and, while the record is pooled, in the sender's free list.
+	hnext *envelope
 }
 
 func (env *envelope) release() {
@@ -132,12 +123,11 @@ func (env *envelope) release() {
 		return
 	}
 	p := env.sender
-	// sendReq.done is deliberately left set (callers may poll Done after
-	// WaitAll); allocEnv resets the request on reuse. A pooled record is in
-	// no arrival list, so next links the sender's free list.
+	// allocEnv resets the request on reuse. A pooled record is in no
+	// key-hash chain, so hnext links the sender's free list.
 	env.bufv = buffer.Buffer{}
 	env.po = nil
-	env.prev, env.next = nil, p.envFree
+	env.hnext = p.envFree
 	p.envFree = env
 }
 
@@ -148,7 +138,7 @@ func (env *envelope) release() {
 func (p *Proc) allocEnv() *envelope {
 	env := p.envFree
 	if env != nil {
-		p.envFree, env.next = env.next, nil
+		p.envFree, env.hnext = env.hnext, nil
 		env.sendReq = Request{owner: env}
 		env.arrived = false
 		env.preposted = false
@@ -168,13 +158,12 @@ func (env *envelope) issuer() *Proc { return env.sender }
 // posting is a posted receive awaiting a match. Postings are refcounted and
 // recycled through the receiver's free list, like envelopes.
 type posting struct {
-	srcWorld int // world rank or AnySource
+	srcWorld int
 	tag      int
 	ctx      int
 	bufv     buffer.Buffer // header copy; data shared with the caller's buffer
 	req      Request       // embedded: no per-posting Request allocation
 	receiver *Proc
-	seq      uint64   // posting order within the receiver (see postIndex)
 	hnext    *posting // intrusive link in the receiver's key-hash chain (see postIndex)
 	refs     int32    // outstanding references; at 0 the record recycles
 
@@ -213,13 +202,16 @@ func (p *Proc) allocPosting() *posting {
 
 func (po *posting) issuer() *Proc { return po.receiver }
 
-func (env *envelope) matches(po *posting) bool {
-	return env.ctx == po.ctx &&
-		(po.srcWorld == AnySource || po.srcWorld == env.srcWorld) &&
-		(po.tag == AnyTag || po.tag == env.tag)
+// badPeer panics for a send or receive whose peer is not a rank of c or
+// whose tag is negative. There are no wildcards, so such a call could match
+// nothing; the message names the call instead of a distant deadlock.
+func (p *Proc) badPeer(op string, c *Comm, peer, tag int) {
+	panic(fmt.Sprintf("mpi: %s %s %d with tag %d: the peer must be a rank of the %d-rank communicator and the tag non-negative",
+		p.name, op, peer, tag, c.Size()))
 }
 
-// Isend starts a non-blocking send of buf to dst (a rank of c) with tag.
+// Isend starts a non-blocking send of buf to dst, a rank of c, with tag. A
+// destination outside c or a negative tag panics.
 func (p *Proc) Isend(c *Comm, buf *buffer.Buffer, dst, tag int) *Request {
 	env, target := p.isendHead(c, buf, dst, tag)
 	if d, ok := p.sendSleep(env, target); ok {
@@ -236,6 +228,9 @@ func (p *Proc) Isend(c *Comm, buf *buffer.Buffer, dst, tag int) *Request {
 // isendHead is Isend up to the sender-side charge: it fills the envelope of
 // a send to dst and returns it with the destination rank.
 func (p *Proc) isendHead(c *Comm, buf *buffer.Buffer, dst, tag int) (*envelope, *Proc) {
+	if dst < 0 || dst >= c.Size() || tag < 0 {
+		p.badPeer("Isend to destination", c, dst, tag)
+	}
 	target := p.world.procs[c.WorldRank(dst)]
 	env := p.allocEnv()
 	p.open++
@@ -314,16 +309,15 @@ func (p *Proc) Send(c *Comm, buf *buffer.Buffer, dst, tag int) {
 	p.Wait(p.Isend(c, buf, dst, tag))
 }
 
-// Irecv starts a non-blocking receive into buf from src (rank of c, or
-// AnySource) with tag (or AnyTag).
+// Irecv starts a non-blocking receive into buf from src, a rank of c, with
+// tag. There are no wildcards: a source outside c or a negative tag panics.
 func (p *Proc) Irecv(c *Comm, buf *buffer.Buffer, src, tag int) *Request {
-	srcWorld := src
-	if src != AnySource {
-		srcWorld = c.WorldRank(src)
+	if src < 0 || src >= c.Size() || tag < 0 {
+		p.badPeer("Irecv from source", c, src, tag)
 	}
 	po := p.allocPosting()
 	p.open++
-	po.srcWorld = srcWorld
+	po.srcWorld = c.WorldRank(src)
 	po.tag = tag
 	po.ctx = c.ctx
 	po.bufv = *buf
@@ -421,7 +415,7 @@ func (w *World) startTransfer(env *envelope, po *posting) {
 	if !env.preposted {
 		delay += spec.NetLatency
 	}
-	w.Machine.Fab.StartAfterClassed("net", delay, float64(env.size), 0, w.netPath(env.sender, po.receiver), finish)
+	w.Machine.Fab.StartAfter("net", delay, float64(env.size), 0, w.netPath(env.sender, po.receiver), finish)
 }
 
 // finishTransfer delivers a matched transfer's payload, completes both
@@ -453,7 +447,7 @@ func (w *World) finishTransfer(env *envelope) {
 // eagerFlight launches the wire transfer of an eager inter-node message.
 func (w *World) eagerFlight(env *envelope, target *Proc, onArrive func()) {
 	spec := &w.Machine.Spec
-	w.Machine.Fab.StartAfterClassed("net", spec.NetLatency, float64(env.size), 0,
+	w.Machine.Fab.StartAfter("net", spec.NetLatency, float64(env.size), 0,
 		w.netPath(env.sender, target), onArrive)
 }
 

@@ -64,8 +64,8 @@ func TestSanitizerDetectsOverlappingCopy(t *testing.T) {
 
 // TestStallAutopsyNamesPendingOps: with the sanitizer attached, a drained
 // queue surfaces as a StallError whose report lists the pending receives
-// (rank, tag, posting time) in posting order — two specific receives that
-// share a hash chain, a wildcard posted between them, then the blocking
+// (rank, tag, posting time) by posting time — two receives that share a
+// hash chain, one of another chain posted between them, then the blocking
 // receive — and the unmatched send sitting in the unexpected queue.
 func TestStallAutopsyNamesPendingOps(t *testing.T) {
 	w := newToyWorld(t, 1, 1, 2, 2)
@@ -77,14 +77,22 @@ func TestStallAutopsyNamesPendingOps(t *testing.T) {
 	for bucketOf(ctx, 1, tagB, minBuckets) != bucketOf(ctx, 1, tagA, minBuckets) {
 		tagB++
 	}
+	// And one of another bucket.
+	tagC := tagB + 1
+	for bucketOf(ctx, 1, tagC, minBuckets) == bucketOf(ctx, 1, tagA, minBuckets) {
+		tagC++
+	}
 	err := w.Run(func(p *Proc) {
 		c := w.WorldComm()
 		if p.Rank() == 0 {
 			first := p.Irecv(c, buffer.NewReal(make([]byte, 4)), 1, tagB)
-			wild := p.Irecv(c, buffer.NewReal(make([]byte, 4)), AnySource, 99)
+			p.Compute(1e-6)
+			between := p.Irecv(c, buffer.NewReal(make([]byte, 4)), 1, tagC)
+			p.Compute(1e-6)
 			second := p.Irecv(c, buffer.NewReal(make([]byte, 4)), 1, tagA)
+			p.Compute(1e-6)
 			p.Recv(c, buffer.NewReal(make([]byte, 4)), 1, 42) // never matched
-			p.WaitAll(first, wild, second)
+			p.WaitAll(first, between, second)
 		} else {
 			p.Send(c, buffer.NewReal([]byte{1, 2, 3}), 0, 7) // eager: completes, never received
 		}
@@ -105,7 +113,7 @@ func TestStallAutopsyNamesPendingOps(t *testing.T) {
 	for _, want := range []string{
 		"stall autopsy:",
 		fmt.Sprintf("rank0: recv pending ctx=%d src=rank1 tag=%d posted at t=", ctx, tagB),
-		fmt.Sprintf("rank0: recv pending ctx=%d src=any tag=99 posted at t=", ctx),
+		fmt.Sprintf("rank0: recv pending ctx=%d src=rank1 tag=%d posted at t=", ctx, tagC),
 		fmt.Sprintf("rank0: recv pending ctx=%d src=rank1 tag=%d posted at t=", ctx, tagA),
 		fmt.Sprintf("rank0: recv pending ctx=%d src=rank1 tag=42 posted at t=", ctx),
 		"unmatched send from rank1",
@@ -113,7 +121,7 @@ func TestStallAutopsyNamesPendingOps(t *testing.T) {
 	} {
 		i := strings.Index(msg[at:], want)
 		if i < 0 {
-			t.Fatalf("stall report lacks %q after offset %d (postings must list in posting order):\n%s", want, at, msg)
+			t.Fatalf("stall report lacks %q after offset %d (postings must list by posting time):\n%s", want, at, msg)
 		}
 		at += i + len(want)
 	}

@@ -13,10 +13,10 @@ package mpi
 // rank's count of issued but uncollected requests.
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"slices"
-	"sort"
 	"strings"
 
 	"hierknem/internal/des"
@@ -79,25 +79,17 @@ func (w *World) uncollected() error {
 	return &UncollectedError{Open: open, Report: w.stallReport()}
 }
 
-// stallReport lists every rank's pending receives (posting order) and
-// unmatched sends (arrival order), with the virtual time each was issued;
-// it is empty when nothing is pending.
+// stallReport lists every rank's pending receives and unmatched sends, each
+// side ordered by the virtual time it was issued; it is empty when nothing is
+// pending.
 func (w *World) stallReport() string {
 	var b strings.Builder
 	for _, p := range w.procs {
 		for _, po := range p.posted.pending() {
-			src := "any"
-			if po.srcWorld != AnySource {
-				src = fmt.Sprintf("rank%d", po.srcWorld)
-			}
-			tag := "any"
-			if po.tag != AnyTag {
-				tag = fmt.Sprintf("%d", po.tag)
-			}
-			fmt.Fprintf(&b, "  %s: recv pending ctx=%d src=%s tag=%s posted at t=%g\n",
-				p.name, po.ctx, src, tag, po.postedAt)
+			fmt.Fprintf(&b, "  %s: recv pending ctx=%d src=rank%d tag=%d posted at t=%g\n",
+				p.name, po.ctx, po.srcWorld, po.tag, po.postedAt)
 		}
-		for env := p.unexpected.head; env != nil; env = env.next {
+		for _, env := range p.unexpected.pending() {
 			fmt.Fprintf(&b, "  %s: unmatched send from rank%d ctx=%d tag=%d size=%d sent at t=%g\n",
 				p.name, env.srcWorld, env.ctx, env.tag, env.size, env.sentAt)
 		}
@@ -105,18 +97,26 @@ func (w *World) stallReport() string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// pending returns the index's still-unmatched postings in posting order.
+// pending returns the index's still-unmatched postings by posting time.
 func (ix *postIndex) pending() []*posting {
-	if ix.count == 0 {
-		return nil
-	}
-	out := make([]*posting, 0, ix.count)
+	var out []*posting
 	for _, c := range ix.buckets {
 		for po := c.head; po != nil; po = po.hnext {
 			out = append(out, po)
 		}
 	}
-	out = append(out, ix.wild...)
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
+	slices.SortStableFunc(out, func(a, b *posting) int { return cmp.Compare(a.postedAt, b.postedAt) })
+	return out
+}
+
+// pending returns the index's still-unmatched envelopes by send time.
+func (ix *envIndex) pending() []*envelope {
+	var out []*envelope
+	for _, c := range ix.buckets {
+		for env := c.head; env != nil; env = env.hnext {
+			out = append(out, env)
+		}
+	}
+	slices.SortStableFunc(out, func(a, b *envelope) int { return cmp.Compare(a.sentAt, b.sentAt) })
 	return out
 }

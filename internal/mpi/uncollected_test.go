@@ -25,9 +25,9 @@ func TestUncollectedRequestsReported(t *testing.T) {
 		}, nil, ""},
 		{"unmatched Irecv", func(p *Proc, c *Comm) {
 			if p.Rank() == 1 {
-				p.Irecv(c, buffer.NewPhantom(8), AnySource, 99)
+				p.Irecv(c, buffer.NewPhantom(8), 0, 99)
 			}
-		}, map[int]int{1: 1}, "rank1: recv pending ctx=0 src=any tag=99"},
+		}, map[int]int{1: 1}, "rank1: recv pending ctx=0 src=rank0 tag=99"},
 		{"unreceived Isend", func(p *Proc, c *Comm) {
 			if p.Rank() == 0 {
 				p.Isend(c, buffer.NewPhantom(4), 1, 7)
@@ -131,7 +131,7 @@ func TestUncollectedRunResetReplaysBitIdentical(t *testing.T) {
 		np := w.Size()
 		p.Isend(c, buffer.NewPhantom(64), (p.Rank()+1)%np, 1)
 		p.Recv(c, buffer.NewPhantom(64), (p.Rank()+np-1)%np, 1)
-		p.Irecv(c, buffer.NewPhantom(8), AnySource, 99)
+		p.Irecv(c, buffer.NewPhantom(8), (p.Rank()+np-1)%np, 99)
 		p.Isend(c, buffer.NewPhantom(4), (p.Rank()+2)%np, 98)
 	})
 	var ue *UncollectedError

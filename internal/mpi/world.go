@@ -278,7 +278,7 @@ func (p *Proc) ReduceLocal(op buffer.Op, dtype buffer.Datatype, dst, src *buffer
 			w, s := p.world, p.core.Socket
 			path := w.reducePaths[s.NodeID*len(w.Machine.Nodes[0].Sockets)+s.ID][:]
 			done := des.AwaitBegin(p.dp)
-			w.Machine.Fab.StartAfterClassed("compute", 0, float64(n), w.Machine.Spec.CoreCopyBandwidth, path, done)
+			w.Machine.Fab.StartAfter("compute", 0, float64(n), w.Machine.Spec.CoreCopyBandwidth, path, done)
 			des.AwaitEnd(p.dp)
 		}
 	}

@@ -125,8 +125,8 @@ func TestCopyBufferMovesDataAndWarmsCache(t *testing.T) {
 	if !bytes.Equal(dst.Data(), []byte{1, 2, 3, 4}) {
 		t.Fatalf("dst = %v", dst.Data())
 	}
-	if !s1.Resident(dst.ID()) {
-		t.Fatal("destination not L3-resident after copy")
+	if res, _ := s1.ReadSide(&m.Spec, dst.ID(), dst.Len(), true); res != s1.L3Bus {
+		t.Fatalf("a read of the destination after the copy is served by %s, want the L3 port", res.Name)
 	}
 }
 

@@ -214,15 +214,7 @@ func (c *Ctx) WorldPPN(spec topology.Spec, ppn int) *mpi.World {
 		w.Reset()
 		return w
 	}
-	m, err := topology.Build(spec)
-	if err != nil {
-		panic(err)
-	}
-	b, err := topology.ByCorePPN(m, ppn*spec.Nodes, ppn)
-	if err != nil {
-		panic(err)
-	}
-	w, err := mpi.NewWorld(m, b, clusters.Config(&spec))
+	w, err := clusters.NewWorldPPN(spec, ppn)
 	if err != nil {
 		panic(err)
 	}

@@ -240,24 +240,13 @@ func (s *Socket) Touch(id uint64, bytes int64) {
 	}
 }
 
-// Resident reports whether buffer id is L3-resident on this socket.
-func (s *Socket) Resident(id uint64) bool {
-	_, ok := s.l3.resident[id]
-	return ok
-}
-
-// ResidentSpan returns the resident footprint recorded for buffer id, or 0.
-func (s *Socket) ResidentSpan(id uint64) int64 {
-	return s.l3.resident[id]
-}
-
 // ReadSide resolves where a read of n bytes of buffer id on this socket is
 // served from: the L3 port when the region's resident footprint covers the
 // read, the memory bus otherwise. It returns the source resource and the
 // per-core rate ceiling for the reading core (higher for same-socket
 // L3 hits).
 func (s *Socket) ReadSide(spec *Spec, id uint64, n int64, readerSameSocket bool) (*fabric.Resource, float64) {
-	if id != 0 && n > 0 && s.ResidentSpan(id) >= n {
+	if id != 0 && n > 0 && s.l3.resident[id] >= n {
 		rate := spec.CoreCopyBandwidth
 		if readerSameSocket && spec.L3Bandwidth > rate {
 			rate = spec.L3Bandwidth

@@ -261,22 +261,26 @@ func TestCrossNodeEdges(t *testing.T) {
 func TestCacheTouchAndResidency(t *testing.T) {
 	m := mustBuild(t, testSpec(1, 1, 2))
 	s := m.Nodes[0].Sockets[0]
+	resident := func(id uint64) bool {
+		_, ok := s.l3.resident[id]
+		return ok
+	}
 	s.Touch(1, 4<<20)
-	if !s.Resident(1) {
+	if !resident(1) {
 		t.Fatal("buffer 1 should be resident")
 	}
 	// Oversized buffers are never resident.
 	s.Touch(2, 64<<20)
-	if s.Resident(2) {
+	if resident(2) {
 		t.Fatal("oversized buffer marked resident")
 	}
 	// Filling the cache evicts the oldest entry.
 	s.Touch(3, 6<<20)
 	s.Touch(4, 6<<20) // 4+6+6 > 12 MB: buffer 1 evicted
-	if s.Resident(1) {
+	if resident(1) {
 		t.Fatal("buffer 1 should have been evicted")
 	}
-	if !s.Resident(4) {
+	if !resident(4) {
 		t.Fatal("buffer 4 should be resident")
 	}
 }

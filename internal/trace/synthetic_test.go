@@ -29,7 +29,7 @@ func syntheticMachine(t *testing.T) *topology.Machine {
 // at schedules a pathless classed flow: active exactly [when, when+size).
 func at(m *topology.Machine, when float64, class string, size float64) {
 	m.Eng.At(when, func() {
-		m.Fab.StartClassed(class, size, 1.0, nil, nil)
+		m.Fab.StartAfter(class, 0, size, 1.0, nil, nil)
 	})
 }
 

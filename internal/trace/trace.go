@@ -44,18 +44,6 @@ func Snapshot(m *topology.Machine) []ResourceStat {
 	return out
 }
 
-// Totals aggregates bytes served by resource class, keyed by the suffix of
-// the resource name ("mem", "l3", "nic", "nic-tx", "nic-rx").
-func Totals(m *topology.Machine) map[string]float64 {
-	totals := map[string]float64{}
-	for _, r := range m.Fab.Resources() {
-		idx := strings.LastIndex(r.Name, "/")
-		class := r.Name[idx+1:]
-		totals[class] += r.BytesServed
-	}
-	return totals
-}
-
 // Report renders the top-n busiest resources as an aligned table.
 func Report(m *topology.Machine, top int) string {
 	stats := Snapshot(m)
@@ -97,18 +85,4 @@ func MeasureOverlap(m *topology.Machine) Overlap {
 		CopyBusy: m.Fab.ClassBusyTime("copy"),
 		Both:     m.Fab.OverlapTime("net", "copy"),
 	}
-}
-
-// MaxUtilization returns the highest-utilization resource — the system
-// bottleneck over the whole run.
-func MaxUtilization(m *topology.Machine) (ResourceStat, bool) {
-	var best ResourceStat
-	found := false
-	for _, s := range Snapshot(m) {
-		if !found || s.Utilization > best.Utilization {
-			best = s
-			found = true
-		}
-	}
-	return best, found
 }

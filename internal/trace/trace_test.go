@@ -58,17 +58,6 @@ func TestSnapshotAccountsTraffic(t *testing.T) {
 	}
 }
 
-func TestTotalsByClass(t *testing.T) {
-	m := runTraffic(t)
-	totals := Totals(m)
-	if totals["nic"] < 200-1e-3 { // both NICs carried the 100-byte flow
-		t.Fatalf("nic total = %g, want ~200", totals["nic"])
-	}
-	if totals["mem"] < 200-1e-3 { // src + dst memory buses
-		t.Fatalf("mem total = %g, want ~200", totals["mem"])
-	}
-}
-
 func TestReportFormat(t *testing.T) {
 	m := runTraffic(t)
 	rep := Report(m, 3)
@@ -81,22 +70,6 @@ func TestReportFormat(t *testing.T) {
 	}
 }
 
-func TestMaxUtilization(t *testing.T) {
-	m := runTraffic(t)
-	best, ok := MaxUtilization(m)
-	if !ok {
-		t.Fatal("no resources")
-	}
-	// The half-duplex NIC at 10 B/s moving 100 bytes dominates the run,
-	// so its utilization should be substantial.
-	if !strings.Contains(best.Name, "nic") {
-		t.Fatalf("bottleneck = %q, want a NIC", best.Name)
-	}
-	if best.Utilization <= 0.5 {
-		t.Fatalf("bottleneck utilization %g, want > 0.5", best.Utilization)
-	}
-}
-
 func TestEmptyMachineSnapshot(t *testing.T) {
 	m, err := topology.Build(topology.Spec{
 		Name: "idle", Nodes: 1, SocketsPerNode: 1, CoresPerSocket: 1,
@@ -105,12 +78,13 @@ func TestEmptyMachineSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range Snapshot(m) {
+	stats := Snapshot(m)
+	if len(stats) == 0 {
+		t.Fatal("expected resources to exist")
+	}
+	for _, s := range stats {
 		if s.BytesServed != 0 || s.Utilization != 0 {
 			t.Fatalf("idle machine reports activity: %+v", s)
 		}
-	}
-	if _, ok := MaxUtilization(m); !ok {
-		t.Fatal("expected resources to exist")
 	}
 }

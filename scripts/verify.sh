@@ -20,7 +20,9 @@
 #             sanitizer: virtual-time buffer conflicts between ranks,
 #             ordered by the sync edges mpi records where it completes a
 #             message or releases parked ranks; des knows no sanitizer)
-#   fuzz      10s FuzzMatch smoke over the p2p matching machinery
+#   fuzz      10s FuzzMatch smoke over the p2p matching machinery:
+#             exact-key matching, eager and rendezvous, preposted and
+#             unexpected messages, and same-key order (non-overtaking)
 #   benchsmoke  the repository benchmark's own gate (bench/ci.sh, called as
 #             it stands): vet, hierlint and tests of ./bench, then a -quick
 #             run of both modes whose output is checked against

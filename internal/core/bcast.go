@@ -2,6 +2,7 @@ package core
 
 import (
 	"hierknem/internal/buffer"
+	"hierknem/internal/des"
 	"hierknem/internal/hier"
 	"hierknem/internal/knem"
 	"hierknem/internal/mpi"
@@ -143,20 +144,114 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 	}
 
 	// Non-leader (steps 36-46).
-	sh := lookup(p, lcomm, key)
+	t := bcastTailOf(p)
+	t.lcomm, t.buf, t.seg, t.nseg = lcomm, buf, seg, int32(nseg)
 	if onRootNode {
 		// The root holds the whole message already: fetch it in one
 		// one-sided copy (step 38).
-		sh.get(p, 0, buf)
-		lcomm.Barrier(p)
-		return
+		t.seg, t.nseg, t.root = buf.Len(), 1, true
 	}
-	for i := int64(0); i < nseg; i++ {
-		lcomm.Barrier(p) // wait for the leader's notification (step 42)
-		off, n := mpi.SegmentBounds(buf.Len(), seg, i)
-		sh.get(p, off, buf.Slice(off, n))
+	t.phase, t.sub = tailLookup, lookupStep(p, lcomm, key)
+	p.DES().Steps(t)
+}
+
+// bcastTail is a non-leader's part of Bcast (steps 36-46) as one stepped
+// wait (des.Proc.Steps): the cookie lookup; then, for each segment, the
+// lcomm barrier that brings the leader's notification (step 42) and the
+// one-sided get of the segment; then the final barrier (step 45). On the
+// root's node, where the message is whole from the start, it is the
+// lookup, one get of the whole buffer and the barrier. The barriers and the
+// lookup are mpi's sub-steps and the get is a knem.Copy, all driven from
+// here, so the rank is switched into once per Bcast rather than about
+// twice per segment.
+type bcastTail struct {
+	p     *mpi.Proc
+	lcomm *mpi.Comm
+	buf   *buffer.Buffer
+	seg   int64       // segment size
+	sub   des.Stepper // the barrier or lookup under way
+	sh    share
+	cp    knem.Copy // the get under way
+	i     int32     // the segment under way
+	nseg  int32
+	phase uint8
+	root  bool // on the root's node: no notification barriers
+}
+
+const (
+	tailLookup uint8 = iota // the cookie lookup
+	tailNotify              // the barrier before the get of segment i
+	tailGet                 // the get of segment i
+	tailFinal               // the final barrier
+)
+
+// bcastTails holds a world's bcastTail records, by world rank, in the
+// world's attribute slot: made at the world's first non-leader Bcast and
+// kept for its life, so a Bcast allocates none.
+type bcastTails []bcastTail
+
+// bcastTailOf returns p's bcastTail record.
+func bcastTailOf(p *mpi.Proc) *bcastTail {
+	w := p.World()
+	ts, _ := w.Attr().(bcastTails)
+	if ts == nil {
+		ts = make(bcastTails, w.Size())
+		for r := range ts {
+			ts[r].p = w.Proc(r)
+		}
+		w.SetAttr(ts)
 	}
-	lcomm.Barrier(p) // step 45
+	return &ts[p.Rank()]
+}
+
+// Step advances the sequence (des.Stepper).
+func (t *bcastTail) Step(dp *des.Proc) des.Wait {
+	for {
+		var w des.Wait
+		if t.phase == tailGet {
+			w = t.cp.Step(dp)
+		} else {
+			w = t.sub.Step(dp)
+		}
+		if w != des.Done {
+			return w
+		}
+		switch t.phase {
+		case tailLookup:
+			t.sh = t.p.LookedUp().(share)
+			if t.root {
+				return t.startGet(dp)
+			}
+			t.barrier(tailNotify)
+		case tailNotify:
+			return t.startGet(dp)
+		case tailGet:
+			if t.i++; t.i < t.nseg {
+				t.barrier(tailNotify)
+			} else {
+				t.barrier(tailFinal)
+			}
+		default:
+			*t = bcastTail{p: t.p}
+			return des.Done
+		}
+	}
+}
+
+// barrier arms the lcomm barrier of phase.
+func (t *bcastTail) barrier(phase uint8) {
+	t.phase, t.sub = phase, t.lcomm.BarrierStep(t.p)
+}
+
+// startGet starts the get of segment i and returns its first wait.
+func (t *bcastTail) startGet(dp *des.Proc) des.Wait {
+	off, n := mpi.SegmentBounds(t.buf.Len(), t.seg, int64(t.i))
+	cp, w, err := t.sh.dev.StartGet(dp, t.p.Core(), t.sh.ck, off, t.buf, off, n)
+	if err != nil {
+		panic(err)
+	}
+	t.cp, t.phase = cp, tailGet
+	return w
 }
 
 // bcastSmall is the single-segment Bcast. The general path interleaves

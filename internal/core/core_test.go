@@ -350,6 +350,62 @@ func TestReducePipelineCorrect(t *testing.T) {
 	}
 }
 
+// TestBcastSegmentedTailDeliversReference: a pipelined Bcast whose last
+// segment is one byte, from roots on other nodes than rank 0's, delivers
+// the sequential reference's bytes to every rank. Each Run broadcasts
+// twice from different roots, so the non-leaders' stepped-wait records are
+// reused with a different root node and segment count.
+func TestBcastSegmentedTailDeliversReference(t *testing.T) {
+	spec := miniCluster(false)
+	spec.Nodes = 3
+	const ppn, seg = 4, 4 << 10
+	mod := New(Options{BcastPipeline: FixedPipeline(seg)})
+	// 4 segments take the binomial tree, 9 the chain.
+	for _, size := range []int{3*seg + 1, 8*seg + 1} {
+		if _, n := mpi.SegmentBounds(int64(size), seg, segCount(int64(size), seg)-1); n != 1 {
+			t.Fatalf("%d bytes: last segment of %d bytes, want 1", size, n)
+		}
+		for _, roots := range [][2]int{{5, 11}, {11, 2}} {
+			t.Run(fmt.Sprintf("%dB/roots%d,%d", size, roots[0], roots[1]), func(t *testing.T) {
+				w := ppnWorld(t, spec, ppn)
+				np := w.Size()
+				var want [2][][]byte
+				for k, root := range roots {
+					inputs := make([][]byte, np)
+					for r := range inputs {
+						inputs[r] = make([]byte, size)
+						for i := range inputs[r] {
+							inputs[r][i] = byte(r*31 + i*7 + k)
+						}
+					}
+					want[k] = coll.RefBcast(inputs, root)
+				}
+				var bad []string
+				err := w.Run(func(p *mpi.Proc) {
+					c := w.WorldComm()
+					me := c.Rank(p)
+					for k, root := range roots {
+						buf := buffer.NewReal(make([]byte, size))
+						if me == root {
+							copy(buf.Data(), want[k][root])
+						}
+						mod.Bcast(p, c, buf, root)
+						if !bytes.Equal(buf.Data(), want[k][me]) {
+							bad = append(bad, fmt.Sprintf("rank %d (root %d)", me, root))
+						}
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(bad) > 0 {
+					t.Fatalf("%v diverge from the sequential reference", bad)
+				}
+			})
+		}
+	}
+}
+
 // The offload claim: with HierKNEM the leader's broadcast-path time is
 // bounded by inter-node forwarding, so adding more local ranks must not
 // slow the collective much (the Figure 7(a) mechanism). Compare 2 ppn vs

@@ -2,6 +2,7 @@ package core
 
 import (
 	"hierknem/internal/buffer"
+	"hierknem/internal/des"
 	"hierknem/internal/knem"
 	"hierknem/internal/mpi"
 )
@@ -40,6 +41,12 @@ func (sh share) withdraw(p *mpi.Proc, lcomm *mpi.Comm, key mpi.BBKey) {
 // lookup's kernel entry.
 func lookup(p *mpi.Proc, lcomm *mpi.Comm, key mpi.BBKey) share {
 	return lcomm.BBWaitAfter(p, p.World().Machine.Spec.ShmLatency, key).(share)
+}
+
+// lookupStep is lookup as a sub-step (mpi.Comm.LookupStep); the share is
+// p.LookedUp() once it has reported Done.
+func lookupStep(p *mpi.Proc, lcomm *mpi.Comm, key mpi.BBKey) des.Stepper {
+	return lcomm.LookupStep(p, p.World().Machine.Spec.ShmLatency, key)
 }
 
 // get copies dst.Len() bytes from offset off of the shared buffer into dst.

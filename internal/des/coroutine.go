@@ -13,14 +13,20 @@ type coroutine struct {
 	next  func() (struct{}, bool)
 	stop  func()
 	yield func(struct{}) bool
-	// p is set only between assignment and start: an idle coroutine
-	// references no process, body or engine, so dropped worlds stay
-	// collectable whatever the idle list holds.
+	// p is the process it hosts, from assignment until the process exits:
+	// an idle coroutine references no process, body or engine, so dropped
+	// worlds stay collectable whatever the idle list holds.
 	p *Proc
 	// step is the Stepper of the process it hosts while that process is
 	// parked in Steps: the engine runs it at the process's resume events in
 	// place of switching in.
 	step Stepper
+	// awaitDone is the completion AwaitBegin hands out for the process it
+	// hosts: made at the coroutine's first await and kept for its life,
+	// since a process awaits one completion at a time. Ranks are spawned
+	// afresh for every Run and coroutines are reused, so keeping it here
+	// spares each process that awaits a closure of its own.
+	awaitDone func()
 }
 
 func newCoroutine() *coroutine {
@@ -28,9 +34,8 @@ func newCoroutine() *coroutine {
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
 		for {
-			p := c.p
+			c.p.run()
 			c.p = nil
-			p.run()
 			if !yield(struct{}{}) {
 				return // stopped while idle: surplus over maxIdle
 			}

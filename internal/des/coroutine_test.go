@@ -26,24 +26,37 @@ func ringBody(p *Proc) {
 	}
 }
 
+// awaitBody awaits a few completions, as a rank awaits its copies.
+func awaitBody(p *Proc) {
+	for i := 0; i < 3; i++ {
+		p.Engine().After(1, AwaitBegin(p))
+		AwaitEnd(p)
+	}
+}
+
 func TestSpawnAllocsWarmPool(t *testing.T) {
 	const n = 768
-	e := New()
-	cycle := func() {
-		e.Reset()
-		for i := 0; i < n; i++ {
-			e.Spawn("p", ringBody)
+	for _, body := range []struct {
+		name string
+		fn   func(*Proc)
+	}{{"ring", ringBody}, {"await", awaitBody}} {
+		e := New()
+		cycle := func() {
+			e.Reset()
+			for i := 0; i < n; i++ {
+				e.Spawn("p", body.fn)
+			}
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
+		// AllocsPerRun's warm-up call fills the idle list, the event free
+		// list, the process table and the coroutines' await closures; the
+		// measured call is the second cycle. What remains per process is
+		// the Proc, whether it awaits or not.
+		if per := testing.AllocsPerRun(1, cycle) / n; per > 1.5 {
+			t.Errorf("%s: warm Spawn/Run cycle costs %.2f mallocs per process, want <= 1.5", body.name, per)
 		}
-	}
-	// AllocsPerRun's warm-up call fills the idle list, the event free list
-	// and the process table; the measured call is the second cycle. What
-	// remains per process is the Proc: its await closure is made only at
-	// its first await.
-	if per := testing.AllocsPerRun(1, cycle) / n; per > 1.5 {
-		t.Fatalf("warm Spawn/Run cycle costs %.2f mallocs per process, want <= 1.5", per)
 	}
 }
 

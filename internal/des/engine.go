@@ -348,11 +348,9 @@ type Proc struct {
 	// bypass is a mark the engine never reads (see SetBypass).
 	bypass bool
 
-	// awaiting is set from AwaitBegin until the completion fires, and
-	// awaitDone is that completion: made at the first await, then reused,
-	// since a process awaits one completion at a time.
-	awaiting  bool
-	awaitDone func()
+	// awaiting is set from AwaitBegin until the completion fires (see
+	// coroutine.awaitDone).
+	awaiting bool
 }
 
 // ID returns the process's spawn index, unique within its engine.
@@ -465,10 +463,15 @@ func SleepFor(d float64) Wait {
 }
 
 // A Stepper is a wait sequence a process hands the engine (see Steps).
+//
+// A Step may drive another Stepper's Step as a sub-step: it returns the
+// sub-step's Wait until the sub-step reports Done, then goes on with its
+// own sequence, so one Steps can chain waits that each keep their own
+// state — a barrier, then a copy, then another barrier.
 type Stepper interface {
 	// Step advances the sequence and returns the suspension it needs next,
 	// or Done. It runs on p's behalf, on p or in engine context, and must
-	// not block: no Sleep, Park, AwaitEnd or Steps.
+	// not block: no Sleep, Park, Suspend, AwaitEnd or Steps.
 	Step(p *Proc) Wait
 }
 
@@ -526,6 +529,18 @@ func (p *Proc) suspend(w Wait) bool {
 	p.parkedFlag = true
 	p.wakeable = park
 	return true
+}
+
+// Suspend blocks the process for one suspension a Stepper could ask for:
+// SleepFor(d) is Sleep(d), Parked is Park, and Done returns at once.
+func (p *Proc) Suspend(w Wait) {
+	switch w {
+	case Done:
+	case Parked:
+		p.Park()
+	default:
+		p.Sleep(float64(w))
+	}
 }
 
 // Sleep suspends the process for d seconds of virtual time. A zero sleep is

@@ -59,16 +59,20 @@ func (wl handoffWorkload) counts(t *testing.T) (handoffs, pushes, events uint64)
 // -v shows the table DESIGN.md §5.2 quotes). The barrier, blackboard and
 // request waits run as stepped waits, which keeps bcast_small, whose
 // 768-rank dissemination barrier took 53,631 of 81,980 hand-offs when each
-// of its sleeps and parks was a switch, under 30,000.
+// of its sleeps and parks was a switch, under 30,000. A HierKNEM Bcast
+// non-leader runs its whole lookup, barrier and get sequence as one stepped
+// wait, which keeps bcast_large, at 210,207 hand-offs when each barrier and
+// get was a switch of its own, under 30,000 too.
 func TestHandoffsPerOp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("768-rank workloads")
 	}
+	bound := map[string]uint64{"bcast_small": 30000, "bcast_large": 30000}
 	for _, wl := range handoffWorkloads() {
 		h, p, ev := wl.counts(t)
 		t.Logf("%-15s hand-offs %9d  heap pushes %9d  events %9d", wl.name, h, p, ev)
-		if wl.name == "bcast_small" && h > 30000 {
-			t.Errorf("bcast_small: %d hand-offs per op, want at most 30000", h)
+		if b, ok := bound[wl.name]; ok && h > b {
+			t.Errorf("%s: %d hand-offs per op, want at most %d", wl.name, h, b)
 		}
 	}
 }

@@ -24,8 +24,8 @@ import (
 type component struct {
 	id      uint64
 	cpos    int // position in Net.comps
-	flows   []*Flow
-	bundles []*bundle // flows grouped by (Path, RateCap), unordered
+	flows   []*flow
+	bundles []*bundle // flows grouped by (path, rateCap), unordered
 	res     []*Resource
 
 	timer   des.Timer // completion timer for the earliest deadline
@@ -134,10 +134,10 @@ func (n *Net) removeComp(c *component) {
 
 // attach inserts a new flow: it joins the component owning its path's
 // resources, eagerly merging if the path bridges several.
-func (n *Net) attach(f *Flow) {
+func (n *Net) attach(f *flow) {
 	n.advanceClasses()
-	if f.Class != "" {
-		n.classCount[n.internClass(f.Class)]++
+	if f.class != "" {
+		n.classCount[n.internClass(f.class)]++
 	}
 	n.nFlows++
 	now := n.eng.Now()
@@ -145,7 +145,7 @@ func (n *Net) attach(f *Flow) {
 	f.deadline = math.Inf(1)
 
 	var target *component
-	for _, r := range f.Path {
+	for _, r := range f.path {
 		c := r.comp
 		if c == nil || c == target {
 			continue
@@ -164,7 +164,7 @@ func (n *Net) attach(f *Flow) {
 	if target == nil {
 		target = n.allocComponent()
 	}
-	for _, r := range f.Path {
+	for _, r := range f.path {
 		if r.comp == nil {
 			r.comp = target
 			r.ridx = len(target.res)
@@ -179,14 +179,14 @@ func (n *Net) attach(f *Flow) {
 	n.markDirty(target)
 }
 
-// joinBundle files an attaching flow under the bundle of its (Path, RateCap)
+// joinBundle files an attaching flow under the bundle of its (path, rateCap)
 // in c, opening one when c has none. A pathless flow always opens its own:
 // it is the sole occupant of a component of its own.
-func (n *Net) joinBundle(c *component, f *Flow) {
+func (n *Net) joinBundle(c *component, f *flow) {
 	var b *bundle
-	if len(f.Path) > 0 {
-		for _, x := range f.Path[0].heads {
-			if x.cap == f.RateCap && slices.Equal(x.path, f.Path) {
+	if len(f.path) > 0 {
+		for _, x := range f.path[0].heads {
+			if x.cap == f.rateCap && slices.Equal(x.path, f.path) {
 				b = x
 				break
 			}
@@ -201,12 +201,12 @@ func (n *Net) joinBundle(c *component, f *Flow) {
 			b = &bundle{}
 			b.path = b.pathBuf[:0]
 		}
-		b.path = append(b.path, f.Path...)
-		b.cap = f.RateCap
+		b.path = append(b.path, f.path...)
+		b.cap = f.rateCap
 		b.bidx = len(c.bundles)
 		c.bundles = append(c.bundles, b)
-		if len(f.Path) > 0 {
-			f.Path[0].heads = append(f.Path[0].heads, b)
+		if len(f.path) > 0 {
+			f.path[0].heads = append(f.path[0].heads, b)
 		}
 	}
 	b.m++
@@ -271,10 +271,10 @@ func (n *Net) absorb(a, b *component) {
 // the last of its bundle, the component is marked for a lazy split check at
 // the next sync; a surviving twin still covers every resource the flow
 // crossed, so nothing can have come apart otherwise.
-func (n *Net) detach(f *Flow) {
+func (n *Net) detach(f *flow) {
 	n.advanceClasses()
-	if f.Class != "" {
-		n.classCount[n.classIndex(f.Class)]--
+	if f.class != "" {
+		n.classCount[n.classIndex(f.class)]--
 	}
 	n.nFlows--
 	c := f.comp
@@ -421,7 +421,7 @@ func (n *Net) repartition(c *component) []*component {
 	c.flows, c.bundles, c.res = flows[:0], bundles[:0], res[:0]
 	parts := n.parts[:0]
 	for _, f := range flows {
-		root := f.Path[0].uf
+		root := f.path[0].uf
 		if partOf[root] < 0 {
 			partOf[root] = int32(len(parts))
 			p := c
@@ -578,7 +578,7 @@ func (n *Net) fill(c *component) float64 {
 	next := math.Inf(1)
 	for _, f := range c.flows {
 		rate := f.bundle.rate
-		for _, r := range f.Path {
+		for _, r := range f.path {
 			r.load += rate
 		}
 		if rate != f.rate {
@@ -586,7 +586,7 @@ func (n *Net) fill(c *component) float64 {
 			f.since = now
 			f.rate = rate
 			if rate > 0 {
-				f.deadline = now + (f.Size-f.done0)/rate
+				f.deadline = now + (f.size-f.done0)/rate
 			} else {
 				f.deadline = math.Inf(1)
 			}

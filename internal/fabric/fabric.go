@@ -1,7 +1,7 @@
 // Package fabric is a flow-level ("fluid") simulator for shared transport
 // resources: network links, NICs, memory buses and per-core copy engines.
 //
-// A Flow moves a number of bytes across an ordered multiset of Resources.
+// A flow moves a number of bytes across an ordered multiset of Resources.
 // At every instant, active flows share each resource max-min fairly: rates
 // are computed by progressive filling, honoring per-flow rate caps and
 // resource multiplicity (a flow whose path lists a resource twice — e.g. a
@@ -42,7 +42,7 @@
 //
 // # Bundles
 //
-// Flows with an element-wise identical Path and an identical RateCap always
+// Flows with an element-wise identical path and an identical rate cap always
 // receive the same rate: progressive filling cannot tell them apart, so they
 // freeze in the same round at the same level. Collective traffic is full of
 // such twins (many cores copying over one memory-bus pair at one per-core
@@ -138,9 +138,6 @@ type Resource struct {
 	uf    int32 // union-find scratch for component splitting
 }
 
-// Load returns the resource's current aggregate consumption in bytes/s.
-func (r *Resource) Load() float64 { return r.load }
-
 // Utilization returns BytesServed normalized by capacity*elapsed, i.e. the
 // average fraction of the resource's capacity used over [0, now].
 func (r *Resource) Utilization(elapsed float64) float64 {
@@ -159,23 +156,23 @@ func (r *Resource) integrate(now float64) {
 	r.since = now
 }
 
-// Flow is an in-flight transfer: a record of the Net's free list, in service
+// flow is an in-flight transfer: a record of the Net's free list, in service
 // from its install to its completion.
-type Flow struct {
-	ID      uint64
-	Size    float64 // bytes
-	RateCap float64 // bytes/s; 0 means unlimited
-	Path    []*Resource
-	// Class labels the traffic kind ("net", "copy", "compute", ...) for
+type flow struct {
+	id      uint64
+	size    float64 // bytes
+	rateCap float64 // bytes/s; 0 means unlimited
+	path    []*Resource
+	// class labels the traffic kind ("net", "copy", "compute", ...) for
 	// the overlap accounting; empty means unclassified. It is fixed at
 	// start: the Net keeps per-class counts.
-	Class string
+	class string
 
-	OnComplete func()
+	onComplete func()
 
 	comp   *component // owning component; nil when detached
 	cidx   int        // position in comp.flows
-	bundle *bundle    // the (Path, RateCap) group in comp; nil when detached
+	bundle *bundle    // the (path, rateCap) group in comp; nil when detached
 
 	// Progress is closed-form: done(t) = done0 + rate·(t−since). The
 	// pair (done0, since) is re-anchored only when rate changes, and
@@ -200,10 +197,10 @@ type Flow struct {
 }
 
 // doneAt returns the bytes transferred by time now.
-func (f *Flow) doneAt(now float64) float64 {
+func (f *flow) doneAt(now float64) float64 {
 	d := f.done0 + f.rate*(now-f.since)
-	if d > f.Size {
-		d = f.Size
+	if d > f.size {
+		d = f.size
 	}
 	return d
 }
@@ -231,8 +228,8 @@ type Net struct {
 
 	// flowPool is the flow-record free list. Which dead record a start
 	// reuses never shows in the event log: flow IDs are assigned at install.
-	flowPool []*Flow
-	finScr   []*Flow // onCompletionTimer scratch, reused across firings
+	flowPool []*flow
+	finScr   []*flow // onCompletionTimer scratch, reused across firings
 
 	// compPool is the component-shell free list. A shell killed by
 	// removeComp may still be listed in dirty, so it waits in retired until
@@ -365,9 +362,6 @@ func (n *Net) OverlapTime(a, b string) float64 {
 	return n.overlapBusy[j*(j-1)/2+i]
 }
 
-// Engine returns the underlying event engine.
-func (n *Net) Engine() *des.Engine { return n.eng }
-
 // Resources returns all resources created on this fabric.
 func (n *Net) Resources() []*Resource { return n.resources }
 
@@ -407,11 +401,11 @@ func checkFlowArgs(size, rateCap float64, pathLen int) {
 // install assigns the flow its ID and puts it in service. IDs are assigned
 // here — after any StartAfter delay — so concurrent flows sort in
 // installation order regardless of which entry point created the record.
-func (n *Net) install(f *Flow) {
-	f.ID = n.nextID
+func (n *Net) install(f *flow) {
+	f.id = n.nextID
 	n.nextID++
-	if f.Size <= byteEps {
-		cb := f.OnComplete
+	if f.size <= byteEps {
+		cb := f.onComplete
 		n.recycleFlow(f)
 		if cb != nil {
 			n.eng.At(n.eng.Now(), cb)
@@ -423,14 +417,14 @@ func (n *Net) install(f *Flow) {
 }
 
 // allocFlow pops a recycled record or mints one.
-func (n *Net) allocFlow() *Flow {
-	var f *Flow
+func (n *Net) allocFlow() *flow {
+	var f *flow
 	if k := len(n.flowPool) - 1; k >= 0 {
 		f = n.flowPool[k]
 		n.flowPool[k] = nil
 		n.flowPool = n.flowPool[:k]
 	} else {
-		f = &Flow{cidx: -1}
+		f = &flow{cidx: -1}
 		f.installFn = func() { n.install(f) }
 	}
 	return f
@@ -438,11 +432,11 @@ func (n *Net) allocFlow() *Flow {
 
 // recycleFlow returns a record to the free list, clearing references so
 // recycled flows do not pin paths or callbacks.
-func (n *Net) recycleFlow(f *Flow) {
-	f.Path = nil
+func (n *Net) recycleFlow(f *flow) {
+	f.path = nil
 	f.pathBuf = [2]*Resource{}
-	f.Class = ""
-	f.OnComplete = nil
+	f.class = ""
+	f.onComplete = nil
 	f.comp = nil
 	f.cidx = -1
 	f.done0 = 0
@@ -462,7 +456,7 @@ func (n *Net) recycleFlow(f *Flow) {
 func (n *Net) StartAfter(class string, delay, size, rateCap float64, path []*Resource, onComplete func()) {
 	checkFlowArgs(size, rateCap, len(path))
 	f := n.allocFlow()
-	f.Path = path
+	f.path = path
 	n.schedule(f, class, delay, size, rateCap, onComplete)
 }
 
@@ -474,16 +468,16 @@ func (n *Net) StartAfterPath2(class string, delay, size, rateCap float64, r1, r2
 	checkFlowArgs(size, rateCap, 2)
 	f := n.allocFlow()
 	f.pathBuf[0], f.pathBuf[1] = r1, r2
-	f.Path = f.pathBuf[:2]
+	f.path = f.pathBuf[:2]
 	n.schedule(f, class, delay, size, rateCap, onComplete)
 }
 
 // schedule fills in a started flow and installs it now or after delay.
-func (n *Net) schedule(f *Flow, class string, delay, size, rateCap float64, onComplete func()) {
-	f.Size = size
-	f.RateCap = rateCap
-	f.Class = class
-	f.OnComplete = onComplete
+func (n *Net) schedule(f *flow, class string, delay, size, rateCap float64, onComplete func()) {
+	f.size = size
+	f.rateCap = rateCap
+	f.class = class
+	f.onComplete = onComplete
 	if delay <= 0 {
 		n.install(f)
 		return
@@ -583,7 +577,7 @@ func (n *Net) onCompletionTimer(c *component) {
 	// flow may reuse this very record, which is safe because the flow is
 	// already detached and its callback extracted.
 	for i, f := range finished {
-		cb := f.OnComplete
+		cb := f.onComplete
 		n.recycleFlow(f)
 		finished[i] = nil
 		if cb != nil {
@@ -618,10 +612,10 @@ func (n *Net) scheduleCompletion(c *component, next float64) {
 	c.timer = n.eng.At(next, c.timerFn)
 }
 
-func sortFlows(fs []*Flow) {
+func sortFlows(fs []*flow) {
 	// insertion sort by ID; completion batches are small
 	for i := 1; i < len(fs); i++ {
-		for j := i; j > 0 && fs[j].ID < fs[j-1].ID; j-- {
+		for j := i; j > 0 && fs[j].id < fs[j-1].id; j-- {
 			fs[j], fs[j-1] = fs[j-1], fs[j]
 		}
 	}

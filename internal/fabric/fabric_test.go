@@ -412,14 +412,14 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 		e.After(0, func() {
 			const tol = 1e-6
 			// Independently recompute per-resource load from the flows.
-			var flows []*Flow
+			var flows []*flow
 			for _, c := range n.comps {
 				flows = append(flows, c.flows...)
 			}
 			checked = len(flows)
 			load := make(map[*Resource]float64)
 			for _, f := range flows {
-				for _, r := range f.Path {
+				for _, r := range f.path {
 					load[r] += f.rate
 				}
 			}
@@ -433,11 +433,11 @@ func TestQuickMaxMinInvariants(t *testing.T) {
 					ok = false
 					continue
 				}
-				if f.RateCap > 0 && f.rate >= f.RateCap*(1-tol) {
+				if f.rateCap > 0 && f.rate >= f.rateCap*(1-tol) {
 					continue // capped: fine
 				}
 				saturated := false
-				for _, r := range f.Path {
+				for _, r := range f.path {
 					if load[r] >= r.Capacity*(1-tol) {
 						saturated = true
 						break

@@ -65,12 +65,12 @@ func (n *Net) runShadow(mismatch func(format string, args ...any)) {
 		}
 		for i, f := range c.flows {
 			if f.comp != c || f.cidx != i {
-				mismatch("flow %d back-pointer broken in component %d", f.ID, c.id)
+				mismatch("flow %d back-pointer broken in component %d", f.id, c.id)
 				return
 			}
-			for _, r := range f.Path {
+			for _, r := range f.path {
 				if r.comp != c {
-					mismatch("flow %d (component %d) crosses resource %q owned elsewhere", f.ID, c.id, r.Name)
+					mismatch("flow %d (component %d) crosses resource %q owned elsewhere", f.id, c.id, r.Name)
 					return
 				}
 			}
@@ -107,8 +107,8 @@ func (n *Net) runShadow(mismatch func(format string, args ...any)) {
 	counts := make(map[string]int)
 	for _, c := range n.comps {
 		for _, f := range c.flows {
-			if f.Class != "" {
-				counts[f.Class]++
+			if f.class != "" {
+				counts[f.class]++
 			}
 		}
 	}
@@ -153,19 +153,19 @@ func (n *Net) runShadow(mismatch func(format string, args ...any)) {
 	}
 	for _, c := range n.comps {
 		for _, f := range c.flows {
-			if len(f.Path) == 0 {
+			if len(f.path) == 0 {
 				continue
 			}
-			i0, ok := idx[f.Path[0]]
+			i0, ok := idx[f.path[0]]
 			if !ok {
-				mismatch("flow %d path resource %q not owned by any component", f.ID, f.Path[0].Name)
+				mismatch("flow %d path resource %q not owned by any component", f.id, f.path[0].Name)
 				return
 			}
 			r0 := find(i0)
-			for _, r := range f.Path[1:] {
+			for _, r := range f.path[1:] {
 				ri, ok := idx[r]
 				if !ok {
-					mismatch("flow %d path resource %q not owned by any component", f.ID, r.Name)
+					mismatch("flow %d path resource %q not owned by any component", f.id, r.Name)
 					return
 				}
 				if r1 := find(ri); r1 != r0 {
@@ -179,10 +179,10 @@ func (n *Net) runShadow(mismatch func(format string, args ...any)) {
 		rooted := false
 		root := -1
 		for _, f := range c.flows {
-			if len(f.Path) == 0 {
+			if len(f.path) == 0 {
 				continue
 			}
-			r := find(idx[f.Path[0]])
+			r := find(idx[f.path[0]])
 			if !rooted {
 				rooted, root = true, r
 			} else if r != root {
@@ -215,19 +215,19 @@ func (n *Net) runShadow(mismatch func(format string, args ...any)) {
 		rates := shadowFill(c.flows)
 		for _, f := range c.flows {
 			if rates[f] != f.rate {
-				mismatch("flow %d rate %g, fresh component refill says %g", f.ID, f.rate, rates[f])
+				mismatch("flow %d rate %g, fresh component refill says %g", f.id, f.rate, rates[f])
 				return
 			}
 			if f.rate > 0 {
-				if want := f.since + (f.Size-f.done0)/f.rate; f.deadline != want {
-					mismatch("flow %d deadline %g, closed form says %g", f.ID, f.deadline, want)
+				if want := f.since + (f.size-f.done0)/f.rate; f.deadline != want {
+					mismatch("flow %d deadline %g, closed form says %g", f.id, f.deadline, want)
 					return
 				}
 			}
 		}
 		loads := make(map[*Resource]float64)
 		for _, f := range c.flows {
-			for _, r := range f.Path {
+			for _, r := range f.path {
 				loads[r] += f.rate
 			}
 		}
@@ -240,14 +240,14 @@ func (n *Net) runShadow(mismatch func(format string, args ...any)) {
 	}
 
 	// The seed's algorithm: one global filling pass over everything.
-	var flows []*Flow
+	var flows []*flow
 	for _, c := range n.comps {
 		flows = append(flows, c.flows...)
 	}
 	legacy := shadowFill(flows)
 	for _, f := range flows {
 		if !withinRel(legacy[f], f.rate, shadowRelTol) {
-			mismatch("flow %d rate %g, legacy global filling says %g", f.ID, f.rate, legacy[f])
+			mismatch("flow %d rate %g, legacy global filling says %g", f.id, f.rate, legacy[f])
 			return
 		}
 	}
@@ -270,11 +270,11 @@ func (n *Net) bundlesConsistent(c *component, mismatch func(format string, args 
 	for _, f := range c.flows {
 		b := f.bundle
 		if _, ok := members[b]; !ok {
-			mismatch("flow %d's bundle is not listed in component %d", f.ID, c.id)
+			mismatch("flow %d's bundle is not listed in component %d", f.id, c.id)
 			return false
 		}
-		if b.cap != f.RateCap || !slices.Equal(b.path, f.Path) {
-			mismatch("flow %d does not match the key of its bundle in component %d", f.ID, c.id)
+		if b.cap != f.rateCap || !slices.Equal(b.path, f.path) {
+			mismatch("flow %d does not match the key of its bundle in component %d", f.id, c.id)
 			return false
 		}
 		members[b]++
@@ -326,8 +326,8 @@ func withinRel(a, b, tol float64) bool {
 // component's flows it must agree with fill's bundled rounds bit-for-bit;
 // applied to all active flows it reproduces the seed's global one-pass
 // algorithm.
-func shadowFill(flows []*Flow) map[*Flow]float64 {
-	rates := make(map[*Flow]float64, len(flows))
+func shadowFill(flows []*flow) map[*flow]float64 {
+	rates := make(map[*flow]float64, len(flows))
 	if len(flows) == 0 {
 		return rates
 	}
@@ -335,7 +335,7 @@ func shadowFill(flows []*Flow) map[*Flow]float64 {
 	st := make(map[*Resource]*scr)
 	var res []*Resource
 	for _, f := range flows {
-		for _, r := range f.Path {
+		for _, r := range f.path {
 			s := st[r]
 			if s == nil {
 				s = &scr{resid: r.Capacity}
@@ -345,7 +345,7 @@ func shadowFill(flows []*Flow) map[*Flow]float64 {
 			s.wsum++
 		}
 	}
-	frozen := make(map[*Flow]bool, len(flows))
+	frozen := make(map[*flow]bool, len(flows))
 	unfrozen := len(flows)
 	level := 0.0
 	const relEps = 1e-9
@@ -359,8 +359,8 @@ func shadowFill(flows []*Flow) map[*Flow]float64 {
 			}
 		}
 		for _, f := range flows {
-			if !frozen[f] && f.RateCap > 0 {
-				if d := f.RateCap - level; d < delta {
+			if !frozen[f] && f.rateCap > 0 {
+				if d := f.rateCap - level; d < delta {
 					delta = d
 				}
 			}
@@ -387,10 +387,10 @@ func shadowFill(flows []*Flow) map[*Flow]float64 {
 			if frozen[f] {
 				continue
 			}
-			capped := f.RateCap > 0 && level >= f.RateCap*(1-relEps)
+			capped := f.rateCap > 0 && level >= f.rateCap*(1-relEps)
 			saturated := false
 			if !capped {
-				for _, r := range f.Path {
+				for _, r := range f.path {
 					if st[r].resid <= r.Capacity*relEps {
 						saturated = true
 						break
@@ -401,7 +401,7 @@ func shadowFill(flows []*Flow) map[*Flow]float64 {
 				frozen[f] = true
 				rates[f] = level
 				unfrozen--
-				for _, r := range f.Path {
+				for _, r := range f.path {
 					st[r].wsum--
 				}
 				frozeAny = true

@@ -143,55 +143,122 @@ func rightsName(r Rights) string {
 // on requester's core); the region owner is not involved. Returns an error
 // for bad cookies, rights, bounds or cross-node access.
 func (d *Device) Get(p *des.Proc, requester *topology.Core, ck Cookie, off int64, dst *buffer.Buffer) error {
-	reg, err := d.lookup(ck, RightRead, requester)
+	c, w, err := d.StartGet(p, requester, ck, off, dst, 0, dst.Len())
 	if err != nil {
 		return err
 	}
-	if off < 0 || off+dst.Len() > reg.buf.Len() {
-		return fmt.Errorf("knem: get [%d:%d] outside region of %d bytes", off, off+dst.Len(), reg.buf.Len())
-	}
-	src := reg.buf.Slice(off, dst.Len())
-	hr, hw := -1, -1
-	if d.san != nil {
-		// Both windows belong to the requester: the copy is one-sided,
-		// executed entirely by the requesting core.
-		hr = d.san.BeginAccess(p.ID(), p.Name(), src.ID(), src.Off(), src.Len(), false)
-		hw = d.san.BeginAccess(p.ID(), p.Name(), dst.ID(), dst.Off(), dst.Len(), true)
-	}
-	shm.CopyBuffer(p, d.machine, requester, reg.owner.Socket, requester.Socket, src, dst)
-	if d.san != nil {
-		d.san.EndAccess(hr)
-		d.san.EndAccess(hw)
-	}
-	d.stats.Gets++
-	d.stats.BytesCopied += dst.Len()
+	c.block(p, w)
 	return nil
 }
 
 // Put copies src into the registered region at offset off. Like Get it is
 // one-sided, blocking only the requester.
 func (d *Device) Put(p *des.Proc, requester *topology.Core, ck Cookie, off int64, src *buffer.Buffer) error {
-	reg, err := d.lookup(ck, RightWrite, requester)
+	c, w, err := d.startPut(p, requester, ck, off, src)
 	if err != nil {
 		return err
 	}
-	if off < 0 || off+src.Len() > reg.buf.Len() {
-		return fmt.Errorf("knem: put [%d:%d] outside region of %d bytes", off, off+src.Len(), reg.buf.Len())
-	}
-	dst := reg.buf.Slice(off, src.Len())
-	hr, hw := -1, -1
-	if d.san != nil {
-		hr = d.san.BeginAccess(p.ID(), p.Name(), src.ID(), src.Off(), src.Len(), false)
-		hw = d.san.BeginAccess(p.ID(), p.Name(), dst.ID(), dst.Off(), dst.Len(), true)
-	}
-	shm.CopyBuffer(p, d.machine, requester, requester.Socket, reg.owner.Socket, src, dst)
-	if d.san != nil {
-		d.san.EndAccess(hr)
-		d.san.EndAccess(hw)
-	}
-	d.stats.Puts++
-	d.stats.BytesCopied += src.Len()
+	c.block(p, w)
 	return nil
+}
+
+// Copy is one Get or Put between its start and its finish. StartGet (or,
+// inside Put, startPut) begins it and returns the first wait the copy needs;
+// once that is over, Step ends it. A caller that runs the copy inside its
+// own stepped wait keeps the Copy in its state and drives Step as a
+// sub-step (see des.Stepper); Get and Put drive it on the process. The
+// ranges are kept as offsets into whole buffers, so a caller copying
+// segment after segment of one buffer carves no slices.
+type Copy struct {
+	dev            *Device
+	src, dst       *buffer.Buffer
+	srcOff, dstOff int64
+	n              int64
+	sock           *topology.Socket // whose L3 the written bytes warm
+	hr, hw         int32            // hiersan windows, -1 when unchecked
+	put            bool
+}
+
+// StartGet begins Get's copy of n bytes from offset off of the region into
+// dst at dstOff: the cookie, rights and bounds checks, the hiersan windows
+// and the start of the copy. It returns the copy and the wait it needs
+// first, or an error and no copy. The Copy comes back by value, so a
+// blocking caller's buffers can stay on its stack.
+func (d *Device) StartGet(p *des.Proc, requester *topology.Core, ck Cookie, off int64, dst *buffer.Buffer, dstOff, n int64) (Copy, des.Wait, error) {
+	reg, err := d.lookup(ck, RightRead, requester)
+	if err != nil {
+		return Copy{}, 0, err
+	}
+	if off < 0 || off+n > reg.buf.Len() {
+		return Copy{}, 0, fmt.Errorf("knem: get [%d:%d] outside region of %d bytes", off, off+n, reg.buf.Len())
+	}
+	c := Copy{dev: d, src: reg.buf, srcOff: off, dst: dst, dstOff: dstOff, n: n, sock: requester.Socket}
+	w := d.start(p, &c, requester, reg.owner.Socket, requester.Socket)
+	return c, w, nil
+}
+
+// startPut begins Put's copy of src into the region at offset off, as
+// StartGet does for a get.
+func (d *Device) startPut(p *des.Proc, requester *topology.Core, ck Cookie, off int64, src *buffer.Buffer) (Copy, des.Wait, error) {
+	n := src.Len()
+	reg, err := d.lookup(ck, RightWrite, requester)
+	if err != nil {
+		return Copy{}, 0, err
+	}
+	if off < 0 || off+n > reg.buf.Len() {
+		return Copy{}, 0, fmt.Errorf("knem: put [%d:%d] outside region of %d bytes", off, off+n, reg.buf.Len())
+	}
+	c := Copy{dev: d, src: src, dst: reg.buf, dstOff: off, n: n, sock: reg.owner.Socket, put: true}
+	w := d.start(p, &c, requester, requester.Socket, reg.owner.Socket)
+	return c, w, nil
+}
+
+// start opens c's hiersan windows and starts its copy by the requesting
+// core from srcSock to dstSock memory. The sockets come as arguments, not
+// from c, so that nothing c points to leaks into the fabric.
+func (d *Device) start(p *des.Proc, c *Copy, requester *topology.Core, srcSock, dstSock *topology.Socket) des.Wait {
+	src, dst := c.src.Slice(c.srcOff, c.n), c.dst.Slice(c.dstOff, c.n)
+	c.hr, c.hw = -1, -1
+	if s := d.san; s != nil {
+		// Both windows belong to the requester: the copy is one-sided,
+		// executed entirely by the requesting core.
+		c.hr = int32(s.BeginAccess(p.ID(), p.Name(), src.ID(), src.Off(), src.Len(), false))
+		c.hw = int32(s.BeginAccess(p.ID(), p.Name(), dst.ID(), dst.Off(), dst.Len(), true))
+	}
+	return shm.StartCopy(p, d.machine, requester, srcSock, dstSock, c.n, src.ID())
+}
+
+// Step ends the copy once the wait its start returned is over: Parked while
+// its fabric flow runs, then it moves the bytes, warms the written socket's
+// L3, closes the hiersan windows, counts the copy and returns Done.
+func (c *Copy) Step(p *des.Proc) des.Wait {
+	if w := des.AwaitStep(p); w != des.Done {
+		return w
+	}
+	dst := c.dst.Slice(c.dstOff, c.n)
+	dst.CopyFrom(c.src.Slice(c.srcOff, c.n))
+	c.sock.Touch(dst.ID(), c.n)
+	d := c.dev
+	if d.san != nil {
+		d.san.EndAccess(int(c.hr))
+		d.san.EndAccess(int(c.hw))
+	}
+	if c.put {
+		d.stats.Puts++
+	} else {
+		d.stats.Gets++
+	}
+	d.stats.BytesCopied += c.n
+	*c = Copy{}
+	return des.Done
+}
+
+// block runs the copy to its end on p, from the wait its start returned.
+func (c *Copy) block(p *des.Proc, w des.Wait) {
+	for w != des.Done {
+		p.Suspend(w)
+		w = c.Step(p)
+	}
 }
 
 // Devices builds one device per node of m.

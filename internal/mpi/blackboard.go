@@ -1,5 +1,7 @@
 package mpi
 
+import "hierknem/internal/des"
+
 // Blackboard support: collective implementations on shared-memory nodes
 // exchange control values (buffer addresses, KNEM cookies) through a shared
 // segment whose address is known to every local process. BBPost/BBWait model
@@ -64,13 +66,31 @@ func (c *Comm) BBWait(p *Proc, key BBKey) any { return c.bbWait(p, 1, 0, key) }
 // stepped wait: p is switched into once, when the value is there.
 func (c *Comm) BBWaitAfter(p *Proc, d float64, key BBKey) any { return c.bbWait(p, 0, d, key) }
 
-func (c *Comm) bbWait(p *Proc, phase uint8, d float64, key BBKey) any {
+// LookupStep arms BBWaitAfter(p, d, key) on c as a sub-step and returns it,
+// as BarrierStep does for Barrier; once it has reported Done, LookedUp
+// returns the value.
+func (c *Comm) LookupStep(p *Proc, d float64, key BBKey) des.Stepper {
+	return c.lookupStep(p, 0, d, key)
+}
+
+func (c *Comm) lookupStep(p *Proc, phase uint8, d float64, key BBKey) *waitStep {
 	s := p.waitStep()
 	s.d, s.key = d, key
-	s.run(stepLookup, c, phase)
+	return s.arm(stepLookup, c, phase)
+}
+
+// LookedUp returns the value found by p's blackboard lookup that last
+// reported Done (LookupStep).
+func (p *Proc) LookedUp() any {
+	s := p.waitStep()
 	v := s.e.val
 	s.key, s.e = BBKey{}, nil
 	return v
+}
+
+func (c *Comm) bbWait(p *Proc, phase uint8, d float64, key BBKey) any {
+	p.dp.Steps(c.lookupStep(p, phase, d, key))
+	return p.LookedUp()
 }
 
 // BBClear removes a key (typically by the last reader, after a barrier).

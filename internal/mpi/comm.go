@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"hierknem/internal/des"
 )
 
 // Comm is a communicator: an ordered group of world ranks with a private
@@ -304,13 +306,20 @@ func (c *Comm) Barrier(p *Proc) {
 	if c.Size() == 1 {
 		return
 	}
+	p.dp.Steps(c.BarrierStep(p))
+}
+
+// BarrierStep arms Barrier(p) on c as a sub-step and returns it: a caller's
+// Stepper, running as p's stepped wait, steps it until Done (see
+// des.Stepper). It is p's own stepped-wait record, so p may have one such
+// wait armed at a time, and taking it allocates nothing.
+func (c *Comm) BarrierStep(p *Proc) des.Stepper {
 	s := p.waitStep()
 	if c.IntraNode() {
-		s.run(stepFlag, c, 0)
-		return
+		return s.arm(stepFlag, c, 0)
 	}
 	s.me, s.round = int32(c.Rank(p)), 0
-	s.run(stepDissemination, c, 0)
+	return s.arm(stepDissemination, c, 0)
 }
 
 // reserved internal tag space (user tags must be non-negative and modest).

@@ -7,6 +7,10 @@ import "hierknem/internal/des"
 // engine context instead, and the rank is switched into once, when it is
 // over. A rank is in at most one such wait at a time, so one record per
 // rank serves them all, and handing it to the engine allocates nothing.
+//
+// The same record is also a sub-step (see des.Stepper): BarrierStep and
+// LookupStep arm it and hand it to a caller whose own Stepper drives it to
+// Done, so a sequence of barriers, lookups and copies is one Steps.
 type waitStep struct {
 	p     *Proc
 	c     *Comm
@@ -51,22 +55,28 @@ const (
 	stepLookup
 )
 
-// run runs a stepped wait of kind on c from phase.
-func (s *waitStep) run(kind stepKind, c *Comm, phase uint8) {
+// arm makes the record a wait of kind on c from phase.
+func (s *waitStep) arm(kind stepKind, c *Comm, phase uint8) *waitStep {
 	s.kind, s.phase, s.c = kind, phase, c
-	s.p.dp.Steps(s)
-	s.c = nil
+	return s
 }
 
-// Step advances the wait (des.Stepper).
+// Step advances the wait (des.Stepper). A wait that is over lets go of its
+// communicator.
 func (s *waitStep) Step(*des.Proc) des.Wait {
+	var w des.Wait
 	switch s.kind {
 	case stepDissemination:
-		return s.dissemination()
+		w = s.dissemination()
 	case stepFlag:
-		return s.flag()
+		w = s.flag()
+	default:
+		w = s.lookup()
 	}
-	return s.lookup()
+	if w == des.Done {
+		s.c = nil
+	}
+	return w
 }
 
 // dissemination is one round after another of the dissemination barrier,
@@ -117,6 +127,9 @@ func (s *waitStep) flag() des.Wait {
 	b := &s.c.barrier
 	switch s.phase {
 	case 0:
+		if s.c.Size() == 1 {
+			return des.Done // as Barrier: no flag to raise
+		}
 		s.phase = 1
 		return des.SleepFor(s.c.world.Machine.Spec.ShmLatency)
 	case 1:

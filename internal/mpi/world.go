@@ -73,6 +73,9 @@ type World struct {
 	// until the first stepped wait (see Proc.waitStep).
 	steps []waitStep
 
+	// attr is the world's attribute slot (see Attr).
+	attr any
+
 	// BytesCross counts payload bytes sent over inter-node links, a
 	// cheap cross-check for algorithm traffic volume.
 	BytesCross int64
@@ -227,6 +230,15 @@ func (w *World) Run(body func(p *Proc)) error {
 	}
 	return err
 }
+
+// Attr returns the value last stored with SetAttr, or nil. Like
+// Comm.Attr, the slot lets a layer above (one at a time) keep state beside
+// the world's own per-rank records — made once per world, kept across
+// Reset, and collected with the world.
+func (w *World) Attr() any { return w.attr }
+
+// SetAttr stores v in the world's attribute slot.
+func (w *World) SetAttr(v any) { w.attr = v }
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.procs) }

@@ -46,14 +46,23 @@ const SmallCopyCutoff = 4096
 // SmallCopyCutoff panics: the stretch was opened on a message the selector
 // would have refused.
 func Copy(p *des.Proc, m *topology.Machine, core *topology.Core, srcSock, dstSock *topology.Socket, n int64, srcBufID uint64) {
+	p.Suspend(StartCopy(p, m, core, srcSock, dstSock, n, srcBufID))
+	des.AwaitEnd(p)
+}
+
+// StartCopy starts Copy without blocking and returns the wait that ends
+// it. While p bypasses the fabric that is a sleep of CopyTime. Otherwise it
+// is Parked: StartCopy has started a fabric flow whose completion p awaits
+// (des.AwaitBegin), and des.AwaitStep reports Done once it has fired.
+func StartCopy(p *des.Proc, m *topology.Machine, core *topology.Core, srcSock, dstSock *topology.Socket, n int64, srcBufID uint64) des.Wait {
 	if n > 0 && !p.Bypass() {
-		CopyFlow(p, m, core, srcSock, dstSock, n, srcBufID)
-		return
+		startCopyFlow(m, core, srcSock, dstSock, n, srcBufID, des.AwaitBegin(p))
+		return des.Parked
 	}
 	if n >= SmallCopyCutoff {
 		panic(fmt.Sprintf("shm: %d-byte copy inside a small stretch; copies there must stay under the fabric bypass cutoff (%d)", n, SmallCopyCutoff))
 	}
-	p.Sleep(CopyTime(m, core, srcSock, n, srcBufID))
+	return des.SleepFor(CopyTime(m, core, srcSock, n, srcBufID))
 }
 
 // CopyTime is how long Copy takes when it installs no fabric flow: the
@@ -70,10 +79,15 @@ func CopyTime(m *topology.Machine, core *topology.Core, srcSock *topology.Socket
 // CopyFlow is Copy of n > 0 bytes as a fabric flow, whatever p's bypass
 // mark: it blocks p until the flow completes.
 func CopyFlow(p *des.Proc, m *topology.Machine, core *topology.Core, srcSock, dstSock *topology.Socket, n int64, srcBufID uint64) {
-	srcRes, rate := srcSock.ReadSide(&m.Spec, srcBufID, n, core.Socket == srcSock)
-	done := des.AwaitBegin(p)
-	m.Fab.StartAfterPath2("copy", m.Spec.ShmLatency, float64(n), rate, srcRes, dstSock.MemBus, done)
+	startCopyFlow(m, core, srcSock, dstSock, n, srcBufID, des.AwaitBegin(p))
 	des.AwaitEnd(p)
+}
+
+// startCopyFlow starts CopyFlow's fabric flow and returns at once; done
+// runs when the flow completes.
+func startCopyFlow(m *topology.Machine, core *topology.Core, srcSock, dstSock *topology.Socket, n int64, srcBufID uint64, done func()) {
+	srcRes, rate := srcSock.ReadSide(&m.Spec, srcBufID, n, core.Socket == srcSock)
+	m.Fab.StartAfterPath2("copy", m.Spec.ShmLatency, float64(n), rate, srcRes, dstSock.MemBus, done)
 }
 
 // CopyBuffer performs Copy for the byte range described by src and then

@@ -108,14 +108,14 @@ func ReduceChain(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buffer.Buff
 		accSeg := acc.Slice(off, n)
 		if v != size-1 {
 			tseg := tmp.Slice(0, n)
-			p.Recv(c, tseg, unvrank(fromPeer, root, size), collTag+int(i))
+			p.Recv(c, tseg, unvrank(fromPeer, root, size), ChainTag(i))
 			p.ReduceLocal(a.Op, a.Dtype, accSeg, tseg)
 		}
 		if v != 0 {
 			if perHop > 0 {
 				p.Compute(perHop)
 			}
-			pending = append(pending, p.Isend(c, accSeg, unvrank(toPeer, root, size), collTag+int(i)))
+			pending = append(pending, p.Isend(c, accSeg, unvrank(toPeer, root, size), ChainTag(i)))
 			if len(pending) > 2 {
 				p.Wait(pending[0])
 				pending = pending[:copy(pending, pending[1:])]
@@ -124,6 +124,11 @@ func ReduceChain(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buffer.Buff
 	}
 	p.WaitAll(pending...)
 }
+
+// ChainTag is the tag of segment i's messages in ReduceChain. A caller
+// that runs one member's part of the chain itself tags its messages with
+// it.
+func ChainTag(i int64) int { return collTag + int(i) }
 
 // ReduceRabenseifner implements the reduce-scatter + binomial-gather scheme
 // for large messages on power-of-two communicators, falling back to

@@ -185,23 +185,17 @@ const (
 	tailFinal               // the final barrier
 )
 
-// bcastTails holds a world's bcastTail records, by world rank, in the
-// world's attribute slot: made at the world's first non-leader Bcast and
-// kept for its life, so a Bcast allocates none.
-type bcastTails []bcastTail
-
 // bcastTailOf returns p's bcastTail record.
 func bcastTailOf(p *mpi.Proc) *bcastTail {
 	w := p.World()
-	ts, _ := w.Attr().(bcastTails)
-	if ts == nil {
-		ts = make(bcastTails, w.Size())
-		for r := range ts {
-			ts[r].p = w.Proc(r)
+	ts := tailsOf(w)
+	if ts.bcast == nil {
+		ts.bcast = make([]bcastTail, w.Size())
+		for r := range ts.bcast {
+			ts.bcast[r].p = w.Proc(r)
 		}
-		w.SetAttr(ts)
 	}
-	return &ts[p.Rank()]
+	return &ts.bcast[p.Rank()]
 }
 
 // Step advances the sequence (des.Stepper).

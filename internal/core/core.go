@@ -161,6 +161,26 @@ func (m *Module) hierarchy(p *mpi.Proc, c *mpi.Comm, root int, scratch *hier.Hie
 	return h
 }
 
+// tails is what core keeps in a world's attribute slot: the non-leaders'
+// stepped-wait records (bcastTail, reduceTail), one table per collective,
+// by world rank. Each table is made at the world's first call that needs it
+// and kept for the world's life, so a call allocates none, and a world that
+// never runs the collective pays nothing for its table.
+type tails struct {
+	bcast  []bcastTail
+	reduce []reduceTail
+}
+
+// tailsOf returns w's tables, making their holder at the first call.
+func tailsOf(w *mpi.World) *tails {
+	ts, _ := w.Attr().(*tails)
+	if ts == nil {
+		ts = new(tails)
+		w.SetAttr(ts)
+	}
+	return ts
+}
+
 func (m *Module) Name() string { return "hierknem" }
 
 // hkTag is the base of HierKNEM's tag space.

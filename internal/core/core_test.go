@@ -406,6 +406,73 @@ func TestBcastSegmentedTailDeliversReference(t *testing.T) {
 	}
 }
 
+// TestReduceSegmentedTailDeliversReference: pipelined Reduces from roots on
+// other nodes than rank 0's deliver the sequential reference's sums at the
+// root. The last segment is one 8-byte element, under the eager cutoff, so
+// the non-leaders' final sends are eager and charge their sender a copy-in.
+// Each Run reduces twice, 9 segments (the inter-node chain) then 4 (the
+// binomial tree) from different roots, so the non-leaders' stepped-wait
+// records are reused with another segment count. At ppn 2 new_comm is the
+// 2nd leader alone; at ppn 3 it has one non-leader, the chain's far end,
+// which only sends; at ppn 5 three.
+func TestReduceSegmentedTailDeliversReference(t *testing.T) {
+	spec := miniCluster(false)
+	spec.Nodes = 3
+	const seg = 4 << 10
+	sum := coll.ReduceArgs{Op: buffer.OpSum, Dtype: buffer.Int64}
+	mod := New(Options{ReducePipeline: FixedPipeline(seg)})
+	sizes := [2]int{8*seg + 8, 3*seg + 8}
+	for k, size := range sizes {
+		nseg := segCount(int64(size), seg)
+		if _, n := mpi.SegmentBounds(int64(size), seg, nseg-1); n != 8 || n >= spec.EagerThreshold {
+			t.Fatalf("%d bytes: last segment of %d bytes, want 8, under the eager threshold", size, n)
+		}
+		if chain := nseg >= chainMinSegs; chain != (k == 0) {
+			t.Fatalf("%d bytes: %d segments, chain %v", size, nseg, chain)
+		}
+	}
+	for _, ppn := range []int{2, 3, 5} {
+		for _, roots := range [][2]int{{ppn + 1, 2 * ppn}, {2*ppn + 1, ppn}} {
+			t.Run(fmt.Sprintf("ppn%d/roots%d,%d", ppn, roots[0], roots[1]), func(t *testing.T) {
+				w := ppnWorld(t, spec, ppn)
+				np := w.Size()
+				var inputs [2][][]byte
+				var want [2][]byte
+				for k, size := range sizes {
+					inputs[k] = make([][]byte, np)
+					for r := range inputs[k] {
+						v := make([]int64, size/8)
+						for i := range v {
+							v[i] = int64(r*1009 + i*7 + k)
+						}
+						inputs[k][r] = buffer.Int64s(v).Data()
+					}
+					want[k] = coll.RefReduce(sum, inputs[k])
+				}
+				var bad []string
+				err := w.Run(func(p *mpi.Proc) {
+					c := w.WorldComm()
+					me := c.Rank(p)
+					for k, root := range roots {
+						sbuf := buffer.NewReal(append([]byte(nil), inputs[k][me]...))
+						rbuf := buffer.NewReal(make([]byte, sizes[k]))
+						mod.Reduce(p, c, sum, sbuf, rbuf, root)
+						if me == root && !bytes.Equal(rbuf.Data(), want[k]) {
+							bad = append(bad, fmt.Sprintf("root %d (%d bytes)", root, sizes[k]))
+						}
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(bad) > 0 {
+					t.Fatalf("%v diverge from the sequential reference", bad)
+				}
+			})
+		}
+	}
+}
+
 // The offload claim: with HierKNEM the leader's broadcast-path time is
 // bounded by inter-node forwarding, so adding more local ranks must not
 // slow the collective much (the Figure 7(a) mechanism). Compare 2 ppn vs

@@ -105,6 +105,7 @@ type envelope struct {
 	po        *posting // matched receive, set for the duration of the transfer
 
 	refs     int32  // outstanding references; at 0 the record recycles
+	dstWorld int32  // the destination's world rank
 	finishFn func() // cached across reuses: finishTransfer(env)
 	arriveFn func() // cached across reuses: eager arrival marker
 
@@ -211,30 +212,46 @@ func (p *Proc) badPeer(op string, c *Comm, peer, tag int) {
 }
 
 // Isend starts a non-blocking send of buf to dst, a rank of c, with tag. A
-// destination outside c or a negative tag panics.
+// destination outside c or a negative tag panics. It is StartSend, the
+// sender-side charge, and Send.Step, driven on the rank.
 func (p *Proc) Isend(c *Comm, buf *buffer.Buffer, dst, tag int) *Request {
-	env, target := p.isendHead(c, buf, dst, tag)
-	if d, ok := p.sendSleep(env, target); ok {
-		p.dp.Sleep(d)
-	} else if env.eager {
-		// A copy-in at or above the bypass cutoff is a fabric flow, in a
-		// small stretch too: the stretch bounds the collective's own
-		// copies, not the transport's (see SmallIntraNode).
-		shm.CopyFlow(p.dp, p.world.Machine, p.core, p.core.Socket, p.core.Socket, env.size, env.bufv.ID())
+	s, w := p.StartSend(c, buf, dst, tag)
+	p.dp.Suspend(w)
+	for s.Step(p.dp) != des.Done {
+		p.dp.Park()
 	}
-	return p.isendTail(env, target)
+	return s.Request()
 }
 
-// isendHead is Isend up to the sender-side charge: it fills the envelope of
-// a send to dst and returns it with the destination rank.
-func (p *Proc) isendHead(c *Comm, buf *buffer.Buffer, dst, tag int) (*envelope, *Proc) {
+// Send is one Isend between its start and its hand-off to the destination.
+// StartSend begins it and returns the sender-side charge as a wait; once
+// that is over, Step hands the message on, and Request is the send's
+// request. A caller that runs the send inside its own stepped wait keeps
+// the Send in its state and drives Step as a sub-step (see des.Stepper).
+type Send struct {
+	env *envelope
+}
+
+// StartSend fills the envelope of a send of buf to dst, a rank of c, with
+// tag, and starts the sender-side charge, the CPU the send costs the
+// sender before the message is handed on. It returns the send and that
+// charge as a wait: over the network a sleep of the per-message overhead
+// (LogGP "o", plus protocol processing for rendezvous); within the node a
+// sleep of the eager copy-in to the shared segment below the bypass cutoff,
+// Parked on its fabric flow at or above it (in a small stretch too: the
+// stretch bounds the collective's own copies, not the transport's, see
+// SmallIntraNode), and Done for a single-copy rendezvous, which charges
+// nothing.
+func (p *Proc) StartSend(c *Comm, buf *buffer.Buffer, dst, tag int) (Send, des.Wait) {
 	if dst < 0 || dst >= c.Size() || tag < 0 {
 		p.badPeer("Isend to destination", c, dst, tag)
 	}
-	target := p.world.procs[c.WorldRank(dst)]
+	dstWorld := c.WorldRank(dst)
+	target := p.world.procs[dstWorld]
 	env := p.allocEnv()
 	p.open++
 	env.srcWorld = p.rank
+	env.dstWorld = int32(dstWorld)
 	env.tag = tag
 	env.ctx = c.ctx
 	env.bufv = *buf
@@ -246,40 +263,40 @@ func (p *Proc) isendHead(c *Comm, buf *buffer.Buffer, dst, tag int) (*envelope, 
 		// Isend for eager (buffered), transfer completion for rendezvous.
 		env.sanRead = s.BeginAccess(p.dp.ID(), p.name, buf.ID(), buf.Off(), env.size, false)
 	}
-	return env, target
-}
-
-// sendSleep returns the sender-side charge of env, the CPU its Isend costs
-// the sender before the message is handed on, when that charge is a plain
-// sleep: the per-message overhead over the network (LogGP "o", plus protocol
-// processing for rendezvous), or an eager copy-in to the shared segment
-// below the bypass cutoff. It reports false for a single-copy intra-node
-// rendezvous, which charges nothing, and for an eager copy-in at or above
-// the cutoff, which is a fabric flow.
-func (p *Proc) sendSleep(env *envelope, target *Proc) (float64, bool) {
+	s := Send{env}
 	if p.core.NodeID != target.core.NodeID {
 		o := p.world.Conf.SendOverhead
 		if !env.eager {
 			o += p.world.Conf.RendezvousCPU
 		}
-		return o, true
+		return s, des.SleepFor(o)
 	}
-	if !env.eager || env.size >= smallCopyCutoff {
-		return 0, false
+	switch {
+	case !env.eager:
+		return s, des.Done
+	case env.size < smallCopyCutoff:
+		return s, des.SleepFor(shm.CopyTime(p.world.Machine, p.core, p.core.Socket, env.size, env.bufv.ID()))
 	}
-	return shm.CopyTime(p.world.Machine, p.core, p.core.Socket, env.size, env.bufv.ID()), true
+	return s, shm.StartCopyFlow(p.dp, p.world.Machine, p.core, p.core.Socket, p.core.Socket, env.size, env.bufv.ID())
 }
 
-// isendTail is Isend after the sender-side charge: it hands env on to
-// target and returns the send's request.
-func (p *Proc) isendTail(env *envelope, target *Proc) *Request {
+// Step ends the send once the wait StartSend returned is over: Parked while
+// an eager copy-in's flow runs, then it hands the message on to the
+// destination and returns Done.
+func (s *Send) Step(dp *des.Proc) des.Wait {
+	if w := des.AwaitStep(dp); w != des.Done {
+		return w
+	}
+	env := s.env
+	p := env.sender
+	target := p.world.procs[env.dstWorld]
 	interNode := p.core.NodeID != target.core.NodeID
 	if interNode {
 		p.world.BytesCross += env.size
 	}
 	if env.eager {
-		if s := p.world.san; s != nil && env.sanRead >= 0 {
-			s.EndAccess(env.sanRead) // buffered: the payload is captured
+		if sn := p.world.san; sn != nil && env.sanRead >= 0 {
+			sn.EndAccess(env.sanRead) // buffered: the payload is captured
 			env.sanRead = -1
 		}
 		env.sendReq.complete() // buffered: sender is free
@@ -301,8 +318,11 @@ func (p *Proc) isendTail(env *envelope, target *Proc) *Request {
 		}
 		target.unexpected.add(env)
 	}
-	return &env.sendReq
+	return des.Done
 }
+
+// Request returns the send's request, once Step has reported Done.
+func (s *Send) Request() *Request { return &s.env.sendReq }
 
 // Send is the blocking form of Isend.
 func (p *Proc) Send(c *Comm, buf *buffer.Buffer, dst, tag int) {

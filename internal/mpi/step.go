@@ -22,7 +22,7 @@ type waitStep struct {
 	round uint8
 	me    int32
 	r     *Request
-	env   *envelope
+	snd   Send
 
 	// Flag barrier: the generation this rank waits to see pass.
 	gen int
@@ -81,8 +81,9 @@ func (s *waitStep) Step(*des.Proc) des.Wait {
 
 // dissemination is one round after another of the dissemination barrier,
 // each an Irecv from me-dist, an Isend to me+dist, and a Wait on both, for
-// dist = 1, 2, 4, ... below the communicator size. Zero-byte messages
-// charge their sender a plain sleep (sendSleep) or nothing.
+// dist = 1, 2, 4, ... below the communicator size. The Isend is StartSend
+// and Send.Step as sub-steps; a zero-byte message charges its sender a
+// plain sleep.
 func (s *waitStep) dissemination() des.Wait {
 	p, c := s.p, s.c
 	n, me := c.Size(), int(s.me)
@@ -91,19 +92,21 @@ func (s *waitStep) dissemination() des.Wait {
 		switch s.phase {
 		case 0:
 			if dist >= n {
-				s.r, s.env = nil, nil
+				s.r, s.snd = nil, Send{}
 				return des.Done
 			}
 			tag := internalTagBase + int(s.round)
 			s.r = p.Irecv(c, c.world.empty, (me-dist+n)%n, tag)
-			env, target := p.isendHead(c, c.world.empty, (me+dist)%n, tag)
-			s.env = env
+			var w des.Wait
+			s.snd, w = p.StartSend(c, c.world.empty, (me+dist)%n, tag)
 			s.phase = 1
-			if d, ok := p.sendSleep(env, target); ok {
-				return des.SleepFor(d)
+			if w != des.Done {
+				return w
 			}
 		case 1:
-			p.isendTail(s.env, c.Proc((me+dist)%n))
+			if w := s.snd.Step(p.dp); w != des.Done {
+				return w
+			}
 			s.phase = 2
 		case 2:
 			if w := s.r.Step(p.dp); w != des.Done {
@@ -111,7 +114,7 @@ func (s *waitStep) dissemination() des.Wait {
 			}
 			s.phase = 3
 		case 3:
-			if w := s.env.sendReq.Step(p.dp); w != des.Done {
+			if w := s.snd.Request().Step(p.dp); w != des.Done {
 				return w
 			}
 			s.round++

@@ -276,23 +276,43 @@ func (p *Proc) DES() *des.Proc { return p.dp }
 // stretch (BeginSmallStretch) it charges the unloaded reduction rate as a
 // plain sleep instead; a reduction at or above the fabric bypass cutoff
 // there panics, mirroring shm.Copy — the stretch was opened on a message
-// SmallIntraNode would have refused.
+// SmallIntraNode would have refused. It is StartReduce, the charge, and
+// FinishReduce, driven on the rank.
 func (p *Proc) ReduceLocal(op buffer.Op, dtype buffer.Datatype, dst, src *buffer.Buffer) {
+	p.dp.Suspend(p.StartReduce(dst))
+	for p.FinishReduce(op, dtype, dst, src) != des.Done {
+		p.dp.Park()
+	}
+}
+
+// StartReduce starts the charge of a reduction into dst and returns it as
+// a wait: a sleep inside a small stretch, Parked on the reduction's fabric
+// flow outside one, and Done for an empty dst.
+func (p *Proc) StartReduce(dst *buffer.Buffer) des.Wait {
 	n := dst.Len()
-	if n > 0 {
-		if p.dp.Bypass() {
-			if n >= smallCopyCutoff {
-				panic(fmt.Sprintf("mpi: rank %d reduced %d bytes inside a small stretch; reductions there must stay under the fabric bypass cutoff (%d)",
-					p.rank, n, smallCopyCutoff))
-			}
-			p.dp.Sleep(float64(n) / p.world.Machine.Spec.CoreCopyBandwidth)
-		} else {
-			w, s := p.world, p.core.Socket
-			path := w.reducePaths[s.NodeID*len(w.Machine.Nodes[0].Sockets)+s.ID][:]
-			done := des.AwaitBegin(p.dp)
-			w.Machine.Fab.StartAfter("compute", 0, float64(n), w.Machine.Spec.CoreCopyBandwidth, path, done)
-			des.AwaitEnd(p.dp)
+	switch {
+	case n == 0:
+		return des.Done
+	case p.dp.Bypass():
+		if n >= smallCopyCutoff {
+			panic(fmt.Sprintf("mpi: rank %d reduced %d bytes inside a small stretch; reductions there must stay under the fabric bypass cutoff (%d)",
+				p.rank, n, smallCopyCutoff))
 		}
+		return des.SleepFor(float64(n) / p.world.Machine.Spec.CoreCopyBandwidth)
+	}
+	w, s := p.world, p.core.Socket
+	path := w.reducePaths[s.NodeID*len(w.Machine.Nodes[0].Sockets)+s.ID][:]
+	w.Machine.Fab.StartAfter("compute", 0, float64(n), w.Machine.Spec.CoreCopyBandwidth, path, des.AwaitBegin(p.dp))
+	return des.Parked
+}
+
+// FinishReduce ends the reduction once the wait StartReduce returned is
+// over: Parked while its flow runs, then it applies dst = op(dst, src) and
+// returns Done.
+func (p *Proc) FinishReduce(op buffer.Op, dtype buffer.Datatype, dst, src *buffer.Buffer) des.Wait {
+	if w := des.AwaitStep(p.dp); w != des.Done {
+		return w
 	}
 	buffer.Reduce(op, dtype, dst, src)
+	return des.Done
 }

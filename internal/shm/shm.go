@@ -56,8 +56,7 @@ func Copy(p *des.Proc, m *topology.Machine, core *topology.Core, srcSock, dstSoc
 // (des.AwaitBegin), and des.AwaitStep reports Done once it has fired.
 func StartCopy(p *des.Proc, m *topology.Machine, core *topology.Core, srcSock, dstSock *topology.Socket, n int64, srcBufID uint64) des.Wait {
 	if n > 0 && !p.Bypass() {
-		startCopyFlow(m, core, srcSock, dstSock, n, srcBufID, des.AwaitBegin(p))
-		return des.Parked
+		return StartCopyFlow(p, m, core, srcSock, dstSock, n, srcBufID)
 	}
 	if n >= SmallCopyCutoff {
 		panic(fmt.Sprintf("shm: %d-byte copy inside a small stretch; copies there must stay under the fabric bypass cutoff (%d)", n, SmallCopyCutoff))
@@ -76,18 +75,13 @@ func CopyTime(m *topology.Machine, core *topology.Core, srcSock *topology.Socket
 	return m.Spec.ShmLatency + float64(n)/rate
 }
 
-// CopyFlow is Copy of n > 0 bytes as a fabric flow, whatever p's bypass
-// mark: it blocks p until the flow completes.
-func CopyFlow(p *des.Proc, m *topology.Machine, core *topology.Core, srcSock, dstSock *topology.Socket, n int64, srcBufID uint64) {
-	startCopyFlow(m, core, srcSock, dstSock, n, srcBufID, des.AwaitBegin(p))
-	des.AwaitEnd(p)
-}
-
-// startCopyFlow starts CopyFlow's fabric flow and returns at once; done
-// runs when the flow completes.
-func startCopyFlow(m *topology.Machine, core *topology.Core, srcSock, dstSock *topology.Socket, n int64, srcBufID uint64, done func()) {
+// StartCopyFlow starts Copy of n > 0 bytes as a fabric flow, whatever p's
+// bypass mark, and returns Parked: p awaits the flow's completion
+// (des.AwaitBegin), and des.AwaitStep reports Done once it has fired.
+func StartCopyFlow(p *des.Proc, m *topology.Machine, core *topology.Core, srcSock, dstSock *topology.Socket, n int64, srcBufID uint64) des.Wait {
 	srcRes, rate := srcSock.ReadSide(&m.Spec, srcBufID, n, core.Socket == srcSock)
-	m.Fab.StartAfterPath2("copy", m.Spec.ShmLatency, float64(n), rate, srcRes, dstSock.MemBus, done)
+	m.Fab.StartAfterPath2("copy", m.Spec.ShmLatency, float64(n), rate, srcRes, dstSock.MemBus, des.AwaitBegin(p))
+	return des.Parked
 }
 
 // CopyBuffer performs Copy for the byte range described by src and then

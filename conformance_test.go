@@ -177,11 +177,16 @@ func TestConformanceBcast(t *testing.T) {
 // bytes.
 var confReduceEdges = []int{255, 256, 511, 512}
 
+// confReducePipelined is one element past Stremi's 64 KB Reduce segment:
+// the smallest HierKNEM Reduce that takes the double-leader pipeline, its
+// second segment a single element.
+const confReducePipelined = 64<<10/8 + 1
+
 func TestConformanceReduce(t *testing.T) {
 	for _, mod := range confModules() {
 		for _, op := range []buffer.Op{buffer.OpSum, buffer.OpMax} {
 			mod, op := mod, op
-			confGrid([]int{256, 8192}, confReduceEdges, []int{0, confNP / 2}, func(sh confShape, suffix string, elems, root int) {
+			confGrid([]int{256, 8192, confReducePipelined}, confReduceEdges, []int{0, confNP / 2}, func(sh confShape, suffix string, elems, root int) {
 				t.Run(fmt.Sprintf("%s/%v/%delems/root%d%s", mod.Name(), op, elems, root, suffix), func(t *testing.T) {
 					args := hierknem.ReduceArgs{Op: op, Dtype: buffer.Int64}
 					inputs := make([][]byte, confNP)

@@ -10,6 +10,7 @@ import (
 	"hierknem"
 	"hierknem/internal/asp"
 	"hierknem/internal/buffer"
+	"hierknem/internal/core"
 	"hierknem/internal/des"
 	"hierknem/internal/imb"
 	"hierknem/internal/mpi"
@@ -102,12 +103,15 @@ func TestFacadeEndToEndCollective(t *testing.T) {
 
 // TestFacadeBadRankPrograms: a rank program that deadlocks or leaves a
 // request uncollected ends in a typed error at the facade, never a panic, a
-// hang or a silent nil, and without HIERSAN=1. A deadlock is a
-// *mpi.StallError naming both pending receives (and still unwrapping to
-// the engine's *des.DeadlockError); a rank body that returns holding a
-// request it never waited on is a *mpi.UncollectedError naming the rank.
+// hang or a silent nil. A deadlock is a *mpi.StallError naming both pending
+// receives (and still unwrapping to the engine's *des.DeadlockError); a
+// rank body that returns holding a request it never waited on is a
+// *mpi.UncollectedError naming the rank. A HierKNEM module given a
+// non-positive segment size panics with a message naming the option (and,
+// for a PipelineFunc, the message size and the value it returned), not
+// with a division deep in the pipeline.
 func TestFacadeBadRankPrograms(t *testing.T) {
-	t.Setenv("HIERSAN", "")
+	const mb = 1 << 20
 	for _, tc := range []struct {
 		name  string
 		body  func(p *hierknem.Proc, c *hierknem.Comm)
@@ -165,17 +169,47 @@ func TestFacadeBadRankPrograms(t *testing.T) {
 				t.Errorf("error %q does not name %q", err, want)
 			}
 		}},
+		{"FixedPipeline(0)", func(p *hierknem.Proc, c *hierknem.Comm) {
+			mod := hierknem.New(hierknem.Options{BcastPipeline: core.FixedPipeline(0)})
+			mod.Bcast(p, c, buffer.NewPhantom(mb), 0)
+		}, wantPanic("core: FixedPipeline(0): the segment size must be positive")},
+		{"BcastPipeline returning 0", func(p *hierknem.Proc, c *hierknem.Comm) {
+			mod := hierknem.New(hierknem.Options{BcastPipeline: func(int64) int64 { return 0 }})
+			mod.Bcast(p, c, buffer.NewPhantom(mb), 0)
+		}, wantPanic("core: BcastPipeline returned a segment size of 0 for a 1048576-byte message")},
+		{"ReducePipeline returning -1", func(p *hierknem.Proc, c *hierknem.Comm) {
+			mod := hierknem.New(hierknem.Options{ReducePipeline: func(int64) int64 { return -1 }})
+			sum := hierknem.ReduceArgs{Op: buffer.OpSum, Dtype: buffer.Int64}
+			mod.Reduce(p, c, sum, buffer.NewPhantom(mb), buffer.NewPhantom(mb), 0)
+		}, wantPanic("core: ReducePipeline returned a segment size of -1 for a 1048576-byte message")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w, err := hierknem.NewWorld(hierknem.Parapluie(1), "bycore", 2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w.Sanitizer() != nil {
-				t.Fatal("sanitizer attached with HIERSAN unset")
-			}
-			tc.check(t, w.Run(func(p *hierknem.Proc) { tc.body(p, w.WorldComm()) }))
+			tc.check(t, runRecovering(w, func(p *hierknem.Proc) { tc.body(p, w.WorldComm()) }))
 		})
+	}
+}
+
+// runRecovering is w.Run(body), with a panic out of it returned as an error
+// reading "panic: " and the panic value.
+func runRecovering(w *hierknem.World, body func(p *hierknem.Proc)) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("panic: %v", v)
+		}
+	}()
+	return w.Run(body)
+}
+
+// wantPanic checks that the run panicked with a message starting with msg.
+func wantPanic(msg string) func(t *testing.T, err error) {
+	return func(t *testing.T, err error) {
+		if err == nil || !strings.HasPrefix(err.Error(), "panic: "+msg) {
+			t.Errorf("Run returned %v, want a panic starting with %q", err, msg)
+		}
 	}
 }
 

@@ -58,8 +58,7 @@ func (b *Buffer) ID() uint64 { return b.id }
 
 // Off returns the window's byte offset within its backing allocation.
 // Slices report offsets in the allocation's coordinate space, so two views
-// of one buffer can be compared for byte overlap (hiersan's conflict
-// windows are keyed on (ID, Off, Len)).
+// of one buffer can be compared for byte overlap.
 func (b *Buffer) Off() int64 { return b.off }
 
 // Len returns the buffer length in bytes.

@@ -72,7 +72,7 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 	}
 	var scratch hier.Hierarchy
 	hy := m.hierarchy(p, c, root, &scratch) // build (or reuse) the topology map
-	seg := m.Opt.BcastPipeline(buf.Len())
+	seg := segmentSize("BcastPipeline", m.Opt.BcastPipeline, buf.Len())
 	nseg := segCount(buf.Len(), seg)
 
 	lcomm := hy.LComm

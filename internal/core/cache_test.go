@@ -122,7 +122,7 @@ func TestCacheTopologyDiesWithComm(t *testing.T) {
 	w := newWorld(t, spec, "bycore", 768)
 	mod := New(Options{CacheTopology: true})
 	// One buffer per rank, as in an MPI program: a shared one would have
-	// every rank write what the others read, which hiersan reports.
+	// every rank write what the others read.
 	bufs := make([]*buffer.Buffer, w.Size())
 	for i := range bufs {
 		bufs[i] = buffer.NewPhantom(2048)

@@ -22,6 +22,8 @@
 package core
 
 import (
+	"fmt"
+
 	"hierknem/internal/hier"
 	"hierknem/internal/mpi"
 )
@@ -113,9 +115,25 @@ func PipelineEthernet() Pipeline {
 	}
 }
 
-// FixedPipeline returns a constant segment size (used by the Figure 1 sweep).
+// FixedPipeline returns a constant segment size (used by the Figure 1
+// sweep). It panics on a non-positive size.
 func FixedPipeline(seg int64) PipelineFunc {
+	if seg <= 0 {
+		panic(fmt.Sprintf("core: FixedPipeline(%d): the segment size must be positive", seg))
+	}
 	return func(int64) int64 { return seg }
+}
+
+// segmentSize returns the segment size pipeline, the option named option,
+// gives an n-byte message. It panics, naming the option, the size and the
+// value, when that is not positive: no message can be cut into such
+// segments.
+func segmentSize(option string, pipeline PipelineFunc, n int64) int64 {
+	seg := pipeline(n)
+	if seg <= 0 {
+		panic(fmt.Sprintf("core: %s returned a segment size of %d for a %d-byte message; it must be positive", option, seg, n))
+	}
+	return seg
 }
 
 // Module is the HierKNEM collective component. It satisfies

@@ -57,7 +57,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 	}
 	var scratch hier.Hierarchy
 	hy := m.hierarchy(p, c, root, &scratch)
-	seg := m.Opt.ReducePipeline(sbuf.Len())
+	seg := segmentSize("ReducePipeline", m.Opt.ReducePipeline, sbuf.Len())
 	nseg := segCount(sbuf.Len(), seg)
 	spec := &p.World().Machine.Spec
 	lcomm := hy.LComm
@@ -106,7 +106,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 				src: share{dev: dev, ck: dev.Register(sbuf, p.Core(), knem.RightRead)},
 				dst: share{dev: dev, ck: dev.Register(tmp, p.Core(), knem.RightWrite)},
 			}
-			lcomm.BBPost(p, key, sh)
+			lcomm.BBPost(key, sh)
 		} else {
 			// Alone on the node: my contribution goes up directly.
 			tmp.CopyFrom(sbuf)

@@ -23,7 +23,7 @@ func publish(p *mpi.Proc, lcomm *mpi.Comm, key mpi.BBKey, buf *buffer.Buffer, ri
 	dev := p.Knem()
 	p.Compute(p.World().Machine.Spec.ShmLatency) // registration syscall
 	sh := share{dev: dev, ck: dev.Register(buf, p.Core(), rights)}
-	lcomm.BBPost(p, key, sh)
+	lcomm.BBPost(key, sh)
 	return sh
 }
 

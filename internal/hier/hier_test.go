@@ -227,11 +227,8 @@ func TestBuildSparseNodeSubComm(t *testing.T) {
 
 // buildCost768 returns what one collective Build on 32 x 24 ranks, bound by
 // core or by node, costs the host per rank: a run of two Builds less a run
-// of one, so the cost of spawning the ranks cancels. It measures Build
-// itself, with the sanitizer off: under HIERSAN=1 the sanitizer's own
-// sync-edge bookkeeping adds about 48 B per rank.
+// of one, so the cost of spawning the ranks cancels.
 func buildCost768(tb testing.TB, bynode bool) (ns, bytes, mallocs float64) {
-	tb.Setenv("HIERSAN", "")
 	const np = 768
 	w := testWorld(tb, 32, 24, np, bynode)
 	run := func(builds int) (time.Duration, runtime.MemStats) {

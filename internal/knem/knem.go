@@ -15,7 +15,6 @@ import (
 
 	"hierknem/internal/buffer"
 	"hierknem/internal/des"
-	"hierknem/internal/san"
 	"hierknem/internal/shm"
 	"hierknem/internal/topology"
 )
@@ -55,11 +54,6 @@ type Device struct {
 	regions map[Cookie]*region
 	next    Cookie
 	stats   Stats
-
-	// san, when non-nil, receives buffer access windows for every Get/Put
-	// (hiersan's single-copy overlap check). Nil-guarded: a disabled
-	// device adds no work to the copy path.
-	san *san.Sanitizer
 }
 
 // NewDevice creates the device for node nodeID of m.
@@ -69,10 +63,6 @@ func NewDevice(m *topology.Machine, nodeID int) *Device {
 
 // NodeID returns the node this device serves.
 func (d *Device) NodeID() int { return d.nodeID }
-
-// SetSanitizer attaches (or, with nil, detaches) a hiersan runtime that
-// checks Get/Put copies for virtual-time buffer conflicts.
-func (d *Device) SetSanitizer(s *san.Sanitizer) { d.san = s }
 
 // Reset drops all registrations and counters, returning the device to its
 // post-NewDevice state for reuse by a consecutive run on the same machine.
@@ -175,15 +165,14 @@ type Copy struct {
 	srcOff, dstOff int64
 	n              int64
 	sock           *topology.Socket // whose L3 the written bytes warm
-	hr, hw         int32            // hiersan windows, -1 when unchecked
 	put            bool
 }
 
 // StartGet begins Get's copy of n bytes from offset off of the region into
-// dst at dstOff: the cookie, rights and bounds checks, the hiersan windows
-// and the start of the copy. It returns the copy and the wait it needs
-// first, or an error and no copy. The Copy comes back by value, so a
-// blocking caller's buffers can stay on its stack.
+// dst at dstOff: the cookie, rights and bounds checks and the start of the
+// copy. It returns the copy and the wait it needs first, or an error and no
+// copy. The Copy comes back by value, so a blocking caller's buffers can
+// stay on its stack.
 func (d *Device) StartGet(p *des.Proc, requester *topology.Core, ck Cookie, off int64, dst *buffer.Buffer, dstOff, n int64) (Copy, des.Wait, error) {
 	reg, err := d.lookup(ck, RightRead, requester)
 	if err != nil {
@@ -213,24 +202,16 @@ func (d *Device) startPut(p *des.Proc, requester *topology.Core, ck Cookie, off 
 	return c, w, nil
 }
 
-// start opens c's hiersan windows and starts its copy by the requesting
-// core from srcSock to dstSock memory. The sockets come as arguments, not
-// from c, so that nothing c points to leaks into the fabric.
+// start starts c's copy by the requesting core from srcSock to dstSock
+// memory. The sockets come as arguments, not from c, so that nothing c
+// points to leaks into the fabric.
 func (d *Device) start(p *des.Proc, c *Copy, requester *topology.Core, srcSock, dstSock *topology.Socket) des.Wait {
-	src, dst := c.src.Slice(c.srcOff, c.n), c.dst.Slice(c.dstOff, c.n)
-	c.hr, c.hw = -1, -1
-	if s := d.san; s != nil {
-		// Both windows belong to the requester: the copy is one-sided,
-		// executed entirely by the requesting core.
-		c.hr = int32(s.BeginAccess(p.ID(), p.Name(), src.ID(), src.Off(), src.Len(), false))
-		c.hw = int32(s.BeginAccess(p.ID(), p.Name(), dst.ID(), dst.Off(), dst.Len(), true))
-	}
-	return shm.StartCopy(p, d.machine, requester, srcSock, dstSock, c.n, src.ID())
+	return shm.StartCopy(p, d.machine, requester, srcSock, dstSock, c.n, c.src.ID())
 }
 
 // Step ends the copy once the wait its start returned is over: Parked while
 // its fabric flow runs, then it moves the bytes, warms the written socket's
-// L3, closes the hiersan windows, counts the copy and returns Done.
+// L3, counts the copy and returns Done.
 func (c *Copy) Step(p *des.Proc) des.Wait {
 	if w := des.AwaitStep(p); w != des.Done {
 		return w
@@ -239,10 +220,6 @@ func (c *Copy) Step(p *des.Proc) des.Wait {
 	dst.CopyFrom(c.src.Slice(c.srcOff, c.n))
 	c.sock.Touch(dst.ID(), c.n)
 	d := c.dev
-	if d.san != nil {
-		d.san.EndAccess(int(c.hr))
-		d.san.EndAccess(int(c.hw))
-	}
 	if c.put {
 		d.stats.Puts++
 	} else {

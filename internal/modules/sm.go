@@ -39,7 +39,7 @@ func smBcastIntra(p *mpi.Proc, lcomm *mpi.Comm, buf *buffer.Buffer) {
 	m := p.World().Machine
 	if lcomm.Rank(p) == 0 {
 		shm.Copy(p.DES(), m, p.Core(), p.Core().Socket, p.Core().Socket, buf.Len(), buf.ID())
-		lcomm.BBPost(p, key, smShare{buf: buf, sock: p.Core().Socket})
+		lcomm.BBPost(key, smShare{buf: buf, sock: p.Core().Socket})
 		lcomm.Barrier(p) // release readers
 		lcomm.Barrier(p) // wait for readers to finish
 		lcomm.BBClear(key)
@@ -74,7 +74,7 @@ func smReduceIntra(p *mpi.Proc, lcomm *mpi.Comm, a coll.ReduceArgs, sbuf, acc *b
 	if me != 0 {
 		// copy-in my contribution (bounce buffer in my socket).
 		shm.Copy(p.DES(), m, p.Core(), p.Core().Socket, p.Core().Socket, sbuf.Len(), sbuf.ID())
-		lcomm.BBPost(p, mpi.BBKey{Op: "smreduce", Seq: seq, Rank: me}, smShare{buf: sbuf, sock: p.Core().Socket})
+		lcomm.BBPost(mpi.BBKey{Op: "smreduce", Seq: seq, Rank: me}, smShare{buf: sbuf, sock: p.Core().Socket})
 		lcomm.Barrier(p) // contributions ready
 		lcomm.Barrier(p) // leader done
 	} else {
@@ -112,7 +112,7 @@ func smGatherIntra(p *mpi.Proc, lcomm *mpi.Comm, sbuf, rbuf *buffer.Buffer) {
 	me := lcomm.Rank(p)
 	if me != 0 {
 		shm.Copy(p.DES(), m, p.Core(), p.Core().Socket, p.Core().Socket, block, sbuf.ID())
-		lcomm.BBPost(p, mpi.BBKey{Op: "smgather", Seq: seq, Rank: me}, smShare{buf: sbuf, sock: p.Core().Socket})
+		lcomm.BBPost(mpi.BBKey{Op: "smgather", Seq: seq, Rank: me}, smShare{buf: sbuf, sock: p.Core().Socket})
 		lcomm.Barrier(p)
 		lcomm.Barrier(p)
 	} else {

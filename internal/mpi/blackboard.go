@@ -31,7 +31,6 @@ type BBKey struct {
 type bbEntry struct {
 	val     any
 	present bool
-	poster  *Proc // last poster, the source of a reader's sync edge
 	waiters []*Proc
 }
 
@@ -50,12 +49,11 @@ func (c *Comm) entry(key BBKey) *bbEntry {
 
 // BBPost publishes v under key on the communicator's blackboard, waking any
 // BBWait-ers. Posting an existing key overwrites it.
-func (c *Comm) BBPost(p *Proc, key BBKey, v any) {
+func (c *Comm) BBPost(key BBKey, v any) {
 	e := c.entry(key)
 	e.val = v
 	e.present = true
-	e.poster = p
-	wakeAll(p, &e.waiters)
+	wakeAll(&e.waiters)
 }
 
 // BBWait blocks until key is posted and returns its value.

@@ -26,7 +26,7 @@ func TestBBPostThenWait(t *testing.T) {
 	err := w.Run(func(p *Proc) {
 		c := w.WorldComm()
 		if p.Rank() == 0 {
-			c.BBPost(p, BBKey{Op: "k"}, 42)
+			c.BBPost(BBKey{Op: "k"}, 42)
 		} else if p.Rank() == 1 {
 			got = c.BBWait(p, BBKey{Op: "k"})
 		}
@@ -47,7 +47,7 @@ func TestBBWaitBlocksUntilPost(t *testing.T) {
 		switch p.Rank() {
 		case 0:
 			p.Compute(5)
-			c.BBPost(p, BBKey{Op: "late"}, "v")
+			c.BBPost(BBKey{Op: "late"}, "v")
 		case 1:
 			_ = c.BBWait(p, BBKey{Op: "late"})
 			gotAt = p.Now()
@@ -68,7 +68,7 @@ func TestBBMultipleWaiters(t *testing.T) {
 		c := w.WorldComm()
 		if p.Rank() == 0 {
 			p.Compute(1)
-			c.BBPost(p, BBKey{Op: "x"}, 7)
+			c.BBPost(BBKey{Op: "x"}, 7)
 			return
 		}
 		if c.BBWait(p, BBKey{Op: "x"}) == 7 {
@@ -90,11 +90,11 @@ func TestBBClearRemovesKey(t *testing.T) {
 		c := w.WorldComm()
 		switch p.Rank() {
 		case 0:
-			c.BBPost(p, BBKey{Op: "tmp"}, 1)
+			c.BBPost(BBKey{Op: "tmp"}, 1)
 			c.BBClear(BBKey{Op: "tmp"})
 			// Re-post under the same key: a fresh value.
 			p.Compute(2)
-			c.BBPost(p, BBKey{Op: "tmp"}, 2)
+			c.BBPost(BBKey{Op: "tmp"}, 2)
 		case 1:
 			p.Compute(1) // after the clear
 			if c.BBWait(p, BBKey{Op: "tmp"}) == 2 {
@@ -132,13 +132,13 @@ func TestBBKeySlotsIndependent(t *testing.T) {
 				}
 			}
 		}
-		c.BBPost(p, base, "base")
+		c.BBPost(base, "base")
 		untouched("posting")
 		c.BBClear(base)
 		untouched("clearing")
 		for i, k := range others {
 			p.Compute(1)
-			c.BBPost(p, k, i)
+			c.BBPost(k, i)
 		}
 		c.BBClear(others[0])
 		if e := c.bb[others[1]]; e == nil || e.val != 1 {

@@ -269,7 +269,6 @@ func (c *Comm) Split(p *Proc, color, key int) *Comm {
 	op.result = result
 	c.splitOp = nil
 	for _, w := range op.waiters {
-		c.world.syncEdge(p, w)
 		w.dp.Wake()
 	}
 	return result[me]
@@ -284,14 +283,12 @@ type barrierState struct {
 	waiters []*Proc
 }
 
-// wakeAll releases every process on *ws, in order, on behalf of from: a
-// sync edge from from, then a Wake. Then it empties the list while keeping
-// its array. Reusing the array at once is safe because Wake only schedules a
-// resume event: no woken process runs, and so none re-enters and appends,
-// before the loop is over.
-func wakeAll(from *Proc, ws *[]*Proc) {
+// wakeAll wakes every process on *ws, in order, then empties the list
+// while keeping its array. Reusing the array at once is safe because Wake
+// only schedules a resume event: no woken process runs, and so none
+// re-enters and appends, before the loop is over.
+func wakeAll(ws *[]*Proc) {
 	for _, w := range *ws {
-		from.world.syncEdge(from, w)
 		w.dp.Wake()
 	}
 	clear(*ws)

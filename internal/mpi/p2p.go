@@ -109,10 +109,8 @@ type envelope struct {
 	finishFn func() // cached across reuses: finishTransfer(env)
 	arriveFn func() // cached across reuses: eager arrival marker
 
-	// sentAt is the virtual time Isend was called (stall autopsy); sanRead
-	// is the sanitizer's open read window on the payload, -1 when none.
-	sentAt  float64
-	sanRead int
+	// sentAt is the virtual time Isend was called (stall autopsy).
+	sentAt float64
 
 	// hnext is the intrusive link in the destination's key-hash chain (see
 	// envIndex) and, while the record is pooled, in the sender's free list.
@@ -150,7 +148,6 @@ func (p *Proc) allocEnv() *envelope {
 		env.arriveFn = func() { env.arrived = true; env.release() }
 	}
 	env.refs = 2 // the caller's *Request + the transfer's finish
-	env.sanRead = -1
 	return env
 }
 
@@ -168,11 +165,8 @@ type posting struct {
 	hnext    *posting // intrusive link in the receiver's key-hash chain (see postIndex)
 	refs     int32    // outstanding references; at 0 the record recycles
 
-	// postedAt is the virtual time Irecv was called (stall autopsy);
-	// sanWrite is the sanitizer's open write window on the receive buffer,
-	// -1 when none.
+	// postedAt is the virtual time Irecv was called (stall autopsy).
 	postedAt float64
-	sanWrite int
 }
 
 func (po *posting) release() {
@@ -197,7 +191,6 @@ func (p *Proc) allocPosting() *posting {
 		po.req.owner = po
 	}
 	po.refs = 2 // the caller's *Request + the transfer's finish
-	po.sanWrite = -1
 	return po
 }
 
@@ -258,11 +251,6 @@ func (p *Proc) StartSend(c *Comm, buf *buffer.Buffer, dst, tag int) (Send, des.W
 	env.size = buf.Len()
 	env.eager = env.size < p.world.eagerThreshold
 	env.sentAt = p.dp.Now()
-	if s := p.world.san; s != nil {
-		// The payload is read from Isend until the sender is free: end of
-		// Isend for eager (buffered), transfer completion for rendezvous.
-		env.sanRead = s.BeginAccess(p.dp.ID(), p.name, buf.ID(), buf.Off(), env.size, false)
-	}
 	s := Send{env}
 	if p.core.NodeID != target.core.NodeID {
 		o := p.world.Conf.SendOverhead
@@ -295,10 +283,6 @@ func (s *Send) Step(dp *des.Proc) des.Wait {
 		p.world.BytesCross += env.size
 	}
 	if env.eager {
-		if sn := p.world.san; sn != nil && env.sanRead >= 0 {
-			sn.EndAccess(env.sanRead) // buffered: the payload is captured
-			env.sanRead = -1
-		}
 		env.sendReq.complete() // buffered: sender is free
 	}
 
@@ -381,15 +365,6 @@ func (w *World) startTransfer(env *envelope, po *posting) {
 			env.size, po.bufv.Len(), env.srcWorld, env.tag))
 	}
 	env.po = po
-	if s := w.san; s != nil {
-		// The receive buffer is written for the duration of the transfer.
-		// The window belongs to the *receiver*: completion wakes the
-		// receiver, so its later accesses are ordered by the edge
-		// finishTransfer records, and so are accesses of any rank the
-		// receiver subsequently synchronizes with.
-		po.sanWrite = s.BeginAccess(po.receiver.dp.ID(), po.receiver.name,
-			po.bufv.ID(), po.bufv.Off(), po.bufv.Len(), true)
-	}
 	src := env.sender.core
 	dst := po.receiver.core
 	spec := &w.Machine.Spec
@@ -444,20 +419,6 @@ func (w *World) finishTransfer(env *envelope) {
 	po := env.po
 	po.bufv.CopyFrom(&env.bufv)
 	po.receiver.core.Socket.Touch(po.bufv.ID(), po.bufv.Len())
-	if s := w.san; s != nil {
-		if po.sanWrite >= 0 {
-			s.EndAccess(po.sanWrite)
-			po.sanWrite = -1
-		}
-		if env.sanRead >= 0 {
-			s.EndAccess(env.sanRead)
-			env.sanRead = -1
-		}
-		// Message completion is a sync edge: whatever the receiver (or a
-		// rank it transitively synchronizes with at this instant) does
-		// next is ordered after this transfer's windows.
-		s.SyncEdge(env.sender.dp.ID(), po.receiver.dp.ID())
-	}
 	env.sendReq.complete()
 	po.req.complete()
 	po.release()

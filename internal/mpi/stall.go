@@ -1,14 +1,14 @@
 package mpi
 
-// Stall autopsy (hiersan checker 2): when the event queue drains while
-// ranks are still parked, the bare engine can only name the stuck
-// processes. World.Run therefore wraps every deadlock in a StallError
-// carrying every pending point-to-point operation — which rank waits on
-// which (comm, peer, tag) and when it posted — so a mismatched tag or a
-// missing send reads straight off the failure instead of requiring a
-// debugger session against recycled records. The report reads only the
-// matching indexes, which every run keeps, so it needs no sanitizer and
-// costs nothing on a run that completes.
+// Stall autopsy: when the event queue drains while ranks are still parked,
+// the bare engine can only name the stuck processes. World.Run therefore
+// wraps every deadlock in a StallError carrying every pending
+// point-to-point operation — which rank waits on which (comm, peer, tag)
+// and when it posted — so a mismatched tag or a missing send reads
+// straight off the failure instead of requiring a debugger session against
+// recycled records. The report reads only the
+// matching indexes, which every run keeps, so it costs nothing on a run
+// that completes.
 // The same report backs UncollectedError, Run's one-pass check of each
 // rank's count of issued but uncollected requests.
 

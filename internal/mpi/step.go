@@ -140,7 +140,7 @@ func (s *waitStep) flag() des.Wait {
 		if b.count == s.c.Size() {
 			b.count = 0
 			b.gen++
-			wakeAll(s.p, &b.waiters)
+			wakeAll(&b.waiters)
 			return des.Done
 		}
 		if b.waiters == nil {
@@ -167,13 +167,6 @@ func (s *waitStep) lookup() des.Wait {
 	case 1:
 		s.e = s.c.entry(s.key)
 		s.phase = 2
-		if s.e.present {
-			// A blackboard read is a sync edge from the poster: the value
-			// (typically a KNEM cookie) publishes the buffer it names. A
-			// reader that parks gets the edge from BBPost's release.
-			s.c.world.syncEdge(s.e.poster, s.p)
-			return des.Done
-		}
 	}
 	e := s.e
 	if !e.present {

@@ -29,7 +29,7 @@ func processBarrier(c *Comm, p *Proc) {
 		if b.count == c.Size() {
 			b.count = 0
 			b.gen++
-			wakeAll(p, &b.waiters)
+			wakeAll(&b.waiters)
 			return
 		}
 		if b.waiters == nil {
@@ -63,9 +63,6 @@ func processDisseminationBarrier(c *Comm, p *Proc) {
 // processBBWait is BBWait, process-style.
 func processBBWait(c *Comm, p *Proc, key BBKey) any {
 	e := c.entry(key)
-	if e.present {
-		c.world.syncEdge(e.poster, p)
-	}
 	for !e.present {
 		if e.waiters == nil {
 			e.waiters = make([]*Proc, 0, c.Size()-1)
@@ -174,7 +171,7 @@ func mixedProgram(t *testing.T, w *World, impl waits) (string, uint64) {
 			key := BBKey{Op: "mixed", Seq: node.Seq(p)}
 			if node.Rank(p) == round%node.Size() {
 				p.Compute(0.375)
-				node.BBPost(p, key, p.Rank())
+				node.BBPost(key, p.Rank())
 			} else if round == 0 {
 				v := impl.bbWaitFor(node, p, w.Machine.Spec.ShmLatency, key)
 				mark(fmt.Sprintf("lookup %v", v))

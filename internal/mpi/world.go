@@ -20,7 +20,6 @@ import (
 	"hierknem/internal/des"
 	"hierknem/internal/fabric"
 	"hierknem/internal/knem"
-	"hierknem/internal/san"
 	"hierknem/internal/topology"
 )
 
@@ -79,10 +78,6 @@ type World struct {
 	// BytesCross counts payload bytes sent over inter-node links, a
 	// cheap cross-check for algorithm traffic volume.
 	BytesCross int64
-
-	// san is the attached hiersan runtime (nil when disabled — the
-	// default). See EnableSanitizer.
-	san *san.Sanitizer
 }
 
 // Proc is one simulated MPI process. Collective and application code runs in
@@ -134,42 +129,7 @@ func NewWorld(m *topology.Machine, b *topology.Binding, conf Config) (*World, er
 			w.reducePaths = append(w.reducePaths, [3]*fabric.Resource{s.MemBus, s.MemBus, s.MemBus})
 		}
 	}
-	if san.EnvEnabled() {
-		w.EnableSanitizer()
-	}
 	return w, nil
-}
-
-// EnableSanitizer attaches a hiersan runtime to the world and its KNEM
-// devices, returning it so tests can install a violation collector.
-// Idempotent. NewWorld calls it automatically when HIERSAN=1 is set in the
-// environment. The sanitizer schedules no events and never advances the
-// clock, so an instrumented run is event-for-event identical to a bare one;
-// it only turns unsynchronized overlapping buffer accesses into immediate,
-// diagnosable violations.
-func (w *World) EnableSanitizer() *san.Sanitizer {
-	if w.san != nil {
-		return w.san
-	}
-	s := san.New(w.Machine.Eng.Now)
-	w.san = s
-	for _, d := range w.Knem {
-		d.SetSanitizer(s)
-	}
-	return s
-}
-
-// Sanitizer returns the attached hiersan runtime, or nil when disabled.
-func (w *World) Sanitizer() *san.Sanitizer { return w.san }
-
-// syncEdge tells the sanitizer, when one is attached, that from released to
-// at this instant: accesses from closed now are ordered before those to
-// begins now. The sites that release a parked rank from process context
-// (wakeAll, Split) record it where they wake.
-func (w *World) syncEdge(from, to *Proc) {
-	if w.san != nil {
-		w.san.SyncEdge(from.dp.ID(), to.dp.ID())
-	}
 }
 
 // Reset returns the world to its pristine post-NewWorld state so a
@@ -196,9 +156,6 @@ func (w *World) Reset() {
 	w.nextCtx = 0
 	w.worldComm = nil
 	w.BytesCross = 0
-	if w.san != nil {
-		w.san.Reset()
-	}
 }
 
 // Run executes body as an SPMD program on every rank and drives the engine

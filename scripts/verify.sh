@@ -10,16 +10,11 @@
 #             checked by World.Run in every test that runs a world.)
 #   test      the full suite without the race detector (internal/core's
 #             per-call malloc guard, hierbench's -exp all golden and the
-#             seeded overlapping-copy and stall fixtures included), except
-#             ./bench, whose tests benchsmoke runs
+#             stall-autopsy fixtures included), except ./bench, whose
+#             tests benchsmoke runs
 #   race      the race detector, only over code that starts goroutines:
 #             the sweep pool, the coroutine pool, hierbench's sweeps and
 #             bench's RSS poller (-short), and the root isolation tests
-#   san       every package under internal/, and the root's conformance
-#             and isolation suites, under HIERSAN=1 (the hiersan dynamic
-#             sanitizer: virtual-time buffer conflicts between ranks,
-#             ordered by the sync edges mpi records where it completes a
-#             message or releases parked ranks; des knows no sanitizer)
 #   fuzz      10s FuzzMatch smoke over the p2p matching machinery:
 #             exact-key matching, eager and rendezvous, preposted and
 #             unexpected messages, and same-key order (non-overtaking)
@@ -69,10 +64,6 @@ go test $(go list ./... | grep -vx 'hierknem/bench')
 echo "==> go test -race (packages that start goroutines)"
 go test -race -short ./internal/sweep ./internal/des ./cmd/hierbench ./bench
 go test -race -short . -run 'Isolation|Parallel'
-
-echo "==> san (HIERSAN=1: internal/..., root conformance and isolation)"
-HIERSAN=1 go test ./internal/...
-HIERSAN=1 go test . -run 'Conformance|Isolation'
 
 echo "==> fuzz smoke (FuzzMatch, 10s)"
 go test ./internal/mpi -run '^$' -fuzz '^FuzzMatch$' -fuzztime 10s

@@ -56,11 +56,6 @@ func (n negativeSize) Error() string { return fmt.Sprintf("buffer: negative size
 // ID identifies the allocation; slices of one buffer share it.
 func (b *Buffer) ID() uint64 { return b.id }
 
-// Off returns the window's byte offset within its backing allocation.
-// Slices report offsets in the allocation's coordinate space, so two views
-// of one buffer can be compared for byte overlap.
-func (b *Buffer) Off() int64 { return b.off }
-
 // Len returns the buffer length in bytes.
 func (b *Buffer) Len() int64 { return b.size }
 

@@ -93,22 +93,16 @@ func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Bu
 	recvIdx := func(s int) int { return (me - s - 1 + 2*nodes) % nodes }
 
 	// Step 1 — every local rank pushing its block into the leader's rbuf —
-	// is a small stretch when blocks fit the fabric bypass. Steps 2-3
-	// interleave the leader's inter-node ring with the non-leaders' pulls of
-	// whole node blocks, so they are not.
-	small := p.SmallIntraNode(lcomm, block)
-
+	// runs as a small stretch (mpi.SmallIntraNode) when blocks fit the
+	// fabric bypass. Steps 2-3 interleave the leader's inter-node ring with
+	// the non-leaders' pulls of whole node blocks, so they are not.
+	p.BeginSmallStretch(lcomm, block)
 	if hy.IsLeader {
-		if small {
-			p.BeginSmallStretch()
-		}
 		sh := publish(p, lcomm, key, rbuf, knem.RightRead|knem.RightWrite)
 		// My own block goes straight into place.
 		rbuf.Slice(int64(c.Rank(p))*block, block).CopyFrom(sbuf)
 		lcomm.Barrier(p) // step 1 complete: all local blocks pushed
-		if small {
-			p.EndSmallStretch()
-		}
+		p.EndSmallStretch()
 
 		// Step 2 pipelined with step 3: after each ring exchange the
 		// just-arrived node block is released to the local non-leaders,
@@ -132,16 +126,11 @@ func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Bu
 	}
 
 	// Non-leader.
-	if small {
-		p.BeginSmallStretch()
-	}
 	sh := lookup(p, lcomm, key)
 	// Step 1: push my block into the leader's rbuf (one-sided, offloaded).
 	sh.put(p, int64(c.Rank(p))*block, sbuf)
 	lcomm.Barrier(p)
-	if small {
-		p.EndSmallStretch()
-	}
+	p.EndSmallStretch()
 	// My own node's aggregate can be pulled right away; remote blocks as
 	// they arrive (one-sided, overlapping the leader's ring).
 	myNodeOff := int64(me) * nodeBytes

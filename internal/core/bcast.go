@@ -93,21 +93,12 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 		sh := publish(p, lcomm, key, buf, knem.RightRead)
 
 		ll := hy.LLComm
-		llSize := ll.Size()
-		me := ll.Rank(p)
-		rootLL := hy.RootNodeIndex
-		v := (me - rootLL + llSize) % llSize // virtual rank in the tree
-		parentV, childrenV := spanningTree(v, llSize, nseg)
-		parent := (rootLL + parentV) % llSize
-		children := make([]int, len(childrenV))
-		for i, cv := range childrenV {
-			children[i] = (rootLL + cv) % llSize
-		}
+		parent, children := leaderTree(p, hy, nseg)
 
 		// Prepost the first segment's receive (Algorithm 1, step 11),
 		// then keep one receive ahead of the pipeline (step 13).
 		var recvs []*mpi.Request
-		if v != 0 {
+		if !onRootNode {
 			recvs = make([]*mpi.Request, nseg)
 			off, n := mpi.SegmentBounds(buf.Len(), seg, 0)
 			recvs[0] = p.Irecv(ll, buf.Slice(off, n), parent, hkTag)
@@ -116,7 +107,7 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 		for i := int64(0); i < nseg; i++ {
 			off, n := mpi.SegmentBounds(buf.Len(), seg, i)
 			s := buf.Slice(off, n)
-			if v != 0 {
+			if !onRootNode {
 				if i+1 < nseg {
 					noff, nn := mpi.SegmentBounds(buf.Len(), seg, i+1)
 					recvs[i+1] = p.Irecv(ll, buf.Slice(noff, nn), parent, hkTag+int(i+1))
@@ -126,7 +117,7 @@ func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 			for _, ch := range children {
 				pending = append(pending, p.Isend(ll, s, ch, hkTag+int(i))) // step 15/21
 			}
-			if v != 0 && !onRootNode {
+			if !onRootNode {
 				// Notify non-leaders that segment i is available
 				// (steps 16/22/29).
 				lcomm.Barrier(p)
@@ -248,36 +239,41 @@ func (t *bcastTail) startGet(dp *des.Proc) des.Wait {
 	return w
 }
 
+// leaderTree returns the parent and children, as llcomm ranks, of this
+// node's leader in the inter-node spanning tree (spanningTree) rooted at the
+// root's node. The root's node leader, which receives from no one, gets
+// itself as parent.
+func leaderTree(p *mpi.Proc, hy *hier.Hierarchy, nseg int64) (parent int, children []int) {
+	size, root := hy.LLComm.Size(), hy.RootNodeIndex
+	parent, children = spanningTree((hy.LLComm.Rank(p)-root+size)%size, size, nseg)
+	for i, v := range children {
+		children[i] = (root + v) % size
+	}
+	return (root + parent) % size, children
+}
+
 // bcastSmall is the single-segment Bcast. The general path interleaves
 // inter-node forwarding with lcomm barriers; with one segment that
 // interleaving buys nothing, so the leader first completes all inter-node
 // forwarding, then the whole node — leader and non-leaders together — runs
-// the KNEM linear fan-out as a small stretch.
+// the KNEM linear fan-out as a small stretch. One barrier fences the
+// fetches before deregistration (BBWait already orders each fetch after
+// the post).
 func (m *Module) bcastSmall(p *mpi.Proc, hy *hier.Hierarchy, buf *buffer.Buffer, key mpi.BBKey) {
 	lcomm := hy.LComm
-	if hy.IsLeader {
-		ll := hy.LLComm
-		if llSize := ll.Size(); llSize > 1 {
-			me := ll.Rank(p)
-			rootLL := hy.RootNodeIndex
-			v := (me - rootLL + llSize) % llSize
-			parentV, childrenV := spanningTree(v, llSize, 1)
-			if v != 0 {
-				p.Recv(ll, buf, (rootLL+parentV)%llSize, hkTag)
-			}
-			var pending []*mpi.Request
-			for _, cv := range childrenV {
-				pending = append(pending, p.Isend(ll, buf, (rootLL+cv)%llSize, hkTag))
-			}
-			p.WaitAll(pending...)
+	if hy.IsLeader && hy.LLComm.Size() > 1 {
+		parent, children := leaderTree(p, hy, 1)
+		if hy.NodeIndex != hy.RootNodeIndex {
+			p.Recv(hy.LLComm, buf, parent, hkTag)
 		}
+		var pending []*mpi.Request
+		for _, ch := range children {
+			pending = append(pending, p.Isend(hy.LLComm, buf, ch, hkTag))
+		}
+		p.WaitAll(pending...)
 	}
 
-	// Intra-node fan-out: the leader registers the message and
-	// publishes the cookie; every non-leader fetches it whole with a
-	// one-sided get. One barrier fences the fetches before deregistration
-	// (BBWait already orders each fetch after the post).
-	p.BeginSmallStretch()
+	p.BeginSmallStretch(lcomm, buf.Len())
 	if hy.IsLeader {
 		sh := publish(p, lcomm, key, buf, knem.RightRead)
 		lcomm.Barrier(p) // fetches complete

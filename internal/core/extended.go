@@ -38,15 +38,10 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 	// block slot from the comm rank, which UniformBlocks guarantees.)
 	pos := int64(c.Rank(p) % lcomm.Size())
 
-	// The intra-node pull phase is a small stretch when per-rank blocks fit
-	// the fabric bypass. The leader opens it after its inter-node scatter;
-	// non-leaders open it immediately (they only park on node-local state
-	// until the leader publishes the cookie).
-	small := p.SmallIntraNode(lcomm, block)
-
+	var staging *buffer.Buffer
 	if hy.IsLeader {
 		// Inter-node phase: binomial scatter of node blocks over llcomm.
-		staging := coll.Like(rbuf, nodeBytes)
+		staging = coll.Like(rbuf, nodeBytes)
 		if hy.LLComm.Size() > 1 {
 			var nodeSrc *buffer.Buffer
 			if c.Rank(p) == root {
@@ -56,31 +51,13 @@ func (m *Module) Scatter(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, ro
 		} else {
 			staging.CopyFrom(sbuf)
 		}
-		// Intra-node phase: publish the staging block, non-leaders pull.
-		if small {
-			p.BeginSmallStretch()
-		}
-		sh := publish(p, lcomm, key, staging, knem.RightRead)
 		rbuf.CopyFrom(staging.Slice(pos*block, block))
-		lcomm.Barrier(p) // non-leaders may pull
-		lcomm.Barrier(p) // pulls complete
-		sh.withdraw(p, lcomm, key)
-		if small {
-			p.EndSmallStretch()
-		}
-		return
 	}
-
-	if small {
-		p.BeginSmallStretch()
-	}
-	sh := lookup(p, lcomm, key)
-	lcomm.Barrier(p)
-	sh.get(p, pos*block, rbuf)
-	lcomm.Barrier(p)
-	if small {
-		p.EndSmallStretch()
-	}
+	// Intra-node phase: the leader publishes the staging block and every
+	// non-leader pulls its own. Non-leaders enter it at once and park on
+	// node-local state until the leader, done with its inter-node scatter,
+	// publishes the cookie.
+	fanOut(p, hy, key, staging, pos*block, rbuf)
 }
 
 // Gather is Scatter's mirror: non-leaders push their blocks into the
@@ -103,22 +80,17 @@ func (m *Module) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, roo
 	key := mpi.BBKey{Op: "hkgather", Seq: lcomm.Seq(p)}
 	pos := int64(c.Rank(p) % lcomm.Size())
 
-	// The intra-node push phase is a small stretch when per-rank blocks fit
-	// the fabric bypass. The leader closes it before its inter-node gather.
-	small := p.SmallIntraNode(lcomm, block)
-
+	// The intra-node push phase runs as a small stretch (mpi.SmallIntraNode)
+	// when per-rank blocks fit the fabric bypass; the leader closes it
+	// before its inter-node gather.
+	p.BeginSmallStretch(lcomm, block)
 	if hy.IsLeader {
 		staging := coll.Like(sbuf, nodeBytes)
-		if small {
-			p.BeginSmallStretch()
-		}
 		sh := publish(p, lcomm, key, staging, knem.RightWrite)
 		staging.Slice(pos*block, block).CopyFrom(sbuf)
 		lcomm.Barrier(p) // wait for all pushes
 		sh.withdraw(p, lcomm, key)
-		if small {
-			p.EndSmallStretch()
-		}
+		p.EndSmallStretch()
 
 		if hy.LLComm.Size() > 1 {
 			var nodeDst *buffer.Buffer
@@ -131,15 +103,9 @@ func (m *Module) Gather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, roo
 		}
 		return
 	}
-
-	if small {
-		p.BeginSmallStretch()
-	}
 	lookup(p, lcomm, key).put(p, pos*block, sbuf)
 	lcomm.Barrier(p)
-	if small {
-		p.EndSmallStretch()
-	}
+	p.EndSmallStretch()
 }
 
 // Allreduce runs three phases: a binomial intra-node reduction to each
@@ -157,11 +123,6 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 	lcomm := hy.LComm
 	key := mpi.BBKey{Op: "hkallreduce", Seq: lcomm.Seq(p)}
 
-	// Both intra-node phases are small stretches when the message fits the
-	// fabric bypass; the inter-node allreduce in between is not, with the
-	// non-leaders parked on node-local blackboard state.
-	small := p.SmallIntraNode(lcomm, sbuf.Len())
-
 	// Phase 1: intra-node reduction to the leader (lcomm rank 0).
 	var acc *buffer.Buffer
 	if hy.IsLeader {
@@ -169,41 +130,19 @@ func (m *Module) Allreduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rb
 	}
 	reduceToLeader(p, hy, a, sbuf, acc)
 
-	if hy.IsLeader {
-		// Phase 2: inter-node allreduce among leaders.
-		if hy.LLComm.Size() > 1 {
-			tmp := coll.Like(sbuf, sbuf.Len())
-			tmp.CopyFrom(acc)
-			if sbuf.Len() < 64<<10 {
-				coll.AllreduceRecursiveDoubling(p, hy.LLComm, a, tmp, acc)
-			} else {
-				coll.AllreduceRing(p, hy.LLComm, a, tmp, acc, nil)
-			}
+	if hy.IsLeader && hy.LLComm.Size() > 1 {
+		// Phase 2: inter-node allreduce among leaders, while the
+		// non-leaders park on node-local blackboard state.
+		tmp := coll.Like(sbuf, sbuf.Len())
+		tmp.CopyFrom(acc)
+		if sbuf.Len() < 64<<10 {
+			coll.AllreduceRecursiveDoubling(p, hy.LLComm, a, tmp, acc)
+		} else {
+			coll.AllreduceRing(p, hy.LLComm, a, tmp, acc, nil)
 		}
-		// Phase 3: publish; non-leaders pull.
-		if lcomm.Size() > 1 {
-			if small {
-				p.BeginSmallStretch()
-			}
-			sh := publish(p, lcomm, key, acc, knem.RightRead)
-			lcomm.Barrier(p)
-			lcomm.Barrier(p)
-			sh.withdraw(p, lcomm, key)
-			if small {
-				p.EndSmallStretch()
-			}
-		}
-		return
 	}
-
-	if small {
-		p.BeginSmallStretch()
-	}
-	sh := lookup(p, lcomm, key)
-	lcomm.Barrier(p)
-	sh.get(p, 0, rbuf)
-	lcomm.Barrier(p)
-	if small {
-		p.EndSmallStretch()
+	// Phase 3: the leader publishes; non-leaders pull.
+	if lcomm.Size() > 1 {
+		fanOut(p, hy, key, acc, 0, rbuf)
 	}
 }

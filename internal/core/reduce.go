@@ -17,22 +17,17 @@ type reduceShare struct {
 }
 
 // reduceToLeader folds every local rank's sbuf into acc, significant at the
-// node leader only, up a binomial tree over lcomm. It runs as a small
-// stretch when the message fits the fabric bypass.
+// node leader only, up a binomial tree over lcomm, as a small stretch
+// (mpi.SmallIntraNode) when the message fits the fabric bypass.
 func reduceToLeader(p *mpi.Proc, hy *hier.Hierarchy, a coll.ReduceArgs, sbuf, acc *buffer.Buffer) {
 	lcomm := hy.LComm
-	small := p.SmallIntraNode(lcomm, sbuf.Len())
-	if small {
-		p.BeginSmallStretch()
-	}
+	p.BeginSmallStretch(lcomm, sbuf.Len())
 	if lcomm.Size() > 1 {
 		coll.ReduceBinomial(p, lcomm, a, sbuf, acc, 0, 0)
 	} else if hy.IsLeader {
 		acc.CopyFrom(sbuf)
 	}
-	if small {
-		p.EndSmallStretch()
-	}
+	p.EndSmallStretch()
 }
 
 // Reduce implements Algorithm 2 of the paper: the double-leader pipelined

@@ -3,6 +3,7 @@ package core
 import (
 	"hierknem/internal/buffer"
 	"hierknem/internal/des"
+	"hierknem/internal/hier"
 	"hierknem/internal/knem"
 	"hierknem/internal/mpi"
 )
@@ -35,6 +36,29 @@ func (sh share) withdraw(p *mpi.Proc, lcomm *mpi.Comm, key mpi.BBKey) {
 		panic(err)
 	}
 	lcomm.BBClear(key)
+}
+
+// fanOut is the one-sided intra-node fan-out: the node leader publishes
+// src, opens the fetches with one lcomm barrier, fences them with a second
+// and withdraws the share; every other rank looks the share up, waits for
+// the first barrier, fetches dst.Len() bytes at offset off into dst and
+// joins the second. It runs as a small stretch (mpi.SmallIntraNode) of
+// dst.Len()-byte messages, so the leader passes a dst of that length too.
+func fanOut(p *mpi.Proc, hy *hier.Hierarchy, key mpi.BBKey, src *buffer.Buffer, off int64, dst *buffer.Buffer) {
+	lcomm := hy.LComm
+	p.BeginSmallStretch(lcomm, dst.Len())
+	if hy.IsLeader {
+		sh := publish(p, lcomm, key, src, knem.RightRead)
+		lcomm.Barrier(p) // non-leaders may fetch
+		lcomm.Barrier(p) // fetches complete
+		sh.withdraw(p, lcomm, key)
+	} else {
+		sh := lookup(p, lcomm, key)
+		lcomm.Barrier(p)
+		sh.get(p, off, dst)
+		lcomm.Barrier(p)
+	}
+	p.EndSmallStretch()
 }
 
 // lookup waits for the share posted on lcomm under key, after the cookie

@@ -33,6 +33,13 @@ func newCoroutine() *coroutine {
 	c := &coroutine{}
 	c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
 		c.yield = yield
+		defer func() {
+			// A body that panicked goes on to Run's caller; one that
+			// Engine.end unwound ends here.
+			if r := recover(); r != nil && r != any(unwind{}) {
+				panic(r)
+			}
+		}()
 		for {
 			c.p.run()
 			c.p = nil

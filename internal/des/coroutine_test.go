@@ -29,7 +29,7 @@ func ringBody(p *Proc) {
 // awaitBody awaits a few completions, as a rank awaits its copies.
 func awaitBody(p *Proc) {
 	for i := 0; i < 3; i++ {
-		p.Engine().After(1, AwaitBegin(p))
+		p.eng.After(1, AwaitBegin(p))
 		AwaitEnd(p)
 	}
 }

@@ -359,9 +359,6 @@ func (p *Proc) ID() int { return p.id }
 // Name returns the name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Engine returns the engine this process runs on.
-func (p *Proc) Engine() *Engine { return p.eng }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.eng.now }
 
@@ -427,8 +424,8 @@ func (p *Proc) switchTo() {
 // switch happens at all; otherwise dispatch left the hand-off target with
 // the driver and this coroutine yields to it.
 func (p *Proc) park() {
-	if !p.eng.dispatch(p) {
-		p.co.yield(struct{}{})
+	if !p.eng.dispatch(p) && !p.co.yield(struct{}{}) {
+		panic(unwind{}) // the run ended with p parked (Engine.end)
 	}
 	p.parkedFlag = false
 	p.wakeable = false
@@ -591,13 +588,15 @@ func (d *DeadlockError) Error() string {
 // Run executes events until none remain. It returns a *DeadlockError if
 // processes are still alive when the queue drains, otherwise nil. A panic in
 // a process body or event callback surfaces on the goroutine that called
-// Run.
+// Run. After a deadlock or a panic, Run ends the processes still alive
+// (see end), so a deadlocked engine can be Reset; a panic may leave events
+// queued.
 func (e *Engine) Run() error {
 	if e.running {
 		panic("des: Run called reentrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer e.end()
 	e.drive()
 	if e.alive > 0 {
 		var names []string
@@ -610,6 +609,31 @@ func (e *Engine) Run() error {
 		return &DeadlockError{Time: e.now, Parked: names}
 	}
 	return nil
+}
+
+// unwind is the panic that unwinds the body of a process parked when its
+// run ended; its coroutine recovers it (newCoroutine).
+type unwind struct{}
+
+// end closes a Run. Every process still alive — parked at a deadlock, or
+// left behind by a panic — is marked done and its coroutine stopped: the
+// parked body unwinds, running its deferred calls, and the coroutine ends
+// instead of returning to the idle list.
+func (e *Engine) end() {
+	e.running = false
+	if e.alive == 0 {
+		return
+	}
+	for _, p := range e.procs {
+		if !p.done {
+			p.done = true
+			if p.co != nil {
+				p.co.stop()
+				p.co = nil
+			}
+		}
+	}
+	e.alive = 0
 }
 
 // drive is the driver loop, on Run's goroutine. The engine has no scheduler

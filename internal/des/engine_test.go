@@ -249,9 +249,15 @@ func TestDoubleWakeCoalesces(t *testing.T) {
 	}
 }
 
+// TestDeadlockDetected: a deadlock names the parked process, unwinds its
+// body (its deferred calls run) and leaves an engine that can be Reset.
 func TestDeadlockDetected(t *testing.T) {
 	e := New()
-	e.Spawn("stuck", func(p *Proc) { p.Park() })
+	unwound := false
+	e.Spawn("stuck", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Park()
+	})
 	err := e.Run()
 	de, ok := err.(*DeadlockError)
 	if !ok {
@@ -260,6 +266,10 @@ func TestDeadlockDetected(t *testing.T) {
 	if len(de.Parked) != 1 || de.Parked[0] != "stuck" {
 		t.Fatalf("parked = %v, want [stuck]", de.Parked)
 	}
+	if !unwound {
+		t.Error("the parked body was not unwound")
+	}
+	e.Reset()
 }
 
 func TestManyProcsAllComplete(t *testing.T) {

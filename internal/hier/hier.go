@@ -22,10 +22,9 @@ type Hierarchy struct {
 	LComm  *mpi.Comm // ranks of my node (always non-nil, may be size 1)
 	LLComm *mpi.Comm // leaders; nil on non-leader processes
 
-	IsLeader   bool
-	LeaderRank int // comm rank of my node's leader
-	NodeIndex  int // dense index of my node among occupied nodes
-	NodeCount  int // number of occupied nodes
+	IsLeader  bool
+	NodeIndex int // dense index of my node among occupied nodes
+	NodeCount int // number of occupied nodes
 
 	// RootNodeIndex is the dense node index of the root passed to Build —
 	// also the root's rank within LLComm, since Build promotes the root
@@ -68,7 +67,6 @@ func Build(p *mpi.Proc, c *mpi.Comm, root int) Hierarchy {
 		LComm:         lcomm,
 		LLComm:        llcomm,
 		IsLeader:      leader,
-		LeaderRank:    c.Rank(lcomm.Proc(0)),
 		NodeIndex:     c.NodeIndex(me),
 		NodeCount:     c.NodeSpan(),
 		RootNodeIndex: c.NodeIndex(root),

@@ -59,8 +59,8 @@ func TestBuildStructure(t *testing.T) {
 			t.Errorf("non-leader rank %d has llcomm", c.Rank(p))
 		}
 		// Leader of node i under by-core is rank 4i.
-		if h.LeaderRank != (c.Rank(p)/4)*4 {
-			t.Errorf("rank %d: leader %d", c.Rank(p), h.LeaderRank)
+		if leader := c.Rank(h.LComm.Proc(0)); leader != (c.Rank(p)/4)*4 {
+			t.Errorf("rank %d: leader %d", c.Rank(p), leader)
 		}
 	})
 	if err != nil {
@@ -80,8 +80,8 @@ func TestRootPromotedToLeader(t *testing.T) {
 		if c.Rank(p) == 4 && h.IsLeader {
 			t.Error("rank 4 should have been displaced by the promoted root")
 		}
-		if p.Core().NodeID == 1 && h.LeaderRank != root {
-			t.Errorf("node 1 leader = %d, want %d", h.LeaderRank, root)
+		if leader := c.Rank(h.LComm.Proc(0)); p.Core().NodeID == 1 && leader != root {
+			t.Errorf("node 1 leader = %d, want %d", leader, root)
 		}
 		if h.RootNodeIndex != 1 {
 			t.Errorf("RootNodeIndex = %d, want 1", h.RootNodeIndex)
@@ -177,8 +177,8 @@ func TestBuildByNodeBinding(t *testing.T) {
 			t.Errorf("rank %d: NodeCount %d NodeIndex %d RootNodeIndex %d, want 4 %d %d",
 				me, h.NodeCount, h.NodeIndex, h.RootNodeIndex, node, root%4)
 		}
-		if h.LeaderRank != wantLeader || h.IsLeader != (me == wantLeader) {
-			t.Errorf("rank %d: LeaderRank %d IsLeader %v, want leader %d", me, h.LeaderRank, h.IsLeader, wantLeader)
+		if leader := c.Rank(h.LComm.Proc(0)); leader != wantLeader || h.IsLeader != (me == wantLeader) {
+			t.Errorf("rank %d: leader %d IsLeader %v, want leader %d", me, leader, h.IsLeader, wantLeader)
 		}
 		if h.IsLeader && h.LLComm.Rank(p) != h.NodeIndex {
 			t.Errorf("leader %d: llcomm rank %d, node index %d", me, h.LLComm.Rank(p), h.NodeIndex)
@@ -213,8 +213,8 @@ func TestBuildSparseNodeSubComm(t *testing.T) {
 			t.Errorf("sub rank %d: NodeCount %d NodeIndex %d RootNodeIndex %d, want 2 %d 1",
 				me, h.NodeCount, h.NodeIndex, h.RootNodeIndex, wantIndex)
 		}
-		if h.LeaderRank != wantLeader || h.IsLeader != (me == wantLeader) {
-			t.Errorf("sub rank %d: LeaderRank %d IsLeader %v, want leader %d", me, h.LeaderRank, h.IsLeader, wantLeader)
+		if leader := c.Rank(h.LComm.Proc(0)); leader != wantLeader || h.IsLeader != (me == wantLeader) {
+			t.Errorf("sub rank %d: leader %d IsLeader %v, want leader %d", me, leader, h.IsLeader, wantLeader)
 		}
 		if h.IsLeader && (h.LLComm.Size() != 2 || h.LLComm.Rank(p) != wantIndex) {
 			t.Errorf("leader %d: llcomm size %d rank %d", me, h.LLComm.Size(), h.LLComm.Rank(p))

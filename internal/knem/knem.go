@@ -61,9 +61,6 @@ func NewDevice(m *topology.Machine, nodeID int) *Device {
 	return &Device{nodeID: nodeID, machine: m, regions: make(map[Cookie]*region), next: 1}
 }
 
-// NodeID returns the node this device serves.
-func (d *Device) NodeID() int { return d.nodeID }
-
 // Reset drops all registrations and counters, returning the device to its
 // post-NewDevice state for reuse by a consecutive run on the same machine.
 // Cookies restart at 1, matching a fresh device cookie-for-cookie.

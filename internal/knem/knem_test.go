@@ -221,8 +221,8 @@ func TestDevicesBuildsOnePerNode(t *testing.T) {
 		t.Fatalf("devices = %d, want 3", len(ds))
 	}
 	for i, d := range ds {
-		if d.NodeID() != i {
-			t.Fatalf("device %d has node id %d", i, d.NodeID())
+		if d.nodeID != i {
+			t.Fatalf("device %d has node id %d", i, d.nodeID)
 		}
 	}
 }

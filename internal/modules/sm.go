@@ -15,12 +15,11 @@ type smShare struct {
 	sock *topology.Socket
 }
 
-// The three sm* helpers below are the shared intra-node stretches of every
+// The sm* helpers below are the shared intra-node stretches of every
 // classic two-level personality (hierarch, MVAPICH2): blackboard posts,
 // intra-node barriers and shared-segment copies among the ranks of one node.
-// When the message is small enough for the fabric bypass
-// (mpi.SmallIntraNode), every participant, the leader included, runs the
-// whole helper as a small stretch.
+// Every participant, the leader included, runs the whole helper as a small
+// stretch when the message fits the fabric bypass (mpi.SmallIntraNode).
 
 // smBcastIntra is the legacy shared-memory intra-node broadcast: the leader
 // (lcomm rank 0) copies the whole message into the shared segment
@@ -31,10 +30,7 @@ func smBcastIntra(p *mpi.Proc, lcomm *mpi.Comm, buf *buffer.Buffer) {
 	if lcomm.Size() <= 1 {
 		return
 	}
-	small := p.SmallIntraNode(lcomm, buf.Len())
-	if small {
-		p.BeginSmallStretch()
-	}
+	p.BeginSmallStretch(lcomm, buf.Len())
 	key := mpi.BBKey{Op: "smbcast", Seq: lcomm.Seq(p)}
 	m := p.World().Machine
 	if lcomm.Rank(p) == 0 {
@@ -49,9 +45,7 @@ func smBcastIntra(p *mpi.Proc, lcomm *mpi.Comm, buf *buffer.Buffer) {
 		shm.CopyBuffer(p.DES(), m, p.Core(), sh.sock, p.Core().Socket, sh.buf, buf)
 		lcomm.Barrier(p)
 	}
-	if small {
-		p.EndSmallStretch()
-	}
+	p.EndSmallStretch()
 }
 
 // smReduceIntra is the legacy shared-memory intra-node reduction: every
@@ -61,73 +55,50 @@ func smBcastIntra(p *mpi.Proc, lcomm *mpi.Comm, buf *buffer.Buffer) {
 // The reduced result lands in acc (leader only); acc must already contain
 // the leader's own contribution.
 func smReduceIntra(p *mpi.Proc, lcomm *mpi.Comm, a coll.ReduceArgs, sbuf, acc *buffer.Buffer) {
-	if lcomm.Size() <= 1 {
-		return
-	}
-	small := p.SmallIntraNode(lcomm, sbuf.Len())
-	if small {
-		p.BeginSmallStretch()
-	}
-	seq := lcomm.Seq(p)
-	m := p.World().Machine
-	me := lcomm.Rank(p)
-	if me != 0 {
-		// copy-in my contribution (bounce buffer in my socket).
-		shm.Copy(p.DES(), m, p.Core(), p.Core().Socket, p.Core().Socket, sbuf.Len(), sbuf.ID())
-		lcomm.BBPost(mpi.BBKey{Op: "smreduce", Seq: seq, Rank: me}, smShare{buf: sbuf, sock: p.Core().Socket})
-		lcomm.Barrier(p) // contributions ready
-		lcomm.Barrier(p) // leader done
-	} else {
-		lcomm.Barrier(p)
-		for r := 1; r < lcomm.Size(); r++ {
-			key := mpi.BBKey{Op: "smreduce", Seq: seq, Rank: r}
-			sh := lcomm.BBWait(p, key).(smShare)
-			p.ReduceLocal(a.Op, a.Dtype, acc, sh.buf)
-			lcomm.BBClear(key)
-		}
-		lcomm.Barrier(p)
-	}
-	if small {
-		p.EndSmallStretch()
-	}
+	smFanIn(p, lcomm, "smreduce", sbuf, func(_ int, sh smShare) {
+		p.ReduceLocal(a.Op, a.Dtype, acc, sh.buf)
+	})
 }
 
 // smGatherIntra gathers every member's block into the leader's rbuf
 // (rank-order layout within the node group): members copy-in, the leader
 // copies each block out sequentially.
 func smGatherIntra(p *mpi.Proc, lcomm *mpi.Comm, sbuf, rbuf *buffer.Buffer) {
+	block := sbuf.Len()
+	if lcomm.Rank(p) == 0 {
+		rbuf.Slice(0, block).CopyFrom(sbuf)
+	}
+	m := p.World().Machine
+	smFanIn(p, lcomm, "smgather", sbuf, func(r int, sh smShare) {
+		dst := rbuf.Slice(int64(r)*block, block)
+		shm.CopyBuffer(p.DES(), m, p.Core(), sh.sock, p.Core().Socket, sh.buf, dst)
+	})
+}
+
+// smFanIn is the copy-in fan-in under smReduceIntra and smGatherIntra:
+// every non-leader copies sbuf into the shared segment and posts it under
+// op; after the barrier that says all are posted, the leader (lcomm rank 0)
+// runs take on each member's post in rank order and clears it, and a last
+// barrier releases the members.
+func smFanIn(p *mpi.Proc, lcomm *mpi.Comm, op string, sbuf *buffer.Buffer, take func(r int, sh smShare)) {
 	if lcomm.Size() <= 1 {
-		if lcomm.Rank(p) == 0 {
-			rbuf.Slice(0, sbuf.Len()).CopyFrom(sbuf)
-		}
 		return
 	}
-	block := sbuf.Len()
-	small := p.SmallIntraNode(lcomm, block)
-	if small {
-		p.BeginSmallStretch()
-	}
+	p.BeginSmallStretch(lcomm, sbuf.Len())
 	seq := lcomm.Seq(p)
-	m := p.World().Machine
-	me := lcomm.Rank(p)
-	if me != 0 {
-		shm.Copy(p.DES(), m, p.Core(), p.Core().Socket, p.Core().Socket, block, sbuf.ID())
-		lcomm.BBPost(mpi.BBKey{Op: "smgather", Seq: seq, Rank: me}, smShare{buf: sbuf, sock: p.Core().Socket})
-		lcomm.Barrier(p)
-		lcomm.Barrier(p)
+	if me := lcomm.Rank(p); me != 0 {
+		shm.Copy(p.DES(), p.World().Machine, p.Core(), p.Core().Socket, p.Core().Socket, sbuf.Len(), sbuf.ID())
+		lcomm.BBPost(mpi.BBKey{Op: op, Seq: seq, Rank: me}, smShare{buf: sbuf, sock: p.Core().Socket})
+		lcomm.Barrier(p) // contributions ready
+		lcomm.Barrier(p) // leader done
 	} else {
-		rbuf.Slice(0, block).CopyFrom(sbuf)
 		lcomm.Barrier(p)
 		for r := 1; r < lcomm.Size(); r++ {
-			key := mpi.BBKey{Op: "smgather", Seq: seq, Rank: r}
-			sh := lcomm.BBWait(p, key).(smShare)
-			dst := rbuf.Slice(int64(r)*block, block)
-			shm.CopyBuffer(p.DES(), m, p.Core(), sh.sock, p.Core().Socket, sh.buf, dst)
+			key := mpi.BBKey{Op: op, Seq: seq, Rank: r}
+			take(r, lcomm.BBWait(p, key).(smShare))
 			lcomm.BBClear(key)
 		}
 		lcomm.Barrier(p)
 	}
-	if small {
-		p.EndSmallStretch()
-	}
+	p.EndSmallStretch()
 }

@@ -122,9 +122,6 @@ func (c *Comm) Rank(p *Proc) int {
 	return r
 }
 
-// Member reports whether p belongs to c.
-func (c *Comm) Member(p *Proc) bool { return c.lookup(p.rank) >= 0 }
-
 // lookup returns the comm rank of world rank wr, or -1 for a non-member.
 // When the members' world ranks are contiguous (every by-core
 // communicator, whatever its comm-rank order) wr sits at offset

@@ -26,12 +26,12 @@ func TestSparseCommIndex(t *testing.T) {
 	for _, ranks := range [][]int{{3, 5, 9}, {9, 3, 5}} {
 		c := w.newComm(ranks)
 		for want, wr := range ranks {
-			if !c.Member(w.procs[wr]) || c.Rank(w.procs[wr]) != want {
-				t.Errorf("%v: world rank %d: Member %v Rank %d, want comm rank %d", ranks, wr, c.Member(w.procs[wr]), c.Rank(w.procs[wr]), want)
+			if c.lookup(wr) != want || c.Rank(w.procs[wr]) != want {
+				t.Errorf("%v: world rank %d: lookup %d Rank %d, want comm rank %d", ranks, wr, c.lookup(wr), c.Rank(w.procs[wr]), want)
 			}
 		}
 		for _, wr := range []int{0, 2, 4, 6, 8, 10, 11} {
-			if c.Member(w.procs[wr]) {
+			if c.lookup(wr) >= 0 {
 				t.Errorf("%v: world rank %d reported as a member", ranks, wr)
 			}
 			if msg, want := rankPanic(c, w.procs[wr]), fmt.Sprintf("mpi: world rank %d not in communicator", wr); msg != want {

@@ -261,8 +261,8 @@ func checkPlacement(t *testing.T, c *Comm, wantUniform bool) {
 	}
 	for wr, p := range c.world.procs {
 		want := slices.Index(c.ranks, wr)
-		if got := c.Member(p); got != (want >= 0) {
-			t.Errorf("Member(world rank %d) = %v, want %v", wr, got, want >= 0)
+		if got := c.lookup(wr); (got >= 0) != (want >= 0) {
+			t.Errorf("lookup(world rank %d) = %d, want a member %v", wr, got, want >= 0)
 		}
 		if want >= 0 {
 			if got := c.Rank(p); got != want {

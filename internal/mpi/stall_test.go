@@ -7,6 +7,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -93,5 +94,63 @@ func TestStallAutopsyEmptyCase(t *testing.T) {
 	}
 	if !strings.Contains(se.Report, "no pending point-to-point operations") {
 		t.Errorf("empty-case report = %q", se.Report)
+	}
+}
+
+// rankCoroutines counts the goroutines inside a des process body: rank
+// coroutines, parked or running. Idle coroutines, which des keeps for the
+// next run, and the test's own goroutines do not count.
+func rankCoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "hierknem/internal/des.(*Proc).run(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestStallReleasesRanks: a stalled run leaves no rank coroutine parked,
+// and its world can be Reset and run again: a Bcast after the Reset
+// dispatches the same events and ends at the same time as on a fresh world.
+func TestStallReleasesRanks(t *testing.T) {
+	bcast := func(w *World) (uint64, float64) {
+		t.Helper()
+		err := w.Run(func(p *Proc) {
+			c, buf := w.WorldComm(), buffer.NewPhantom(64<<10) // rendezvous: fabric flows
+			if p.Rank() != 0 {
+				p.Recv(c, buf, 0, 1)
+				return
+			}
+			for r := 1; r < c.Size(); r++ {
+				p.Wait(p.Isend(c, buf, r, 1))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w.Machine.Eng.Processed(), w.Now()
+	}
+	base := rankCoroutines()
+	w := newToyWorld(t, 2, 1, 4, 8)
+	err := w.Run(func(p *Proc) {
+		if p.Rank() == 0 {
+			p.Recv(w.WorldComm(), buffer.NewPhantom(8), 1, 42) // never matched
+		}
+	})
+	var se *StallError
+	if !errors.As(err, &se) {
+		t.Fatalf("error is %T, want *StallError: %v", err, err)
+	}
+	if n := rankCoroutines(); n != base {
+		t.Errorf("%d rank coroutines after the stall, want %d", n, base)
+	}
+	w.Reset()
+	events, end := bcast(w)
+	wantEvents, wantEnd := bcast(newToyWorld(t, 2, 1, 4, 8))
+	if events != wantEvents || end != wantEnd {
+		t.Errorf("Bcast after the stall and Reset: %d events, end %g; on a fresh world: %d events, end %g",
+			events, end, wantEvents, wantEnd)
 	}
 }

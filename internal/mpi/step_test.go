@@ -372,6 +372,7 @@ func halvesScenario(t *testing.T, mode halvesMode) halvesRun {
 	}
 	run := halvesRun{ends: make([][]float64, w.Size())}
 	got := make([][]*buffer.Buffer, w.Size())
+	node0 := nodeComm(w, 0)
 	err := w.Run(func(p *Proc) {
 		c := w.WorldComm()
 		mark := func() { run.ends[p.Rank()] = append(run.ends[p.Rank()], p.Now()) }
@@ -395,7 +396,7 @@ func halvesScenario(t *testing.T, mode halvesMode) halvesRun {
 				got[1] = append(got[1], buf)
 				mark()
 			}
-			p.BeginSmallStretch()
+			p.BeginSmallStretch(node0, sizes[0])
 			reduce(p, got[1][0], fill(sizes[0], 10))
 			p.EndSmallStretch()
 			mark()

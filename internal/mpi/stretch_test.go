@@ -102,21 +102,25 @@ func TestSmallIntraNodeBounds(t *testing.T) {
 }
 
 // TestSmallStretchCharges pins what a small stretch does to the timing
-// model, which every recorded figure below the cutoff depends on: inside
-// one, a local reduction is a plain sleep at the unloaded rate and installs
-// no fabric flow; closing it costs one network latency; and a reduction at
-// the cutoff inside one panics. An eager send's copy-in at the cutoff (eager
-// messages that large exist only with an eager threshold above 4 KiB) is
-// the transport's, not the stretch's: it stays a fabric flow there.
+// model, which every recorded figure below the cutoff depends on: a
+// BeginSmallStretch the selector refuses opens nothing, so a local reduction
+// after it is a fabric flow and its EndSmallStretch charges nothing; inside
+// an open stretch, a local reduction is a plain sleep at the unloaded rate
+// and installs no fabric flow, a reduction at the cutoff panics, and so does
+// a second BeginSmallStretch; closing it costs one network latency. An eager
+// send's copy-in at the cutoff (eager messages that large exist only with
+// an eager threshold above 4 KiB) is the transport's, not the stretch's: it
+// stays a fabric flow there.
 func TestSmallStretchCharges(t *testing.T) {
 	w := stretchWorld(t, 1, 2, 8192)
 	spec := w.Machine.Spec
+	fills := func() uint64 { return w.Machine.Fab.Stats().Fills }
 	reduce := func(p *Proc, n int) {
 		p.ReduceLocal(buffer.OpSum, buffer.Int64, buffer.NewPhantom(int64(n)), buffer.NewPhantom(int64(n)))
 	}
-	var inside, closing float64
-	var fills, copyInFills uint64
-	var recovered, sendPanic any
+	var inside, closing, refusedClosing float64
+	var insideFills, copyInFills, refusedFills, afterFills uint64
+	var recovered, sendPanic, nestPanic any
 	err := w.Run(func(p *Proc) {
 		c := w.WorldComm()
 		if p.Rank() != 0 {
@@ -124,34 +128,55 @@ func TestSmallStretchCharges(t *testing.T) {
 			p.Recv(c, buffer.NewPhantom(smallCopyCutoff), 0, 5)
 			return
 		}
-		p.BeginSmallStretch()
+		p.BeginSmallStretch(c, smallCopyCutoff) // refused: at the cutoff
+		before := fills()
+		reduce(p, 80)
+		refusedFills = fills() - before
 		t0 := p.Now()
+		p.EndSmallStretch()
+		refusedClosing = p.Now() - t0
+
+		p.BeginSmallStretch(c, 80)
+		t0 = p.Now()
+		before = fills()
 		reduce(p, 80)
 		inside = p.Now() - t0
-		fills = w.Machine.Fab.Stats().Fills
+		insideFills = fills() - before
 		func() {
 			defer func() { recovered = recover() }()
 			reduce(p, smallCopyCutoff)
 		}()
 		func() {
 			defer func() { sendPanic = recover() }()
-			before := w.Machine.Fab.Stats().Fills
+			before := fills()
 			p.Wait(p.Isend(c, buffer.NewPhantom(smallCopyCutoff), 1, 5))
-			copyInFills = w.Machine.Fab.Stats().Fills - before
+			copyInFills = fills() - before
+		}()
+		func() {
+			defer func() { nestPanic = recover() }()
+			p.BeginSmallStretch(c, 80)
 		}()
 		t0 = p.Now()
 		p.EndSmallStretch()
 		closing = p.Now() - t0
+		before = fills()
 		reduce(p, 80)
+		afterFills = fills() - before
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if refusedFills == 0 {
+		t.Error("reduction after a refused BeginSmallStretch installed no fabric flow")
+	}
+	if refusedClosing != 0 {
+		t.Errorf("EndSmallStretch after a refused BeginSmallStretch charged %g, want 0", refusedClosing)
+	}
 	if want := 80 / spec.CoreCopyBandwidth; !almost(inside, want) {
 		t.Errorf("80-byte reduction inside a stretch took %g, want %g", inside, want)
 	}
-	if fills != 0 {
-		t.Errorf("reduction inside a stretch ran %d fabric fills, want 0", fills)
+	if insideFills != 0 {
+		t.Errorf("reduction inside a stretch ran %d fabric fills, want 0", insideFills)
 	}
 	if recovered == nil {
 		t.Error("a reduction at the cutoff inside a stretch did not panic")
@@ -161,17 +186,21 @@ func TestSmallStretchCharges(t *testing.T) {
 	} else if copyInFills == 0 {
 		t.Error("an eager copy-in at the cutoff inside a stretch installed no fabric flow")
 	}
+	if nestPanic == nil {
+		t.Error("a BeginSmallStretch inside an open stretch did not panic")
+	}
 	if !almost(closing, spec.NetLatency) {
 		t.Errorf("EndSmallStretch charged %g, want one network latency %g", closing, spec.NetLatency)
 	}
-	if w.Machine.Fab.Stats().Fills == 0 {
+	if afterFills == 0 {
 		t.Error("reduction after the stretch installed no fabric flow")
 	}
 }
 
 // TestRankPanicReachesRunCaller: a rank body's panic is re-raised by the
 // coroutine switch on the goroutine that called World.Run, carrying the
-// rank's own panic value.
+// rank's own panic value, and the ranks it leaves parked — in a receive, a
+// barrier and a sleep — are unwound: no rank coroutine stays behind.
 func TestRankPanicReachesRunCaller(t *testing.T) {
 	boom := errors.New("rank 1 gives up")
 	runRecovered := func(w *World, body func(p *Proc)) (got any) {
@@ -181,16 +210,28 @@ func TestRankPanicReachesRunCaller(t *testing.T) {
 		return nil
 	}
 
-	t.Run("serial driver", func(t *testing.T) {
+	t.Run("parked ranks unwind", func(t *testing.T) {
+		base := rankCoroutines()
 		w := stretchWorld(t, 1, 4, 8)
 		got := runRecovered(w, func(p *Proc) {
-			p.Compute(float64(p.Rank() + 1))
-			if p.Rank() == 1 {
+			c := w.WorldComm()
+			switch p.Rank() {
+			case 0:
+				p.Recv(c, buffer.NewPhantom(8), 1, 0)
+			case 1:
+				p.Compute(2)
 				panic(boom)
+			case 2:
+				c.Barrier(p)
+			default:
+				p.Compute(10)
 			}
 		})
 		if got != boom {
 			t.Fatalf("recovered %v, want %v", got, boom)
+		}
+		if n := rankCoroutines(); n != base {
+			t.Errorf("%d rank coroutines after the panic, want %d", n, base)
 		}
 	})
 }

@@ -162,7 +162,11 @@ func (w *World) Reset() {
 // until completion. It may be called repeatedly on the same world (e.g. one
 // benchmark phase per call); virtual time keeps advancing. A deadlock
 // returns a *StallError; a run that completes with some rank holding a
-// request it never waited on returns an *UncollectedError.
+// request it never waited on returns an *UncollectedError. A rank's panic
+// reaches the caller. Either way the ranks still parked are unwound
+// (des.Engine.Run): after a stall the world can be Reset and run again,
+// but after a panic the fabric may still hold flows and the world is not
+// reusable.
 func (w *World) Run(body func(p *Proc)) error {
 	for _, p := range w.procs {
 		p := p

@@ -2,6 +2,8 @@
 # verify.sh — the repository's full verification gate, identical to CI.
 #
 #   build     every package compiles
+#   loc       one line of non-test Go line counts per simulator package
+#             (scripts/loc.sh), the size ROADMAP aim 2 tracks
 #   gofmt     `gofmt -l .` lists nothing
 #   vet       the stock Go analyzers
 #   hierlint  the simulator-invariant analyzers (cmd/hierlint):
@@ -34,6 +36,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> non-test Go lines"
+scripts/loc.sh
 
 echo "==> gofmt -l ."
 unformatted=$(gofmt -l .)

@@ -6,7 +6,6 @@ import (
 	"hierknem/internal/buffer"
 	"hierknem/internal/coll"
 	"hierknem/internal/hier"
-	"hierknem/internal/knem"
 	"hierknem/internal/mpi"
 )
 
@@ -57,7 +56,26 @@ func (m *Module) Allgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer) 
 		return
 	}
 	if alg == AllgatherLeader && c.UniformBlocks() {
-		m.allgatherLeader(p, c, sbuf, rbuf)
+		// The three-step leader-based algorithm with KNEM offload: (1)
+		// non-leaders push their blocks into the leader's rbuf with
+		// one-sided puts, (2) leaders exchange node blocks over the
+		// inter-node ring, (3) non-leaders pull each node block with a
+		// one-sided get once the ring has brought it. The leader only
+		// synchronizes around the one-sided phases, dedicating itself to the
+		// inter-node exchange — but every local byte still crosses the
+		// leader's memory bus, the hot spot that motivates the ring for
+		// large nodes. Step 1 runs as a small stretch (mpi.SmallIntraNode)
+		// when blocks fit the fabric bypass; steps 2-3, interleaved, do not.
+		var scratch hier.Hierarchy
+		hy := m.hierarchy(p, c, 0, &scratch)
+		p.BeginSmallStretch(hy.LComm, sbuf.Len())
+		sh := shape{role: allgatherNonLeader, v: int32(hy.NodeIndex), root: int32(c.Rank(p)), nseg: int32(hy.NodeCount),
+			seg: sbuf.Len() * int64(hy.LComm.Size())}
+		if hy.IsLeader {
+			sh.role = allgatherLeader
+			rbuf.Slice(int64(c.Rank(p))*sbuf.Len(), sbuf.Len()).CopyFrom(sbuf) // my own block goes straight into place
+		}
+		run(p, sh, hy.LComm, hy.LLComm, rbuf, sbuf, coll.ReduceArgs{}, hy.LComm.Seq(p))
 		return
 	}
 	// Topology-aware ring: the logical ring follows physical distance, so
@@ -68,77 +86,4 @@ func (m *Module) Allgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer) 
 		order = c.PhysicalOrder()
 	}
 	coll.AllgatherRing(p, c, sbuf, rbuf, order, true)
-}
-
-// allgatherLeader is the three-step leader-based algorithm with KNEM
-// offload: (1) non-leaders push their blocks into the leader's rbuf with
-// one-sided puts, (2) leaders exchange node blocks over the inter-node ring,
-// (3) non-leaders pull the full result with one-sided gets. The leader only
-// synchronizes around the one-sided phases, dedicating itself to the
-// inter-node exchange — but every local byte still crosses the leader's
-// memory bus, the hot spot that motivates the ring for large nodes.
-func (m *Module) allgatherLeader(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer) {
-	var scratch hier.Hierarchy
-	hy := m.hierarchy(p, c, 0, &scratch)
-	lcomm := hy.LComm
-	block := sbuf.Len()
-	key := mpi.BBKey{Op: "hkag", Seq: lcomm.Seq(p)}
-
-	nodeBytes := block * int64(lcomm.Size())
-	nodes := hy.NodeCount
-	me := hy.NodeIndex
-	// Ring-arrival schedule: after inter-node step s, the block of node
-	// recvIdx(s) is present in the local leader's rbuf. Known to every
-	// local rank without communication.
-	recvIdx := func(s int) int { return (me - s - 1 + 2*nodes) % nodes }
-
-	// Step 1 — every local rank pushing its block into the leader's rbuf —
-	// runs as a small stretch (mpi.SmallIntraNode) when blocks fit the
-	// fabric bypass. Steps 2-3 interleave the leader's inter-node ring with
-	// the non-leaders' pulls of whole node blocks, so they are not.
-	p.BeginSmallStretch(lcomm, block)
-	if hy.IsLeader {
-		sh := publish(p, lcomm, key, rbuf, knem.RightRead|knem.RightWrite)
-		// My own block goes straight into place.
-		rbuf.Slice(int64(c.Rank(p))*block, block).CopyFrom(sbuf)
-		lcomm.Barrier(p) // step 1 complete: all local blocks pushed
-		p.EndSmallStretch()
-
-		// Step 2 pipelined with step 3: after each ring exchange the
-		// just-arrived node block is released to the local non-leaders,
-		// who fetch it while the leader keeps exchanging.
-		ll := hy.LLComm
-		for s := 0; s < nodes-1; s++ {
-			sendIdx := (me - s + nodes) % nodes
-			sb := rbuf.Slice(int64(sendIdx)*nodeBytes, nodeBytes)
-			rb := rbuf.Slice(int64(recvIdx(s))*nodeBytes, nodeBytes)
-			right := (me + 1) % nodes
-			left := (me - 1 + nodes) % nodes
-			r := p.Irecv(ll, rb, left, hkTag+2000+s)
-			sr := p.Isend(ll, sb, right, hkTag+2000+s)
-			p.Wait(r)
-			p.Wait(sr)
-			lcomm.Barrier(p) // release block recvIdx(s)
-		}
-		lcomm.Barrier(p) // wait for the last fetches
-		sh.withdraw(p, lcomm, key)
-		return
-	}
-
-	// Non-leader.
-	sh := lookup(p, lcomm, key)
-	// Step 1: push my block into the leader's rbuf (one-sided, offloaded).
-	sh.put(p, int64(c.Rank(p))*block, sbuf)
-	lcomm.Barrier(p)
-	p.EndSmallStretch()
-	// My own node's aggregate can be pulled right away; remote blocks as
-	// they arrive (one-sided, overlapping the leader's ring).
-	myNodeOff := int64(me) * nodeBytes
-	sh.get(p, myNodeOff, rbuf.Slice(myNodeOff, nodeBytes))
-	for s := 0; s < nodes-1; s++ {
-		lcomm.Barrier(p) // wait for block recvIdx(s)
-		off := int64(recvIdx(s)) * nodeBytes
-		sh.get(p, off, rbuf.Slice(off, nodeBytes))
-	}
-	lcomm.Barrier(p)
 }

@@ -179,39 +179,11 @@ func (m *Module) hierarchy(p *mpi.Proc, c *mpi.Comm, root int, scratch *hier.Hie
 	return h
 }
 
-// tails is what core keeps in a world's attribute slot: the non-leaders'
-// stepped-wait records (bcastTail, reduceTail), one table per collective,
-// by world rank. Each table is made at the world's first call that needs it
-// and kept for the world's life, so a call allocates none, and a world that
-// never runs the collective pays nothing for its table.
-type tails struct {
-	bcast  []bcastTail
-	reduce []reduceTail
-}
-
-// tailsOf returns w's tables, making their holder at the first call.
-func tailsOf(w *mpi.World) *tails {
-	ts, _ := w.Attr().(*tails)
-	if ts == nil {
-		ts = new(tails)
-		w.SetAttr(ts)
-	}
-	return ts
-}
-
 func (m *Module) Name() string { return "hierknem" }
 
 // hkTag is the base of HierKNEM's tag space.
 const hkTag = 1 << 21
 
-// segCount returns the number of pipeline segments for a message.
-func segCount(total, seg int64) int64 {
-	if total == 0 {
-		return 1
-	}
-	n := mpi.CeilDiv(total, seg)
-	if n == 0 {
-		n = 1
-	}
-	return n
-}
+// segCount returns the number of pipeline segments for a message: one for
+// an empty one.
+func segCount(total, seg int64) int64 { return max(mpi.CeilDiv(total, seg), 1) }

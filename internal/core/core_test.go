@@ -70,10 +70,22 @@ func ppnWorld(t testing.TB, spec topology.Spec, ppn int) *mpi.World {
 	return w
 }
 
+// children lists v's children in the spanning tree.
+func children(v, size int, nseg int64) []int {
+	_, nch := spanningTree(v, size, nseg)
+	sh := shape{role: bcastLeader, v: int32(v), size: int32(size), nseg: int32(nseg)}
+	var cs []int
+	for j := int32(0); j < int32(nch); j++ {
+		cs = append(cs, sh.link(j))
+	}
+	return cs
+}
+
 func TestSpanningTreeShapes(t *testing.T) {
 	// Chain regime: deep pipelines.
 	for v := 0; v < 8; v++ {
-		parent, children := spanningTree(v, 8, 100)
+		parent, _ := spanningTree(v, 8, 100)
+		children := children(v, 8, 100)
 		if v > 0 && parent != v-1 {
 			t.Fatalf("chain parent(%d) = %d", v, parent)
 		}
@@ -103,8 +115,7 @@ func TestSpanningTreeShapes(t *testing.T) {
 		for len(frontier) > 0 {
 			var next []int
 			for _, v := range frontier {
-				_, children := spanningTree(v, size, 1)
-				for _, c := range children {
+				for _, c := range children(v, size, 1) {
 					if reached[c] {
 						t.Fatalf("size %d: %d reached twice", size, c)
 					}

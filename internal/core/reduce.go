@@ -3,7 +3,6 @@ package core
 import (
 	"hierknem/internal/buffer"
 	"hierknem/internal/coll"
-	"hierknem/internal/des"
 	"hierknem/internal/hier"
 	"hierknem/internal/knem"
 	"hierknem/internal/mpi"
@@ -43,8 +42,9 @@ func reduceToLeader(p *mpi.Proc, hy *hier.Hierarchy, a coll.ReduceArgs, sbuf, ac
 // inter-node reduction of segment i.
 //
 // The non-leaders only take part in the reduction over new_comm and wait,
-// so each runs its whole part of the call as one stepped wait (reduceTail)
-// and is switched into once per call; the two leaders run process-style.
+// so each runs its whole part of the call through the role interpreter
+// (roles.go) and is switched into once per call; the two leaders run
+// process-style.
 func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf *buffer.Buffer, root int) {
 	if c.Size() == 1 {
 		rbuf.CopyFrom(sbuf)
@@ -181,13 +181,10 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 		lcomm.Barrier(p)
 		if haveSecond {
 			p.Compute(spec.ShmLatency)
-			if err := sh.src.dev.Deregister(sh.src.ck); err != nil {
-				panic(err)
-			}
+			sh.src.clear(lcomm, key)
 			if err := sh.dst.dev.Deregister(sh.dst.ck); err != nil {
 				panic(err)
 			}
-			lcomm.BBClear(key)
 		}
 
 	case lrank == 1:
@@ -218,122 +215,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 
 	default:
 		// --- non-leader: intra-node reduction participant (steps 17-19) ---
-		t := reduceTailOf(p)
-		t.c, t.lcomm, t.sbuf, t.a, t.seg = newComm, lcomm, sbuf, a, seg
-		t.me, t.nseg = int32(newComm.Rank(p)), int32(nseg)
-		p.DES().Steps(t)
+		sh := shape{role: reduceNonLeader, v: int32(newComm.Rank(p)), size: int32(newComm.Size()), n: sbuf.Len(), seg: seg, nseg: int32(nseg)}
+		run(p, sh, lcomm, newComm, sbuf, nil, a, 0)
 	}
-}
-
-// reduceTail is a non-leader's part of Reduce (steps 17-19) as one stepped
-// wait (des.Proc.Steps). Per segment it is ReduceChain's part for a
-// non-root member of a one-segment chain over new_comm toward the 2nd
-// leader: it mints the segment's partial (a copy of its own contribution)
-// and a scratch buffer, receives the upstream partial into the scratch
-// (none at the chain's far end), folds it in, sends the partial downstream
-// and waits for the send. After the last segment it runs the final lcomm
-// barrier. The receive, the reduction and the send are mpi's halves and
-// sub-steps, all driven from here, so the rank is switched into once per
-// Reduce rather than about three times per segment.
-type reduceTail struct {
-	p        *mpi.Proc
-	c        *mpi.Comm // new_comm
-	lcomm    *mpi.Comm
-	sbuf     *buffer.Buffer
-	a        coll.ReduceArgs
-	seg      int64
-	acc, tmp buffer.Buffer // segment i's partial and the upstream's
-	sub      des.Stepper   // the receive, send request or barrier under way
-	snd      mpi.Send      // the send whose charge is under way
-	i, nseg  int32
-	me       int32 // rank in new_comm, where the 2nd leader is 0
-	phase    uint8
-}
-
-const (
-	redSegment uint8 = iota // segment i not started
-	redRecv                 // the upstream receive
-	redReduce               // the reduction of the received partial
-	redCharge               // the downstream send's sender-side charge
-	redSend                 // the downstream send's completion
-	redFinal                // the final barrier
-)
-
-// reduceTailOf returns p's reduceTail record.
-func reduceTailOf(p *mpi.Proc) *reduceTail {
-	w := p.World()
-	ts := tailsOf(w)
-	if ts.reduce == nil {
-		ts.reduce = make([]reduceTail, w.Size())
-		for r := range ts.reduce {
-			ts.reduce[r].p = w.Proc(r)
-		}
-	}
-	return &ts.reduce[p.Rank()]
-}
-
-// Step advances the sequence (des.Stepper).
-func (t *reduceTail) Step(dp *des.Proc) des.Wait {
-	for {
-		w := des.Done
-		switch t.phase {
-		case redReduce:
-			w = t.p.FinishReduce(t.a.Op, t.a.Dtype, &t.acc, &t.tmp)
-		case redCharge:
-			w = t.snd.Step(dp)
-		case redRecv, redSend, redFinal:
-			w = t.sub.Step(dp)
-		}
-		if w != des.Done {
-			return w
-		}
-		// next is the wait the new phase starts with; Done steps it at once.
-		next := des.Done
-		switch t.phase {
-		case redSegment:
-			next = t.startSegment()
-		case redRecv:
-			t.phase, next = redReduce, t.p.StartReduce(&t.acc)
-		case redReduce:
-			next = t.startSend()
-		case redCharge:
-			t.phase, t.sub = redSend, t.snd.Request()
-		case redSend:
-			if t.i++; t.i < t.nseg {
-				t.phase = redSegment
-			} else {
-				t.phase, t.sub = redFinal, t.lcomm.BarrierStep(t.p)
-			}
-		default:
-			*t = reduceTail{p: t.p}
-			return des.Done
-		}
-		if next != des.Done {
-			return next
-		}
-	}
-}
-
-// startSegment mints segment i's buffers, in ReduceChain's order, and
-// posts the upstream receive, or starts the send at the chain's far end.
-func (t *reduceTail) startSegment() des.Wait {
-	off, n := mpi.SegmentBounds(t.sbuf.Len(), t.seg, int64(t.i))
-	own := t.sbuf.Slice(off, n)
-	t.acc = *coll.Like(own, n)
-	t.acc.CopyFrom(own)
-	t.tmp = *coll.Like(own, n)
-	if up := int(t.me) + 1; up < t.c.Size() {
-		t.phase, t.sub = redRecv, t.p.Irecv(t.c, &t.tmp, up, coll.ChainTag(0))
-		return des.Done
-	}
-	return t.startSend()
-}
-
-// startSend starts the send of the partial downstream and returns its
-// sender-side charge.
-func (t *reduceTail) startSend() des.Wait {
-	var w des.Wait
-	t.phase = redCharge
-	t.snd, w = t.p.StartSend(t.c, &t.acc, int(t.me)-1, coll.ChainTag(0))
-	return w
 }

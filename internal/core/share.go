@@ -2,7 +2,6 @@ package core
 
 import (
 	"hierknem/internal/buffer"
-	"hierknem/internal/des"
 	"hierknem/internal/hier"
 	"hierknem/internal/knem"
 	"hierknem/internal/mpi"
@@ -21,8 +20,13 @@ type share struct {
 // publish registers buf with p's node device under rights and posts the
 // cookie on lcomm under key.
 func publish(p *mpi.Proc, lcomm *mpi.Comm, key mpi.BBKey, buf *buffer.Buffer, rights knem.Rights) share {
-	dev := p.Knem()
 	p.Compute(p.World().Machine.Spec.ShmLatency) // registration syscall
+	return post(p, lcomm, key, buf, rights)
+}
+
+// post is publish once its syscall is charged.
+func post(p *mpi.Proc, lcomm *mpi.Comm, key mpi.BBKey, buf *buffer.Buffer, rights knem.Rights) share {
+	dev := p.Knem()
 	sh := share{dev: dev, ck: dev.Register(buf, p.Core(), rights)}
 	lcomm.BBPost(key, sh)
 	return sh
@@ -32,6 +36,11 @@ func publish(p *mpi.Proc, lcomm *mpi.Comm, key mpi.BBKey, buf *buffer.Buffer, ri
 // Callers fence the readers first (a barrier on lcomm).
 func (sh share) withdraw(p *mpi.Proc, lcomm *mpi.Comm, key mpi.BBKey) {
 	p.Compute(p.World().Machine.Spec.ShmLatency)
+	sh.clear(lcomm, key)
+}
+
+// clear is withdraw once its syscall is charged.
+func (sh share) clear(lcomm *mpi.Comm, key mpi.BBKey) {
 	if err := sh.dev.Deregister(sh.ck); err != nil {
 		panic(err)
 	}
@@ -65,12 +74,6 @@ func fanOut(p *mpi.Proc, hy *hier.Hierarchy, key mpi.BBKey, src *buffer.Buffer, 
 // lookup's kernel entry.
 func lookup(p *mpi.Proc, lcomm *mpi.Comm, key mpi.BBKey) share {
 	return lcomm.BBWaitAfter(p, p.World().Machine.Spec.ShmLatency, key).(share)
-}
-
-// lookupStep is lookup as a sub-step (mpi.Comm.LookupStep); the share is
-// p.LookedUp() once it has reported Done.
-func lookupStep(p *mpi.Proc, lcomm *mpi.Comm, key mpi.BBKey) des.Stepper {
-	return lcomm.LookupStep(p, p.World().Machine.Spec.ShmLatency, key)
 }
 
 // get copies dst.Len() bytes from offset off of the shared buffer into dst.

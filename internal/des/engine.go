@@ -588,9 +588,8 @@ func (d *DeadlockError) Error() string {
 // Run executes events until none remain. It returns a *DeadlockError if
 // processes are still alive when the queue drains, otherwise nil. A panic in
 // a process body or event callback surfaces on the goroutine that called
-// Run. After a deadlock or a panic, Run ends the processes still alive
-// (see end), so a deadlocked engine can be Reset; a panic may leave events
-// queued.
+// Run. After a deadlock or a panic, Run ends the processes still alive and
+// drops the events still queued (see end), so the engine can be Reset.
 func (e *Engine) Run() error {
 	if e.running {
 		panic("des: Run called reentrantly")
@@ -618,12 +617,9 @@ type unwind struct{}
 // end closes a Run. Every process still alive — parked at a deadlock, or
 // left behind by a panic — is marked done and its coroutine stopped: the
 // parked body unwinds, running its deferred calls, and the coroutine ends
-// instead of returning to the idle list.
+// instead of returning to the idle list. Events left queued go unfired.
 func (e *Engine) end() {
 	e.running = false
-	if e.alive == 0 {
-		return
-	}
 	for _, p := range e.procs {
 		if !p.done {
 			p.done = true
@@ -634,6 +630,9 @@ func (e *Engine) end() {
 		}
 	}
 	e.alive = 0
+	for ev := e.pop(); ev != nil; ev = e.pop() {
+		e.release(ev)
+	}
 }
 
 // drive is the driver loop, on Run's goroutine. The engine has no scheduler

@@ -290,24 +290,35 @@ func (n *Net) Reset() {
 		panic(fmt.Sprintf("fabric: Reset with %d flow(s) in flight and %d component(s) live", n.nFlows, len(n.comps)))
 	}
 	n.recycleRetired()
+	n.Discard()
 	n.nextID = 0
 	n.nextCompID = 0
 	n.stats = RecomputeStats{}
 	for _, r := range n.resources {
-		r.load = 0
 		r.since = 0
 		r.BytesServed = 0
 		r.BusyTime = 0
-		r.comp = nil
-		r.ridx = -1
 		r.resid = 0
 		r.wsum = 0
 		r.uf = 0
 	}
 	clear(n.classBusy)
 	clear(n.overlapBusy)
-	clear(n.classCount)
 	n.lastClass = 0
+}
+
+// Discard drops the flows and components a panicked run left in service
+// (their events went with the engine's); on an idle fabric it does nothing.
+func (n *Net) Discard() {
+	for _, r := range n.resources {
+		r.load, r.comp, r.ridx = 0, nil, -1
+		clear(r.heads)
+		r.heads = r.heads[:0]
+	}
+	clear(n.comps)
+	clear(n.dirty)
+	n.comps, n.dirty, n.nFlows, n.syncScheduled = n.comps[:0], n.dirty[:0], 0, false
+	clear(n.classCount)
 }
 
 // classIndex returns the interned index of a class name, or -1 if no flow

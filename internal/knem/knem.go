@@ -141,7 +141,7 @@ func (d *Device) Get(p *des.Proc, requester *topology.Core, ck Cookie, off int64
 // Put copies src into the registered region at offset off. Like Get it is
 // one-sided, blocking only the requester.
 func (d *Device) Put(p *des.Proc, requester *topology.Core, ck Cookie, off int64, src *buffer.Buffer) error {
-	c, w, err := d.startPut(p, requester, ck, off, src)
+	c, w, err := d.StartPut(p, requester, ck, off, src)
 	if err != nil {
 		return err
 	}
@@ -149,8 +149,8 @@ func (d *Device) Put(p *des.Proc, requester *topology.Core, ck Cookie, off int64
 	return nil
 }
 
-// Copy is one Get or Put between its start and its finish. StartGet (or,
-// inside Put, startPut) begins it and returns the first wait the copy needs;
+// Copy is one Get or Put between its start and its finish. StartGet (or
+// StartPut) begins it and returns the first wait the copy needs;
 // once that is over, Step ends it. A caller that runs the copy inside its
 // own stepped wait keeps the Copy in its state and drives Step as a
 // sub-step (see des.Stepper); Get and Put drive it on the process. The
@@ -183,9 +183,9 @@ func (d *Device) StartGet(p *des.Proc, requester *topology.Core, ck Cookie, off 
 	return c, w, nil
 }
 
-// startPut begins Put's copy of src into the region at offset off, as
+// StartPut begins Put's copy of src into the region at offset off, as
 // StartGet does for a get.
-func (d *Device) startPut(p *des.Proc, requester *topology.Core, ck Cookie, off int64, src *buffer.Buffer) (Copy, des.Wait, error) {
+func (d *Device) StartPut(p *des.Proc, requester *topology.Core, ck Cookie, off int64, src *buffer.Buffer) (Copy, des.Wait, error) {
 	n := src.Len()
 	reg, err := d.lookup(ck, RightWrite, requester)
 	if err != nil {

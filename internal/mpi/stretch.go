@@ -1,5 +1,7 @@
 package mpi
 
+import "hierknem/internal/des"
+
 // SmallIntraNode is the selector of the small intra-node stretch: every
 // member of c lives on one node (and there are at least two — a singleton
 // has no stretch), and n-byte messages stay under both the eager threshold
@@ -22,15 +24,20 @@ func (p *Proc) BeginSmallStretch(c *Comm, n int64) {
 	p.dp.SetBypass(p.SmallIntraNode(c, n))
 }
 
-// EndSmallStretch closes an open stretch and charges one network latency of
-// virtual time; with none open it does nothing. That latency is a leftover
-// of the retired parallel engine (the delay that carried a rank past its
-// window horizon), not a cost the paper's model contains; it stays because
-// every results/fig*.txt below the 4 KB cutoff was recorded with it, and
-// dropping it is a model change that regenerates them.
-func (p *Proc) EndSmallStretch() {
-	if p.dp.Bypass() {
-		p.dp.SetBypass(false)
-		p.dp.Sleep(p.world.Machine.Spec.NetLatency)
+// EndSmallStretch runs CloseSmallStretch on the rank.
+func (p *Proc) EndSmallStretch() { p.dp.Suspend(p.CloseSmallStretch()) }
+
+// CloseSmallStretch closes an open stretch and returns the one network
+// latency it charges as a wait; with none open it returns Done. That
+// latency is a leftover of the retired parallel engine (the delay that
+// carried a rank past its window horizon), not a cost the paper's model
+// contains; it stays because every results/fig*.txt below the 4 KB cutoff
+// was recorded with it, and dropping it is a model change that regenerates
+// them.
+func (p *Proc) CloseSmallStretch() des.Wait {
+	if !p.dp.Bypass() {
+		return des.Done
 	}
+	p.dp.SetBypass(false)
+	return des.SleepFor(p.world.Machine.Spec.NetLatency)
 }

@@ -163,10 +163,9 @@ func (w *World) Reset() {
 // benchmark phase per call); virtual time keeps advancing. A deadlock
 // returns a *StallError; a run that completes with some rank holding a
 // request it never waited on returns an *UncollectedError. A rank's panic
-// reaches the caller. Either way the ranks still parked are unwound
-// (des.Engine.Run): after a stall the world can be Reset and run again,
-// but after a panic the fabric may still hold flows and the world is not
-// reusable.
+// reaches the caller. Either way the ranks still parked are unwound and the
+// queued events and flows in service dropped (des.Engine.Run, fabric
+// Net.Discard), so the world can be Reset and run again.
 func (w *World) Run(body func(p *Proc)) error {
 	for _, p := range w.procs {
 		p := p
@@ -174,6 +173,7 @@ func (w *World) Run(body func(p *Proc)) error {
 			body(p)
 		})
 	}
+	defer w.Machine.Fab.Discard()
 	err := w.Machine.Eng.Run()
 	var dl *des.DeadlockError
 	if err != nil && errors.As(err, &dl) {

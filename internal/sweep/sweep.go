@@ -143,15 +143,13 @@ func (s *Sweep) Run() error {
 }
 
 // runJob executes job i on ctx, converting a panic into an error carrying
-// the job id and stack. The panic may have left a cached world mid-run (a
-// rank body's panic surfaces here through World.Run with the other ranks
-// still parked), so the worker's cache is dropped: the next job of the same
-// shape builds a fresh world instead of resetting a broken one.
+// the job id and stack. A rank body's panic surfaces here through
+// World.Run, which leaves the world fit to Reset, so the worker keeps its
+// cache.
 func (s *Sweep) runJob(ctx *Ctx, i int, panics []error) {
 	defer func() {
 		if r := recover(); r != nil {
 			panics[i] = fmt.Errorf("sweep: job %q panicked: %v\n%s", s.jobs[i].id, r, debug.Stack())
-			clear(ctx.worlds)
 		}
 	}()
 	s.jobs[i].fn(ctx)

@@ -7,9 +7,11 @@
 package hierknem_test
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -164,4 +166,68 @@ func TestWorldResetAllocsLessThanRebuild(t *testing.T) {
 		t.Fatalf("reset+run allocated %d objects, rebuild+run %d; reuse must be strictly cheaper", reused, rebuild)
 	}
 	t.Logf("allocs: rebuild+run %d, reset+run %d (%.1fx fewer)", rebuild, reused, float64(rebuild)/float64(reused))
+}
+
+// TestWorldResetAfterRankPanic: a rank that panics while a 1 MB message is
+// on the wire leaves its world reusable. The run drops its queued events
+// and the fabric's flows, so after Reset a Bcast moves the same bytes and
+// ends at the same time as on a fresh world.
+func TestWorldResetAfterRankPanic(t *testing.T) {
+	spec := hierknem.Parapluie(2)
+	mod := hierknem.ForCluster(&spec)
+	fresh := func() *hierknem.World {
+		w, err := hierknem.NewWorld(spec, "bycore", spec.TotalCores())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	bcast := func(w *hierknem.World) ([][]byte, float64) {
+		out := make([][]byte, w.Size())
+		err := w.Run(func(p *mpi.Proc) {
+			buf := buffer.NewReal(make([]byte, 300<<10))
+			if p.Rank() == 3 {
+				for i := range buf.Data() {
+					buf.Data()[i] = byte(i * 7)
+				}
+			}
+			mod.Bcast(p, w.WorldComm(), buf, 3)
+			out[p.Rank()] = buf.Data()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, w.Now()
+	}
+
+	w := fresh()
+	err := runRecovering(w, func(p *mpi.Proc) {
+		c, buf := w.WorldComm(), buffer.NewPhantom(1<<20)
+		switch p.Rank() {
+		case 0:
+			p.Wait(p.Isend(c, buf, 30, 1))
+		case 30:
+			p.Recv(c, buf, 0, 1)
+		case 5:
+			p.Compute(50e-6)
+			panic("rank 5 gives up")
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "rank 5 gives up") {
+		t.Fatalf("Run returned %v, want rank 5's panic", err)
+	}
+	if n := w.Machine.Eng.Pending(); n != 0 {
+		t.Errorf("%d events queued after the panic, want none", n)
+	}
+	w.Reset()
+	got, end := bcast(w)
+	want, wantEnd := bcast(fresh())
+	for r := range want {
+		if !bytes.Equal(got[r], want[r]) {
+			t.Fatalf("after the panic and Reset rank %d's bytes differ from a fresh world's", r)
+		}
+	}
+	if end != wantEnd {
+		t.Errorf("after the panic and Reset the Bcast ends at %g; on a fresh world at %g", end, wantEnd)
+	}
 }

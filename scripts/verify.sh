@@ -3,7 +3,9 @@
 #
 #   build     every package compiles
 #   loc       one line of non-test Go line counts per simulator package
-#             (scripts/loc.sh), the size ROADMAP aim 2 tracks
+#             (scripts/loc.sh), the size ROADMAP aim 2 tracks, and the
+#             hand-offs per benchmark op (scripts/handoffs.sh), aim 1's
+#             count of coroutine switches
 #   gofmt     `gofmt -l .` lists nothing
 #   vet       the stock Go analyzers
 #   hierlint  the simulator-invariant analyzers (cmd/hierlint):
@@ -37,8 +39,9 @@ cd "$(dirname "$0")/.."
 echo "==> go build ./..."
 go build ./...
 
-echo "==> non-test Go lines"
+echo "==> non-test Go lines, hand-offs per op"
 scripts/loc.sh
+scripts/handoffs.sh
 
 echo "==> gofmt -l ."
 unformatted=$(gofmt -l .)

@@ -70,6 +70,16 @@ func (b *Buffer) Data() []byte {
 	return b.data[b.off : b.off+b.size]
 }
 
+// Snapshot returns b with a private copy of its bytes: same identity and
+// length, storage of its own. A phantom buffer's snapshot is b itself.
+func (b *Buffer) Snapshot() Buffer {
+	s := *b
+	if b.data != nil {
+		s.data, s.off = append([]byte(nil), b.Data()...), 0
+	}
+	return s
+}
+
 // Slice returns a view of n bytes starting at off, sharing identity and
 // backing storage with b.
 // Slice must stay within the compiler's inlining budget: collectives carve a

@@ -32,50 +32,18 @@ func AllgatherRing(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, order []
 		return
 	}
 
-	// Position in the ring.
-	ring := order
-	if ring == nil {
-		ring = make([]int, size)
-		for i := range ring {
-			ring[i] = i
-		}
-	}
-	posOf := make([]int, size)
-	for i, r := range ring {
-		posOf[r] = i
-	}
-	pos := posOf[me]
-	right := ring[(pos+1)%size]
-	left := ring[(pos-1+size)%size]
-
+	e := newExchange(ringAllgather, p, c, ReduceArgs{}, sbuf, rbuf, order)
 	// Progress-engine penalty for the serialized personality: one extra
 	// message time per step touching a remote neighbor.
-	var serialPenalty float64
 	if !postRecvFirst {
 		myNode := p.Core().NodeID
-		remote := c.Proc(right).Core().NodeID != myNode ||
-			c.Proc(left).Core().NodeID != myNode
+		remote := c.Proc(e.ring(e.pos+1)).Core().NodeID != myNode ||
+			c.Proc(e.ring(e.pos-1)).Core().NodeID != myNode
 		if remote {
-			serialPenalty = float64(block) / p.World().Machine.Spec.NetBandwidth
+			e.penalty = float64(block) / p.World().Machine.Spec.NetBandwidth
 		}
 	}
-
-	// At step s I send the block that originated at ring position
-	// (pos-s) and receive the one from position (pos-s-1).
-	for s := 0; s < size-1; s++ {
-		sendOwner := ring[(pos-s+size)%size]
-		recvOwner := ring[(pos-s-1+2*size)%size]
-		sb := rbuf.Slice(int64(sendOwner)*block, block)
-		rb := rbuf.Slice(int64(recvOwner)*block, block)
-		tag := collTag + s
-		r := p.Irecv(c, rb, left, tag)
-		sReq := p.Isend(c, sb, right, tag)
-		p.Wait(r)
-		p.Wait(sReq)
-		if serialPenalty > 0 {
-			p.Compute(serialPenalty)
-		}
-	}
+	p.DES().Steps(e)
 }
 
 // AllgatherRecursiveDoubling implements the log2(P)-step doubling exchange
@@ -93,21 +61,7 @@ func AllgatherRecursiveDoubling(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buf
 		panic("coll: allgather rbuf size must be size*sbuf")
 	}
 	rbuf.Slice(int64(me)*block, block).CopyFrom(sbuf)
-	// My gathered range grows by doubling; it is always the aligned chunk
-	// containing me of width "have" ranks.
-	have := 1
-	for mask := 1; mask < size; mask <<= 1 {
-		peer := me ^ mask
-		myLo := int64(me&^(mask-1)) * block
-		peerLo := int64(peer&^(mask-1)) * block
-		n := int64(have) * block
-		tag := collTag + have
-		r := p.Irecv(c, rbuf.Slice(peerLo, n), peer, tag)
-		s := p.Isend(c, rbuf.Slice(myLo, n), peer, tag)
-		p.Wait(r)
-		p.Wait(s)
-		have *= 2
-	}
+	p.DES().Steps(newExchange(doublingAllgather, p, c, ReduceArgs{}, sbuf, rbuf, nil))
 }
 
 // GatherLinear collects every rank's block at root (rank-order layout).

@@ -145,7 +145,6 @@ func GatherBinomial(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer, root in
 // otherwise. Every rank ends with the full reduction in rbuf.
 func AllreduceRecursiveDoubling(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buffer.Buffer) {
 	size := c.Size()
-	me := c.Rank(p)
 	rbuf.CopyFrom(sbuf)
 	if size == 1 {
 		return
@@ -155,15 +154,7 @@ func AllreduceRecursiveDoubling(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rb
 		BcastBinomial(p, c, rbuf, 0)
 		return
 	}
-	tmp := Like(sbuf, sbuf.Len())
-	for mask := 1; mask < size; mask <<= 1 {
-		peer := me ^ mask
-		r := p.Irecv(c, tmp, peer, collTag+23)
-		s := p.Isend(c, rbuf, peer, collTag+23)
-		p.Wait(r)
-		p.Wait(s)
-		p.ReduceLocal(a.Op, a.Dtype, rbuf, tmp)
-	}
+	p.DES().Steps(newExchange(doublingAllreduce, p, c, a, sbuf, rbuf, nil))
 }
 
 // AllreduceRing implements the bandwidth-optimal reduce-scatter + allgather
@@ -171,71 +162,9 @@ func AllreduceRecursiveDoubling(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rb
 // steps moving 2*S*(P-1)/P bytes per rank.
 func AllreduceRing(p *mpi.Proc, c *mpi.Comm, a ReduceArgs, sbuf, rbuf *buffer.Buffer, order []int) {
 	size := c.Size()
-	me := c.Rank(p)
 	rbuf.CopyFrom(sbuf)
 	if size == 1 {
 		return
 	}
-	total := sbuf.Len()
-	es := a.Dtype.Size()
-	// Element-aligned chunk boundaries.
-	bounds := make([]int64, size+1)
-	for i := 0; i <= size; i++ {
-		bounds[i] = (total * int64(i) / int64(size)) / es * es
-	}
-	bounds[size] = total
-	chunk := func(i int) (int64, int64) {
-		i = ((i % size) + size) % size
-		return bounds[i], bounds[i+1] - bounds[i]
-	}
-
-	ring := order
-	if ring == nil {
-		ring = make([]int, size)
-		for i := range ring {
-			ring[i] = i
-		}
-	}
-	posOf := make([]int, size)
-	for i, r := range ring {
-		posOf[r] = i
-	}
-	pos := posOf[me]
-	right := ring[(pos+1)%size]
-	left := ring[(pos-1+size)%size]
-
-	maxChunk := int64(0)
-	for i := 0; i < size; i++ {
-		if _, n := chunk(i); n > maxChunk {
-			maxChunk = n
-		}
-	}
-	tmp := Like(sbuf, maxChunk)
-
-	// Phase 1: reduce-scatter around the ring. After step s, this rank
-	// holds the partial sum of chunk (pos-s-1) over s+2 contributors; after
-	// P-1 steps it owns the fully reduced chunk (pos+1).
-	for s := 0; s < size-1; s++ {
-		sendIdx := pos - s
-		recvIdx := pos - s - 1
-		sLo, sN := chunk(sendIdx)
-		rLo, rN := chunk(recvIdx)
-		tseg := tmp.Slice(0, rN)
-		r := p.Irecv(c, tseg, left, collTag+24+s)
-		sr := p.Isend(c, rbuf.Slice(sLo, sN), right, collTag+24+s)
-		p.Wait(r)
-		p.Wait(sr)
-		p.ReduceLocal(a.Op, a.Dtype, rbuf.Slice(rLo, rN), tseg)
-	}
-	// Phase 2: allgather of the reduced chunks around the same ring.
-	for s := 0; s < size-1; s++ {
-		sendIdx := pos + 1 - s
-		recvIdx := pos - s
-		sLo, sN := chunk(sendIdx)
-		rLo, rN := chunk(recvIdx)
-		r := p.Irecv(c, rbuf.Slice(rLo, rN), left, collTag+500+s)
-		sr := p.Isend(c, rbuf.Slice(sLo, sN), right, collTag+500+s)
-		p.Wait(r)
-		p.Wait(sr)
-	}
+	p.DES().Steps(newExchange(ringAllreduce, p, c, a, sbuf, rbuf, order))
 }

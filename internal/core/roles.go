@@ -53,6 +53,23 @@ const (
 	drain          // once per send still in flight
 )
 
+// sequences is each role's prologue, body (once per segment) and epilogue.
+//
+//lint:ignore runisolation a read-only table: shape.at only reads it, and nothing writes it
+var sequences = [...][3][6]entry{
+	bcastNonLeader: {{opLookup | once}, {opBarrier | fed, opGet | once}, {opBarrier | once}},
+	bcastLeader: {{opPublish | once, opIrecv | fed},
+		{opIrecv | prepost, opWaitRecv | fed, opIsend | perChild, opBarrier | fed, opWaitSend | trim},
+		{opWaitSend | drain, opBarrier | once, opWithdraw | once}},
+	reduceNonLeader: {{}, {opStage | once, opIrecv | fed, opWaitRecv | fed, opReduce | fed, opIsend | once, opWaitSend | once},
+		{opBarrier | once}},
+	allgatherNonLeader: {{opLookup | once, opPut | once, opBarrier | once, opCompute | once},
+		{opBarrier | fed, opGet | once}, {opBarrier | once}},
+	allgatherLeader: {{opPublish | once, opBarrier | once, opCompute | once},
+		{opIrecv | fed, opIsend | prior, opWaitRecv | fed, opWaitSend | prior, opBarrier | fed},
+		{opBarrier | once, opWithdraw | once}},
+}
+
 // A shape is all a role's sequence depends on; shape.at reads the sequence
 // off it without a world.
 type shape struct {
@@ -99,26 +116,7 @@ func bcastShape(leader bool, node, nodes, rootIdx int, n, seg int64) shape {
 // (Bcast off the root's node, Reduce but at the chain's far end, Allgather
 // but its own node's block).
 func (sh *shape) at(c *cursor) bool {
-	// The role's prologue, body (once per segment) and epilogue.
-	var sq [3][6]entry
-	switch sh.role {
-	case bcastNonLeader:
-		sq = [3][6]entry{{opLookup | once}, {opBarrier | fed, opGet | once}, {opBarrier | once}}
-	case bcastLeader:
-		sq = [3][6]entry{{opPublish | once, opIrecv | fed},
-			{opIrecv | prepost, opWaitRecv | fed, opIsend | perChild, opBarrier | fed, opWaitSend | trim},
-			{opWaitSend | drain, opBarrier | once, opWithdraw | once}}
-	case reduceNonLeader:
-		sq = [3][6]entry{{}, {opStage | once, opIrecv | fed, opWaitRecv | fed, opReduce | fed, opIsend | once, opWaitSend | once},
-			{opBarrier | once}}
-	case allgatherNonLeader:
-		sq = [3][6]entry{{opLookup | once, opPut | once, opBarrier | once, opCompute | once},
-			{opBarrier | fed, opGet | once}, {opBarrier | once}}
-	case allgatherLeader:
-		sq = [3][6]entry{{opPublish | once, opBarrier | once, opCompute | once},
-			{opIrecv | fed, opIsend | prior, opWaitRecv | fed, opWaitSend | prior, opBarrier | fed},
-			{opBarrier | once, opWithdraw | once}}
-	}
+	sq := &sequences[sh.role]
 	for c.part < 3 {
 		es := &sq[c.part]
 		if int(c.e) == len(es) || es[c.e] == opEnd {

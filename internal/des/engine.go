@@ -81,8 +81,8 @@ type Engine struct {
 	alive   int
 	running bool
 
-	// handoffs counts the driver's switches into processes and heapPushes
-	// the events that entered the heap: host-side costs only tests read.
+	// handoffs counts the driver's switches into processes (Handoffs) and
+	// heapPushes the events that entered the heap: host-side costs.
 	handoffs, heapPushes uint64
 }
 
@@ -720,6 +720,11 @@ func (e *Engine) Pending() int { return len(e.queue) + e.laneLive }
 // Processed returns the number of events dispatched so far — the raw event
 // throughput measure the fabric benchmarks report as events/sec.
 func (e *Engine) Processed() uint64 { return e.processed }
+
+// Handoffs returns how many times the driver has switched into a process:
+// a host-side cost the stepped waits (Steps) keep down, which never
+// reaches a result.
+func (e *Engine) Handoffs() uint64 { return e.handoffs }
 
 // PoolSize returns the number of recycled event records currently in the
 // free list (observability for tests and leak hunts).

@@ -1,9 +1,6 @@
 package des
 
-// Test-only views of the engine's host-side counters.
-
-// Handoffs returns how many times e's driver has switched into a process.
-func Handoffs(e *Engine) uint64 { return e.handoffs }
+// Test-only view of the engine's heap-push counter.
 
 // HeapPushes returns how many events e has pushed onto its heap.
 func HeapPushes(e *Engine) uint64 { return e.heapPushes }

@@ -154,6 +154,35 @@ func TestInterNodeEagerBuffersSender(t *testing.T) {
 	}
 }
 
+// An eager send completes before the receive is posted, and its sender
+// may reuse the buffer from then on: the receiver still gets the bytes
+// that were sent, within a node and across nodes.
+func TestEagerSendBuffersPayload(t *testing.T) {
+	for _, nodes := range []int{1, 2} {
+		w := newToyWorld(t, nodes, 1, 3-nodes, 2)
+		var got []byte
+		err := w.Run(func(p *Proc) {
+			c := w.WorldComm()
+			if p.Rank() == 0 {
+				b := []byte{1, 2, 3}
+				p.Send(c, buffer.NewReal(b), 1, 0) // < threshold: eager
+				copy(b, []byte{9, 9, 9})
+			} else {
+				p.Compute(100) // receiver arrives very late
+				dst := buffer.NewReal(make([]byte, 3))
+				p.Recv(c, dst, 0, 0)
+				got = dst.Data()
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, []byte{1, 2, 3}) {
+			t.Errorf("%d node(s): got %v, want the bytes sent, [1 2 3]", nodes, got)
+		}
+	}
+}
+
 func TestUnexpectedMessageMatchedLater(t *testing.T) {
 	w := newToyWorld(t, 1, 1, 2, 2)
 	var got byte

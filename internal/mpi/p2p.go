@@ -250,6 +250,11 @@ func (p *Proc) StartSend(c *Comm, buf *buffer.Buffer, dst, tag int) (Send, des.W
 	env.bufv = *buf
 	env.size = buf.Len()
 	env.eager = env.size < p.world.eagerThreshold
+	if env.eager {
+		// Buffered: the send completes before its payload is delivered,
+		// and the sender may reuse buf from then on.
+		env.bufv = buf.Snapshot()
+	}
 	env.sentAt = p.dp.Now()
 	s := Send{env}
 	if p.core.NodeID != target.core.NodeID {
@@ -340,12 +345,57 @@ func (p *Proc) Recv(c *Comm, buf *buffer.Buffer, src, tag int) {
 }
 
 // SendRecv posts the receive, sends, then waits on both — full-duplex when
-// the transports allow it.
+// the transports allow it. It is StartSendRecv run as one stepped wait, in
+// p's stepped-wait record, so p is switched into once, when both are over.
 func (p *Proc) SendRecv(c *Comm, sendBuf *buffer.Buffer, dst, sendTag int, recvBuf *buffer.Buffer, src, recvTag int) {
+	s := p.waitStep()
+	s.x = p.StartSendRecv(c, sendBuf, dst, sendTag, recvBuf, src, recvTag)
+	p.dp.Steps(&s.x)
+	s.x = SendRecv{}
+}
+
+// A SendRecv is Proc.SendRecv as a stepped half. StartSendRecv posts the
+// receive and starts the send; Step then sits out the send's charge, hands
+// the message on (Send.Step), waits on the receive, then on the send
+// (Request.Step): SendRecv's phases in its order. A caller keeps it in its
+// own stepped wait's state and drives Step as a sub-step.
+type SendRecv struct {
+	r      *Request
+	snd    Send
+	charge des.Wait // the send's charge (see StartSend), until Step returns it
+	phase  uint8
+}
+
+// StartSendRecv posts the receive of recvBuf from src with recvTag and
+// starts the send of sendBuf to dst with sendTag.
+func (p *Proc) StartSendRecv(c *Comm, sendBuf *buffer.Buffer, dst, sendTag int, recvBuf *buffer.Buffer, src, recvTag int) SendRecv {
 	r := p.Irecv(c, recvBuf, src, recvTag)
-	s := p.Isend(c, sendBuf, dst, sendTag)
-	p.Wait(r)
-	p.Wait(s)
+	snd, w := p.StartSend(c, sendBuf, dst, sendTag)
+	return SendRecv{r: r, snd: snd, charge: w}
+}
+
+// Step advances the exchange (des.Stepper).
+func (x *SendRecv) Step(dp *des.Proc) des.Wait {
+	switch x.phase {
+	case 0:
+		x.phase = 1
+		if x.charge != des.Done {
+			return x.charge
+		}
+		fallthrough
+	case 1:
+		if w := x.snd.Step(dp); w != des.Done {
+			return w
+		}
+		x.phase = 2
+		fallthrough
+	case 2:
+		if w := x.r.Step(dp); w != des.Done {
+			return w
+		}
+		x.phase = 3
+	}
+	return x.snd.Request().Step(dp)
 }
 
 // smallCopyCutoff is the size below which intra-node copies bypass the

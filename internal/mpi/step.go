@@ -18,11 +18,10 @@ type waitStep struct {
 	phase uint8
 
 	// Dissemination barrier: the round under way, this rank's comm rank,
-	// and the round's receive and send.
+	// and the round's exchange, which Proc.SendRecv runs in too.
 	round uint8
 	me    int32
-	r     *Request
-	snd   Send
+	x     SendRecv
 
 	// Flag barrier: the generation this rank waits to see pass.
 	gen int
@@ -80,46 +79,28 @@ func (s *waitStep) Step(*des.Proc) des.Wait {
 }
 
 // dissemination is one round after another of the dissemination barrier,
-// each an Irecv from me-dist, an Isend to me+dist, and a Wait on both, for
-// dist = 1, 2, 4, ... below the communicator size. The Isend is StartSend
-// and Send.Step as sub-steps; a zero-byte message charges its sender a
-// plain sleep.
+// each a SendRecv of a zero-byte message to me+dist from me-dist, for dist
+// = 1, 2, 4, ... below the communicator size, run as a sub-step. A
+// zero-byte message charges its sender a plain sleep.
 func (s *waitStep) dissemination() des.Wait {
 	p, c := s.p, s.c
 	n, me := c.Size(), int(s.me)
 	for {
-		dist := 1 << s.round
-		switch s.phase {
-		case 0:
+		if s.phase == 0 {
+			dist := 1 << s.round
 			if dist >= n {
-				s.r, s.snd = nil, Send{}
+				s.x = SendRecv{}
 				return des.Done
 			}
 			tag := internalTagBase + int(s.round)
-			s.r = p.Irecv(c, c.world.empty, (me-dist+n)%n, tag)
-			var w des.Wait
-			s.snd, w = p.StartSend(c, c.world.empty, (me+dist)%n, tag)
+			s.x = p.StartSendRecv(c, c.world.empty, (me+dist)%n, tag, c.world.empty, (me-dist+n)%n, tag)
 			s.phase = 1
-			if w != des.Done {
-				return w
-			}
-		case 1:
-			if w := s.snd.Step(p.dp); w != des.Done {
-				return w
-			}
-			s.phase = 2
-		case 2:
-			if w := s.r.Step(p.dp); w != des.Done {
-				return w
-			}
-			s.phase = 3
-		case 3:
-			if w := s.snd.Request().Step(p.dp); w != des.Done {
-				return w
-			}
-			s.round++
-			s.phase = 0
 		}
+		if w := s.x.Step(p.dp); w != des.Done {
+			return w
+		}
+		s.round++
+		s.phase = 0
 	}
 }
 

@@ -12,8 +12,9 @@ import (
 	"hierknem/internal/topology"
 )
 
-// The barriers and blackboard waits run as stepped waits (step.go). This
-// file keeps them as they were written before, process-style — every sleep
+// The barriers, blackboard waits and SendRecv run as stepped waits
+// (step.go, p2p.go). This file keeps them as they were written before,
+// process-style — every sleep
 // and park on the rank's own coroutine — as the reference the stepped forms
 // must reproduce event for event.
 
@@ -50,14 +51,17 @@ func processDisseminationBarrier(c *Comm, p *Proc) {
 	n := c.Size()
 	empty := c.world.empty
 	for round, dist := 0, 1; dist < n; round, dist = round+1, dist*2 {
-		to := (me + dist) % n
-		from := (me - dist + n) % n
 		tag := internalTagBase + round
-		r := p.Irecv(c, empty, from, tag)
-		s := p.Isend(c, empty, to, tag)
-		p.Wait(r)
-		p.Wait(s)
+		processSendRecv(p, c, empty, (me+dist)%n, tag, empty, (me-dist+n)%n, tag)
 	}
+}
+
+// processSendRecv is Proc.SendRecv, process-style.
+func processSendRecv(p *Proc, c *Comm, sendBuf *buffer.Buffer, dst, sendTag int, recvBuf *buffer.Buffer, src, recvTag int) {
+	r := p.Irecv(c, recvBuf, src, recvTag)
+	s := p.Isend(c, sendBuf, dst, sendTag)
+	p.Wait(r)
+	p.Wait(s)
 }
 
 // processBBWait is BBWait, process-style.
@@ -78,6 +82,7 @@ type waits struct {
 	barrier   func(c *Comm, p *Proc)
 	bbWait    func(c *Comm, p *Proc, key BBKey) any
 	bbWaitFor func(c *Comm, p *Proc, d float64, key BBKey) any
+	sendRecv  func(p *Proc, c *Comm, sendBuf *buffer.Buffer, dst, sendTag int, recvBuf *buffer.Buffer, src, recvTag int)
 }
 
 // stepped is the shipped implementation, processStyle the reference.
@@ -86,6 +91,7 @@ func stepped() waits {
 		barrier:   (*Comm).Barrier,
 		bbWait:    (*Comm).BBWait,
 		bbWaitFor: func(c *Comm, p *Proc, d float64, key BBKey) any { return c.BBWaitAfter(p, d, key) },
+		sendRecv:  (*Proc).SendRecv,
 	}
 }
 
@@ -97,6 +103,7 @@ func processStyle() waits {
 			p.Compute(d)
 			return processBBWait(c, p, key)
 		},
+		sendRecv: processSendRecv,
 	}
 }
 
@@ -135,8 +142,8 @@ func linearReduce(c *Comm, p *Proc, buf *buffer.Buffer, root int) {
 	}
 }
 
-// mixedProgram runs barriers, broadcasts, reductions and blackboard lookups
-// on the world and node communicators, and returns each rank's log of
+// mixedProgram runs barriers, broadcasts, reductions, ring shifts and
+// blackboard lookups on the world and node communicators, and returns each rank's log of
 // completion times in hex with the run's event count.
 func mixedProgram(t *testing.T, w *World, impl waits) (string, uint64) {
 	t.Helper()
@@ -167,6 +174,14 @@ func mixedProgram(t *testing.T, w *World, impl waits) (string, uint64) {
 		sum.Data()[0] = byte(p.Rank())
 		linearReduce(world, p, sum, world.Size()-1)
 		mark(fmt.Sprintf("reduce % x", sum.Data()[:4]))
+		n, me := world.Size(), world.Rank(p)
+		for _, size := range []int64{64, 64 << 10} { // eager, rendezvous
+			out := buffer.NewReal(make([]byte, size))
+			out.Data()[0] = byte(me)
+			in := buffer.NewReal(make([]byte, size))
+			impl.sendRecv(p, world, out, (me+1)%n, 3, in, (me-1+n)%n, 3)
+			mark(fmt.Sprintf("sendrecv %d %x", size, in.Data()[0]))
+		}
 		for round := 0; round < 2; round++ {
 			key := BBKey{Op: "mixed", Seq: node.Seq(p)}
 			if node.Rank(p) == round%node.Size() {

@@ -6,7 +6,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 line="loc:" total=0
-for p in des fabric mpi knem shm hier core modules; do
+for p in des fabric mpi knem shm hier coll core modules; do
   n=$(cat $(ls internal/$p/*.go | grep -v '_test\.go$') | wc -l)
   line+=" $p=$n" total=$((total + n))
 done

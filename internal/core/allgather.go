@@ -66,15 +66,12 @@ func (m *Module) Allgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer) 
 		// leader's memory bus, the hot spot that motivates the ring for
 		// large nodes. Step 1 runs as a small stretch (mpi.SmallIntraNode)
 		// when blocks fit the fabric bypass; steps 2-3, interleaved, do not.
-		var scratch hier.Hierarchy
-		hy := m.hierarchy(p, c, 0, &scratch)
-		p.BeginSmallStretch(hy.LComm, sbuf.Len())
-		sh := shape{role: allgatherNonLeader, v: int32(hy.NodeIndex), root: int32(c.Rank(p)), nseg: int32(hy.NodeCount),
-			seg: sbuf.Len() * int64(hy.LComm.Size())}
-		if hy.IsLeader {
-			sh.role = allgatherLeader
-			rbuf.Slice(int64(c.Rank(p))*sbuf.Len(), sbuf.Len()).CopyFrom(sbuf) // my own block goes straight into place
+		if !m.Opt.CacheTopology {
+			build(p, shape{role: allgatherNonLeader}, c, m.Opt.TopoDetectCost, rbuf, sbuf, coll.ReduceArgs{})
+			return
 		}
+		hy := m.hierarchy(p, c, 0, nil)
+		sh := allgatherShape(p, hy, sbuf, rbuf)
 		run(p, sh, hy.LComm, hy.LLComm, rbuf, sbuf, coll.ReduceArgs{}, hy.LComm.Seq(p))
 		return
 	}
@@ -86,4 +83,19 @@ func (m *Module) Allgather(p *mpi.Proc, c *mpi.Comm, sbuf, rbuf *buffer.Buffer) 
 		order = c.PhysicalOrder()
 	}
 	coll.AllgatherRing(p, c, sbuf, rbuf, order, true)
+}
+
+// allgatherShape is p's role in the leader-based Allgather on hy. It opens
+// step 1's small stretch, and a leader's own block goes straight into
+// place in rbuf.
+func allgatherShape(p *mpi.Proc, hy *hier.Hierarchy, sbuf, rbuf *buffer.Buffer) shape {
+	me := hy.Comm.Rank(p)
+	p.BeginSmallStretch(hy.LComm, sbuf.Len())
+	sh := shape{role: allgatherNonLeader, v: int32(hy.NodeIndex), root: int32(me), nseg: int32(hy.NodeCount),
+		seg: sbuf.Len() * int64(hy.LComm.Size())}
+	if hy.IsLeader {
+		sh.role = allgatherLeader
+		rbuf.Slice(int64(me)*sbuf.Len(), sbuf.Len()).CopyFrom(sbuf)
+	}
+	return sh
 }

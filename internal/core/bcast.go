@@ -43,17 +43,27 @@ func spanningTree(v, size int, nseg int64) (parent, nch int) {
 // spanning tree is empty and the algorithm is exactly the KNEM-collective
 // linear broadcast; with one rank per node the lcomm barriers are no-ops and
 // it is a pure inter-node pipelined tree.
+//
+// Uncached, the pipeline builds the topology map in the call's one stepped
+// wait (build). A single small segment may take bcastSmall, which needs
+// the node communicator to decide: it builds the map first, process-style.
 func (m *Module) Bcast(p *mpi.Proc, c *mpi.Comm, buf *buffer.Buffer, root int) {
 	if c.Size() == 1 {
 		return
 	}
+	n := buf.Len()
+	seg := segmentSize("BcastPipeline", m.Opt.BcastPipeline, n)
+	small := segCount(n, seg) == 1 && p.SmallMessage(n)
+	if !m.Opt.CacheTopology && !small {
+		build(p, shape{role: bcastNonLeader, root: int32(root), n: n, seg: seg}, c, m.Opt.TopoDetectCost, buf, nil, coll.ReduceArgs{})
+		return
+	}
 	var scratch hier.Hierarchy
 	hy := m.hierarchy(p, c, root, &scratch) // build (or reuse) the topology map
-	seg := segmentSize("BcastPipeline", m.Opt.BcastPipeline, buf.Len())
 	lcomm := hy.LComm
 	key := mpi.BBKey{Op: "hkbcast", Seq: lcomm.Seq(p)}
-	sh := bcastShape(hy.IsLeader, hy.NodeIndex, hy.NodeCount, hy.RootNodeIndex, buf.Len(), seg)
-	if segCount(buf.Len(), seg) == 1 && p.SmallIntraNode(lcomm, buf.Len()) {
+	sh := bcastShape(hy.IsLeader, hy.NodeIndex, hy.NodeCount, hy.RootNodeIndex, n, seg)
+	if small && p.SmallIntraNode(lcomm, n) {
 		// Single-segment messages have no cross-segment overlap to preserve,
 		// so the small path reorders to inter-node-then-intra-node and runs
 		// the intra-node fan-out as a small stretch.

@@ -159,8 +159,7 @@ type hierCache [][]hier.Hierarchy
 // Hierarchy.NewComm keeps its split across calls.
 func (m *Module) hierarchy(p *mpi.Proc, c *mpi.Comm, root int, scratch *hier.Hierarchy) *hier.Hierarchy {
 	if !m.Opt.CacheTopology {
-		p.Compute(m.Opt.TopoDetectCost)
-		*scratch = hier.Build(p, c, root)
+		*scratch = hier.BuildAfter(p, c, root, m.Opt.TopoDetectCost)
 		return scratch
 	}
 	cache, _ := c.Attr().(hierCache)
@@ -173,8 +172,7 @@ func (m *Module) hierarchy(p *mpi.Proc, c *mpi.Comm, root int, scratch *hier.Hie
 	}
 	h := &cache[root][c.Rank(p)]
 	if h.Comm == nil {
-		p.Compute(m.Opt.TopoDetectCost)
-		*h = hier.Build(p, c, root)
+		*h = hier.BuildAfter(p, c, root, m.Opt.TopoDetectCost)
 	}
 	return h
 }

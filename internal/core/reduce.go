@@ -42,21 +42,18 @@ func reduceToLeader(p *mpi.Proc, hy *hier.Hierarchy, a coll.ReduceArgs, sbuf, ac
 // inter-node reduction of segment i.
 //
 // The non-leaders only take part in the reduction over new_comm and wait,
-// so each runs its whole part of the call through the role interpreter
-// (roles.go) and is switched into once per call; the two leaders run
-// process-style.
+// so each runs its whole part of the call, the hierarchy's construction
+// included, through the role interpreter (roles.go) and is switched into
+// once per call; the two leaders build the hierarchy in that same stepped
+// wait and run on process-style.
 func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf *buffer.Buffer, root int) {
 	if c.Size() == 1 {
 		rbuf.CopyFrom(sbuf)
 		return
 	}
-	var scratch hier.Hierarchy
-	hy := m.hierarchy(p, c, root, &scratch)
 	seg := segmentSize("ReducePipeline", m.Opt.ReducePipeline, sbuf.Len())
 	nseg := segCount(sbuf.Len(), seg)
 	spec := &p.World().Machine.Spec
-	lcomm := hy.LComm
-	lrank := lcomm.Rank(p)
 	isRoot := c.Rank(p) == root
 
 	// Small messages (a single pipeline segment) take a lean path: the
@@ -65,6 +62,8 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 	// the leader plus the inter-node reduction matches what the adaptive
 	// framework selects below the pipelining regime.
 	if nseg == 1 {
+		var scratch hier.Hierarchy
+		hy := m.hierarchy(p, c, root, &scratch)
 		var acc *buffer.Buffer
 		if hy.IsLeader {
 			if isRoot {
@@ -85,11 +84,31 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 		return
 	}
 
-	newComm := hy.NewComm(p)
+	// lcomm is the node's communicator; other is the 1st leader's llcomm or
+	// the 2nd leader's new_comm.
+	var lcomm, other *mpi.Comm
+	sh := shape{role: reduceNonLeader, root: int32(root), n: sbuf.Len(), seg: seg, nseg: int32(nseg)}
+	if m.Opt.CacheTopology {
+		hy := m.hierarchy(p, c, root, nil)
+		newComm := hy.NewComm(p)
+		lcomm, other = hy.LComm, newComm
+		switch lcomm.Rank(p) {
+		case 0:
+			other = hy.LLComm
+		case 1:
+		default:
+			lcomm.Seq(p) // every rank keeps lcomm's call count, which a cached lcomm's keys read
+			sh.v, sh.size = int32(newComm.Rank(p)), int32(newComm.Size())
+			run(p, sh, lcomm, newComm, sbuf, nil, a, 0)
+			return
+		}
+	} else if lcomm, other = build(p, sh, c, m.Opt.TopoDetectCost, sbuf, nil, a); lcomm.Rank(p) > 1 {
+		return
+	}
 	key := mpi.BBKey{Op: "hkreduce", Seq: lcomm.Seq(p)}
 
-	switch {
-	case lrank == 0:
+	switch lcomm.Rank(p) {
+	case 0:
 		// --- 1st leader ---
 		haveSecond := lcomm.Size() >= 2
 		p.Compute(spec.ShmLatency) // registration syscall
@@ -110,7 +129,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 		// Inter-node topology: like the Broadcast, deep pipelines reduce
 		// along a fan-in-1 chain (the root ingests the data exactly once,
 		// at full link bandwidth), shallow ones up a binomial tree.
-		ll := hy.LLComm
+		ll, rootNode := other, c.NodeIndex(root)
 		llSize := ll.Size()
 		useChain := llSize > 1 && nseg >= chainMinSegs
 		var chainV int // virtual position: data flows v=llSize-1 -> v=0 (root)
@@ -120,9 +139,9 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 		var rreq [2]*mpi.Request
 		if useChain {
 			me := ll.Rank(p)
-			chainV = (me - hy.RootNodeIndex + llSize) % llSize
-			chainUp = (hy.RootNodeIndex + chainV + 1) % llSize   // my upstream
-			chainDown = (hy.RootNodeIndex + chainV - 1) % llSize // toward root
+			chainV = (me - rootNode + llSize) % llSize
+			chainUp = (rootNode + chainV + 1) % llSize   // my upstream
+			chainDown = (rootNode + chainV - 1) % llSize // toward root
 			chainRecvs = chainV != llSize-1
 			if chainRecvs {
 				// Ping-pong prepost: one segment's receive always in
@@ -173,7 +192,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 				}
 			case llSize > 1:
 				coll.ReduceBinomial(p, ll, a, tmp.Slice(off, n), out,
-					hy.RootNodeIndex, m.Opt.ReducePerHop)
+					rootNode, m.Opt.ReducePerHop)
 			case isRoot:
 				out.CopyFrom(tmp.Slice(off, n))
 			}
@@ -187,7 +206,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 			}
 		}
 
-	case lrank == 1:
+	case 1:
 		// --- 2nd leader ---
 		sh := lcomm.BBWaitAfter(p, spec.ShmLatency, key).(reduceShare) // cookie lookup
 		fetch := coll.Like(sbuf, seg)
@@ -201,7 +220,7 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 			// Step 11: intra-node reduction over new_comm (I am root 0).
 			// A fan-in-1 chain keeps the 2nd leader's per-segment work
 			// constant; consecutive segments pipeline down the chain.
-			if newComm != nil && newComm.Size() > 1 {
+			if newComm := other; newComm != nil && newComm.Size() > 1 {
 				acc := coll.Like(sbuf, n)
 				coll.ReduceChain(p, newComm, a, fseg, acc, 0, 0, 0)
 				fseg.CopyFrom(acc)
@@ -212,10 +231,5 @@ func (m *Module) Reduce(p *mpi.Proc, c *mpi.Comm, a coll.ReduceArgs, sbuf, rbuf 
 			p.Send(lcomm, buffer.NewPhantom(0), 0, hkTag+1000+int(i))
 		}
 		lcomm.Barrier(p)
-
-	default:
-		// --- non-leader: intra-node reduction participant (steps 17-19) ---
-		sh := shape{role: reduceNonLeader, v: int32(newComm.Rank(p)), size: int32(newComm.Size()), n: sbuf.Len(), seg: seg, nseg: int32(nseg)}
-		run(p, sh, lcomm, newComm, sbuf, nil, a, 0)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"hierknem/internal/buffer"
 	"hierknem/internal/coll"
 	"hierknem/internal/des"
+	"hierknem/internal/hier"
 	"hierknem/internal/knem"
 	"hierknem/internal/mpi"
 )
@@ -40,6 +41,10 @@ const (
 	opStage                 // mint segment i's partial and the upstream's scratch
 	opReduce                // fold the upstream's partial in (StartReduce, FinishReduce)
 	opCompute               // close the small stretch, charging its latency
+
+	// The prologue's, which no sequence holds: build sets them.
+	opBuild   // build the hierarchy (hier.BuildStep)
+	opNewComm // split the Reduce's new_comm off the node (hier.NewCommStep)
 )
 
 // The counts: how often an entry runs at a segment.
@@ -193,7 +198,7 @@ type roleRun struct {
 	cursor
 	p     *mpi.Proc
 	lcomm *mpi.Comm
-	c     *mpi.Comm      // llcomm (leaders) or new_comm (Reduce)
+	c     *mpi.Comm      // llcomm (leaders) or new_comm (Reduce); the call's communicator while build's prologue runs
 	buf   *buffer.Buffer // Bcast's buffer, Reduce's sbuf, Allgather's rbuf
 	src   *buffer.Buffer // Allgather's sbuf
 	a     coll.ReduceArgs
@@ -207,6 +212,31 @@ type roleRun struct {
 
 // run plays sh on p.
 func run(p *mpi.Proc, sh shape, lcomm, c *mpi.Comm, buf, src *buffer.Buffer, a coll.ReduceArgs, seq int) {
+	r := record(p, sh, lcomm, c, buf, src, a, seq)
+	r.ready()
+	p.DES().Steps(r)
+	r.release()
+}
+
+// build plays p's part of an uncached call on c. Its prologue, in the same
+// stepped wait, builds the hierarchy after a charge of d, rooted at
+// sh.root (hier.BuildStep), and casts p's role from it (roleRun.enter):
+// sh gives the collective by its first role, the message and segment
+// lengths and, for a Reduce, the segment count. A Reduce leader leaves the
+// wait once cast; build returns the node communicator and, for it, the
+// leaders' communicator (1st leader) or new_comm (2nd leader), whose part
+// of the call runs on from there.
+func build(p *mpi.Proc, sh shape, c *mpi.Comm, d float64, buf, src *buffer.Buffer, a coll.ReduceArgs) (lcomm, other *mpi.Comm) {
+	r := record(p, sh, nil, c, buf, src, a, 0)
+	r.op, r.ph, r.sub = opBuild, 1, hier.BuildStep(p, c, int(sh.root), d)
+	p.DES().Steps(r)
+	lcomm, other = r.lcomm, r.c
+	r.release()
+	return lcomm, other
+}
+
+// record arms p's record for a call of sh, keeping its blocks.
+func record(p *mpi.Proc, sh shape, lcomm, c *mpi.Comm, buf, src *buffer.Buffer, a coll.ReduceArgs, seq int) *roleRun {
 	w := p.World()
 	rs, _ := w.Attr().([]roleRun)
 	if rs == nil {
@@ -214,7 +244,16 @@ func run(p *mpi.Proc, sh shape, lcomm, c *mpi.Comm, buf, src *buffer.Buffer, a c
 		w.SetAttr(rs)
 	}
 	r := &rs[p.Rank()]
-	switch sh.role {
+	*r = roleRun{shape: sh, cursor: cursor{seq: int32(seq)}, p: p, lcomm: lcomm, c: c, buf: buf, src: src, a: a,
+		cp: r.cp, part: r.part, reqs: r.reqs}
+	return r
+}
+
+// ready gives r the blocks its role uses. A non-leader's come from slabs
+// made on first use for every record in the world at once.
+func (r *roleRun) ready() {
+	rs := r.p.World().Attr().([]roleRun)
+	switch r.role {
 	case bcastNonLeader, allgatherNonLeader:
 		if r.cp == nil {
 			slab(rs, func(r *roleRun, x *knem.Copy) { r.cp = x })
@@ -229,13 +268,15 @@ func run(p *mpi.Proc, sh shape, lcomm, c *mpi.Comm, buf, src *buffer.Buffer, a c
 			})
 		}
 	default:
-		if need := 2 + 3*max(sh.nch, 1); cap(r.reqs) < int(need) {
+		if need := 2 + 3*max(r.nch, 1); cap(r.reqs) < int(need) {
 			r.reqs = make([]*mpi.Request, need)
 		}
 	}
-	*r = roleRun{shape: sh, cursor: cursor{seq: int32(seq)}, p: p, lcomm: lcomm, c: c, buf: buf, src: src, a: a,
-		cp: r.cp, part: r.part, reqs: r.reqs}
-	p.DES().Steps(r)
+}
+
+// release lets go of the call: the record pins nothing between calls.
+func (r *roleRun) release() {
+	r.p, r.lcomm, r.c, r.buf, r.src, r.sub = nil, nil, nil, nil, nil, nil
 }
 
 // slab gives every record in rs, through set, its element of one new slab.
@@ -246,13 +287,54 @@ func slab[T any](rs []roleRun, set func(*roleRun, *T)) {
 	}
 }
 
+// enter ends a step of build's prologue. Once the hierarchy is built it
+// casts r's role from it, a Reduce splitting new_comm first; false for a
+// Reduce leader, which leaves the wait.
+func (r *roleRun) enter() bool {
+	p := r.p
+	if r.op == opBuild {
+		hy := hier.Built(p, r.c, int(r.root))
+		r.lcomm, r.c = hy.LComm, hy.LLComm
+		switch r.role {
+		case bcastNonLeader:
+			r.shape = bcastShape(hy.IsLeader, hy.NodeIndex, hy.NodeCount, hy.RootNodeIndex, r.n, r.seg)
+		case allgatherNonLeader:
+			r.shape = allgatherShape(p, &hy, r.src, r.buf)
+		default:
+			r.op, r.sub = opNewComm, hier.NewCommStep(p, hy.LComm)
+			return true
+		}
+		r.seq = int32(r.lcomm.Seq(p))
+	} else {
+		newComm, _ := p.SplitResult()
+		switch r.lcomm.Rank(p) {
+		case 0:
+			return false
+		case 1:
+			r.c = newComm
+			return false
+		}
+		r.c, r.v, r.size = newComm, int32(newComm.Rank(p)), int32(newComm.Size())
+	}
+	r.op, r.ph = opEnd, 0
+	r.ready()
+	return true
+}
+
 // Step advances the sequence (des.Stepper): it starts the step at the
 // cursor, r.sub being the stepped half that ends it, drives it to Done and
-// moves on.
+// moves on. build's prologue, if any, comes first.
 func (r *roleRun) Step(dp *des.Proc) des.Wait {
+	for r.op == opBuild || r.op == opNewComm {
+		if w := r.sub.Step(dp); w != des.Done {
+			return w
+		}
+		if r.sub = nil; !r.enter() {
+			return des.Done
+		}
+	}
 	for p := r.p; ; r.j, r.ph = r.j+1, 0 {
 		if r.ph == 0 && !r.at(&r.cursor) {
-			r.p, r.lcomm, r.c, r.buf, r.src, r.sub = nil, nil, nil, nil, nil, nil // pin nothing between calls
 			return des.Done
 		}
 		i, j := r.si, r.sj

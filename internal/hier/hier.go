@@ -9,6 +9,7 @@
 package hier
 
 import (
+	"hierknem/internal/des"
 	"hierknem/internal/mpi"
 )
 
@@ -38,36 +39,46 @@ type Hierarchy struct {
 // Build creates the hierarchy for p on comm c, promoting root's node leader
 // to root. All members of c must call Build with the same root (it is a
 // collective operation: it performs two Splits). Pass root = 0 for unrooted
-// collectives (Allgather).
-func Build(p *mpi.Proc, c *mpi.Comm, root int) Hierarchy {
-	me := c.Rank(p)
-	myNode := p.Core().NodeID
+// collectives (Allgather). It runs BuildStep as one stepped wait.
+func Build(p *mpi.Proc, c *mpi.Comm, root int) Hierarchy { return BuildAfter(p, c, root, 0) }
 
-	// Intra-node communicator: color by node id. Key orders members by
-	// comm rank, except the root which is forced to the front of its node.
+// BuildAfter is Build after a charge of d (none for 0), such as the cost of
+// detecting the topology, in the same stepped wait.
+func BuildAfter(p *mpi.Proc, c *mpi.Comm, root int, d float64) Hierarchy {
+	p.DES().Steps(BuildStep(p, c, root, d))
+	return Built(p, c, root)
+}
+
+// BuildStep arms BuildAfter(p, c, root, d) as a sub-step and returns it: a
+// caller's Stepper, running as p's stepped wait, steps it until Done and
+// then reads the hierarchy with Built. It is p's stepped-wait record
+// (mpi.Comm.SplitLeadersStep), so arming it allocates nothing.
+//
+// The node communicator is c split by node id; its key orders members by
+// comm rank, except the root, which is forced to the front of its node.
+// The leaders' communicator holds every node communicator's rank 0,
+// ordered by node id (mpi orders by key, then rank).
+func BuildStep(p *mpi.Proc, c *mpi.Comm, root int, d float64) des.Stepper {
+	me := c.Rank(p)
 	key := me + 1
 	if me == root {
 		key = 0
 	}
-	lcomm := c.Split(p, myNode, key)
+	node := p.Core().NodeID
+	return c.SplitLeadersStep(p, d, node, key, node)
+}
 
-	leader := lcomm.Rank(p) == 0
-	// Leaders' communicator, ordered by node id (color 0, key = node id
-	// keeps determinism; mpi.Split orders by key then rank).
-	color := mpi.Undefined
-	if leader {
-		color = 0
-	}
-	llcomm := c.Split(p, color, myNode)
-
-	// Node indexing is a per-communicator fact read from c's placement
-	// index (identical at all ranks, no communication needed).
+// Built returns the hierarchy the BuildStep(p, c, root, ...) that last
+// reported Done built. Node indexing is a per-communicator fact read from
+// c's placement index (identical at all ranks, no communication needed).
+func Built(p *mpi.Proc, c *mpi.Comm, root int) Hierarchy {
+	lcomm, llcomm := p.SplitResult()
 	return Hierarchy{
 		Comm:          c,
 		LComm:         lcomm,
 		LLComm:        llcomm,
-		IsLeader:      leader,
-		NodeIndex:     c.NodeIndex(me),
+		IsLeader:      llcomm != nil,
+		NodeIndex:     c.NodeIndex(c.Rank(p)),
 		NodeCount:     c.NodeSpan(),
 		RootNodeIndex: c.NodeIndex(root),
 	}
@@ -82,12 +93,20 @@ func (h *Hierarchy) NewComm(p *mpi.Proc) *mpi.Comm {
 	if h.newCommSet {
 		return h.newComm
 	}
-	lrank := h.LComm.Rank(p)
-	color := 0
-	if lrank == 0 || h.LComm.Size() < 2 {
-		color = mpi.Undefined
-	}
-	h.newComm = h.LComm.Split(p, color, lrank)
+	p.DES().Steps(NewCommStep(p, h.LComm))
+	h.newComm, _ = p.SplitResult()
 	h.newCommSet = true
 	return h.newComm
+}
+
+// NewCommStep arms the split behind NewComm on the node communicator lcomm
+// as a sub-step, as BuildStep does for Build; once it has reported Done,
+// p.SplitResult returns new_comm.
+func NewCommStep(p *mpi.Proc, lcomm *mpi.Comm) des.Stepper {
+	lrank := lcomm.Rank(p)
+	color := 0
+	if lrank == 0 || lcomm.Size() < 2 {
+		color = mpi.Undefined
+	}
+	return lcomm.SplitStep(p, color, lrank)
 }

@@ -212,31 +212,54 @@ const Undefined = -32766
 
 // Split partitions the communicator by color; within a color, ranks are
 // ordered by key, ties broken by original rank (MPI semantics). Collective:
-// all members must call it. Ranks passing Undefined receive nil.
+// all members must call it. Ranks passing Undefined receive nil. It charges
+// no virtual time, and no member returns before the last has called it.
 //
 // New communicators take their context ids in ascending color order, and
 // the last arriver wakes the parked ranks in arrival order: both are part
 // of the determinism contract (they fix (time, seq) tie-breaks downstream).
+// It runs SplitStep as one stepped wait.
 func (c *Comm) Split(p *Proc, color, key int) *Comm {
-	me := c.Rank(p)
-	if c.splitOp == nil {
-		c.splitOp = &splitState{
-			entries: make([]splitEntry, c.Size()),
-			waiters: make([]*Proc, 0, c.Size()-1),
-		}
-	}
-	op := c.splitOp
-	op.entries[me] = splitEntry{color, key, me}
-	if len(op.waiters) < c.Size()-1 {
-		op.waiters = append(op.waiters, p)
-		for op.result == nil {
-			p.dp.Park()
-		}
-		return op.result[me]
-	}
+	p.dp.Steps(c.SplitStep(p, color, key))
+	sub, _ := p.SplitResult()
+	return sub
+}
 
-	// Last arriver builds the result and releases everyone: one sort by
-	// (color, key, rank), then every run of one color is a new communicator.
+// SplitStep arms Split(p, color, key) on c as a sub-step and returns it, as
+// BarrierStep does for Barrier; once it has reported Done, SplitResult
+// returns p's communicator.
+func (c *Comm) SplitStep(p *Proc, color, key int) des.Stepper {
+	return p.waitStep().armSplit(c, 0, color, key, false, 0)
+}
+
+// SplitLeadersStep arms, as one sub-step, the two splits of a two-level
+// hierarchy on c: after a charge of d (none for 0), Split(p, color, key),
+// then a second Split of c that keeps the ranks that came first in their
+// color (rank 0 of the first's communicator), ordered by lkey, and gives
+// every other rank nil. Once it has reported Done, SplitResult returns
+// both communicators.
+func (c *Comm) SplitLeadersStep(p *Proc, d float64, color, key, lkey int) des.Stepper {
+	return p.waitStep().armSplit(c, d, color, key, true, lkey)
+}
+
+// SplitResult returns what p's split that last reported Done (SplitStep or
+// SplitLeadersStep) gave p: the communicator of its color, nil for
+// Undefined, and, after SplitLeadersStep, the leaders' communicator, nil
+// off the leaders.
+func (p *Proc) SplitResult() (sub, leaders *Comm) {
+	s := p.waitStep()
+	sub = s.split.result[s.me]
+	if s.round == splitLeaders {
+		sub, leaders = s.got, sub
+	}
+	s.split, s.got = nil, nil
+	return sub, leaders
+}
+
+// publish is the last arrival at op: one sort by (color, key, rank), then
+// every run of one color is a new communicator. It releases the members
+// parked on op in arrival order.
+func (c *Comm) publish(op *splitState) {
 	es := op.entries
 	slices.SortFunc(es, func(a, b splitEntry) int {
 		if a.color != b.color {
@@ -268,7 +291,6 @@ func (c *Comm) Split(p *Proc, color, key int) *Comm {
 	for _, w := range op.waiters {
 		w.dp.Wake()
 	}
-	return result[me]
 }
 
 // barrierState implements a sense-reversing centralized barrier for

@@ -8,9 +8,10 @@ import "hierknem/internal/des"
 // over. A rank is in at most one such wait at a time, so one record per
 // rank serves them all, and handing it to the engine allocates nothing.
 //
-// The same record is also a sub-step (see des.Stepper): BarrierStep and
-// LookupStep arm it and hand it to a caller whose own Stepper drives it to
-// Done, so a sequence of barriers, lookups and copies is one Steps.
+// The same record is also a sub-step (see des.Stepper): BarrierStep,
+// LookupStep and SplitStep arm it and hand it to a caller whose own Stepper
+// drives it to Done, so a sequence of splits, barriers, lookups and copies
+// is one Steps.
 type waitStep struct {
 	p     *Proc
 	c     *Comm
@@ -27,9 +28,17 @@ type waitStep struct {
 	gen int
 
 	// Blackboard lookup: the charge before the wait, the key, its slot.
+	// Split: d is the charge before the first arrival, me this rank's
+	// comm rank and gen the leaders' key (SplitLeadersStep).
 	d   float64
 	key BBKey
 	e   *bbEntry
+
+	// Split: the staging record of the split under way, which holds this
+	// rank's entry from arming on and its result once published, and the
+	// first split's result while the leaders' one runs.
+	split *splitState
+	got   *Comm
 }
 
 // waitStep returns p's stepped-wait record. The world's records are one
@@ -52,6 +61,15 @@ const (
 	stepDissemination stepKind = iota
 	stepFlag
 	stepLookup
+	stepSplit
+)
+
+// The round of a split: a lone split, the first of SplitLeadersStep's two,
+// or the leaders' one.
+const (
+	splitLone uint8 = iota
+	splitFirst
+	splitLeaders
 )
 
 // arm makes the record a wait of kind on c from phase.
@@ -69,6 +87,8 @@ func (s *waitStep) Step(*des.Proc) des.Wait {
 		w = s.dissemination()
 	case stepFlag:
 		w = s.flag()
+	case stepSplit:
+		w = s.splitWait()
 	default:
 		w = s.lookup()
 	}
@@ -158,4 +178,71 @@ func (s *waitStep) lookup() des.Wait {
 		return des.Parked
 	}
 	return des.Done
+}
+
+// armSplit makes the record a split of c by (color, key) after a charge of
+// d, followed by the leaders' split by lkey if leaders is set, and stages
+// this rank's entry. The first member to arm creates the staging record;
+// the entries are read only once the last member has arrived.
+func (s *waitStep) armSplit(c *Comm, d float64, color, key int, leaders bool, lkey int) *waitStep {
+	s.me, s.d, s.gen, s.round = int32(c.Rank(s.p)), d, lkey, splitLone
+	if leaders {
+		s.round = splitFirst
+	}
+	var phase uint8 = 1
+	if d != 0 {
+		phase = 0
+	}
+	s.arm(stepSplit, c, phase)
+	s.stage(color, key)
+	return s
+}
+
+// stage enters this rank in the split under way on s.c, creating it if no
+// member has yet.
+func (s *waitStep) stage(color, key int) {
+	c := s.c
+	if c.splitOp == nil {
+		c.splitOp = &splitState{
+			entries: make([]splitEntry, c.Size()),
+			waiters: make([]*Proc, 0, c.Size()-1),
+		}
+	}
+	s.split = c.splitOp
+	s.split.entries[s.me] = splitEntry{color, key, int(s.me)}
+}
+
+// splitWait charges d (phase 0), arrives (phase 1) and waits for the split
+// to be published (phase 2). Every arriver but the last parks; the last
+// publishes it (Comm.publish), which wakes the others in arrival order.
+// After the first of SplitLeadersStep's splits it arrives at the leaders'
+// one at once, at the same virtual time.
+func (s *waitStep) splitWait() des.Wait {
+	for {
+		switch s.phase {
+		case 0:
+			s.phase = 1
+			return des.SleepFor(s.d)
+		case 1:
+			s.phase = 2
+			if op := s.split; len(op.waiters) < s.c.Size()-1 {
+				op.waiters = append(op.waiters, s.p)
+				return des.Parked
+			}
+			s.c.publish(s.split)
+		}
+		if s.split.result == nil {
+			return des.Parked
+		}
+		if s.round != splitFirst {
+			return des.Done
+		}
+		s.got, s.round = s.split.result[s.me], splitLeaders
+		color := Undefined
+		if s.got != nil && s.got.Rank(s.p) == 0 {
+			color = 0
+		}
+		s.stage(color, s.gen)
+		s.phase = 1
+	}
 }

@@ -4,12 +4,18 @@ import "hierknem/internal/des"
 
 // SmallIntraNode is the selector of the small intra-node stretch: every
 // member of c lives on one node (and there are at least two — a singleton
-// has no stretch), and n-byte messages stay under both the eager threshold
-// and the fabric bypass cutoff. The answer is the same on every member of
-// c, so a stretch is small on all of its ranks or on none.
+// has no stretch), and n-byte messages are small (SmallMessage). The answer
+// is the same on every member of c, so a stretch is small on all of its
+// ranks or on none.
 func (p *Proc) SmallIntraNode(c *Comm, n int64) bool {
-	return c.IntraNode() && c.Size() > 1 &&
-		n < p.world.eagerThreshold && n < smallCopyCutoff
+	return c.IntraNode() && c.Size() > 1 && p.SmallMessage(n)
+}
+
+// SmallMessage reports whether n-byte messages stay under both the eager
+// threshold and the fabric bypass cutoff: SmallIntraNode's size test, which
+// a caller can ask before it has the communicator.
+func (p *Proc) SmallMessage(n int64) bool {
+	return n < p.world.eagerThreshold && n < smallCopyCutoff
 }
 
 // BeginSmallStretch opens a small intra-node stretch if SmallIntraNode(c, n)
